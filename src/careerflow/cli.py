@@ -156,10 +156,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     print(f"\n{len(entries)} outputs:")
     for entry in entries:
         print(f"  {entry['path']}")
-    sankeys = sorted((out_dir / "sankey").glob("*.txt")) if (out_dir / "sankey").exists() else []
-    if sankeys:
-        print(f"\n{sankeys[0].name}:")
-        print(sankeys[0].read_text(encoding="utf-8").rstrip())
+    # preview a Sankey file of this manifest, not whatever an earlier run left
+    sankey = next((e["path"] for e in entries if e["path"].startswith("sankey/")), None)
+    if sankey is not None:
+        print(f"\n{Path(sankey).name}:")
+        print((out_dir / sankey).read_text(encoding="utf-8").rstrip())
     return EXIT_OK
 
 

@@ -254,10 +254,23 @@ def parse_publication_line(
     )
 
 
-def _iter_json_lines(lines: Iterable[str], file: str, rejects: list[Reject]) -> Iterator[tuple[int, dict]]:
+def _iter_json_lines(
+    lines: Iterable[str | bytes], file: str, rejects: list[Reject]
+) -> Iterator[tuple[int, dict]]:
+    """Numbered JSON objects of *lines*; a line that is not one becomes a reject.
+
+    Lines may be str, or bytes as read from a file opened in binary mode, so
+    that a bad byte rejects its own line instead of aborting the whole file.
+    """
     line_no = 0
     for raw in lines:
         line_no += 1
+        if isinstance(raw, bytes):
+            try:
+                raw = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                rejects.append(Reject(line_no, file, "invalid utf-8"))
+                continue
         raw = raw.strip()
         if not raw:
             continue
@@ -266,13 +279,19 @@ def _iter_json_lines(lines: Iterable[str], file: str, rejects: list[Reject]) -> 
         except json.JSONDecodeError as exc:
             rejects.append(Reject(line_no, file, f"invalid json: {exc.msg}"))
             continue
+        except ValueError:  # int() past the interpreter's digit limit
+            rejects.append(Reject(line_no, file, "invalid json: integer too long"))
+            continue
+        except RecursionError:
+            rejects.append(Reject(line_no, file, "invalid json: nesting too deep"))
+            continue
         if not isinstance(obj, dict):
             rejects.append(Reject(line_no, file, "record is not an object"))
             continue
         yield line_no, obj
 
 
-def parse_journals(lines: Iterable[str], rejects: list[Reject]) -> dict[str, JournalRecord]:
+def parse_journals(lines: Iterable[str | bytes], rejects: list[Reject]) -> dict[str, JournalRecord]:
     journals: dict[str, JournalRecord] = {}
     for line_no, obj in _iter_json_lines(lines, JOURNALS_FILE, rejects):
         try:
@@ -287,7 +306,7 @@ def parse_journals(lines: Iterable[str], rejects: list[Reject]) -> dict[str, Jou
     return journals
 
 
-def parse_authors(lines: Iterable[str], rejects: list[Reject]) -> dict[str, AuthorRecord]:
+def parse_authors(lines: Iterable[str | bytes], rejects: list[Reject]) -> dict[str, AuthorRecord]:
     authors: dict[str, AuthorRecord] = {}
     for line_no, obj in _iter_json_lines(lines, AUTHORS_FILE, rejects):
         try:
@@ -303,7 +322,7 @@ def parse_authors(lines: Iterable[str], rejects: list[Reject]) -> dict[str, Auth
 
 
 def iter_publications(
-    lines: Iterable[str],
+    lines: Iterable[str | bytes],
     journals: dict[str, JournalRecord],
     authors: dict[str, AuthorRecord],
     reference_year: int,

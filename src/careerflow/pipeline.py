@@ -13,7 +13,7 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -162,14 +162,14 @@ def run_ingest(
             raise CorpusError(f"input file not found: {path}")
     out_dir.mkdir(parents=True, exist_ok=True)
     rejects: list[Reject] = []
-    with open(journals_path, encoding="utf-8") as fh:
+    with open(journals_path, "rb") as fh:
         journals = parse_journals(fh, rejects)
-    with open(authors_path, encoding="utf-8") as fh:
+    with open(authors_path, "rb") as fh:
         authors = parse_authors(fh, rejects)
 
     builder = ColumnsBuilder(journals, authors, reference_year)
     n_pubs = 0
-    with open(pubs_path, encoding="utf-8") as pubs_in:
+    with open(pubs_path, "rb") as pubs_in:
         for rec in iter_publications(pubs_in, journals, authors, reference_year, rejects):
             builder.add(rec)
             n_pubs += 1

@@ -8,8 +8,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg as sla
-from scipy import stats
 
 from .classes import CLASS_ORDER, PRODUCTIVITY_TYPES, STAGES
 from .columnar import GENDER_FEMALE, GENDER_MALE
@@ -228,6 +226,8 @@ def _loglik(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> float:
 
 
 def _dependent_columns(X: np.ndarray, names: list[str]) -> list[str]:
+    from scipy import linalg as sla  # only the rank-deficient error path pays for it
+
     _, r, pivots = sla.qr(X, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
     tol = diag.max() * max(X.shape) * np.finfo(float).eps if diag.size else 0.0
@@ -314,7 +314,11 @@ def fit_logistic(
     cov = np.linalg.inv(info)
     se = np.sqrt(np.diag(cov))
     z = np.divide(beta, se, out=np.zeros_like(beta), where=se > 0)
-    p_values = 2.0 * stats.norm.sf(np.abs(z))
+    # ndtr(-x) is how scipy.stats.norm.sf is defined, so the p-values are the
+    # same bits without importing scipy.stats (~1 s) into every CLI call
+    from scipy.special import ndtr
+
+    p_values = 2.0 * ndtr(-np.abs(z))
 
     p_bar = y.mean()
     null_ll = n * (p_bar * math.log(p_bar) + (1.0 - p_bar) * math.log(1.0 - p_bar))

@@ -1,8 +1,14 @@
+import inspect
 import json
+import subprocess
+import sys
+import typing
 from pathlib import Path
 
 import pytest
 
+import careerflow
+from careerflow import pipeline
 from careerflow.cli import main
 from careerflow.pipeline import MANIFEST_NAME
 
@@ -90,6 +96,28 @@ def test_ingest_prints_gate_table_and_caches(run_dir, capsys):
     assert (run_dir / "rejects.jsonl").exists()
 
 
+@pytest.mark.parametrize(
+    "bad_line,reason",
+    [
+        (b'\xff\xfe{"x":1}\n', "invalid utf-8"),
+        (b"[" * 100_000 + b"\n", "invalid json: nesting too deep"),
+    ],
+    ids=["non-utf8", "deep-nesting"],
+)
+def test_ingest_rejects_byte_level_faults(run_dir, capsys, bad_line, reason):
+    pubs = run_dir / "publications.jsonl"
+    n_lines = len(pubs.read_bytes().splitlines())
+    with open(pubs, "ab") as fh:
+        fh.write(bad_line)
+    capsys.readouterr()
+    assert main(ingest_args(run_dir)) == 0
+    assert f"publications: {n_lines}  rejects: 1" in capsys.readouterr().out
+    rejects = (run_dir / "rejects.jsonl").read_text().splitlines()
+    assert [json.loads(line) for line in rejects] == [
+        {"line_no": n_lines + 1, "file": "publications", "reason": reason}
+    ]
+
+
 def test_min_pubs_override_honored(run_dir, capsys):
     args = ingest_args(run_dir) + ["--min-pubs", "100000"]
     assert main(args) == 0
@@ -164,6 +192,62 @@ def test_report_command(run_dir, capsys):
     out = capsys.readouterr().out
     assert "outputs:" in out
     assert "retained" in out
+
+
+def test_report_previews_a_sankey_file_the_manifest_lists(run_dir, capsys):
+    assert main(["analyze", "--out", str(run_dir)]) == 0
+    # the narrow run leaves the full run's Sankey files on disk
+    assert main(["analyze", "--out", str(run_dir), "--ptype", "P3", "--scope", "D01"]) == 0
+    assert (run_dir / "sankey" / "P1_D00.txt").exists()
+    capsys.readouterr()
+    assert main(["report", "--out", str(run_dir)]) == 0
+    out = capsys.readouterr().out
+    assert "\nP3_D01.txt:\n" in out
+    assert "P1_D00.txt" not in out
+    assert (run_dir / "sankey" / "P3_D01.txt").read_text().rstrip() in out
+
+
+def test_pipeline_annotations_resolve():
+    for obj in vars(pipeline).values():
+        if inspect.isfunction(obj) and obj.__module__ == pipeline.__name__:
+            typing.get_type_hints(obj)  # NameError on an annotation never imported
+
+
+SCIPY_PROBE = """
+import contextlib, sys
+from careerflow.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+out = sys.argv[1]
+with contextlib.suppress(SystemExit):
+    main(["--help"])
+calls = [
+    ["synth", "--out", out, "--authors-n", "40", "--disciplines-n", "2", "--seed", "7"],
+    ["ingest", "--pubs", out + "/publications.jsonl", "--journals", out + "/journals.jsonl",
+     "--authors", out + "/authors.jsonl", "--out", out],
+    ["analyze", "--out", out, "--ptype", "P3", "--scope", "all"],
+    ["report", "--out", out],
+]
+for argv in calls:
+    assert main(argv) == 0, argv
+    assert scipy_modules() == [], (argv[0], scipy_modules())
+assert main(["analyze", "--out", out]) == 0
+assert "scipy.stats" not in sys.modules  # a full analyze needs only scipy.special
+"""
+
+
+def test_cli_loads_scipy_only_to_fit_models(tmp_path):
+    # a fresh interpreter: this test process has imported scipy already
+    src = str(Path(careerflow.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, str(tmp_path / "run")],
+        env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_env_var_default_out(run_dir, monkeypatch, capsys):

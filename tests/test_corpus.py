@@ -96,6 +96,28 @@ def test_invalid_json_and_duplicates_rejected():
     assert any("invalid json" in r for r in reasons)
 
 
+BYTE_FAULTS = [
+    (b'\xff\xfe{"x":1}\n', "invalid utf-8"),
+    (b"[" * 100_000 + b"\n", "invalid json: nesting too deep"),
+    (b'{"year":' + b"1" * 5000 + b"}\n", "invalid json: integer too long"),
+]
+
+
+@pytest.mark.parametrize("file", ["publications", "journals", "authors"])
+@pytest.mark.parametrize("bad_line,reason", BYTE_FAULTS, ids=["non-utf8", "deep-nesting", "long-int"])
+def test_byte_level_fault_rejects_only_its_line(file, bad_line, reason):
+    # lines as bytes, the way ingest reads its input files
+    inputs = {
+        "publications": [good_pub_line().encode() + b"\n"],
+        "journals": [JOURNAL_LINE.encode() + b"\n"],
+        "authors": [AUTHOR_LINE.encode() + b"\n"],
+    }
+    inputs[file].append(bad_line)
+    corpus, rejects = parse_corpus(inputs["publications"], inputs["journals"], inputs["authors"], 2022)
+    assert [(r.line_no, r.file, r.reason) for r in rejects] == [(2, file, reason)]
+    assert [p.pub_id for p in corpus.publications] == ["p1"]
+
+
 def test_journal_percentile_out_of_range_rejected():
     bad = '{"journal_id":"j2","percentiles":{"MED":120}}'
     _, rejects = parse_corpus([], [JOURNAL_LINE, bad], [AUTHOR_LINE], 2022)

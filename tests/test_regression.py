@@ -72,6 +72,20 @@ def test_two_group_closed_form_mle():
     assert fit.pseudo_r2 == pytest.approx(0.30693285477399873, abs=1e-6)
 
 
+def test_p_values_bit_identical_to_scipy_stats_norm_sf():
+    # the package computes 2 * ndtr(-|z|) so that it never imports scipy.stats
+    from scipy import stats
+
+    X = np.array([[0.0]] * 4 + [[1.0]] * 4)
+    y = np.array([0, 0, 0, 1, 0, 1, 1, 1], dtype=float)
+    fits = [fit_logistic(X, y, ["x"])]
+    X, y = simulate_logistic(np.random.default_rng(7), 2000, (0.3, -0.05, 1.5), intercept=-0.5)
+    fits.append(fit_logistic(X, y, ["x1", "x2", "x3"]))
+    for fit in fits:
+        expected = 2.0 * stats.norm.sf(np.abs(fit.coef / fit.se))
+        assert np.array_equal(fit.p_values, expected)
+
+
 def test_exp_log_round_trip_identity():
     # the published prior-class odds ratio and its log-scale coefficient
     assert math.log(11.136) == pytest.approx(2.4102, abs=5e-5)
