@@ -16,6 +16,7 @@ QUALIFYING_DOC_TYPES = frozenset(("article", "conference_paper"))
 GENDER_LABELS = ("female", "male", "unknown")
 
 MIN_YEAR = 1900
+ECHO_MAX = 64  # longest input value a reject reason quotes in full
 
 PUBLICATIONS_FILE = "publications"
 JOURNALS_FILE = "journals"
@@ -142,6 +143,15 @@ class FilterReport:
 # line-level parsing
 
 
+def _echo(value: object) -> str:
+    """*value* as a reject reason quotes it: cut to ECHO_MAX characters, with
+    a marker giving the full length, so one huge field cannot bloat rejects."""
+    text = str(value)
+    if len(text) <= ECHO_MAX:
+        return text
+    return f"{text[:ECHO_MAX]}...[{len(text)} chars]"
+
+
 def _req_str(obj: dict, key: str) -> str:
     val = obj.get(key)
     if not isinstance(val, str) or not val:
@@ -177,7 +187,7 @@ def parse_journal_line(obj: dict) -> JournalRecord:
         if not isinstance(disc, str) or not disc:
             raise _LineError("bad percentiles key")
         if isinstance(pct, bool) or not isinstance(pct, int) or not 0 <= pct <= 99:
-            raise _LineError(f"percentile out of range for {disc}")
+            raise _LineError(f"percentile out of range for {_echo(disc)}")
         percentiles[disc] = pct
     return JournalRecord(journal_id, percentiles)
 
@@ -186,7 +196,7 @@ def parse_author_line(obj: dict) -> AuthorRecord:
     author_id = _req_str(obj, "author_id")
     label = obj.get("gender_label", "unknown")
     if label not in GENDER_LABELS:
-        raise _LineError(f"bad gender_label {label!r}")
+        raise _LineError(f"bad gender_label {_echo(repr(label))}")
     prob = obj.get("gender_probability")
     if prob is None:
         if label != "unknown":
@@ -209,10 +219,10 @@ def parse_publication_line(
     pub_id = _req_str(obj, "pub_id")
     year = _req_int(obj, "year")
     if not MIN_YEAR <= year <= reference_year:
-        raise _LineError(f"year {year} out of [{MIN_YEAR}, {reference_year}]")
+        raise _LineError(f"year {_echo(year)} out of [{MIN_YEAR}, {reference_year}]")
     doc_type = _req_str(obj, "doc_type")
     if doc_type not in DOC_TYPES:
-        raise _LineError(f"bad doc_type {doc_type!r}")
+        raise _LineError(f"bad doc_type {_echo(repr(doc_type))}")
     author_ids = _str_list(obj, "author_ids")
     if not author_ids:
         raise _LineError("empty author_ids")
@@ -220,13 +230,13 @@ def parse_publication_line(
         raise _LineError("duplicate author id")
     for aid in author_ids:
         if aid not in authors:
-            raise _LineError(f"unresolved author reference: {aid}")
+            raise _LineError(f"unresolved author reference: {_echo(aid)}")
     journal_id = obj.get("journal_id")
     if journal_id is not None:
         if not isinstance(journal_id, str) or not journal_id:
             raise _LineError("bad journal_id")
         if journal_id not in journals:
-            raise _LineError(f"unresolved journal reference: {journal_id}")
+            raise _LineError(f"unresolved journal reference: {_echo(journal_id)}")
     raw_cits = obj.get("citations_by_year", {})
     if not isinstance(raw_cits, dict):
         raise _LineError("bad citations_by_year")
@@ -235,11 +245,11 @@ def parse_publication_line(
         try:
             cit_year = int(key)
         except (TypeError, ValueError):
-            raise _LineError(f"bad citation year {key!r}") from None
+            raise _LineError(f"bad citation year {_echo(repr(key))}") from None
         if cit_year < year:
-            raise _LineError(f"citation year {cit_year} precedes publication year")
+            raise _LineError(f"citation year {_echo(cit_year)} precedes publication year")
         if isinstance(cnt, bool) or not isinstance(cnt, int) or cnt < 0:
-            raise _LineError(f"bad citation count for year {cit_year}")
+            raise _LineError(f"bad citation count for year {_echo(cit_year)}")
         citations[cit_year] = cnt
     return PublicationRecord(
         pub_id=pub_id,
@@ -300,7 +310,7 @@ def parse_journals(lines: Iterable[str | bytes], rejects: list[Reject]) -> dict[
             rejects.append(Reject(line_no, JOURNALS_FILE, str(exc)))
             continue
         if rec.journal_id in journals:
-            rejects.append(Reject(line_no, JOURNALS_FILE, f"duplicate journal_id {rec.journal_id}"))
+            rejects.append(Reject(line_no, JOURNALS_FILE, f"duplicate journal_id {_echo(rec.journal_id)}"))
             continue
         journals[rec.journal_id] = rec
     return journals
@@ -315,7 +325,7 @@ def parse_authors(lines: Iterable[str | bytes], rejects: list[Reject]) -> dict[s
             rejects.append(Reject(line_no, AUTHORS_FILE, str(exc)))
             continue
         if rec.author_id in authors:
-            rejects.append(Reject(line_no, AUTHORS_FILE, f"duplicate author_id {rec.author_id}"))
+            rejects.append(Reject(line_no, AUTHORS_FILE, f"duplicate author_id {_echo(rec.author_id)}"))
             continue
         authors[rec.author_id] = rec
     return authors
@@ -341,7 +351,7 @@ def iter_publications(
             rejects.append(Reject(line_no, PUBLICATIONS_FILE, str(exc)))
             continue
         if rec.pub_id in seen:
-            rejects.append(Reject(line_no, PUBLICATIONS_FILE, f"duplicate pub_id {rec.pub_id}"))
+            rejects.append(Reject(line_no, PUBLICATIONS_FILE, f"duplicate pub_id {_echo(rec.pub_id)}"))
             continue
         seen.add(rec.pub_id)
         yield rec

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,6 +47,9 @@ from .regression import ModelOutcome, default_spec, grid_rows, run_model, sig_la
 CACHE_VERSION = 1
 CACHE_NAME = "corpus.cache"
 MANIFEST_NAME = "manifest.txt"
+# analyze owns these directories: a file in them that the manifest does not
+# list is a stale output of an earlier run and is removed
+OUTPUT_DIRS = ("matrices", "sankey", "regression")
 
 MODEL_FAMILIES = ("top_mid", "top_late", "bottom_mid", "bottom_late")
 
@@ -176,33 +180,40 @@ def run_ingest(
     columns = builder.finalize()
     retained, report = gates_from_columns(columns, config)
 
+    # written aside and renamed into place, so an interrupted ingest never
+    # leaves a truncated cache behind
     cache_path = out_dir / CACHE_NAME
-    with open(cache_path, "w", encoding="utf-8") as cache:
-        header = {
-            "kind": "header",
-            "cache_version": CACHE_VERSION,
-            "reference_year": reference_year,
-            "n_publications": n_pubs,
-            "filter": _filter_config_dict(config),
-        }
-        cache.write(json.dumps(header, separators=(",", ":")) + "\n")
-        dump_columns(columns, cache)
-        cache.write(
-            json.dumps({"kind": "retained", "ids": sorted(retained)}, separators=(",", ":"))
-            + "\n"
-        )
-        cache.write(
-            json.dumps(
-                {
-                    "kind": "report",
-                    "removed": report.removed,
-                    "retained": report.retained,
-                    "total": report.total,
-                },
-                separators=(",", ":"),
+    tmp_path = out_dir / f".{CACHE_NAME}.{os.getpid()}.tmp"
+    try:
+        with open(tmp_path, "w", encoding="utf-8") as cache:
+            header = {
+                "kind": "header",
+                "cache_version": CACHE_VERSION,
+                "reference_year": reference_year,
+                "n_publications": n_pubs,
+                "filter": _filter_config_dict(config),
+            }
+            cache.write(json.dumps(header, separators=(",", ":")) + "\n")
+            dump_columns(columns, cache)
+            cache.write(
+                json.dumps({"kind": "retained", "ids": sorted(retained)}, separators=(",", ":"))
+                + "\n"
             )
-            + "\n"
-        )
+            cache.write(
+                json.dumps(
+                    {
+                        "kind": "report",
+                        "removed": report.removed,
+                        "retained": report.retained,
+                        "total": report.total,
+                    },
+                    separators=(",", ":"),
+                )
+                + "\n"
+            )
+        os.replace(tmp_path, cache_path)
+    finally:
+        tmp_path.unlink(missing_ok=True)
 
     with open(out_dir / "rejects.jsonl", "w", encoding="utf-8") as fh:
         for reject in rejects:
@@ -513,4 +524,8 @@ def run_analyze(
         actual = hashlib.sha256((out_dir / rel_path).read_bytes()).hexdigest()
         if actual != digest:
             raise StageError("manifest", f"hash mismatch for {rel_path}")
+    for sub in OUTPUT_DIRS:
+        for path in (out_dir / sub).rglob("*"):
+            if path.is_file() and path.relative_to(out_dir).as_posix() not in manifest:
+                path.unlink()
     return AnalyzeResult(out_dir, manifest, table.n_sample)

@@ -9,6 +9,7 @@ so corpus output is independent of generation order.
 """
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass, field, replace
 from typing import Iterator, TextIO
@@ -17,18 +18,20 @@ import numpy as np
 
 from .classes import BOTTOM, TOP, assign_class_codes
 from .corpus import (
+    DOC_TYPES,
     AuthorRecord,
     Corpus,
     CorpusError,
     JournalRecord,
-    PublicationRecord,
     author_to_json,
     journal_to_json,
-    publication_to_json,
+    parse_corpus,
 )
 
 CITATION_OFFSET_WEIGHTS = (0.35, 0.30, 0.15, 0.10, 0.06, 0.04)
 NO_JOURNAL_PROB = 0.05
+# doc type codes of the generator index corpus.DOC_TYPES
+_ARTICLE, _CONFERENCE, _OTHER = map(DOC_TYPES.index, ("article", "conference_paper", "other"))
 
 
 @dataclass(frozen=True)
@@ -145,160 +148,175 @@ def _author_id(index: int) -> str:
     return f"a{index:07d}"
 
 
-def _distinct_partners(rng: np.random.Generator, universe: int, count: int, exclude: int) -> list[int]:
-    count = min(count, universe - 1)
-    chosen: list[int] = []
-    while len(chosen) < count:
-        pick = int(rng.integers(universe))
-        if pick != exclude and pick not in chosen:
-            chosen.append(pick)
-    return chosen
+def _partner_draws(rng: np.random.Generator, universe: int, self_index: int, counts: np.ndarray) -> np.ndarray:
+    """counts[k] distinct co-author indexes for publication k, never self_index.
+
+    Draws skip self by shifting the draw past it; a pick that repeats an
+    earlier pick of the same publication is redrawn until none repeats.
+    """
+    owner = np.repeat(np.arange(len(counts)), counts)
+    picks = rng.integers(universe - 1, size=len(owner))
+    picks += picks >= self_index
+    while True:
+        key = owner * universe + picks
+        order = np.argsort(key, kind="stable")
+        repeats = order[1:][key[order[1:]] == key[order[:-1]]]
+        if not len(repeats):
+            return picks
+        redraw = rng.integers(universe - 1, size=len(repeats))
+        picks[repeats] = redraw + (redraw >= self_index)
+
+
+def _moved_to(rng: np.random.Generator, moved: np.ndarray, home: int, pool_size: int) -> np.ndarray:
+    """Destination for each moved publication: uniform over the pool minus home."""
+    return (home + rng.integers(1, pool_size, size=np.count_nonzero(moved))) % pool_size
+
+
+def _code_sets(names: list[str], home: int, moved: np.ndarray, dest: np.ndarray) -> list[str]:
+    """JSON list body per publication: the home code, plus the destination where moved, sorted."""
+    frags = [f'"{names[home]}"'] * len(moved)
+    for k, d in zip(np.flatnonzero(moved).tolist(), dest.tolist()):
+        frags[k] = '"{}","{}"'.format(*sorted((names[home], names[d])))
+    return frags
+
+
+def _join_groups(items: list[str], counts: np.ndarray, sep: str) -> list[str]:
+    """items joined per publication, where publication k owns the next counts[k] items."""
+    ends = np.cumsum(counts).tolist()
+    return [sep.join(items[a:b]) for a, b in zip([0] + ends[:-1], ends)]
 
 
 class _AuthorGenerator:
-    """Generates one author's record and publications from their own stream."""
+    """Generates one author's record and publication lines from their own stream.
+
+    The stream makes the same handful of array draws for every author, in
+    this order: the author's scalars (age, home country and institution,
+    gender), the five publication group counts, years and doc types, team
+    sizes, hyperauthor flags and partners, international and institution
+    moves, journal placement, the citation matrix, and cited-reference
+    disciplines. Lines come out preformatted, byte-equal to
+    corpus.publication_to_json of the record they parse to.
+    """
 
     def __init__(self, config: CorpusConfig, cohort: CohortSample):
         self.config = config
         self.cohort = cohort
         self.countries = [f"C{k:02d}" for k in range(config.n_countries)]
         self.institutions = [f"inst{k:04d}" for k in range(config.n_institutions)]
-        self.disc_codes = cohort.discipline_codes
+        codes = cohort.discipline_codes
+        self.disc_json = [f'"{d}"' for d in codes]
+        # indexed by percentile; -1 (no journal) picks the trailing null
+        self.journal_json = [[f'"{d}-j{p:02d}"' for p in range(100)] + ["null"] for d in codes]
+        self.cite_weights = np.array(CITATION_OFFSET_WEIGHTS)
+        self.cite_offsets = np.arange(len(CITATION_OFFSET_WEIGHTS))
 
-    def generate(self, i: int) -> tuple[AuthorRecord, list[PublicationRecord]]:
+    def generate(self, i: int) -> tuple[AuthorRecord, list[str]]:
         cfg = self.config
         rng = _author_rng(cfg.cohort.seed, i)
         ref = cfg.reference_year
-        age = int(rng.integers(cfg.min_academic_age, cfg.max_academic_age + 1))
-        first_year = ref - age
-
-        if rng.random() < cfg.gender_unknown_prob:
+        age, home_country, home_inst = rng.integers(
+            (cfg.min_academic_age, 0, 0),
+            (cfg.max_academic_age + 1, cfg.n_countries, cfg.n_institutions),
+        ).tolist()
+        unknown, female, clears, score = rng.random(4).tolist()
+        if unknown < cfg.gender_unknown_prob:
             author = AuthorRecord(_author_id(i), "unknown", 0.0)
         else:
-            label = "female" if rng.random() < cfg.gender_female_share else "male"
+            label = "female" if female < cfg.gender_female_share else "male"
             # most scores clear the 0.85 acceptance threshold, some do not
-            if rng.random() < 0.8:
-                prob = float(rng.uniform(0.85, 1.0))
-            else:
-                prob = float(rng.uniform(0.65, 0.85))
+            prob = 0.85 + 0.15 * score if clears < 0.8 else 0.65 + 0.2 * score
             author = AuthorRecord(_author_id(i), label, round(prob, 4))
-
-        home_country = self.countries[int(rng.integers(len(self.countries)))]
-        home_inst = self.institutions[int(rng.integers(len(self.institutions)))]
-
+        first_year = ref - age
         v = self.cohort.values[i]
         z = self.cohort.ability_z[i]
-        disc = self.disc_codes[self.cohort.disciplines[i]]
+        disc = int(self.cohort.disciplines[i])
 
-        windows = [
-            (first_year + 4, first_year + 13, v[0]),
-            (first_year + 14, first_year + 23, v[1]),
-            (ref - 4, ref, v[2]),
-        ]
-        gap_lo, gap_hi = first_year + 24, ref - 5
-        pubs: list[PublicationRecord] = []
-        serial = 0
-
-        def emit(year: int, doc_type: str) -> None:
-            nonlocal serial
-            pubs.append(self._publication(rng, i, serial, year, doc_type, home_country, home_inst, disc, z))
-            serial += 1
-
-        emit(first_year, "article")
-        qualifying = 1
-        for lo, hi, value in windows:
-            span = hi - lo + 1
-            count = int(rng.poisson(cfg.pubs_per_year * value * span))
-            if (lo, hi) == (ref - 4, ref):
-                count = max(count, 1)
-            for _ in range(count):
-                year = int(rng.integers(lo, hi + 1))
-                doc_type = "article" if rng.random() < 0.9 else "conference_paper"
-                emit(year, doc_type)
-            qualifying += count
-        if gap_hi >= gap_lo:
-            for _ in range(int(rng.poisson(0.3 * cfg.pubs_per_year * v[2] * (gap_hi - gap_lo + 1)))):
-                emit(int(rng.integers(gap_lo, gap_hi + 1)), "article")
-                qualifying += 1
-        for _ in range(int(rng.poisson(cfg.other_doc_rate * (age + 1)))):
-            emit(int(rng.integers(first_year, ref + 1)), "other")
-        while qualifying < 3:
-            emit(int(rng.integers(ref - 4, ref + 1)), "article")
-            qualifying += 1
-        return author, pubs
-
-    def _publication(
-        self,
-        rng: np.random.Generator,
-        author_index: int,
-        serial: int,
-        year: int,
-        doc_type: str,
-        home_country: str,
-        home_inst: str,
-        disc: str,
-        ability_z: float,
-    ) -> PublicationRecord:
-        cfg = self.config
-        universe = cfg.cohort.n_authors
-        extra = int(rng.poisson(max(cfg.team_size_mean - 1.0, 0.0)))
-        if rng.random() < cfg.hyperauthor_prob:
-            extra = 10 + int(rng.integers(0, 16))
-        partners = _distinct_partners(rng, universe, extra, author_index)
-        author_ids = [_author_id(author_index)] + [_author_id(j) for j in partners]
-
-        countries = [home_country]
-        institutions = [home_inst]
-        if len(author_ids) >= 2 and rng.random() < cfg.intl_collab_prob:
-            shift = 1 + int(rng.integers(len(self.countries) - 1)) if len(self.countries) > 1 else 0
-            if shift:
-                countries.append(self.countries[(self.countries.index(home_country) + shift) % len(self.countries)])
-            if rng.random() < 0.5 and len(self.institutions) > 1:
-                jump = 1 + int(rng.integers(len(self.institutions) - 1))
-                institutions.append(
-                    self.institutions[(self.institutions.index(home_inst) + jump) % len(self.institutions)]
-                )
-
-        if rng.random() < NO_JOURNAL_PROB:
-            journal_id = None
-            pct = -1
-        else:
-            pct = int(np.clip(round(rng.normal(50.0 + cfg.percentile_bias * ability_z, 25.0)), 0, 99))
-            journal_id = f"{disc}-j{pct:02d}"
-
-        base = cfg.citation_rate * (0.4 + 0.012 * pct if pct >= 0 else 0.4)
-        citations: dict[int, int] = {}
-        for offset, weight in enumerate(CITATION_OFFSET_WEIGHTS):
-            cit_year = year + offset
-            if cit_year > cfg.reference_year:
-                break
-            count = int(rng.poisson(base * weight))
-            if count:
-                citations[cit_year] = count
-
-        n_refs = 1 + int(rng.poisson(max(cfg.ref_count_mean - 1.0, 0.0)))
-        refs = []
-        for _ in range(n_refs):
-            if len(self.disc_codes) > 1 and rng.random() >= cfg.own_discipline_ref_share:
-                shift = 1 + int(rng.integers(len(self.disc_codes) - 1))
-                refs.append(self.disc_codes[(self.disc_codes.index(disc) + shift) % len(self.disc_codes)])
-            else:
-                refs.append(disc)
-
-        return PublicationRecord(
-            pub_id=f"p{author_index:07d}n{serial:04d}",
-            year=year,
-            doc_type=doc_type,
-            author_ids=tuple(author_ids),
-            affiliation_countries=tuple(sorted(set(countries))),
-            affiliation_institutions=tuple(sorted(set(institutions))),
-            journal_id=journal_id,
-            citations_by_year=citations,
-            cited_ref_disciplines=tuple(refs),
+        # groups: early, mid and late window, the gap before the late window,
+        # and other doc types over the whole career; windows are cut to
+        # [first_year, ref], so a short career never publishes past ref
+        lo = np.maximum([first_year + 4, first_year + 14, ref - 4, first_year + 24, first_year], first_year)
+        hi = np.minimum([first_year + 13, first_year + 23, ref, ref - 5, ref], ref)
+        per_year = np.array([v[0], v[1], v[2], 0.3 * v[2], 0.0]) * cfg.pubs_per_year
+        per_year[4] = cfg.other_doc_rate
+        counts = rng.poisson(per_year * np.maximum(hi - lo + 1, 0))
+        counts[2] = max(counts[2], 1)
+        # one first article at first_year, then the groups, then articles in
+        # the late window until three qualify
+        top_up = max(0, 2 - int(counts[:4].sum()))
+        sizes = np.concatenate(([1], counts, [top_up]))
+        group = np.repeat(np.arange(7), sizes)
+        n = len(group)
+        years = rng.integers(
+            np.concatenate(([first_year], lo, lo[2:3]))[group],
+            np.concatenate(([first_year], hi, hi[2:3]))[group] + 1,
         )
+        doc = np.where(group == 5, _OTHER, _ARTICLE)
+        doc[(group >= 1) & (group <= 3) & (rng.random(n) >= 0.9)] = _CONFERENCE
+
+        universe = cfg.cohort.n_authors
+        extra = rng.poisson(max(cfg.team_size_mean - 1.0, 0.0), n)
+        hyper = rng.random(n) < cfg.hyperauthor_prob
+        extra[hyper] = rng.integers(10, 26, size=np.count_nonzero(hyper))
+        np.minimum(extra, universe - 1, out=extra)
+        partners = _partner_draws(rng, universe, i, extra)
+
+        intl_draw, inst_draw = rng.random((2, n))
+        intl = (extra > 0) & (intl_draw < cfg.intl_collab_prob)
+        country_moved = intl & (len(self.countries) > 1)
+        inst_moved = intl & (inst_draw < 0.5) & (len(self.institutions) > 1)
+        country_dest = _moved_to(rng, country_moved, home_country, len(self.countries))
+        inst_dest = _moved_to(rng, inst_moved, home_inst, len(self.institutions))
+
+        no_journal = rng.random(n) < NO_JOURNAL_PROB
+        pct = np.clip(np.rint(rng.normal(50.0 + cfg.percentile_bias * z, 25.0, n)), 0, 99).astype(np.int64)
+        pct[no_journal] = -1
+
+        base = cfg.citation_rate * np.where(pct >= 0, 0.4 + 0.012 * pct, 0.4)
+        cites = rng.poisson(base[:, None] * self.cite_weights)
+        cite_years = years[:, None] + self.cite_offsets
+        cites[cite_years > ref] = 0
+        rows, cols = np.nonzero(cites)
+
+        n_refs = 1 + rng.poisson(max(cfg.ref_count_mean - 1.0, 0.0), n)
+        refs = np.full(int(n_refs.sum()), disc)
+        n_disc = len(self.disc_json)
+        if n_disc > 1:
+            away = rng.random(len(refs)) >= cfg.own_discipline_ref_share
+            refs[away] = _moved_to(rng, away, disc, n_disc)
+
+        head = f'{{"pub_id":"p{i:07d}n'
+        focal = f'"{_author_id(i)}"'
+        journal_json = self.journal_json[disc]
+        author_ids = _join_groups([f',"a{j:07d}"' for j in partners.tolist()], extra, "")
+        citations = _join_groups(
+            [f'"{y}":{c}' for y, c in zip(cite_years[rows, cols].tolist(), cites[rows, cols].tolist())],
+            np.bincount(rows, minlength=n),
+            ",",
+        )
+        ref_discs = _join_groups([self.disc_json[d] for d in refs.tolist()], n_refs, ",")
+        lines = [
+            f'{head}{serial:04d}","year":{year},"doc_type":"{DOC_TYPES[d]}",'
+            f'"author_ids":[{focal}{others}],"affiliation_countries":[{countries}],'
+            f'"affiliation_institutions":[{institutions}],"journal_id":{journal_json[p]},'
+            f'"citations_by_year":{{{cits}}},"cited_ref_disciplines":[{rd}]}}\n'
+            for serial, (year, d, others, countries, institutions, p, cits, rd) in enumerate(
+                zip(
+                    years.tolist(),
+                    doc.tolist(),
+                    author_ids,
+                    _code_sets(self.countries, home_country, country_moved, country_dest),
+                    _code_sets(self.institutions, home_inst, inst_moved, inst_dest),
+                    pct.tolist(),
+                    citations,
+                    ref_discs,
+                )
+            )
+        ]
+        return author, lines
 
 
-def iter_author_batches(config: CorpusConfig) -> Iterator[tuple[AuthorRecord, list[PublicationRecord]]]:
+def iter_author_batches(config: CorpusConfig) -> Iterator[tuple[AuthorRecord, list[str]]]:
+    """Each author's record and publication lines, in author order."""
     cohort = gen_cohort(config.cohort)
     generator = _AuthorGenerator(config, cohort)
     for i in range(config.cohort.n_authors):
@@ -306,15 +324,21 @@ def iter_author_batches(config: CorpusConfig) -> Iterator[tuple[AuthorRecord, li
 
 
 def gen_corpus(config: CorpusConfig) -> Corpus:
-    """Materialize a full synthetic Corpus (small/medium scale; the CLI
-    streams the same batches straight to files instead)."""
-    journals = journal_table(config)
-    authors: dict[str, AuthorRecord] = {}
-    publications: list[PublicationRecord] = []
-    for author, pubs in iter_author_batches(config):
-        authors[author.author_id] = author
-        publications.extend(pubs)
-    return Corpus(publications, journals, authors, config.reference_year)
+    """Materialize a full synthetic Corpus by parsing the lines that
+    write_synthetic_corpus writes (small/medium scale; the CLI streams them
+    straight to files instead)."""
+    files = [io.StringIO() for _ in range(3)]
+    write_synthetic_corpus(config, *files)
+    for fh in files:
+        fh.seek(0)
+    corpus, rejects = parse_corpus(*files, config.reference_year)
+    if rejects:
+        first = rejects[0]
+        raise CorpusError(
+            f"synthetic corpus has {len(rejects)} invalid lines, first {first.file} "
+            f"line {first.line_no}: {first.reason}"
+        )
+    return corpus
 
 
 def write_synthetic_corpus(
@@ -326,12 +350,11 @@ def write_synthetic_corpus(
         journals_out.write(journal_to_json(journals[jid]) + "\n")
     n_pubs = 0
     n_authors = 0
-    for author, pubs in iter_author_batches(config):
+    for author, lines in iter_author_batches(config):
         authors_out.write(author_to_json(author) + "\n")
+        pubs_out.write("".join(lines))
         n_authors += 1
-        for pub in pubs:
-            pubs_out.write(publication_to_json(pub) + "\n")
-            n_pubs += 1
+        n_pubs += len(lines)
     return {"publications": n_pubs, "journals": len(journals), "authors": n_authors}
 
 

@@ -196,15 +196,47 @@ def test_report_command(run_dir, capsys):
 
 def test_report_previews_a_sankey_file_the_manifest_lists(run_dir, capsys):
     assert main(["analyze", "--out", str(run_dir)]) == 0
-    # the narrow run leaves the full run's Sankey files on disk
+    # the narrow run removes the full run's Sankey files
     assert main(["analyze", "--out", str(run_dir), "--ptype", "P3", "--scope", "D01"]) == 0
-    assert (run_dir / "sankey" / "P1_D00.txt").exists()
+    assert not (run_dir / "sankey" / "P1_D00.txt").exists()
     capsys.readouterr()
     assert main(["report", "--out", str(run_dir)]) == 0
     out = capsys.readouterr().out
     assert "\nP3_D01.txt:\n" in out
     assert "P1_D00.txt" not in out
     assert (run_dir / "sankey" / "P3_D01.txt").read_text().rstrip() in out
+
+
+def test_analyze_removes_outputs_its_manifest_does_not_list(run_dir):
+    assert main(["analyze", "--out", str(run_dir)]) == 0
+    (run_dir / "regression" / "notes.txt").write_text("left by hand\n")
+    assert main(["analyze", "--out", str(run_dir), "--ptype", "P3", "--scope", "D01"]) == 0
+    listed = {
+        json.loads(line)["path"] for line in (run_dir / MANIFEST_NAME).read_text().splitlines()
+    }
+    on_disk = {
+        path.relative_to(run_dir).as_posix()
+        for sub in ("matrices", "sankey", "regression")
+        for path in (run_dir / sub).rglob("*")
+        if path.is_file()
+    }
+    assert on_disk == {p for p in listed if "/" in p}
+    assert (run_dir / "corpus.cache").exists()  # only analyze's own directories are swept
+
+
+def test_failed_ingest_keeps_the_previous_cache(run_dir, monkeypatch):
+    cache = run_dir / "corpus.cache"
+    before = cache.read_bytes()
+
+    def broken_dump(columns, fh):
+        fh.write('{"kind":"meta"')
+        raise RuntimeError("interrupted")
+
+    monkeypatch.setattr(pipeline, "dump_columns", broken_dump)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        main(ingest_args(run_dir))
+    assert cache.read_bytes() == before
+    assert sorted(p.name for p in run_dir.iterdir() if p.name.endswith(".tmp")) == []
 
 
 def test_pipeline_annotations_resolve():

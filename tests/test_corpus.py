@@ -96,6 +96,35 @@ def test_invalid_json_and_duplicates_rejected():
     assert any("invalid json" in r for r in reasons)
 
 
+LONG = "9" * 5000
+
+
+def test_reject_reason_clips_a_5000_digit_citation_year():
+    line = good_pub_line(citations_by_year={LONG: 1})
+    _, rejects = parse_corpus([line], [JOURNAL_LINE], [AUTHOR_LINE], 2022)
+    assert [r.reason for r in rejects] == ["bad citation year '" + "9" * 63 + "...[5002 chars]"]
+    assert len(rejects[0].to_json()) < 200
+
+
+@pytest.mark.parametrize(
+    "pub_lines,author_lines,prefix",
+    [
+        ([good_pub_line(doc_type="x" + LONG)], [AUTHOR_LINE], "bad doc_type 'x99"),
+        ([good_pub_line(author_ids=["a" + LONG])], [AUTHOR_LINE], "unresolved author reference: a99"),
+        ([good_pub_line(journal_id="j" + LONG)], [AUTHOR_LINE], "unresolved journal reference: j99"),
+        ([good_pub_line(pub_id=LONG)] * 2, [AUTHOR_LINE], "duplicate pub_id 99"),
+        ([], [AUTHOR_LINE, json.dumps({"author_id": "a2", "gender_label": LONG})], "bad gender_label '99"),
+    ],
+    ids=["doc_type", "author", "journal", "duplicate", "gender"],
+)
+def test_reject_reasons_clip_echoed_values(pub_lines, author_lines, prefix):
+    _, rejects = parse_corpus(pub_lines, [JOURNAL_LINE], author_lines, 2022)
+    (reject,) = rejects
+    assert reject.reason.startswith(prefix)
+    assert reject.reason.endswith(" chars]")
+    assert len(reject.reason) < 120
+
+
 BYTE_FAULTS = [
     (b'\xff\xfe{"x":1}\n', "invalid utf-8"),
     (b"[" * 100_000 + b"\n", "invalid json: nesting too deep"),

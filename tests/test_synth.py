@@ -1,10 +1,17 @@
 import io
+import math
 
 import numpy as np
 import pytest
 
 from careerflow.classes import assign_class_codes
-from careerflow.corpus import CorpusError, parse_corpus, serialize_corpus
+from careerflow.corpus import (
+    CorpusError,
+    author_to_json,
+    parse_corpus,
+    publication_to_json,
+    serialize_corpus,
+)
 from careerflow.synth import (
     CohortConfig,
     CorpusConfig,
@@ -13,6 +20,7 @@ from careerflow.synth import (
     gen_cohort,
     gen_corpus,
     write_synthetic_corpus,
+    _AuthorGenerator,
 )
 
 
@@ -95,15 +103,113 @@ def test_corpus_dump_deterministic():
     assert dump1 == dump2
 
 
-def test_streaming_writer_matches_materialized_corpus():
-    config = CorpusConfig(cohort=CohortConfig(n_authors=12, n_disciplines=2, seed=44))
+EDGE_CONFIGS = {
+    "default": ({}, {}),
+    # a 5-author universe: hyperauthor teams need every other author, so
+    # duplicate partner picks are redrawn until the team is complete
+    "partner-redraw": ({"n_authors": 5, "n_disciplines": 1}, {"hyperauthor_prob": 0.5}),
+    "one-country-one-institution": ({}, {"n_countries": 1, "n_institutions": 1}),
+    "one-discipline": ({"n_disciplines": 1}, {}),
+    "no-gap-window": ({}, {"min_academic_age": 1, "max_academic_age": 8}),
+    "three-digit-countries": ({}, {"n_countries": 150}),
+    "no-extra-refs-small-teams": ({}, {"ref_count_mean": 0, "team_size_mean": 0.5}),
+}
+
+
+@pytest.mark.parametrize("cohort_kw,corpus_kw", EDGE_CONFIGS.values(), ids=EDGE_CONFIGS.keys())
+def test_streaming_writer_matches_materialized_corpus(cohort_kw, corpus_kw):
+    cohort = CohortConfig(**{"n_authors": 12, "n_disciplines": 2, "seed": 44, **cohort_kw})
+    config = CorpusConfig(cohort=cohort, **corpus_kw)
     p, j, a = io.StringIO(), io.StringIO(), io.StringIO()
     counts = write_synthetic_corpus(config, p, j, a)
+    lines = p.getvalue().splitlines()
+    corpus, rejects = parse_corpus(lines, j.getvalue().splitlines(), a.getvalue().splitlines(), 2022)
+    assert rejects == []
+    # the preformatted lines are exactly what the serializer makes of them
+    assert [publication_to_json(pub) for pub in corpus.publications] == lines
     pl, jl, al = serialize_corpus(gen_corpus(config))
     assert p.getvalue() == "\n".join(pl) + "\n"
     assert j.getvalue() == "\n".join(jl) + "\n"
     assert a.getvalue() == "\n".join(al) + "\n"
-    assert counts["publications"] == len(pl)
+    assert counts == {"publications": len(pl), "journals": len(jl), "authors": cohort.n_authors}
+    pubs = corpus.publications
+    if corpus_kw.get("hyperauthor_prob") == 0.5:
+        assert any(len(pub.author_ids) == 5 for pub in pubs)
+    if corpus_kw.get("n_countries") == 150:  # "C100" sorts before "C99"
+        assert any({len(c) for c in pub.affiliation_countries} == {3, 4} for pub in pubs)
+    if corpus_kw.get("n_countries") == 1:
+        assert all(len(pub.affiliation_institutions) == 1 for pub in pubs)
+    if corpus_kw.get("max_academic_age") == 8:
+        assert max(pub.year for pub in pubs) == 2022
+
+
+def test_author_lines_independent_of_generation_order():
+    config = CorpusConfig(cohort=CohortConfig(n_authors=30, n_disciplines=3, seed=9))
+    generator = _AuthorGenerator(config, gen_cohort(config.cohort))
+    def lines(i):
+        author, pub_lines = generator.generate(i)
+        return author_to_json(author), "".join(pub_lines)
+
+    forward = [lines(i) for i in range(30)]
+    backward = [lines(i) for i in reversed(range(30))]
+    assert forward == backward[::-1]
+
+
+def test_corpus_distributions_match_their_analytic_expectations():
+    """Shares and means of a 4000-author corpus, each within 4 standard
+    errors (binomial or Poisson) of the value the generator's model implies."""
+    config = CorpusConfig(cohort=CohortConfig(n_authors=4000, n_disciplines=4, seed=5))
+    corpus = gen_corpus(config)
+    values = gen_cohort(config.cohort).values
+    ref = config.reference_year
+    pubs = corpus.publications
+    n = len(pubs)
+    focal = np.array([int(pub.pub_id[1:8]) for pub in pubs])
+    team = np.array([len(pub.author_ids) for pub in pubs])
+    first_year = np.full(4000, ref)
+    np.minimum.at(first_year, focal, [pub.year for pub in pubs])
+    age = ref - first_year  # each author's first article is at their first year
+
+    def close(observed, expected, se):
+        assert abs(observed - expected) < 4.0 * se, (observed, expected, se)
+
+    def share(mask, p):
+        close(np.mean(mask), p, math.sqrt(p * (1.0 - p) / len(mask)))
+
+    def poisson_total(count, expected):
+        close(count, expected, math.sqrt(expected))
+
+    # publication groups per author, from the cohort values and the age
+    early, mid = (config.pubs_per_year * 10.0 * values[:, s] for s in (0, 1))
+    late = config.pubs_per_year * 5.0 * values[:, 2]
+    gap = 0.3 * config.pubs_per_year * values[:, 2] * np.maximum(age - 28, 0)
+    other = config.other_doc_rate * (age + 1)
+    late_at_least_one = late + np.exp(-late)
+    top_up = np.exp(-(early + mid + gap + late)) * (1.0 + late)  # two qualifying, third added
+    per_author = 1.0 + early + mid + late_at_least_one + gap + other + top_up
+    close(n / 4000, per_author.mean(), math.sqrt((per_author - 1.0).sum()) / 4000)
+
+    doc = np.array([pub.doc_type for pub in pubs])
+    poisson_total(np.count_nonzero(doc == "conference_paper"), 0.1 * (early + mid + late_at_least_one).sum())
+    poisson_total(np.count_nonzero(doc == "other"), other.sum())
+    share(np.array([pub.journal_id is None for pub in pubs]), 0.05)
+
+    extra_mean = config.team_size_mean - 1.0
+    tail = 1.0 - sum(math.exp(-extra_mean) * extra_mean**k / math.factorial(k) for k in range(10))
+    hyper = config.hyperauthor_prob
+    share(team >= 11, hyper + (1.0 - hyper) * tail)
+    # extra co-authors: Poisson(2), or 10 + uniform{0..15} for a hyperauthor team
+    hyper_mean, hyper_var = 17.5, (16**2 - 1) / 12.0
+    mean = (1.0 - hyper) * extra_mean + hyper * hyper_mean
+    second = (1.0 - hyper) * (extra_mean + extra_mean**2) + hyper * (hyper_var + hyper_mean**2)
+    close(team.mean(), 1.0 + mean, math.sqrt((second - mean**2) / n))
+
+    multi = [pub for pub in pubs if len(pub.author_ids) >= 2]
+    share(np.array([len(pub.affiliation_countries) == 2 for pub in multi]), config.intl_collab_prob)
+
+    refs = np.array([len(pub.cited_ref_disciplines) for pub in pubs])
+    ref_extra = config.ref_count_mean - 1.0
+    close(refs.mean(), 1.0 + ref_extra, math.sqrt(ref_extra / n))
 
 
 def test_ability_bias_raises_top_decile_ajpr():
