@@ -205,6 +205,9 @@ class _AuthorGenerator:
         self.institutions = [f"inst{k:04d}" for k in range(config.n_institutions)]
         codes = cohort.discipline_codes
         self.disc_json = [f'"{d}"' for d in codes]
+        # each id as it follows another in author_ids; an author is someone
+        # else's partner about 50 times, so each id is formatted once
+        self.coauthor_json = [f',"{_author_id(j)}"' for j in range(config.cohort.n_authors)]
         # indexed by percentile; -1 (no journal) picks the trailing null
         self.journal_json = [[f'"{d}-j{p:02d}"' for p in range(100)] + ["null"] for d in codes]
         self.cite_weights = np.array(CITATION_OFFSET_WEIGHTS)
@@ -236,8 +239,8 @@ class _AuthorGenerator:
         # [first_year, ref], so a short career never publishes past ref
         lo = np.maximum([first_year + 4, first_year + 14, ref - 4, first_year + 24, first_year], first_year)
         hi = np.minimum([first_year + 13, first_year + 23, ref, ref - 5, ref], ref)
-        per_year = np.array([v[0], v[1], v[2], 0.3 * v[2], 0.0]) * cfg.pubs_per_year
-        per_year[4] = cfg.other_doc_rate
+        ppy = cfg.pubs_per_year
+        per_year = np.array([ppy * v[0], ppy * v[1], ppy * v[2], ppy * (0.3 * v[2]), cfg.other_doc_rate])
         counts = rng.poisson(per_year * np.maximum(hi - lo + 1, 0))
         counts[2] = max(counts[2], 1)
         # one first article at first_year, then the groups, then articles in
@@ -285,9 +288,9 @@ class _AuthorGenerator:
             refs[away] = _moved_to(rng, away, disc, n_disc)
 
         head = f'{{"pub_id":"p{i:07d}n'
-        focal = f'"{_author_id(i)}"'
         journal_json = self.journal_json[disc]
-        author_ids = _join_groups([f',"a{j:07d}"' for j in partners.tolist()], extra, "")
+        focal = self.coauthor_json[i][1:]
+        author_ids = _join_groups([self.coauthor_json[j] for j in partners.tolist()], extra, "")
         citations = _join_groups(
             [f'"{y}":{c}' for y, c in zip(cite_years[rows, cols].tolist(), cites[rows, cols].tolist())],
             np.bincount(rows, minlength=n),

@@ -104,26 +104,29 @@ def test_corpus_dump_deterministic():
 
 
 EDGE_CONFIGS = {
-    "default": ({}, {}),
     # a 5-author universe: hyperauthor teams need every other author, so
     # duplicate partner picks are redrawn until the team is complete
     "partner-redraw": ({"n_authors": 5, "n_disciplines": 1}, {"hyperauthor_prob": 0.5}),
     "one-country-one-institution": ({}, {"n_countries": 1, "n_institutions": 1}),
     "one-discipline": ({"n_disciplines": 1}, {}),
+    # careers shorter than the stage windows: no gap window, and the windows
+    # are cut at the reference year
     "no-gap-window": ({}, {"min_academic_age": 1, "max_academic_age": 8}),
     "three-digit-countries": ({}, {"n_countries": 150}),
     "no-extra-refs-small-teams": ({}, {"ref_count_mean": 0, "team_size_mean": 0.5}),
 }
 
 
-@pytest.mark.parametrize("cohort_kw,corpus_kw", EDGE_CONFIGS.values(), ids=EDGE_CONFIGS.keys())
-def test_streaming_writer_matches_materialized_corpus(cohort_kw, corpus_kw):
+def round_trip_corpus(cohort_kw: dict, corpus_kw: dict):
+    """Writes a synthetic corpus and checks it against what parsing makes of it."""
     cohort = CohortConfig(**{"n_authors": 12, "n_disciplines": 2, "seed": 44, **cohort_kw})
     config = CorpusConfig(cohort=cohort, **corpus_kw)
     p, j, a = io.StringIO(), io.StringIO(), io.StringIO()
     counts = write_synthetic_corpus(config, p, j, a)
     lines = p.getvalue().splitlines()
-    corpus, rejects = parse_corpus(lines, j.getvalue().splitlines(), a.getvalue().splitlines(), 2022)
+    corpus, rejects = parse_corpus(
+        lines, j.getvalue().splitlines(), a.getvalue().splitlines(), config.reference_year
+    )
     assert rejects == []
     # the preformatted lines are exactly what the serializer makes of them
     assert [publication_to_json(pub) for pub in corpus.publications] == lines
@@ -132,13 +135,22 @@ def test_streaming_writer_matches_materialized_corpus(cohort_kw, corpus_kw):
     assert j.getvalue() == "\n".join(jl) + "\n"
     assert a.getvalue() == "\n".join(al) + "\n"
     assert counts == {"publications": len(pl), "journals": len(jl), "authors": cohort.n_authors}
-    pubs = corpus.publications
+    return corpus
+
+
+def test_streaming_writer_matches_materialized_corpus():
+    round_trip_corpus({}, {})
+
+
+@pytest.mark.parametrize("cohort_kw,corpus_kw", EDGE_CONFIGS.values(), ids=EDGE_CONFIGS.keys())
+def test_streaming_writer_matches_materialized_corpus_on_edge_configs(cohort_kw, corpus_kw):
+    pubs = round_trip_corpus(cohort_kw, corpus_kw).publications
     if corpus_kw.get("hyperauthor_prob") == 0.5:
         assert any(len(pub.author_ids) == 5 for pub in pubs)
     if corpus_kw.get("n_countries") == 150:  # "C100" sorts before "C99"
         assert any({len(c) for c in pub.affiliation_countries} == {3, 4} for pub in pubs)
     if corpus_kw.get("n_countries") == 1:
-        assert all(len(pub.affiliation_institutions) == 1 for pub in pubs)
+        assert all(len(pub.affiliation_countries) == len(pub.affiliation_institutions) == 1 for pub in pubs)
     if corpus_kw.get("max_academic_age") == 8:
         assert max(pub.year for pub in pubs) == 2022
 
