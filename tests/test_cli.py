@@ -236,7 +236,7 @@ def test_failed_ingest_keeps_the_previous_cache(run_dir, monkeypatch):
     with pytest.raises(RuntimeError, match="interrupted"):
         main(ingest_args(run_dir))
     assert cache.read_bytes() == before
-    assert sorted(p.name for p in run_dir.iterdir() if p.name.endswith(".tmp")) == []
+    assert list(run_dir.glob("*.tmp")) == []
 
 
 def test_pipeline_annotations_resolve():

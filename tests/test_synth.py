@@ -158,6 +158,7 @@ def test_streaming_writer_matches_materialized_corpus_on_edge_configs(cohort_kw,
 def test_author_lines_independent_of_generation_order():
     config = CorpusConfig(cohort=CohortConfig(n_authors=30, n_disciplines=3, seed=9))
     generator = _AuthorGenerator(config, gen_cohort(config.cohort))
+
     def lines(i):
         author, pub_lines = generator.generate(i)
         return author_to_json(author), "".join(pub_lines)
@@ -197,7 +198,9 @@ def test_corpus_distributions_match_their_analytic_expectations():
     gap = 0.3 * config.pubs_per_year * values[:, 2] * np.maximum(age - 28, 0)
     other = config.other_doc_rate * (age + 1)
     late_at_least_one = late + np.exp(-late)
-    top_up = np.exp(-(early + mid + gap + late)) * (1.0 + late)  # two qualifying, third added
+    # a third qualifying article is added when only the first article and a
+    # single late-window paper qualify
+    top_up = np.exp(-(early + mid + gap + late)) * (1.0 + late)
     per_author = 1.0 + early + mid + late_at_least_one + gap + other + top_up
     close(n / 4000, per_author.mean(), math.sqrt((per_author - 1.0).sum()) / 4000)
 
