@@ -8,6 +8,7 @@ without re-parsing. CAREERFLOW_OUT provides the default output directory.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -144,23 +145,36 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _read_listed(out_dir: Path, rel_path: str, digests: dict[str, str]) -> str:
+    """The text of an output the manifest lists; a missing or altered file
+    is a StageError, so report never prints what analyze did not write."""
+    path = out_dir / rel_path
+    data = path.read_bytes() if path.is_file() else None
+    if data is None or hashlib.sha256(data).hexdigest() != digests[rel_path]:
+        raise StageError("report", f"hash mismatch for {rel_path}")
+    return data.decode("utf-8")
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     out_dir = _out_dir(args)
     manifest_path = out_dir / MANIFEST_NAME
     if not manifest_path.exists():
         raise CorpusError(f"no manifest at {manifest_path} (run analyze first)")
-    gates = out_dir / "gates.tsv"
-    if gates.exists():
-        print(gates.read_text(encoding="utf-8").rstrip())
     entries = [json.loads(line) for line in manifest_path.read_text().splitlines() if line]
+    digests = {entry["path"]: entry["sha256"] for entry in entries}
+    # preview a Sankey file of this manifest, not whatever an earlier run left
+    sankey = next((path for path in digests if path.startswith("sankey/")), None)
+    # verify everything before printing anything
+    gates = _read_listed(out_dir, "gates.tsv", digests) if "gates.tsv" in digests else None
+    preview = _read_listed(out_dir, sankey, digests) if sankey is not None else None
+    if gates is not None:
+        print(gates.rstrip())
     print(f"\n{len(entries)} outputs:")
     for entry in entries:
         print(f"  {entry['path']}")
-    # preview a Sankey file of this manifest, not whatever an earlier run left
-    sankey = next((e["path"] for e in entries if e["path"].startswith("sankey/")), None)
-    if sankey is not None:
+    if preview is not None:
         print(f"\n{Path(sankey).name}:")
-        print((out_dir / sankey).read_text(encoding="utf-8").rstrip())
+        print(preview.rstrip())
     return EXIT_OK
 
 

@@ -17,6 +17,10 @@ GENDER_LABELS = ("female", "male", "unknown")
 
 MIN_YEAR = 1900
 ECHO_MAX = 64  # longest input value a reject reason quotes in full
+# a citation year must fit the cache's int32 year column, and a count the
+# same bound, so sums of counts stay far inside int64; a larger value makes
+# the line a reject instead of an OverflowError that aborts ingest
+INT32_MAX = 2**31 - 1
 
 PUBLICATIONS_FILE = "publications"
 JOURNALS_FILE = "journals"
@@ -248,7 +252,9 @@ def parse_publication_line(
             raise _LineError(f"bad citation year {_echo(repr(key))}") from None
         if cit_year < year:
             raise _LineError(f"citation year {_echo(cit_year)} precedes publication year")
-        if isinstance(cnt, bool) or not isinstance(cnt, int) or cnt < 0:
+        if cit_year > INT32_MAX:
+            raise _LineError(f"citation year {_echo(cit_year)} out of range")
+        if isinstance(cnt, bool) or not isinstance(cnt, int) or not 0 <= cnt <= INT32_MAX:
             raise _LineError(f"bad citation count for year {_echo(cit_year)}")
         citations[cit_year] = cnt
     return PublicationRecord(

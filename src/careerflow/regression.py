@@ -178,6 +178,98 @@ def build_design(table: PortfolioTable, class_codes: np.ndarray, spec: ModelSpec
 
 
 # ---------------------------------------------------------------------------
+# standard normal CDF: a port of Cephes ndtr.c (S. L. Moshier) as compiled
+# into scipy.special (BSD-3). The coefficients, the Horner order, the
+# (z * p) / q grouping and libm's exp (math.exp, not np.exp, whose SIMD
+# kernel can differ in the last bit) keep it bit-identical to
+# scipy.special.ndtr.
+
+_ERFC_P = (
+    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
+)
+_ERFC_Q = (
+    1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+    1.65666309194161350182e3, 5.57535340817727675546e2,
+)
+_ERFC_R = (
+    5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
+)
+_ERFC_S = (
+    2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
+)
+_ERF_T = (
+    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+    7.00332514112805075473e3, 5.55923013010394962768e4,
+)
+_ERF_U = (
+    3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+    2.26290000613890934246e4, 4.92673942608635921086e4,
+)
+_MAXLOG = 7.09782712893383996843e2  # log(DBL_MAX)
+_SQRTH = 7.07106781186547524401e-1  # sqrt(1/2)
+
+
+def _polevl(x: float, coef: tuple[float, ...]) -> float:
+    """coef[0] * x**N + ... + coef[N], by Horner's rule."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x: float, coef: tuple[float, ...]) -> float:
+    """As _polevl, with an implied leading coefficient of 1."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erf(x: float) -> float:
+    if x < 0.0:
+        return -_erf(-x)
+    if abs(x) > 1.0:
+        return 1.0 - _erfc(x)
+    z = x * x
+    return x * _polevl(z, _ERF_T) / _p1evl(z, _ERF_U)
+
+
+def _erfc(a: float) -> float:
+    x = abs(a)
+    if x < 1.0:
+        return 1.0 - _erf(a)
+    z = -a * a
+    if z < -_MAXLOG:  # exp(z) underflows
+        return 2.0 if a < 0 else 0.0
+    z = math.exp(z)
+    if x < 8.0:
+        p, q = _polevl(x, _ERFC_P), _p1evl(x, _ERFC_Q)
+    else:
+        p, q = _polevl(x, _ERFC_R), _p1evl(x, _ERFC_S)
+    y = (z * p) / q
+    if a < 0:
+        y = 2.0 - y
+    if y == 0.0:
+        return 2.0 if a < 0 else 0.0
+    return y
+
+
+def _ndtr(a: float) -> float:
+    """Standard normal CDF at *a*; nan stays nan."""
+    x = a * _SQRTH
+    z = abs(x)
+    if z < _SQRTH:
+        return 0.5 + 0.5 * _erf(x)
+    y = 0.5 * _erfc(z)
+    return 1.0 - y if x > 0 else y
+
+
+# ---------------------------------------------------------------------------
 # fitting
 
 
@@ -314,11 +406,9 @@ def fit_logistic(
     cov = np.linalg.inv(info)
     se = np.sqrt(np.diag(cov))
     z = np.divide(beta, se, out=np.zeros_like(beta), where=se > 0)
-    # ndtr(-x) is how scipy.stats.norm.sf is defined, so the p-values are the
-    # same bits without importing scipy.stats (~1 s) into every CLI call
-    from scipy.special import ndtr
-
-    p_values = 2.0 * ndtr(-np.abs(z))
+    # scipy.stats.norm.sf(x) is ndtr(-x); the port gives the same bits
+    # without importing scipy into every analyze
+    p_values = np.array([2.0 * _ndtr(-abs(v)) for v in z.tolist()])
 
     p_bar = y.mean()
     null_ll = n * (p_bar * math.log(p_bar) + (1.0 - p_bar) * math.log(1.0 - p_bar))

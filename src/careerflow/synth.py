@@ -19,6 +19,7 @@ import numpy as np
 from .classes import BOTTOM, TOP, assign_class_codes
 from .corpus import (
     DOC_TYPES,
+    MIN_YEAR,
     AuthorRecord,
     Corpus,
     CorpusError,
@@ -84,6 +85,13 @@ class CorpusConfig:
                 raise CorpusError(f"{name} must be a probability")
         if self.n_countries < 1 or self.n_institutions < 1:
             raise CorpusError("need at least one country and institution pool entry")
+        # the oldest career starts max_academic_age years back; ingest
+        # rejects every publication dated before MIN_YEAR
+        if self.reference_year - self.max_academic_age < MIN_YEAR:
+            raise CorpusError(
+                f"reference_year - max_academic_age must be >= {MIN_YEAR}, got "
+                f"{self.reference_year} - {self.max_academic_age}"
+            )
 
 
 @dataclass

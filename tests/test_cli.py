@@ -69,6 +69,14 @@ def test_synth_config_file(tmp_path):
     assert len(authors) == 25
 
 
+def test_synth_careers_before_min_year_exit_2_without_writing(tmp_path, capsys):
+    out = tmp_path / "x"
+    argv = ["synth", "--out", str(out), "--authors-n", "20", "--reference-year", "1930", "--seed", "1"]
+    assert main(argv) == 2
+    assert "reference_year - max_academic_age" in capsys.readouterr().err
+    assert not (out / "publications.jsonl").exists()
+
+
 def test_ingest_missing_journals_exits_2(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(synth_args(out)) == 0
@@ -115,6 +123,28 @@ def test_ingest_rejects_byte_level_faults(run_dir, capsys, bad_line, reason):
     rejects = (run_dir / "rejects.jsonl").read_text().splitlines()
     assert [json.loads(line) for line in rejects] == [
         {"line_no": n_lines + 1, "file": "publications", "reason": reason}
+    ]
+
+
+@pytest.mark.parametrize("bad", ["count", "year"])
+def test_ingest_rejects_citation_values_past_int32(run_dir, capsys, bad):
+    pubs = run_dir / "publications.jsonl"
+    lines = pubs.read_text().splitlines()
+    pub = dict(json.loads(lines[0]), pub_id="extra")
+    if bad == "count":
+        pub["citations_by_year"] = {str(pub["year"]): 10**30}
+        reason = f"bad citation count for year {pub['year']}"
+    else:
+        pub["citations_by_year"] = {"99999999999": 1}
+        reason = "citation year 99999999999 out of range"
+    with open(pubs, "a") as fh:
+        fh.write(json.dumps(pub) + "\n")
+    capsys.readouterr()
+    assert main(ingest_args(run_dir)) == 0
+    assert f"publications: {len(lines)}  rejects: 1" in capsys.readouterr().out
+    rejects = (run_dir / "rejects.jsonl").read_text().splitlines()
+    assert [json.loads(line) for line in rejects] == [
+        {"line_no": len(lines) + 1, "file": "publications", "reason": reason}
     ]
 
 
@@ -194,6 +224,25 @@ def test_report_command(run_dir, capsys):
     assert "retained" in out
 
 
+def test_report_refuses_an_output_that_does_not_match_the_manifest(run_dir, capsys):
+    assert main(["analyze", "--out", str(run_dir)]) == 0
+    capsys.readouterr()
+    assert main(["report", "--out", str(run_dir)]) == 0
+    untouched = capsys.readouterr().out
+    preview = next(line for line in untouched.splitlines() if line.endswith(".txt:"))
+    sankey = run_dir / "sankey" / preview[:-1]
+    data = bytearray(sankey.read_bytes())
+    data[0] ^= 1
+    sankey.write_bytes(bytes(data))
+    assert main(["report", "--out", str(run_dir)]) == 1
+    captured = capsys.readouterr()
+    assert f"hash mismatch for sankey/{sankey.name}" in captured.err
+    assert captured.out == ""
+    sankey.unlink()
+    assert main(["report", "--out", str(run_dir)]) == 1
+    assert f"hash mismatch for sankey/{sankey.name}" in capsys.readouterr().err
+
+
 def test_report_previews_a_sankey_file_the_manifest_lists(run_dir, capsys):
     assert main(["analyze", "--out", str(run_dir)]) == 0
     # the narrow run removes the full run's Sankey files
@@ -246,7 +295,7 @@ def test_pipeline_annotations_resolve():
 
 
 SCIPY_PROBE = """
-import contextlib, sys
+import contextlib, json, sys
 from careerflow.cli import main
 
 def scipy_modules():
@@ -265,8 +314,22 @@ calls = [
 for argv in calls:
     assert main(argv) == 0, argv
     assert scipy_modules() == [], (argv[0], scipy_modules())
+
+# a full analyze whose designs all have full rank loads no scipy at all
+full = sys.argv[2]
+assert main(["synth", "--out", full, "--authors-n", "400", "--disciplines-n", "2", "--seed", "1"]) == 0
+assert main(["ingest", "--pubs", full + "/publications.jsonl", "--journals", full + "/journals.jsonl",
+             "--authors", full + "/authors.jsonl", "--out", full]) == 0
+assert main(["analyze", "--out", full]) == 0
+listed = [json.loads(line)["path"] for line in open(full + "/manifest.txt")]
+models = [path for path in listed if path.startswith("regression/models_")]
+assert len(models) == 16, listed
+assert not any("rank deficient" in open(full + "/" + path).read() for path in models)
+assert scipy_modules() == [], ("full analyze", scipy_modules())
+
+# the probe corpus has rank-deficient designs; only their error path loads scipy
 assert main(["analyze", "--out", out]) == 0
-assert "scipy.stats" not in sys.modules  # a full analyze needs only scipy.special
+assert "scipy.special" not in sys.modules
 """
 
 
@@ -274,7 +337,7 @@ def test_cli_loads_scipy_only_to_fit_models(tmp_path):
     # a fresh interpreter: this test process has imported scipy already
     src = str(Path(careerflow.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE, str(tmp_path / "run")],
+        [sys.executable, "-c", SCIPY_PROBE, str(tmp_path / "run"), str(tmp_path / "full")],
         env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
         capture_output=True,
         text=True,

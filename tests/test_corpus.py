@@ -125,6 +125,28 @@ def test_reject_reasons_clip_echoed_values(pub_lines, author_lines, prefix):
     assert len(reject.reason) < 120
 
 
+@pytest.mark.parametrize(
+    "citations,reason",
+    [
+        ({"2001": 10**30}, "bad citation count for year 2001"),
+        ({"99999999999": 1}, "citation year 99999999999 out of range"),
+    ],
+    ids=["count", "year"],
+)
+def test_citation_values_past_int32_rejected(citations, reason):
+    lines = [good_pub_line(), good_pub_line(pub_id="p2", citations_by_year=citations)]
+    corpus, rejects = parse_corpus(lines, [JOURNAL_LINE], [AUTHOR_LINE], 2022)
+    assert [(r.line_no, r.reason) for r in rejects] == [(2, reason)]
+    assert [p.pub_id for p in corpus.publications] == ["p1"]
+
+
+def test_citation_values_at_int32_max_accepted():
+    line = good_pub_line(citations_by_year={str(2**31 - 1): 2**31 - 1})
+    corpus, rejects = parse_corpus([line], [JOURNAL_LINE], [AUTHOR_LINE], 2022)
+    assert rejects == []
+    assert corpus.publications[0].citations_by_year == {2**31 - 1: 2**31 - 1}
+
+
 BYTE_FAULTS = [
     (b'\xff\xfe{"x":1}\n', "invalid utf-8"),
     (b"[" * 100_000 + b"\n", "invalid json: nesting too deep"),

@@ -12,6 +12,7 @@ from careerflow.regression import (
     RankDeficiencyError,
     SeparationError,
     SingularCorrelationError,
+    _ndtr,
     build_design,
     collinearity_diagonal,
     default_spec,
@@ -84,6 +85,26 @@ def test_p_values_bit_identical_to_scipy_stats_norm_sf():
     for fit in fits:
         expected = 2.0 * stats.norm.sf(np.abs(fit.coef / fit.se))
         assert np.array_equal(fit.p_values, expected)
+
+
+def test_ndtr_port_bit_identical_to_scipy_special():
+    from scipy.special import ndtr
+
+    rng = np.random.default_rng(20240425)
+    # branch edges: erf/erfc at |a| = sqrt(2), the two erfc fits at 8 sqrt(2),
+    # and exp(-a^2 / 2) underflowing at sqrt(2 MAXLOG) ~ 37.68
+    underflow = math.sqrt(2.0 * 7.09782712893383996843e2)
+    edges = [0.0, 1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), 37.5, underflow, 38.0, 40.0, math.inf]
+    near = []
+    for edge in edges:  # each edge and the 20 doubles on either side, both signs
+        for direction in (-math.inf, math.inf):
+            x = edge
+            for _ in range(21):
+                near += [x, -x]
+                x = math.nextafter(x, direction)
+    grid = np.concatenate([rng.uniform(-40.0, 40.0, 100_000), near, [math.nan]])
+    ported = np.array([_ndtr(x) for x in grid.tolist()])
+    assert np.array_equal(ported, ndtr(grid), equal_nan=True)
 
 
 def test_exp_log_round_trip_identity():

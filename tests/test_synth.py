@@ -6,6 +6,7 @@ import pytest
 
 from careerflow.classes import assign_class_codes
 from careerflow.corpus import (
+    MIN_YEAR,
     CorpusError,
     author_to_json,
     parse_corpus,
@@ -295,3 +296,13 @@ def test_config_from_mapping_rejects_unknown_keys():
     config = config_from_mapping({"n_authors": 10, "persistence": 0.3, "citation_rate": 2.0})
     assert config.cohort.persistence == 0.3
     assert config.citation_rate == 2.0
+
+
+def test_careers_may_start_at_min_year_but_not_before():
+    config = CorpusConfig(cohort=CohortConfig(n_authors=20, seed=1), reference_year=1950)
+    corpus = gen_corpus(config)  # raises on any reject
+    assert min(p.year for p in corpus.publications) >= MIN_YEAR
+    with pytest.raises(CorpusError, match="reference_year - max_academic_age"):
+        CorpusConfig(cohort=CohortConfig(n_authors=20, seed=1), reference_year=1949)
+    with pytest.raises(CorpusError, match="reference_year - max_academic_age"):
+        config_from_mapping({"n_authors": 20, "reference_year": 1960, "max_academic_age": 61})
