@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from careerflow import columnar
 from careerflow.columnar import columns_from_corpus
-from careerflow.corpus import SampleFilterConfig, filter_sample
+from careerflow.corpus import AuthorRecord, SampleFilterConfig, filter_sample
 from careerflow.portfolio import (
     academic_age,
     ajpr,
@@ -407,3 +408,43 @@ def test_publication_fwci_matches_reference():
             assert not math.isfinite(bulk_fwci[i])
         else:
             assert bulk_fwci[i] == pytest.approx(ref, abs=1e-9)
+
+
+def test_modal_values_sparse_branch_matches_dense(monkeypatch):
+    corpus = gen_corpus(
+        CorpusConfig(
+            cohort=CohortConfig(n_authors=60, n_disciplines=3, seed=17),
+            n_countries=2,
+            n_institutions=4,
+        )
+    )
+    # zz-tie holds one of each value twice over, listed largest code first;
+    # zz-empty has a publication with no values, zz-none no publication
+    for aid in ("zz-tie", "zz-empty", "zz-none"):
+        corpus.authors[aid] = AuthorRecord(aid, "unknown", 0.0)
+    corpus.publications += [
+        make_pub(
+            pub_id=f"zz-{country}",
+            authors=("zz-tie",),
+            countries=(country,),
+            institutions=(inst,),
+            refs=(disc,),
+        )
+        for country, inst, disc in (("C01", "inst0003", "D02"), ("C00", "inst0001", "D00"))
+    ]
+    corpus.publications.append(
+        make_pub(pub_id="zz-empty", authors=("zz-empty",), countries=(), institutions=())
+    )
+    dense = columns_from_corpus(corpus)
+    monkeypatch.setattr(columnar, "_DENSE_COUNT_LIMIT", 0)
+    sparse = columns_from_corpus(corpus)
+
+    index = dense.author_index()
+    for attr in ("dominant_discipline", "dominant_country_idx", "dominant_institution_idx"):
+        assert np.array_equal(getattr(sparse, attr), getattr(dense, attr)), attr
+        assert getattr(dense, attr)[index["zz-empty"]] == -1
+        assert getattr(dense, attr)[index["zz-none"]] == -1
+    tie = index["zz-tie"]
+    assert dense.discipline_of(tie) == "D00"
+    assert dense.dominant_country(tie) == "C00"
+    assert dense.dominant_institution(tie) == "inst0001"
