@@ -13,7 +13,6 @@ from typing import Hashable, Iterable
 
 import numpy as np
 
-from . import _kernels
 from .columnar import CorpusColumns
 from .corpus import JournalRecord, PublicationRecord
 
@@ -30,7 +29,8 @@ MIN_COHORT_SIZE = 5
 
 
 def stage_window(first_pub_year: int, stage: str, reference_year: int) -> tuple[int, int]:
-    """Inclusive calendar interval of a career stage."""
+    """Inclusive calendar interval of a career stage; elementwise when
+    first_pub_year is an array."""
     if stage == "early":
         return first_pub_year + 4, first_pub_year + 13
     if stage == "mid":
@@ -146,19 +146,38 @@ def publication_weights_array(columns: CorpusColumns) -> tuple[np.ndarray, int]:
     return weights, uncovered
 
 
+def stage_masks(
+    columns: CorpusColumns, keep: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """(authors, pubs) of the incidences of publications where *keep* holds,
+    plus one mask over those incidences per stage in STAGES: the publication
+    falls inside that author's stage window.
+
+    The late window may overlap early or mid for short careers, in which
+    case a publication counts in both stages.
+    """
+    selected = keep[columns.inc_pub]
+    authors = columns.inc_author[selected]
+    pubs = columns.inc_pub[selected]
+    years = columns.pub_year[pubs]
+    first_year = columns.first_pub_year[authors]
+    masks = []
+    for stage in STAGES:
+        lo, hi = stage_window(first_year, stage, columns.reference_year)
+        masks.append((years >= lo) & (years <= hi))
+    return authors, pubs, masks
+
+
 def stage_productivity(columns: CorpusColumns) -> tuple[np.ndarray, int]:
     """(A, 3, 4) annual productivity per author, stage, and counting scheme."""
     weights, uncovered = publication_weights_array(columns)
-    sums = _kernels.stage_ptype_sums(
-        columns.inc_author,
-        columns.inc_pub,
-        columns.pub_year,
-        columns.first_pub_year,
-        weights,
-        columns.pub_qualifying,
-        columns.reference_year,
-        columns.n_authors,
-    )
+    authors, pubs, masks = stage_masks(columns, columns.pub_qualifying)
+    sums = np.zeros((columns.n_authors, len(STAGES), len(PRODUCTIVITY_TYPES)))
+    for s, mask in enumerate(masks):
+        a = authors[mask]
+        p = pubs[mask]
+        for t in range(len(PRODUCTIVITY_TYPES)):
+            sums[:, s, t] = np.bincount(a, weights=weights[p, t], minlength=columns.n_authors)
     lengths = np.array([STAGE_WINDOW_YEARS[s] for s in STAGES], dtype=np.float64)
     return sums / lengths[None, :, None], uncovered
 

@@ -67,7 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--out", help="run directory holding the cache (default CAREERFLOW_OUT)")
     analyze.add_argument("--ptype", action="append", help="restrict to a productivity type (repeatable)")
     analyze.add_argument("--scope", action="append", help="restrict to a discipline scope (repeatable)")
-    analyze.add_argument("--workers", type=int, default=1)
 
     report = sub.add_parser("report", help="summarize an analyze run")
     report.add_argument("--out", help="run directory (default CAREERFLOW_OUT)")
@@ -138,7 +137,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     out_dir = _out_dir(args)
-    result = run_analyze(out_dir, args.ptype, args.scope, max(1, args.workers))
+    result = run_analyze(out_dir, args.ptype, args.scope)
     print(f"sample: {result.n_sample} authors")
     print(f"outputs: {len(result.manifest)} files under {result.out_dir}")
     print(f"manifest: {result.out_dir / MANIFEST_NAME}")

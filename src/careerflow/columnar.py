@@ -16,18 +16,27 @@ from typing import Iterable, TextIO
 
 import numpy as np
 
-from . import _kernels
 from .corpus import AuthorRecord, Corpus, JournalRecord, PublicationRecord
 
 GENDER_UNKNOWN, GENDER_FEMALE, GENDER_MALE = 0, 1, 2
 GENDER_CODES = {"unknown": GENDER_UNKNOWN, "female": GENDER_FEMALE, "male": GENDER_MALE}
 GENDER_NAMES = {v: k for k, v in GENDER_CODES.items()}
+GENDER_THRESHOLD = 0.85
 
 # buffers are reinterpreted as int32; 'i' must be 4 bytes on this platform
 assert array("i").itemsize == 4
 
-# dense author x value count tables are used below this cell budget
+# dense author x value count tables are used below this cell budget, and
+# are built this many incidences at a time to bound the expanded keys
 _DENSE_COUNT_LIMIT = 20_000_000
+_DENSE_CHUNK = 1_000_000
+
+
+def gender_gate(label: str, probability: float) -> str:
+    """Accept the inferred label only at or above GENDER_THRESHOLD."""
+    if not 0.0 <= probability <= 1.0:
+        raise ValueError("probability must be within [0, 1]")
+    return label if label != "unknown" and probability >= GENDER_THRESHOLD else "unknown"
 
 
 def _vocab_remap(index: dict[str, int]) -> tuple[list[str], np.ndarray]:
@@ -38,6 +47,41 @@ def _vocab_remap(index: dict[str, int]) -> tuple[list[str], np.ndarray]:
     for name, old in index.items():
         perm[old] = order[name]
     return vocab, perm
+
+
+def _ragged_keys(
+    inc_author: np.ndarray,
+    inc_pub: np.ndarray,
+    starts: np.ndarray,
+    values: np.ndarray,
+    n_values: int,
+) -> np.ndarray:
+    """author * n_values + value for each value listed by each incidence's publication."""
+    # built in place, so fewer full-length int64 arrays are alive at once
+    lens = starts[inc_pub + 1] - starts[inc_pub]
+    keys = np.repeat(inc_author.astype(np.int64) * n_values, lens)
+    offsets = np.repeat(starts[inc_pub], lens)
+    offsets += np.arange(int(lens.sum()), dtype=np.int64) - np.repeat(np.cumsum(lens) - lens, lens)
+    keys += values[offsets]
+    return keys
+
+
+def _dense_counts(
+    inc_author: np.ndarray,
+    inc_pub: np.ndarray,
+    starts: np.ndarray,
+    values: np.ndarray,
+    n_values: int,
+    n_authors: int,
+) -> np.ndarray:
+    """(A, V) count of each value per author. Returning only the counts frees
+    the last chunk's keys before the caller copies rows out of them."""
+    counts = np.zeros(n_authors * n_values, dtype=np.int64)
+    for lo in range(0, inc_author.shape[0], _DENSE_CHUNK):
+        hi = lo + _DENSE_CHUNK
+        keys = _ragged_keys(inc_author[lo:hi], inc_pub[lo:hi], starts, values, n_values)
+        counts += np.bincount(keys, minlength=n_authors * n_values)
+    return counts.reshape(n_authors, n_values)
 
 
 def _modal_from_ragged(
@@ -57,22 +101,12 @@ def _modal_from_ragged(
     if n_values == 0 or inc_author.shape[0] == 0:
         return dominant
     if n_authors * n_values <= _DENSE_COUNT_LIMIT:
-        counts = _kernels.ragged_group_counts(
-            inc_author, inc_pub, starts, values, n_values, n_authors
-        ).reshape(n_authors, n_values)
+        counts = _dense_counts(inc_author, inc_pub, starts, values, n_values, n_authors)
         has_any = counts.sum(axis=1) > 0
         dominant[has_any] = np.argmax(counts[has_any], axis=1).astype(np.int32)
         return dominant
     # sparse path for wide vocabularies
-    starts64 = starts.astype(np.int64)
-    lens = starts64[inc_pub + 1] - starts64[inc_pub]
-    total = int(lens.sum())
-    if total == 0:
-        return dominant
-    a_rep = np.repeat(inc_author.astype(np.int64), lens)
-    offsets = np.repeat(starts64[inc_pub], lens)
-    ranges = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(lens) - lens, lens)
-    keys = a_rep * n_values + values[offsets + ranges]
+    keys = _ragged_keys(inc_author, inc_pub, starts, values, n_values)
     uniq, cnts = np.unique(keys, return_counts=True)
     authors = uniq // n_values
     vals = (uniq % n_values).astype(np.int32)
@@ -160,10 +194,8 @@ class ColumnsBuilder:
         journals: dict[str, JournalRecord],
         authors: dict[str, AuthorRecord],
         reference_year: int,
-        gender_threshold: float = 0.85,
     ):
         self.reference_year = reference_year
-        self.gender_threshold = gender_threshold
         self.author_ids = sorted(authors)
         self._author_idx = {a: i for i, a in enumerate(self.author_ids)}
         self._authors = authors
@@ -297,14 +329,18 @@ class ColumnsBuilder:
         ce_pub = np.frombuffer(self._ce_pub, dtype=np.int32).copy()
         ce_year = np.frombuffer(self._ce_year, dtype=np.int32).copy()
         ce_count = np.frombuffer(self._ce_count, dtype=np.int64).copy()
-        pub_cits4y = _kernels.window_citation_sums(ce_pub, ce_year, ce_count, pub_year, 4)
+        # citations in the publication year and the three years after it
+        cited_year = pub_year[ce_pub]
+        in_window = (ce_year >= cited_year) & (ce_year < cited_year + 4)
+        pub_cits4y = np.bincount(
+            ce_pub[in_window], weights=ce_count[in_window], minlength=n_pubs
+        ).astype(np.int64)
 
         gender_code = np.zeros(n_authors, dtype=np.int8)
         override: list[str | None] = [None] * n_authors
         for aid, idx in self._author_idx.items():
             rec = self._authors[aid]
-            if rec.gender_label != "unknown" and rec.gender_probability >= self.gender_threshold:
-                gender_code[idx] = GENDER_CODES[rec.gender_label]
+            gender_code[idx] = GENDER_CODES[gender_gate(rec.gender_label, rec.gender_probability)]
             override[idx] = rec.country_override
 
         return CorpusColumns(
@@ -336,8 +372,8 @@ class ColumnsBuilder:
         )
 
 
-def columns_from_corpus(corpus: Corpus, gender_threshold: float = 0.85) -> CorpusColumns:
-    builder = ColumnsBuilder(corpus.journals, corpus.authors, corpus.reference_year, gender_threshold)
+def columns_from_corpus(corpus: Corpus) -> CorpusColumns:
+    builder = ColumnsBuilder(corpus.journals, corpus.authors, corpus.reference_year)
     for pub in corpus.publications:
         builder.add(pub)
     return builder.finalize()

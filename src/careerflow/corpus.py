@@ -21,6 +21,9 @@ ECHO_MAX = 64  # longest input value a reject reason quotes in full
 # same bound, so sums of counts stay far inside int64; a larger value makes
 # the line a reject instead of an OverflowError that aborts ingest
 INT32_MAX = 2**31 - 1
+# analyze names output files after discipline codes, and "all" is its
+# aggregate scope, so these codes cannot name a discipline
+RESERVED_DISCIPLINES = frozenset((".", "..", "all"))
 
 PUBLICATIONS_FILE = "publications"
 JOURNALS_FILE = "journals"
@@ -177,6 +180,22 @@ def _str_list(obj: dict, key: str) -> list[str]:
     return val
 
 
+def _check_disciplines(codes: Iterable[str], accepted: set[str]) -> None:
+    """Reject a discipline code that cannot name an output file: reserved, or
+    holding a path separator, NUL or a lone surrogate (not UTF-8 encodable).
+    *accepted* holds the codes already passed, so each is tested once."""
+    if accepted.issuperset(codes):
+        return
+    for code in codes:
+        if code in RESERVED_DISCIPLINES or "/" in code or "\\" in code or "\0" in code:
+            raise _LineError(f"bad discipline {_echo(repr(code))}")
+        try:
+            code.encode("utf-8")
+        except UnicodeEncodeError:
+            raise _LineError(f"bad discipline {_echo(repr(code))}") from None
+        accepted.add(code)
+
+
 def _sorted_unique(values: list[str]) -> tuple[str, ...]:
     return tuple(sorted(set(values)))
 
@@ -309,9 +328,11 @@ def _iter_json_lines(
 
 def parse_journals(lines: Iterable[str | bytes], rejects: list[Reject]) -> dict[str, JournalRecord]:
     journals: dict[str, JournalRecord] = {}
+    disciplines: set[str] = set()
     for line_no, obj in _iter_json_lines(lines, JOURNALS_FILE, rejects):
         try:
             rec = parse_journal_line(obj)
+            _check_disciplines(rec.percentile_by_discipline, disciplines)
         except _LineError as exc:
             rejects.append(Reject(line_no, JOURNALS_FILE, str(exc)))
             continue
@@ -350,9 +371,11 @@ def iter_publications(
     directly so the full record list never has to be materialized.
     """
     seen: set[str] = set()
+    disciplines: set[str] = set()
     for line_no, obj in _iter_json_lines(lines, PUBLICATIONS_FILE, rejects):
         try:
             rec = parse_publication_line(obj, journals, authors, reference_year)
+            _check_disciplines(rec.cited_ref_disciplines, disciplines)
         except _LineError as exc:
             rejects.append(Reject(line_no, PUBLICATIONS_FILE, str(exc)))
             continue

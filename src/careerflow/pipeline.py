@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -24,7 +24,7 @@ from .classes import (
     STAGES,
     assign_cohort_classes,
 )
-from .columnar import ColumnsBuilder, CorpusColumns, dump_columns, load_columns
+from .columnar import GENDER_NAMES, ColumnsBuilder, CorpusColumns, dump_columns, load_columns
 from .corpus import (
     CorpusError,
     FilterReport,
@@ -41,7 +41,7 @@ from .mobility import (
     sankey_export,
     transition_matrix_codes,
 )
-from .portfolio import PortfolioTable, derive_portfolios, portfolio_to_json
+from .portfolio import PortfolioTable, derive_portfolios
 from .regression import ModelOutcome, default_spec, grid_rows, run_model, sig_label
 
 CACHE_VERSION = 1
@@ -294,6 +294,36 @@ def gates_table(report: FilterReport) -> str:
     return _tsv(rows)
 
 
+def portfolio_lines(table: PortfolioTable) -> Iterator[str]:
+    """One json line per sampled author. Real values are rounded to 6
+    places; an undefined rate or FWCI is null and an undefined stage AJPR is
+    left out."""
+    cols = table.columns
+    for row in range(table.n_sample):
+        idx = int(table.sample_idx[row])
+        rate = float(table.intl_rate[row])
+        fwci = float(table.fwci_mean[row])
+        obj = {
+            "author_id": cols.author_ids[idx],
+            "first_pub_year": int(cols.first_pub_year[idx]),
+            "academic_age": int(table.academic_age[row]),
+            "gender": GENDER_NAMES[int(cols.gender_code[idx])],
+            "dominant_discipline": cols.discipline_of(idx),
+            "dominant_country": cols.dominant_country(idx),
+            "dominant_institution": cols.dominant_institution(idx),
+            "top200": bool(table.top200[row]),
+            "intl_collab_rate": round(rate, 6) if math.isfinite(rate) else None,
+            "median_team_size": round(float(table.team_median[row]), 6),
+            "mean_fwci4y": round(fwci, 6) if math.isfinite(fwci) else None,
+            "ajpr_by_stage": {
+                stage: round(float(table.ajpr_stage[row, s]), 6)
+                for s, stage in enumerate(STAGES)
+                if math.isfinite(table.ajpr_stage[row, s])
+            },
+        }
+        yield json.dumps(obj, separators=(",", ":"))
+
+
 def class_dump_lines(table: PortfolioTable, codes: np.ndarray) -> Iterator[str]:
     cols = table.columns
     for row in range(table.n_sample):
@@ -408,7 +438,6 @@ def run_analyze(
     out_dir: Path,
     ptypes: list[str] | None = None,
     scopes: list[str] | None = None,
-    workers: int = 1,
 ) -> AnalyzeResult:
     ptypes = list(ptypes) if ptypes else list(PRODUCTIVITY_TYPES)
     for ptype in ptypes:
@@ -447,9 +476,7 @@ def run_analyze(
 
     outputs: dict[str, str] = {}
     outputs["gates.tsv"] = gates_table(loaded.report)
-    outputs["portfolios.jsonl"] = (
-        "\n".join(portfolio_to_json(p) for p in table.to_records()) + "\n"
-    )
+    outputs["portfolios.jsonl"] = "\n".join(portfolio_lines(table)) + "\n"
     outputs["classes.jsonl"] = "\n".join(class_dump_lines(table, codes)) + "\n"
     coverage = {
         "fwci_skipped_publications": table.fwci_skipped_pubs,
@@ -490,11 +517,7 @@ def run_analyze(
             for ptype in ptypes:
                 for disc in model_disciplines:
                     jobs.append(default_spec(outcome_class, target_stage, ptype, disc))
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(lambda spec: run_model(table, codes, spec), jobs))
-        else:
-            results = [run_model(table, codes, spec) for spec in jobs]
+        results = [run_model(table, codes, spec) for spec in jobs]
         by_family: dict[tuple[str, str], list[ModelOutcome]] = {}
         for outcome in results:
             by_family.setdefault((outcome.spec.family, outcome.spec.ptype), []).append(outcome)

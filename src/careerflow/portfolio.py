@@ -11,17 +11,14 @@ publication of any type.
 """
 from __future__ import annotations
 
-import json
-import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from . import _kernels
-from .classes import STAGES, stage_productivity
-from .columnar import GENDER_NAMES, CorpusColumns
+from .classes import stage_masks, stage_productivity
+from .columnar import CorpusColumns
 from .corpus import Corpus, JournalRecord, PublicationRecord
 
 FWCI_WINDOW = 4  # publication year plus three consecutive years
@@ -61,13 +58,6 @@ def dominant_affiliation(author_pubs: Iterable[PublicationRecord], kind: str) ->
     if not counts:
         return None
     return min(counts.items(), key=lambda item: (-item[1], item[0]))[0]
-
-
-def gender_gate(label: str, probability: float, threshold: float = 0.85) -> str:
-    """Accept the inferred label only at or above the probability threshold."""
-    if not 0.0 <= probability <= 1.0:
-        raise ValueError("probability must be within [0, 1]")
-    return label if label != "unknown" and probability >= threshold else "unknown"
 
 
 def intl_collab_rate(author_pubs: Iterable[PublicationRecord]) -> float | None:
@@ -217,31 +207,12 @@ def top200_flag(corpus: Corpus, author_id: str, top_n: int = 200) -> bool:
 
 
 @dataclass
-class AuthorPortfolio:
-    author_id: str
-    first_pub_year: int
-    academic_age: int
-    gender: str
-    dominant_discipline: str | None
-    dominant_country: str | None
-    dominant_institution: str | None
-    top200: bool
-    intl_collab_rate: float | None
-    median_team_size: float
-    mean_fwci4y: float | None
-    ajpr_by_stage: dict[str, float]
-
-
-@dataclass
 class BaselineArrays:
     """Field baseline in array form: cell = disc_idx * n_years + (year - year_min)."""
 
     year_min: int
     n_years: int
     means: np.ndarray  # 0.0 where the cell is empty
-
-    def cell(self, disc_idx: int, year: int) -> float:
-        return float(self.means[disc_idx * self.n_years + (year - self.year_min)])
 
 
 @dataclass
@@ -269,58 +240,17 @@ class PortfolioTable:
     def n_sample(self) -> int:
         return self.sample_idx.shape[0]
 
-    def author_id(self, row: int) -> str:
-        return self.columns.author_ids[self.sample_idx[row]]
 
-    def to_records(self) -> list[AuthorPortfolio]:
-        cols = self.columns
-        out = []
-        for row in range(self.n_sample):
-            idx = int(self.sample_idx[row])
-            ajpr_map = {
-                stage: round(float(self.ajpr_stage[row, s]), 6)
-                for s, stage in enumerate(STAGES)
-                if math.isfinite(self.ajpr_stage[row, s])
-            }
-            out.append(
-                AuthorPortfolio(
-                    author_id=cols.author_ids[idx],
-                    first_pub_year=int(cols.first_pub_year[idx]),
-                    academic_age=int(self.academic_age[row]),
-                    gender=GENDER_NAMES[int(cols.gender_code[idx])],
-                    dominant_discipline=cols.discipline_of(idx),
-                    dominant_country=cols.dominant_country(idx),
-                    dominant_institution=cols.dominant_institution(idx),
-                    top200=bool(self.top200[row]),
-                    intl_collab_rate=_opt(self.intl_rate[row]),
-                    median_team_size=round(float(self.team_median[row]), 6),
-                    mean_fwci4y=_opt(self.fwci_mean[row]),
-                    ajpr_by_stage=ajpr_map,
-                )
-            )
-        return out
-
-
-def _opt(value: float) -> float | None:
-    return round(float(value), 6) if math.isfinite(value) else None
-
-
-def portfolio_to_json(p: AuthorPortfolio) -> str:
-    obj = {
-        "author_id": p.author_id,
-        "first_pub_year": p.first_pub_year,
-        "academic_age": p.academic_age,
-        "gender": p.gender,
-        "dominant_discipline": p.dominant_discipline,
-        "dominant_country": p.dominant_country,
-        "dominant_institution": p.dominant_institution,
-        "top200": p.top200,
-        "intl_collab_rate": p.intl_collab_rate,
-        "median_team_size": p.median_team_size,
-        "mean_fwci4y": p.mean_fwci4y,
-        "ajpr_by_stage": p.ajpr_by_stage,
-    }
-    return json.dumps(obj, separators=(",", ":"))
+def _journal_cells(
+    columns: CorpusColumns, year_min: int, n_years: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Publication index and baseline cell of each (publication, journal
+    discipline) pair."""
+    jd_pub = np.repeat(
+        np.arange(columns.n_publications, dtype=np.int64), np.diff(columns.jd_starts)
+    )
+    cells = columns.jd_disc.astype(np.int64) * n_years + (columns.pub_year[jd_pub] - year_min)
+    return jd_pub, cells
 
 
 def build_baseline_arrays(columns: CorpusColumns) -> BaselineArrays:
@@ -329,10 +259,7 @@ def build_baseline_arrays(columns: CorpusColumns) -> BaselineArrays:
     year_min = int(columns.pub_year.min())
     n_years = int(columns.pub_year.max()) - year_min + 1
     n_cells = len(columns.disc_vocab) * n_years
-    jd_pub = np.repeat(
-        np.arange(columns.n_publications, dtype=np.int64), np.diff(columns.jd_starts)
-    )
-    cells = columns.jd_disc.astype(np.int64) * n_years + (columns.pub_year[jd_pub] - year_min)
+    jd_pub, cells = _journal_cells(columns, year_min, n_years)
     sums = np.bincount(cells, weights=columns.pub_cits4y[jd_pub].astype(np.float64), minlength=n_cells)
     counts = np.bincount(cells, minlength=n_cells)
     means = np.zeros(n_cells)
@@ -345,14 +272,9 @@ def publication_fwci(columns: CorpusColumns, baseline: BaselineArrays) -> tuple[
     """Per-publication FWCI (NaN undefined) and the skipped-publication count."""
     n_pubs = columns.n_publications
     fwci = np.full(n_pubs, np.nan)
-    if n_pubs == 0:
-        return fwci, 0
-    jd_pub = np.repeat(np.arange(n_pubs, dtype=np.int64), np.diff(columns.jd_starts))
+    jd_pub, cells = _journal_cells(columns, baseline.year_min, baseline.n_years)
     if jd_pub.shape[0] == 0:
         return fwci, 0
-    cells = columns.jd_disc.astype(np.int64) * baseline.n_years + (
-        columns.pub_year[jd_pub] - baseline.year_min
-    )
     base = baseline.means[cells]
     valid = base > 0
     ratios = np.zeros(jd_pub.shape[0])
@@ -373,13 +295,9 @@ def cell_fwci_means(columns: CorpusColumns, baseline: BaselineArrays) -> np.ndar
     because each publication's contribution to a cell is its citation count
     over that same cell's mean.
     """
-    n_pubs = columns.n_publications
-    jd_pub = np.repeat(np.arange(n_pubs, dtype=np.int64), np.diff(columns.jd_starts))
+    jd_pub, cells = _journal_cells(columns, baseline.year_min, baseline.n_years)
     if jd_pub.shape[0] == 0:
         return np.zeros(0)
-    cells = columns.jd_disc.astype(np.int64) * baseline.n_years + (
-        columns.pub_year[jd_pub] - baseline.year_min
-    )
     base = baseline.means[cells]
     valid = base > 0
     ratios = columns.pub_cits4y[jd_pub[valid]] / base[valid]
@@ -450,19 +368,18 @@ def derive_portfolios(
     has_fwci = fwci_counts > 0
     fwci_mean[has_fwci] = fwci_sums[has_fwci] / fwci_counts[has_fwci]
 
-    ajpr_sums, ajpr_counts = _kernels.ajpr_stage_sums(
-        inc_author,
-        inc_pub,
-        columns.pub_year,
-        columns.first_pub_year,
-        columns.pub_percentile,
-        columns.pub_qualifying,
-        columns.reference_year,
-        n_authors,
+    # AJPR per stage over qualifying publications in journals with a percentile
+    authors, pubs, masks = stage_masks(
+        columns, columns.pub_qualifying & (columns.pub_percentile >= 0)
     )
-    ajpr_stage = np.full((n_authors, 3), np.nan)
-    defined = ajpr_counts > 0
-    ajpr_stage[defined] = ajpr_sums[defined] / ajpr_counts[defined]
+    pct = columns.pub_percentile[pubs].astype(np.float64)
+    ajpr_stage = np.full((n_authors, len(masks)), np.nan)
+    for s, mask in enumerate(masks):
+        a = authors[mask]
+        ajpr_sums = np.bincount(a, weights=pct[mask], minlength=n_authors)
+        ajpr_counts = np.bincount(a, minlength=n_authors)
+        defined = ajpr_counts > 0
+        ajpr_stage[defined, s] = ajpr_sums[defined] / ajpr_counts[defined]
 
     productivity, uncovered = stage_productivity(columns)
 

@@ -5,12 +5,15 @@ criterion with its measured runtime. Statistical checks are seed-pinned.
 """
 import json
 import math
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import careerflow
 from careerflow.classes import BOTTOM, TOP, assign_class_codes
 from careerflow.cli import main
 from careerflow.columnar import columns_from_corpus
@@ -190,7 +193,7 @@ def test_criterion_07_collinearity_sanity():
     _pass(7, t0, "orthogonalized design has unit VIF diagonal; duplicate column raises")
 
 
-def test_criterion_08_worker_count_determinism(tmp_path):
+def test_criterion_08_hash_seed_determinism(tmp_path):
     t0 = time.perf_counter()
     out = tmp_path / "run"
     assert main([
@@ -204,12 +207,21 @@ def test_criterion_08_worker_count_determinism(tmp_path):
         "--authors", str(out / "authors.jsonl"),
         "--out", str(out),
     ]) == 0
+    # fresh interpreters with different string hashes: no output may depend
+    # on set or dict iteration order
+    src = str(Path(careerflow.__file__).resolve().parents[1])
     manifests = []
-    for workers in (1, 4, 8):
-        assert main(["analyze", "--out", str(out), "--workers", str(workers)]) == 0
+    for hash_seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "careerflow.cli", "analyze", "--out", str(out)],
+            env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin", "PYTHONHASHSEED": hash_seed},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
         manifests.append((out / "manifest.txt").read_bytes())
-    assert manifests[0] == manifests[1] == manifests[2]
-    _pass(8, t0, "manifest hashes identical across worker counts 1, 4, 8")
+    assert manifests[0] and manifests[0] == manifests[1]
+    _pass(8, t0, "manifest hashes identical under PYTHONHASHSEED 0 and 1")
 
 
 def test_criterion_09_sankey_golden_file():

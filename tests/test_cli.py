@@ -1,5 +1,6 @@
 import inspect
 import json
+import re
 import subprocess
 import sys
 import typing
@@ -148,6 +149,42 @@ def test_ingest_rejects_citation_values_past_int32(run_dir, capsys, bad):
     ]
 
 
+@pytest.mark.parametrize(
+    "code",
+    ["x/../../../esc", "\ud800", "all", "..", "a\\b", "a\x00b"],
+    ids=["path-escape", "lone-surrogate", "aggregate-scope", "dot-dot", "backslash", "nul"],
+)
+def test_discipline_that_cannot_name_an_output_is_rejected(run_dir, capsys, code):
+    assert main(["analyze", "--out", str(run_dir)]) == 0
+    clean_manifest = (run_dir / MANIFEST_NAME).read_bytes()
+    pubs, journals = run_dir / "publications.jsonl", run_dir / "journals.jsonl"
+    pub_lines = pubs.read_text().splitlines()
+    journal_lines = journals.read_text().splitlines()
+    pub = dict(json.loads(pub_lines[0]), pub_id="extra", cited_ref_disciplines=[code])
+    with open(pubs, "a") as fh:
+        fh.write(json.dumps(pub) + "\n")
+    with open(journals, "a") as fh:
+        fh.write(json.dumps({"journal_id": "extra", "percentiles": {code: 50}}) + "\n")
+    capsys.readouterr()
+    assert main(ingest_args(run_dir)) == 0
+    assert f"publications: {len(pub_lines)}  rejects: 2" in capsys.readouterr().out
+    reason = f"bad discipline {code!r}"
+    rejects = (run_dir / "rejects.jsonl").read_text().splitlines()
+    assert [json.loads(line) for line in rejects] == [
+        {"line_no": len(journal_lines) + 1, "file": "journals", "reason": reason},
+        {"line_no": len(pub_lines) + 1, "file": "publications", "reason": reason},
+    ]
+
+    assert main(["analyze", "--out", str(run_dir)]) == 0
+    assert (run_dir / MANIFEST_NAME).read_bytes() == clean_manifest
+    for line in clean_manifest.decode().splitlines():
+        *dirs, name = json.loads(line)["path"].split("/")
+        assert dirs in ([], ["matrices"], ["sankey"], ["regression"])
+        assert re.fullmatch(r"[A-Za-z0-9_.]+", name) and name not in (".", "..")
+    outside = [p for p in run_dir.parent.rglob("*") if run_dir not in (p, *p.parents)]
+    assert outside == []
+
+
 def test_min_pubs_override_honored(run_dir, capsys):
     args = ingest_args(run_dir) + ["--min-pubs", "100000"]
     assert main(args) == 0
@@ -173,14 +210,6 @@ def test_analyze_outputs_and_manifest(run_dir):
     assert len(regressions) >= 16
     assert "portfolios.jsonl" in manifest
     assert "classes.jsonl" in manifest
-
-
-def test_analyze_worker_count_invariance(run_dir):
-    assert main(["analyze", "--out", str(run_dir), "--workers", "1"]) == 0
-    m1 = (run_dir / MANIFEST_NAME).read_bytes()
-    assert main(["analyze", "--out", str(run_dir), "--workers", "4"]) == 0
-    m4 = (run_dir / MANIFEST_NAME).read_bytes()
-    assert m1 == m4
 
 
 def test_analyze_ptype_restriction(run_dir):
