@@ -9,18 +9,38 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import json
 import os
 import sys
 from pathlib import Path
 
-from .corpus import CorpusError, SampleFilterConfig
-from .pipeline import MANIFEST_NAME, StageError, run_analyze, run_ingest
-from .synth import config_from_mapping, write_synthetic_corpus
+from .corpus import MANIFEST_NAME, CorpusError, SampleFilterConfig, StageError
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
+
+# Each stage imports only the modules it runs: `--help` and report load no
+# numpy, synth no analysis module, ingest and analyze no synth. These names
+# are bound on first use by __getattr__, and the handlers call them through
+# _CLI, the module itself, so a caller that replaces one of them on this
+# module (a tracer, a test) replaces what the stage runs.
+_LAZY = {
+    "config_from_mapping": "synth",
+    "write_synthetic_corpus": "synth",
+    "run_ingest": "pipeline",
+    "run_analyze": "pipeline",
+}
+_CLI = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __package__), name)
+    globals()[name] = value
+    return value
 
 
 def _default_out() -> str | None:
@@ -87,7 +107,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     }
     merged.update({k: v for k, v in flags.items() if v is not None})
     merged.setdefault("n_authors", 1000)
-    config = config_from_mapping(merged)
+    config = _CLI.config_from_mapping(merged)
 
     out = args.out or _default_out()
     base = Path(out) if out else Path(".")
@@ -98,7 +118,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     with open(pubs_path, "w", encoding="utf-8") as p, open(
         journals_path, "w", encoding="utf-8"
     ) as j, open(authors_path, "w", encoding="utf-8") as a:
-        counts = write_synthetic_corpus(config, p, j, a)
+        counts = _CLI.write_synthetic_corpus(config, p, j, a)
     print(f"seed: {config.cohort.seed}")
     print(f"rho: {config.cohort.persistence}")
     for name, path in (
@@ -117,7 +137,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         min_academic_age=args.min_age,
         max_academic_age=args.max_age,
     )
-    result = run_ingest(
+    result = _CLI.run_ingest(
         Path(args.pubs),
         Path(args.journals),
         Path(args.authors),
@@ -137,7 +157,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     out_dir = _out_dir(args)
-    result = run_analyze(out_dir, args.ptype, args.scope)
+    result = _CLI.run_analyze(out_dir, args.ptype, args.scope)
     print(f"sample: {result.n_sample} authors")
     print(f"outputs: {len(result.manifest)} files under {result.out_dir}")
     print(f"manifest: {result.out_dir / MANIFEST_NAME}")

@@ -28,10 +28,19 @@ RESERVED_DISCIPLINES = frozenset((".", "..", "all"))
 PUBLICATIONS_FILE = "publications"
 JOURNALS_FILE = "journals"
 AUTHORS_FILE = "authors"
+MANIFEST_NAME = "manifest.txt"
 
 
 class CorpusError(ValueError):
     """Fatal input problem (unreadable stream, unusable configuration)."""
+
+
+class StageError(RuntimeError):
+    """Pipeline failure, tagged with the stage that raised it."""
+
+    def __init__(self, stage: str, message: str):
+        self.stage = stage
+        super().__init__(f"stage {stage}: {message}")
 
 
 class _LineError(ValueError):

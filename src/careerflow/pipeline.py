@@ -26,10 +26,12 @@ from .classes import (
 )
 from .columnar import GENDER_NAMES, ColumnsBuilder, CorpusColumns, dump_columns, load_columns
 from .corpus import (
+    MANIFEST_NAME,
     CorpusError,
     FilterReport,
     Reject,
     SampleFilterConfig,
+    StageError,
     iter_publications,
     parse_authors,
     parse_journals,
@@ -46,20 +48,11 @@ from .regression import ModelOutcome, default_spec, grid_rows, run_model, sig_la
 
 CACHE_VERSION = 1
 CACHE_NAME = "corpus.cache"
-MANIFEST_NAME = "manifest.txt"
 # analyze owns these directories: a file in them that the manifest does not
 # list is a stale output of an earlier run and is removed
 OUTPUT_DIRS = ("matrices", "sankey", "regression")
 
 MODEL_FAMILIES = ("top_mid", "top_late", "bottom_mid", "bottom_late")
-
-
-class StageError(RuntimeError):
-    """Pipeline failure, tagged with the stage that raised it."""
-
-    def __init__(self, stage: str, message: str):
-        self.stage = stage
-        super().__init__(f"stage {stage}: {message}")
 
 
 # ---------------------------------------------------------------------------
