@@ -318,13 +318,17 @@ def _loglik(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> float:
 
 
 def _dependent_columns(X: np.ndarray, names: list[str]) -> list[str]:
-    from scipy import linalg as sla  # only the rank-deficient error path pays for it
-
-    _, r, pivots = sla.qr(X, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    tol = diag.max() * max(X.shape) * np.finfo(float).eps if diag.size else 0.0
-    rank = int(np.count_nonzero(diag > tol))
-    return [names[p] for p in pivots[rank:]]
+    """The columns that lie in the span of the columns before them, in
+    design order. One fixed rule: when two columns are equal the later one
+    is named, never the intercept, whatever the rounding."""
+    kept: list[int] = []
+    dependent = []
+    for j, name in enumerate(names):
+        if np.linalg.matrix_rank(X[:, kept + [j]]) > len(kept):
+            kept.append(j)
+        else:
+            dependent.append(name)
+    return dependent
 
 
 def fit_logistic(

@@ -356,9 +356,12 @@ assert len(models) == 16, listed
 assert not any("rank deficient" in open(full + "/" + path).read() for path in models)
 assert scipy_modules() == [], ("full analyze", scipy_modules())
 
-# the probe corpus has rank-deficient designs; only their error path loads scipy
+# the probe corpus has rank-deficient designs; naming their dependent
+# columns loads no scipy either
 assert main(["analyze", "--out", out]) == 0
-assert "scipy.special" not in sys.modules
+assert any("rank deficient" in open(out + "/" + json.loads(line)["path"]).read()
+           for line in open(out + "/manifest.txt") if '"regression/models_' in line)
+assert scipy_modules() == [], ("rank-deficient analyze", scipy_modules())
 """
 
 

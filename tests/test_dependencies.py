@@ -30,4 +30,4 @@ def test_declared_dependencies_match_third_party_imports():
         declared = tomllib.load(fh)["project"]["dependencies"]
     declared_names = {re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower() for dep in declared}
     third_party = imported_modules() - set(sys.stdlib_module_names) - {"careerflow"}
-    assert third_party == declared_names == {"numpy", "scipy"}
+    assert third_party == declared_names == {"numpy"}

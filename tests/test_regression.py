@@ -157,7 +157,23 @@ def test_rank_deficiency_names_dependent_column():
     y = (rng.random(200) < 0.5).astype(float)
     with pytest.raises(RankDeficiencyError) as err:
         fit_logistic(X, y, ["a", "b", "a_plus_b"])
-    assert any(name in str(err.value) for name in ("a", "b", "a_plus_b"))
+    # the column in the span of the columns before it, in design order
+    assert err.value.dependent == ["a_plus_b"]
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_rank_deficiency_never_names_the_intercept(position):
+    # a constant predictor equals the intercept column, which comes first,
+    # so the constant is named wherever it sits (a pivoted QR named either)
+    rng = np.random.default_rng(2)
+    columns = [rng.standard_normal(200), rng.standard_normal(200)]
+    columns.insert(position, np.ones(200))
+    names = ["a", "b"]
+    names.insert(position, "constant")
+    y = (rng.random(200) < 0.5).astype(float)
+    with pytest.raises(RankDeficiencyError) as err:
+        fit_logistic(np.column_stack(columns), y, names)
+    assert err.value.dependent == ["constant"]
 
 
 def test_constant_outcome_fatal():
