@@ -7,6 +7,7 @@ five gates in a fixed order so the removal counts are comparable across runs.
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -24,6 +25,9 @@ INT32_MAX = 2**31 - 1
 # analyze names output files after discipline codes, and "all" is its
 # aggregate scope, so these codes cannot name a discipline
 RESERVED_DISCIPLINES = frozenset((".", "..", "all"))
+# nor can a code with a path separator, or a control character (C0 or DEL),
+# which would also split a TSV row or line of the outputs it names
+BAD_DISCIPLINE_CHARS = re.compile(r"[/\\\x00-\x1f\x7f]")
 
 PUBLICATIONS_FILE = "publications"
 JOURNALS_FILE = "journals"
@@ -191,12 +195,13 @@ def _str_list(obj: dict, key: str) -> list[str]:
 
 def _check_disciplines(codes: Iterable[str], accepted: set[str]) -> None:
     """Reject a discipline code that cannot name an output file: reserved, or
-    holding a path separator, NUL or a lone surrogate (not UTF-8 encodable).
-    *accepted* holds the codes already passed, so each is tested once."""
+    holding a path separator, a control character or a lone surrogate (not
+    UTF-8 encodable). *accepted* holds the codes already passed, so each is
+    tested once."""
     if accepted.issuperset(codes):
         return
     for code in codes:
-        if code in RESERVED_DISCIPLINES or "/" in code or "\\" in code or "\0" in code:
+        if code in RESERVED_DISCIPLINES or BAD_DISCIPLINE_CHARS.search(code):
             raise _LineError(f"bad discipline {_echo(repr(code))}")
         try:
             code.encode("utf-8")

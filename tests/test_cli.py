@@ -151,8 +151,9 @@ def test_ingest_rejects_citation_values_past_int32(run_dir, capsys, bad):
 
 @pytest.mark.parametrize(
     "code",
-    ["x/../../../esc", "\ud800", "all", "..", "a\\b", "a\x00b"],
-    ids=["path-escape", "lone-surrogate", "aggregate-scope", "dot-dot", "backslash", "nul"],
+    ["x/../../../esc", "\ud800", "all", "..", "a\\b", "a\x00b", "D\t01", "D\n01", "D\x1b01", "D\x7f01"],
+    ids=["path-escape", "lone-surrogate", "aggregate-scope", "dot-dot", "backslash", "nul",
+         "tab", "newline", "escape", "del"],
 )
 def test_discipline_that_cannot_name_an_output_is_rejected(run_dir, capsys, code):
     assert main(["analyze", "--out", str(run_dir)]) == 0
@@ -323,58 +324,63 @@ def test_pipeline_annotations_resolve():
             typing.get_type_hints(obj)  # NameError on an annotation never imported
 
 
-SCIPY_PROBE = """
-import contextlib, json, sys
+STAGE_PROBE = """
+import json, sys
 from careerflow.cli import main
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-
-out = sys.argv[1]
-with contextlib.suppress(SystemExit):
-    main(["--help"])
-calls = [
-    ["synth", "--out", out, "--authors-n", "40", "--disciplines-n", "2", "--seed", "7"],
-    ["ingest", "--pubs", out + "/publications.jsonl", "--journals", out + "/journals.jsonl",
-     "--authors", out + "/authors.jsonl", "--out", out],
-    ["analyze", "--out", out, "--ptype", "P3", "--scope", "all"],
-    ["report", "--out", out],
-]
-for argv in calls:
-    assert main(argv) == 0, argv
-    assert scipy_modules() == [], (argv[0], scipy_modules())
-
-# a full analyze whose designs all have full rank loads no scipy at all
-full = sys.argv[2]
-assert main(["synth", "--out", full, "--authors-n", "400", "--disciplines-n", "2", "--seed", "1"]) == 0
-assert main(["ingest", "--pubs", full + "/publications.jsonl", "--journals", full + "/journals.jsonl",
-             "--authors", full + "/authors.jsonl", "--out", full]) == 0
-assert main(["analyze", "--out", full]) == 0
-listed = [json.loads(line)["path"] for line in open(full + "/manifest.txt")]
-models = [path for path in listed if path.startswith("regression/models_")]
-assert len(models) == 16, listed
-assert not any("rank deficient" in open(full + "/" + path).read() for path in models)
-assert scipy_modules() == [], ("full analyze", scipy_modules())
-
-# the probe corpus has rank-deficient designs; naming their dependent
-# columns loads no scipy either
-assert main(["analyze", "--out", out]) == 0
-assert any("rank deficient" in open(out + "/" + json.loads(line)["path"]).read()
-           for line in open(out + "/manifest.txt") if '"regression/models_' in line)
-assert scipy_modules() == [], ("rank-deficient analyze", scipy_modules())
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:  # --help
+    code = exc.code
+modules = sorted(sys.modules)
+import careerflow
+careerflow.gen_corpus  # the package still exports the synth names
+print(json.dumps({"exit": code, "modules": modules}))
 """
 
 
-def test_cli_loads_scipy_only_to_fit_models(tmp_path):
-    # a fresh interpreter: this test process has imported scipy already
+def stage_modules(argv: list[str]) -> set[str]:
+    """The modules one CLI call loads, run in a fresh interpreter (this test
+    process has imported everything already)."""
     src = str(Path(careerflow.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE, str(tmp_path / "run"), str(tmp_path / "full")],
+        [sys.executable, "-c", STAGE_PROBE, *argv],
         env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["exit"] == 0, (argv, proc.stderr)
+    return set(result["modules"])
+
+
+def test_each_stage_imports_only_its_modules(tmp_path):
+    out = tmp_path / "run"
+    stages = {
+        "help": ["--help"],
+        "synth": synth_args(out),
+        "ingest": ingest_args(out),
+        # the probe corpus has both fitted and rank-deficient models
+        "analyze": ["analyze", "--out", str(out)],
+        "report": ["report", "--out", str(out)],
+        "analyze-narrow": ["analyze", "--out", str(out), "--ptype", "P3", "--scope", "all"],
+    }
+    loaded = {}
+    for stage, argv in stages.items():
+        loaded[stage] = stage_modules(argv)
+        if stage == "analyze":
+            models = "".join(p.read_text() for p in (out / "regression").glob("models_*.tsv"))
+            assert "rank deficient" in models
+            assert any(row.split("\t")[12] for row in models.splitlines()[1:] if "p_value" not in row)
+
+    for stage in ("help", "report"):
+        assert "numpy" not in loaded[stage], stage
+    assert not loaded["synth"] & {"careerflow.pipeline", "careerflow.regression", "careerflow.mobility"}
+    for stage in ("ingest", "analyze", "analyze-narrow"):
+        assert "careerflow.synth" not in loaded[stage], stage
+    for stage, modules in loaded.items():
+        assert not any(m.split(".")[0] == "scipy" for m in modules), stage
 
 
 def test_env_var_default_out(run_dir, monkeypatch, capsys):
