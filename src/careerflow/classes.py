@@ -9,7 +9,7 @@ into the bottom class and excluded from the top class.
 from __future__ import annotations
 
 import math
-from typing import Hashable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -113,16 +113,6 @@ def assign_class_codes(values: np.ndarray) -> tuple[np.ndarray, bool]:
     codes[values <= q20] = BOTTOM
     codes[values > q80] = TOP
     return codes, False
-
-
-def assign_classes(cohort_values: dict[Hashable, float]) -> tuple[dict[Hashable, str], bool]:
-    """Map each cohort member to "top"/"middle"/"bottom"."""
-    if not cohort_values:
-        raise ValueError("cohort must be non-empty")
-    keys = sorted(cohort_values, key=lambda k: (cohort_values[k], str(k)))
-    values = np.array([cohort_values[k] for k in keys], dtype=np.float64)
-    codes, too_small = assign_class_codes(values)
-    return {k: CLASS_ORDER[c] for k, c in zip(keys, codes)}, too_small
 
 
 # ---------------------------------------------------------------------------

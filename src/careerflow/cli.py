@@ -174,13 +174,30 @@ def _read_listed(out_dir: Path, rel_path: str, digests: dict[str, str]) -> str:
     return data.decode("utf-8")
 
 
+def _manifest_digests(manifest_path: Path) -> dict[str, str]:
+    """path -> sha256 of each manifest line, in manifest order; a line that
+    is not a JSON object with string path and sha256 is a StageError."""
+    digests: dict[str, str] = {}
+    for line_no, line in enumerate(manifest_path.read_bytes().splitlines(), 1):
+        if not line:
+            continue
+        try:
+            entry = json.loads(line)
+            path, digest = entry["path"], entry["sha256"]
+        except (ValueError, KeyError, TypeError):
+            path = digest = None
+        if not (isinstance(path, str) and isinstance(digest, str)):
+            raise StageError("report", f"malformed manifest line {line_no}")
+        digests[path] = digest
+    return digests
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     out_dir = _out_dir(args)
     manifest_path = out_dir / MANIFEST_NAME
     if not manifest_path.exists():
         raise CorpusError(f"no manifest at {manifest_path} (run analyze first)")
-    entries = [json.loads(line) for line in manifest_path.read_text().splitlines() if line]
-    digests = {entry["path"]: entry["sha256"] for entry in entries}
+    digests = _manifest_digests(manifest_path)
     # preview a Sankey file of this manifest, not whatever an earlier run left
     sankey = next((path for path in digests if path.startswith("sankey/")), None)
     # verify everything before printing anything
@@ -188,9 +205,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     preview = _read_listed(out_dir, sankey, digests) if sankey is not None else None
     if gates is not None:
         print(gates.rstrip())
-    print(f"\n{len(entries)} outputs:")
-    for entry in entries:
-        print(f"  {entry['path']}")
+    print(f"\n{len(digests)} outputs:")
+    for path in digests:
+        print(f"  {path}")
     if preview is not None:
         print(f"\n{Path(sankey).name}:")
         print(preview.rstrip())

@@ -25,9 +25,10 @@ INT32_MAX = 2**31 - 1
 # analyze names output files after discipline codes, and "all" is its
 # aggregate scope, so these codes cannot name a discipline
 RESERVED_DISCIPLINES = frozenset((".", "..", "all"))
-# nor can a code with a path separator, or a control character (C0 or DEL),
-# which would also split a TSV row or line of the outputs it names
-BAD_DISCIPLINE_CHARS = re.compile(r"[/\\\x00-\x1f\x7f]")
+# nor can a code with a path separator, a control character (C0, DEL or C1)
+# or a line or paragraph separator, which would also split a TSV row or line
+# of the outputs it names (str.splitlines() breaks on NEL, U+2028 and U+2029)
+BAD_DISCIPLINE_CHARS = re.compile(r"[/\\\x00-\x1f\x7f-\x9f\u2028\u2029]")
 
 PUBLICATIONS_FILE = "publications"
 JOURNALS_FILE = "journals"

@@ -1,13 +1,14 @@
-"""Class-transition accounting, mobility rates, and SankeyMATIC export.
+"""Class-transition accounting, transition tables and SankeyMATIC export.
 
 Percentages are computed in exact integer arithmetic and rounded half away
 from zero to one decimal, reproducing the published transition tables from
-raw counts and class sizes.
+raw counts and class sizes; the mobility rates (top->top, bottom->bottom,
+jumpers-up, droppers-down) are cells of the `percent` column.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -21,10 +22,6 @@ def percent_tenths(count: int, size: int) -> int:
     if size <= 0:
         raise ValueError("class size must be positive")
     return (2000 * count + size) // (2 * size)
-
-
-def percent_1dp(count: int, size: int) -> float:
-    return percent_tenths(count, size) / 10.0
 
 
 def format_percent(count: int, size: int) -> str:
@@ -50,38 +47,9 @@ class TransitionMatrix:
     def class_sizes(self) -> np.ndarray:
         return self.counts.sum(axis=1)
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def percentages(self) -> np.ndarray:
-        """Row percentages to one decimal; NaN rows for empty classes."""
-        out = np.full((3, 3), np.nan)
-        sizes = self.class_sizes
-        for i in range(3):
-            if sizes[i] > 0:
-                for j in range(3):
-                    out[i, j] = percent_1dp(int(self.counts[i, j]), int(sizes[i]))
-        return out
-
-
-@dataclass
-class MobilityRates:
-    """The four named transition percentages; None for empty source classes."""
-
-    top_to_top: float | None
-    bottom_to_bottom: float | None
-    jumpers_up: float | None
-    droppers_down: float | None
-
 
 def transition_matrix_codes(
-    from_codes: np.ndarray,
-    to_codes: np.ndarray,
-    from_stage: str = "early",
-    to_stage: str = "mid",
-    ptype: str = "P1",
-    scope: str = "all",
+    from_codes: np.ndarray, to_codes: np.ndarray, from_stage: str, to_stage: str, ptype: str, scope: str
 ) -> TransitionMatrix:
     if from_codes.shape != to_codes.shape:
         raise ValueError("class code arrays must cover the same authors")
@@ -89,73 +57,12 @@ def transition_matrix_codes(
     return TransitionMatrix(from_stage, to_stage, ptype, scope, cells.reshape(3, 3))
 
 
-def transition_matrix(
-    classes_from: dict[Hashable, str],
-    classes_to: dict[Hashable, str],
-    from_stage: str = "early",
-    to_stage: str = "mid",
-    ptype: str = "P1",
-    scope: str = "all",
-) -> TransitionMatrix:
-    """Count class flows for an author set present in both class maps."""
-    if set(classes_from) != set(classes_to):
-        raise ValueError("class maps must cover the same author set")
-    order = {name: i for i, name in enumerate(CLASS_ORDER)}
-    keys = sorted(classes_from, key=str)
-    from_codes = np.array([order[classes_from[k]] for k in keys], dtype=np.int64)
-    to_codes = np.array([order[classes_to[k]] for k in keys], dtype=np.int64)
-    return transition_matrix_codes(from_codes, to_codes, from_stage, to_stage, ptype, scope)
-
-
-def two_stage_matrix(
-    classes_early: dict[Hashable, str],
-    classes_late: dict[Hashable, str],
-    ptype: str = "P1",
-    scope: str = "all",
-) -> TransitionMatrix:
-    return transition_matrix(classes_early, classes_late, "early", "late", ptype, scope)
-
-
-def matrix_from_counts(
-    counts: Sequence[Sequence[int]],
-    from_stage: str,
-    to_stage: str,
-    ptype: str = "P1",
-    scope: str = "all",
-) -> TransitionMatrix:
-    """Build a matrix directly from published count tables (CLASS_ORDER rows)."""
-    arr = np.asarray(counts, dtype=np.int64)
-    if arr.shape != (3, 3) or (arr < 0).any():
-        raise ValueError("counts must be a non-negative 3x3 table")
-    return TransitionMatrix(from_stage, to_stage, ptype, scope, arr)
-
-
-def mobility_rates(matrix: TransitionMatrix) -> MobilityRates:
-    sizes = matrix.class_sizes
-    top, _, bottom = 0, 1, 2
-
-    def rate(i: int, j: int) -> float | None:
-        if sizes[i] == 0:
-            return None
-        return percent_1dp(int(matrix.counts[i, j]), int(sizes[i]))
-
-    return MobilityRates(
-        top_to_top=rate(top, top),
-        bottom_to_bottom=rate(bottom, bottom),
-        jumpers_up=rate(bottom, top),
-        droppers_down=rate(top, bottom),
-    )
-
-
-def sankey_lines(
-    matrices: Sequence[TransitionMatrix], labels: dict[str, str] | None = None
-) -> list[str]:
+def sankey_lines(matrices: Sequence[TransitionMatrix]) -> list[str]:
     """SankeyMATIC flow lines, one matrix after another.
 
-    Nodes carry stage-qualified labels ("Early Top"; override per stage via
-    labels); flows are ordered top -> middle -> bottom by source then
-    target; zero-count flows are omitted. All matrices must share a ptype
-    and scope.
+    Nodes carry stage-qualified labels ("Early Top"); flows are ordered
+    top -> middle -> bottom by source then target; zero-count flows are
+    omitted. All matrices must share a ptype and scope.
     """
     if not matrices:
         return []
@@ -163,12 +70,11 @@ def sankey_lines(
     scopes = {m.scope for m in matrices}
     if len(ptypes) > 1 or len(scopes) > 1:
         raise ValueError("matrices must share a ptype and scope")
-    stage_labels = {**STAGE_LABELS, **(labels or {})}
     lines = []
     for matrix in matrices:
         sizes = matrix.class_sizes
-        from_label = stage_labels[matrix.from_stage]
-        to_label = stage_labels[matrix.to_stage]
+        from_label = STAGE_LABELS[matrix.from_stage]
+        to_label = STAGE_LABELS[matrix.to_stage]
         for i, from_class in enumerate(CLASS_ORDER):
             for j, to_class in enumerate(CLASS_ORDER):
                 count = int(matrix.counts[i, j])
@@ -182,10 +88,8 @@ def sankey_lines(
     return lines
 
 
-def sankey_export(
-    matrices: Sequence[TransitionMatrix], labels: dict[str, str] | None = None
-) -> str:
-    return "\n".join(sankey_lines(matrices, labels)) + "\n"
+def sankey_export(matrices: Sequence[TransitionMatrix]) -> str:
+    return "\n".join(sankey_lines(matrices)) + "\n"
 
 
 MATRIX_TABLE_HEADER = (
@@ -230,20 +134,3 @@ def matrix_table_rows(
             size = int(final_sizes[j])
             rows.append((last.to_stage, to_class, "", "", size, size, "100.0" if size else ""))
     return rows
-
-
-def aggregate_matrices(matrices: Sequence[TransitionMatrix], scope: str = "all") -> TransitionMatrix:
-    """Cell-wise count sum of per-discipline matrices for one stage pair."""
-    if not matrices:
-        raise ValueError("nothing to aggregate")
-    first = matrices[0]
-    counts = np.zeros((3, 3), dtype=np.int64)
-    for matrix in matrices:
-        if (matrix.from_stage, matrix.to_stage, matrix.ptype) != (
-            first.from_stage,
-            first.to_stage,
-            first.ptype,
-        ):
-            raise ValueError("matrices must share stages and ptype")
-        counts += matrix.counts
-    return TransitionMatrix(first.from_stage, first.to_stage, first.ptype, scope, counts)

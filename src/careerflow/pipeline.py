@@ -439,7 +439,7 @@ def run_analyze(
 
     try:
         loaded = load_cache(out_dir / CACHE_NAME)
-    except (CorpusError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:  # CorpusError; JSON, base64, dtype faults
         raise StageError("load-cache", str(exc)) from exc
 
     columns = loaded.columns

@@ -112,7 +112,6 @@ class Design:
     y: np.ndarray  # (n,) of {0.0, 1.0}
     names: list[str]
     n_used: int
-    rows: np.ndarray  # sample-row indices retained
 
 
 def build_design(table: PortfolioTable, class_codes: np.ndarray, spec: ModelSpec) -> Design:
@@ -174,7 +173,7 @@ def build_design(table: PortfolioTable, class_codes: np.ndarray, spec: ModelSpec
             f"constant outcome for {spec.family}/{spec.ptype}/{spec.discipline}: "
             f"every author is {'in' if y[0] else 'outside'} the {spec.outcome_class} class"
         )
-    return Design(X=X, y=y, names=list(spec.predictors), n_used=rows.shape[0], rows=rows)
+    return Design(X=X, y=y, names=list(spec.predictors), n_used=rows.shape[0])
 
 
 # ---------------------------------------------------------------------------

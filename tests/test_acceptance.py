@@ -18,8 +18,9 @@ from careerflow.classes import BOTTOM, TOP, assign_class_codes
 from careerflow.cli import main
 from careerflow.columnar import columns_from_corpus
 from careerflow.mobility import (
-    matrix_from_counts,
-    percent_1dp,
+    TransitionMatrix,
+    format_percent,
+    matrix_table_rows,
     sankey_export,
     transition_matrix_codes,
 )
@@ -44,10 +45,10 @@ def _pass(number: int, started: float, message: str) -> None:
 
 def test_criterion_01_percentage_accounting_vs_published_counts():
     t0 = time.perf_counter()
-    assert percent_1dp(36_373, 65_023) == 55.9
-    assert percent_1dp(1_057, 65_023) == 1.6
-    assert percent_1dp(39_083, 64_923) == 60.2
-    assert percent_1dp(731, 64_923) == 1.1
+    assert format_percent(36_373, 65_023) == "55.9"
+    assert format_percent(1_057, 65_023) == "1.6"
+    assert format_percent(39_083, 64_923) == "60.2"
+    assert format_percent(731, 64_923) == "1.1"
     assert time.perf_counter() - t0 < 1.0
     _pass(1, t0, "published count/size pairs reproduce 55.9 / 1.6 / 60.2 / 1.1 exactly")
 
@@ -91,8 +92,10 @@ def test_criterion_03_independence_baseline():
     )
     early, _ = assign_class_codes(sample.values[:, 0])
     mid, _ = assign_class_codes(sample.values[:, 1])
-    matrix = transition_matrix_codes(early, mid, "early", "mid")
-    pct = matrix.percentages()
+    matrix = transition_matrix_codes(early, mid, "early", "mid", "P1", "all")
+    # the percent column analyze writes, one decimal
+    rows = matrix_table_rows([matrix], final_summary=False)
+    pct = np.array([float(row[6]) for row in rows]).reshape(3, 3)
     profile = np.array([20.0, 60.0, 20.0])
     for i in range(3):
         assert np.abs(pct[i] - profile).max() <= 1.0, pct
@@ -226,11 +229,13 @@ def test_criterion_08_hash_seed_determinism(tmp_path):
 
 def test_criterion_09_sankey_golden_file():
     t0 = time.perf_counter()
-    early_mid = matrix_from_counts(
-        [[39083, 25109, 731], [24788, 142042, 27867], [1057, 27593, 36373]], "early", "mid"
+    early_mid = TransitionMatrix(
+        "early", "mid", "P1", "all",
+        np.array([[39083, 25109, 731], [24788, 142042, 27867], [1057, 27593, 36373]]),
     )
-    mid_late = matrix_from_counts(
-        [[39039, 24102, 1787], [24213, 137633, 32898], [1673, 32790, 30508]], "mid", "late"
+    mid_late = TransitionMatrix(
+        "mid", "late", "P1", "all",
+        np.array([[39039, 24102, 1787], [24213, 137633, 32898], [1673, 32790, 30508]]),
     )
     text = sankey_export([early_mid, mid_late])
     assert "Early Top [60.2] Mid Top" in text

@@ -12,7 +12,6 @@ from careerflow.classes import (
     TOP,
     annual_productivity,
     assign_class_codes,
-    assign_classes,
     assign_cohort_classes,
     publication_weight,
     stage_window,
@@ -112,30 +111,25 @@ def test_non_qualifying_docs_never_counted():
 
 
 def test_assign_distinct_one_to_ten():
-    values = {f"a{v}": float(v) for v in range(1, 11)}
-    classes, too_small = assign_classes(values)
+    codes, too_small = assign_class_codes(np.arange(1.0, 11.0))
     assert not too_small
-    assert {k for k, c in classes.items() if c == "bottom"} == {"a1", "a2"}
-    assert {k for k, c in classes.items() if c == "top"} == {"a9", "a10"}
-    assert sum(1 for c in classes.values() if c == "middle") == 6
+    assert codes.tolist() == [BOTTOM] * 2 + [MIDDLE] * 6 + [TOP] * 2
 
 
 def test_assign_ties_pulled_into_bottom():
-    raw = [0, 0, 0, 1, 2, 3, 4, 5, 6, 7]
-    classes, _ = assign_classes({f"a{i}": float(v) for i, v in enumerate(raw)})
-    bottom = [k for k, c in classes.items() if c == "bottom"]
-    assert len(bottom) == 3
+    codes, _ = assign_class_codes(np.array([0, 0, 0, 1, 2, 3, 4, 5, 6, 7], dtype=np.float64))
+    assert np.count_nonzero(codes == BOTTOM) == 3
 
 
 def test_assign_total_tie_degenerate():
-    classes, _ = assign_classes({f"a{i}": 2.5 for i in range(8)})
-    assert all(c == "bottom" for c in classes.values())
+    codes, _ = assign_class_codes(np.full(8, 2.5))
+    assert (codes == BOTTOM).all()
 
 
 def test_assign_too_small_cohort_all_middle():
-    classes, too_small = assign_classes({"a": 1.0, "b": 2.0, "c": 3.0, "d": 4.0})
+    codes, too_small = assign_class_codes(np.array([1.0, 2.0, 3.0, 4.0]))
     assert too_small
-    assert set(classes.values()) == {"middle"}
+    assert (codes == MIDDLE).all()
 
 
 @settings(max_examples=100, deadline=None)

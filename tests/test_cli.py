@@ -151,9 +151,10 @@ def test_ingest_rejects_citation_values_past_int32(run_dir, capsys, bad):
 
 @pytest.mark.parametrize(
     "code",
-    ["x/../../../esc", "\ud800", "all", "..", "a\\b", "a\x00b", "D\t01", "D\n01", "D\x1b01", "D\x7f01"],
+    ["x/../../../esc", "\ud800", "all", "..", "a\\b", "a\x00b", "D\t01", "D\n01", "D\x1b01", "D\x7f01",
+     "D\x8501", "D\u202801", "D\u202901"],
     ids=["path-escape", "lone-surrogate", "aggregate-scope", "dot-dot", "backslash", "nul",
-         "tab", "newline", "escape", "del"],
+         "tab", "newline", "escape", "del", "next-line", "line-separator", "paragraph-separator"],
 )
 def test_discipline_that_cannot_name_an_output_is_rejected(run_dir, capsys, code):
     assert main(["analyze", "--out", str(run_dir)]) == 0
@@ -301,6 +302,49 @@ def test_analyze_removes_outputs_its_manifest_does_not_list(run_dir):
     }
     assert on_disk == {p for p in listed if "/" in p}
     assert (run_dir / "corpus.cache").exists()  # only analyze's own directories are swept
+
+
+def test_corrupt_cache_payload_is_a_load_cache_error(run_dir, capsys):
+    cache = run_dir / "corpus.cache"
+    lines = cache.read_text().splitlines(keepends=True)
+    at = next(i for i, line in enumerate(lines) if line.startswith('{"kind":"array"'))
+    array = json.loads(lines[at])
+    data = array["data"]
+    # a whole number of base64 quads too short for the array; not base64 at
+    # all; a dtype numpy does not know
+    for fault in ({"data": data[: len(data) // 8 * 4]}, {"data": "not base64"}, {"dtype": "zz"}):
+        lines[at] = json.dumps({**array, **fault}, separators=(",", ":")) + "\n"
+        cache.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(["analyze", "--out", str(run_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: stage load-cache: "), captured.err
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "not json",
+        '{"sha256": "00"}',
+        '{"path": "gates.tsv"}',
+        '["gates.tsv", "00"]',
+        '{"path": 1, "sha256": "00"}',
+        '{"path": "gates\xff.tsv", "sha256": "00"}',
+    ],
+    ids=["not-json", "no-path", "no-sha256", "not-an-object", "path-not-a-string", "not-utf8"],
+)
+def test_report_refuses_a_malformed_manifest_line(run_dir, capsys, line):
+    assert main(["analyze", "--out", str(run_dir)]) == 0
+    manifest = run_dir / MANIFEST_NAME
+    with open(manifest, "ab") as fh:
+        fh.write(line.encode("latin-1") + b"\n")
+    line_no = len(manifest.read_bytes().splitlines())
+    capsys.readouterr()
+    assert main(["report", "--out", str(run_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: stage report: malformed manifest line {line_no}\n"
+    assert captured.out == ""
 
 
 def test_failed_ingest_keeps_the_previous_cache(run_dir, monkeypatch):

@@ -5,16 +5,13 @@ import numpy as np
 import pytest
 
 from careerflow.mobility import (
-    MobilityRates,
-    aggregate_matrices,
-    matrix_from_counts,
+    TransitionMatrix,
+    format_percent,
     matrix_table_rows,
-    mobility_rates,
-    percent_1dp,
+    percent_tenths,
     sankey_export,
     sankey_lines,
-    transition_matrix,
-    two_stage_matrix,
+    transition_matrix_codes,
 )
 
 GOLDEN = Path(__file__).parent / "data" / "sankey_golden.txt"
@@ -33,67 +30,79 @@ MID_LATE_COUNTS = [
 ]
 
 
+def published(counts, from_stage, to_stage, ptype="P1") -> TransitionMatrix:
+    return TransitionMatrix(from_stage, to_stage, ptype, "all", np.array(counts, dtype=np.int64))
+
+
+def percent_cells(matrix: TransitionMatrix) -> dict[tuple[str, str], str]:
+    """(from_class, to_class) -> the percent cell analyze writes for it."""
+    return {(r[1], r[3]): r[6] for r in matrix_table_rows([matrix], final_summary=False)}
+
+
 def test_published_percentage_accounting():
-    assert percent_1dp(36373, 65023) == 55.9
-    assert percent_1dp(1057, 65023) == 1.6
-    assert percent_1dp(39083, 64923) == 60.2
-    assert percent_1dp(731, 64923) == 1.1
+    assert format_percent(36373, 65023) == "55.9"
+    assert format_percent(1057, 65023) == "1.6"
+    assert format_percent(39083, 64923) == "60.2"
+    assert format_percent(731, 64923) == "1.1"
 
 
 def test_percent_rounds_half_away_from_zero():
-    assert percent_1dp(1, 8) == 12.5
-    assert percent_1dp(1, 16) == 6.3  # 6.25 rounds up, not to even
-    assert percent_1dp(3, 16) == 18.8  # 18.75 rounds up
-    assert percent_1dp(0, 7) == 0.0
-    assert percent_1dp(7, 7) == 100.0
+    assert format_percent(1, 8) == "12.5"
+    assert format_percent(1, 16) == "6.3"  # 6.25 rounds up, not to even
+    assert format_percent(3, 16) == "18.8"  # 18.75 rounds up
+    assert format_percent(0, 7) == "0.0"
+    assert format_percent(7, 7) == "100.0"
 
 
 def test_published_matrix_rates():
-    matrix = matrix_from_counts(EARLY_MID_COUNTS, "early", "mid")
+    matrix = published(EARLY_MID_COUNTS, "early", "mid")
     assert matrix.class_sizes.tolist() == [64923, 194697, 65023]
-    rates = mobility_rates(matrix)
-    assert rates == MobilityRates(60.2, 55.9, 1.6, 1.1)
+    cells = percent_cells(matrix)
+    assert cells["top", "top"] == "60.2"
+    assert cells["bottom", "bottom"] == "55.9"
+    assert cells["bottom", "top"] == "1.6"  # jumpers-up
+    assert cells["top", "bottom"] == "1.1"  # droppers-down
 
 
 def test_identity_class_maps_give_diagonal_matrix():
-    classes = {f"a{i}": c for i, c in enumerate(["top", "middle", "bottom"] * 4)}
-    matrix = transition_matrix(classes, classes)
+    codes = np.array([0, 1, 2] * 4, dtype=np.int8)
+    matrix = transition_matrix_codes(codes, codes, "early", "mid", "P1", "all")
     assert np.count_nonzero(matrix.counts - np.diag(np.diag(matrix.counts))) == 0
-    rates = mobility_rates(matrix)
-    assert (rates.top_to_top, rates.bottom_to_bottom) == (100.0, 100.0)
-    assert (rates.jumpers_up, rates.droppers_down) == (0.0, 0.0)
+    cells = percent_cells(matrix)
+    assert (cells["top", "top"], cells["bottom", "bottom"]) == ("100.0", "100.0")
+    assert (cells["bottom", "top"], cells["top", "bottom"]) == ("0.0", "0.0")
 
 
 def test_six_author_fixture_matches_brute_force():
-    classes_from = {
-        "a": "top", "b": "top", "c": "middle", "d": "middle", "e": "bottom", "f": "bottom",
-    }
-    classes_to = {
-        "a": "top", "b": "bottom", "c": "middle", "d": "top", "e": "bottom", "f": "top",
-    }
-    matrix = transition_matrix(classes_from, classes_to)
+    classes_from = [0, 0, 1, 1, 2, 2]
+    classes_to = [0, 2, 1, 0, 2, 0]
+    matrix = transition_matrix_codes(
+        np.array(classes_from, dtype=np.int8), np.array(classes_to, dtype=np.int8),
+        "early", "mid", "P1", "all",
+    )
     # independent enumeration over all six authors
-    order = {"top": 0, "middle": 1, "bottom": 2}
-    expected = Counter((order[classes_from[k]], order[classes_to[k]]) for k in classes_from)
+    expected = Counter(zip(classes_from, classes_to))
     for i in range(3):
         for j in range(3):
             assert matrix.counts[i, j] == expected.get((i, j), 0)
-    assert matrix.total == 6
+    assert matrix.counts.sum() == 6
 
 
 def test_mismatched_author_sets_fatal():
     with pytest.raises(ValueError):
-        transition_matrix({"a": "top"}, {"b": "top"})
+        transition_matrix_codes(
+            np.zeros(3, dtype=np.int8), np.zeros(4, dtype=np.int8), "early", "mid", "P1", "all"
+        )
 
 
 def test_empty_from_class_rate_is_absent_not_zero():
-    classes_from = {f"a{i}": "middle" for i in range(6)}
-    classes_to = {f"a{i}": "top" for i in range(6)}
-    rates = mobility_rates(transition_matrix(classes_from, classes_to))
-    assert rates.top_to_top is None
-    assert rates.bottom_to_bottom is None
-    assert rates.jumpers_up is None
-    assert rates.droppers_down is None
+    matrix = transition_matrix_codes(
+        np.ones(6, dtype=np.int8), np.zeros(6, dtype=np.int8), "early", "mid", "P1", "all"
+    )
+    cells = percent_cells(matrix)
+    for from_class in ("top", "bottom"):
+        assert [cells[from_class, to] for to in ("top", "middle", "bottom")] == ["", "", ""]
+    assert cells["middle", "top"] == "100.0"
 
 
 def test_two_stage_published_numbers():
@@ -102,51 +111,51 @@ def test_two_stage_published_numbers():
         [31568, 126275, 36854],
         [4473, 36402, 24148],
     ]
-    matrix = matrix_from_counts(counts, "early", "late")
-    assert percent_1dp(24148, 65023) == 37.1  # bottom -> bottom
-    assert percent_1dp(28884, 64923) == 44.5  # top -> top
-    rates = mobility_rates(matrix)
-    assert rates.bottom_to_bottom == 37.1
-    assert rates.top_to_top == 44.5
+    assert format_percent(24148, 65023) == "37.1"  # bottom -> bottom
+    assert format_percent(28884, 64923) == "44.5"  # top -> top
+    cells = percent_cells(published(counts, "early", "late"))
+    assert cells["bottom", "bottom"] == "37.1"
+    assert cells["top", "top"] == "44.5"
 
 
-def test_two_stage_matrix_wrapper_stages():
-    classes = {f"a{i}": c for i, c in enumerate(["top", "middle", "bottom"] * 3)}
-    matrix = two_stage_matrix(classes, classes)
-    assert (matrix.from_stage, matrix.to_stage) == ("early", "late")
+def test_scope_matrices_stage_pairs():
+    from careerflow.pipeline import scope_matrices
+
+    codes = np.zeros((9, 3, 4), dtype=np.int8)
+    matrices = scope_matrices(codes, np.ones(9, dtype=bool), "P3", "all")
+    assert [(m.from_stage, m.to_stage) for m in matrices] == [
+        ("early", "mid"), ("mid", "late"), ("early", "late")
+    ]
+    assert {(m.ptype, m.scope) for m in matrices} == {("P3", "all")}
 
 
 def test_row_accounting_and_percent_sum():
     rng = np.random.default_rng(8)
     for _ in range(25):
-        names = ["top", "middle", "bottom"]
         n = int(rng.integers(30, 400))
-        cf = {f"a{i}": names[rng.integers(3)] for i in range(n)}
-        ct = {f"a{i}": names[rng.integers(3)] for i in range(n)}
-        matrix = transition_matrix(cf, ct)
-        assert (matrix.counts.sum(axis=1) == matrix.class_sizes).all()
-        assert matrix.total == n
-        pct = matrix.percentages()
+        cf = rng.integers(0, 3, size=n).astype(np.int8)
+        ct = rng.integers(0, 3, size=n).astype(np.int8)
+        matrix = transition_matrix_codes(cf, ct, "early", "mid", "P1", "all")
+        assert matrix.class_sizes.tolist() == np.bincount(cf, minlength=3).tolist()
+        assert matrix.counts.sum() == n
+        rows = matrix_table_rows([matrix], final_summary=False)
         for i in range(3):
             if matrix.class_sizes[i] > 0:
-                assert abs(pct[i].sum() - 100.0) <= 0.1 + 1e-9
+                row_pct = [float(row[6]) for row in rows[3 * i : 3 * i + 3]]
+                assert abs(sum(row_pct) - 100.0) <= 0.1 + 1e-9
 
 
 def test_aggregating_disciplines_equals_combined():
     rng = np.random.default_rng(15)
-    names = ["top", "middle", "bottom"]
-    per_disc = []
-    all_from: dict[str, str] = {}
-    all_to: dict[str, str] = {}
-    for d in range(4):
-        cf = {f"d{d}a{i}": names[rng.integers(3)] for i in range(50)}
-        ct = {k: names[rng.integers(3)] for k in cf}
-        per_disc.append(transition_matrix(cf, ct, scope=f"D{d}"))
-        all_from.update(cf)
-        all_to.update(ct)
-    combined = transition_matrix(all_from, all_to)
-    aggregated = aggregate_matrices(per_disc)
-    assert (aggregated.counts == combined.counts).all()
+    cf = rng.integers(0, 3, size=200).astype(np.int8)
+    ct = rng.integers(0, 3, size=200).astype(np.int8)
+    discs = np.repeat(np.arange(4), 50)
+    per_disc = [
+        transition_matrix_codes(cf[discs == d], ct[discs == d], "early", "mid", "P1", f"D{d}")
+        for d in range(4)
+    ]
+    combined = transition_matrix_codes(cf, ct, "early", "mid", "P1", "all")
+    assert (sum(m.counts for m in per_disc) == combined.counts).all()
 
 
 # ---------------------------------------------------------------------------
@@ -154,16 +163,15 @@ def test_aggregating_disciplines_equals_combined():
 
 
 def test_sankey_top_row_lines():
-    matrix = matrix_from_counts(EARLY_MID_COUNTS, "early", "mid")
-    lines = sankey_lines([matrix])
+    lines = sankey_lines([published(EARLY_MID_COUNTS, "early", "mid")])
     assert lines[0] == "Early Top [60.2] Mid Top"
     assert lines[1] == "Early Top [38.7] Mid Middle"
     assert lines[2] == "Early Top [1.1] Mid Bottom"
 
 
 def test_sankey_identity_three_lines_at_100():
-    classes = {f"a{i}": c for i, c in enumerate(["top", "middle", "bottom"] * 2)}
-    lines = sankey_lines([transition_matrix(classes, classes)])
+    codes = np.array([0, 1, 2] * 2, dtype=np.int8)
+    lines = sankey_lines([transition_matrix_codes(codes, codes, "early", "mid", "P1", "all")])
     assert lines == [
         "Early Top [100.0] Mid Top",
         "Early Middle [100.0] Mid Middle",
@@ -173,32 +181,28 @@ def test_sankey_identity_three_lines_at_100():
 
 def test_sankey_zero_flows_omitted():
     counts = [[5, 0, 0], [0, 5, 0], [2, 0, 3]]
-    lines = sankey_lines([matrix_from_counts(counts, "early", "mid")])
+    lines = sankey_lines([published(counts, "early", "mid")])
     assert len(lines) == 4
     assert "Early Bottom [40.0] Mid Top" in lines
 
 
 def test_sankey_golden_file_byte_exact():
-    early_mid = matrix_from_counts(EARLY_MID_COUNTS, "early", "mid")
-    mid_late = matrix_from_counts(MID_LATE_COUNTS, "mid", "late")
+    early_mid = published(EARLY_MID_COUNTS, "early", "mid")
+    mid_late = published(MID_LATE_COUNTS, "mid", "late")
     assert sankey_export([early_mid, mid_late]) == GOLDEN.read_text(encoding="utf-8")
-
-
-def test_sankey_custom_stage_labels():
-    matrix = matrix_from_counts(EARLY_MID_COUNTS, "early", "mid")
-    lines = sankey_lines([matrix], labels={"early": "Years 5-14", "mid": "Years 15-24"})
-    assert lines[0] == "Years 5-14 Top [60.2] Years 15-24 Top"
 
 
 def test_jumpers_bounded_by_bottom_row():
     rng = np.random.default_rng(77)
-    names = ["top", "middle", "bottom"]
     for _ in range(20):
-        cf = {f"a{i}": names[rng.integers(3)] for i in range(60)}
-        ct = {f"a{i}": names[rng.integers(3)] for i in range(60)}
-        rates = mobility_rates(transition_matrix(cf, ct))
-        if rates.bottom_to_bottom is not None:
-            assert rates.jumpers_up <= 100.0 - rates.bottom_to_bottom + 0.1
+        cf = rng.integers(0, 3, size=60).astype(np.int8)
+        ct = rng.integers(0, 3, size=60).astype(np.int8)
+        matrix = transition_matrix_codes(cf, ct, "early", "mid", "P1", "all")
+        bottom = int(matrix.class_sizes[2])
+        if bottom:
+            jumpers_up = percent_tenths(int(matrix.counts[2, 0]), bottom)
+            bottom_to_bottom = percent_tenths(int(matrix.counts[2, 2]), bottom)
+            assert jumpers_up <= 1000 - bottom_to_bottom + 1
 
 
 def test_pipeline_scope_matrices_aggregate_to_all():
@@ -212,20 +216,19 @@ def test_pipeline_scope_matrices_aggregate_to_all():
     combined = scope_matrices(codes, all_mask, "P2", "all")
     per_disc = [scope_matrices(codes, discs == d, "P2", d) for d in ("D0", "D1", "D2")]
     for k in range(3):  # early->mid, mid->late, early->late
-        agg = aggregate_matrices([m[k] for m in per_disc])
-        assert (agg.counts == combined[k].counts).all()
+        assert (sum(m[k].counts for m in per_disc) == combined[k].counts).all()
 
 
 def test_sankey_requires_shared_ptype_and_scope():
-    a = matrix_from_counts(EARLY_MID_COUNTS, "early", "mid", ptype="P1")
-    b = matrix_from_counts(MID_LATE_COUNTS, "mid", "late", ptype="P2")
+    a = published(EARLY_MID_COUNTS, "early", "mid", ptype="P1")
+    b = published(MID_LATE_COUNTS, "mid", "late", ptype="P2")
     with pytest.raises(ValueError):
         sankey_lines([a, b])
 
 
 def test_matrix_table_rows_structure():
-    early_mid = matrix_from_counts(EARLY_MID_COUNTS, "early", "mid")
-    mid_late = matrix_from_counts(MID_LATE_COUNTS, "mid", "late")
+    early_mid = published(EARLY_MID_COUNTS, "early", "mid")
+    mid_late = published(MID_LATE_COUNTS, "mid", "late")
     rows = matrix_table_rows([early_mid, mid_late])
     assert len(rows) == 9 + 9 + 3
     assert rows[0] == ("early", "top", "mid", "top", 39083, 64923, "60.2")
