@@ -172,6 +172,15 @@ def stage_productivity(columns: CorpusColumns) -> tuple[np.ndarray, int]:
     return sums / lengths[None, :, None], uncovered
 
 
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """np.unique(values) for a 1-d array, in numpy core: numpy 2.4's np.unique
+    imports numpy.ma, which analyze otherwise never loads."""
+    ordered = np.sort(values)
+    first = np.ones(ordered.shape[0], dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return ordered[first]
+
+
 def assign_cohort_classes(
     discipline_idx: np.ndarray, productivity: np.ndarray
 ) -> tuple[np.ndarray, list[tuple[int, str, str]]]:
@@ -185,7 +194,7 @@ def assign_cohort_classes(
     n = discipline_idx.shape[0]
     codes = np.full((n, 3, 4), MIDDLE, dtype=np.int8)
     too_small: list[tuple[int, str, str]] = []
-    for disc in np.unique(discipline_idx):
+    for disc in sorted_unique(discipline_idx):
         members = np.flatnonzero(discipline_idx == disc)
         for s, stage in enumerate(STAGES):
             for t, ptype in enumerate(PRODUCTIVITY_TYPES):

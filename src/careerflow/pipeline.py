@@ -23,6 +23,7 @@ from .classes import (
     PRODUCTIVITY_TYPES,
     STAGES,
     assign_cohort_classes,
+    sorted_unique,
 )
 from .columnar import GENDER_NAMES, ColumnsBuilder, CorpusColumns, dump_columns, load_columns
 from .corpus import (
@@ -44,7 +45,7 @@ from .mobility import (
     transition_matrix_codes,
 )
 from .portfolio import PortfolioTable, derive_portfolios
-from .regression import ModelOutcome, default_spec, grid_rows, run_model, sig_label
+from .regression import ModelOutcome, default_spec, grid_rows, run_models, sig_label
 
 CACHE_VERSION = 1
 CACHE_NAME = "corpus.cache"
@@ -432,7 +433,7 @@ def run_analyze(
     ptypes: list[str] | None = None,
     scopes: list[str] | None = None,
 ) -> AnalyzeResult:
-    ptypes = list(ptypes) if ptypes else list(PRODUCTIVITY_TYPES)
+    ptypes = list(dict.fromkeys(ptypes)) if ptypes else list(PRODUCTIVITY_TYPES)
     for ptype in ptypes:
         if ptype not in PRODUCTIVITY_TYPES:
             raise CorpusError(f"unknown ptype {ptype!r}")
@@ -457,7 +458,7 @@ def run_analyze(
         raise StageError("classes", str(exc)) from exc
 
     sample_discs = sorted(
-        {columns.disc_vocab[d] for d in np.unique(table.discipline_idx) if d >= 0}
+        {columns.disc_vocab[d] for d in sorted_unique(table.discipline_idx) if d >= 0}
     )
     if scopes:
         unknown = [s for s in scopes if s != "all" and s not in sample_discs]
@@ -510,7 +511,7 @@ def run_analyze(
             for ptype in ptypes:
                 for disc in model_disciplines:
                     jobs.append(default_spec(outcome_class, target_stage, ptype, disc))
-        results = [run_model(table, codes, spec) for spec in jobs]
+        results = run_models(table, codes, jobs)
         by_family: dict[tuple[str, str], list[ModelOutcome]] = {}
         for outcome in results:
             by_family.setdefault((outcome.spec.family, outcome.spec.ptype), []).append(outcome)

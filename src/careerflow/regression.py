@@ -311,9 +311,16 @@ class FitResult:
         }
 
 
-def _loglik(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> float:
-    eta = X @ beta
-    return float(np.sum(y * eta) - np.sum(np.logaddexp(0.0, eta)))
+def _loglik(Xd: np.ndarray, y: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Log-likelihood of each member of a stack: Xd (B, n, k), y (B, n),
+    beta (B, k)."""
+    eta = (Xd @ beta[:, :, None])[:, :, 0]
+    return np.sum(y * eta, axis=1) - np.sum(np.logaddexp(0.0, eta), axis=1)
+
+
+def _probabilities(Xd: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    eta = (Xd @ beta[:, :, None])[:, :, 0]
+    return 1.0 / (1.0 + np.exp(-np.clip(eta, -500, 500)))
 
 
 def _dependent_columns(X: np.ndarray, names: list[str]) -> list[str]:
@@ -328,6 +335,29 @@ def _dependent_columns(X: np.ndarray, names: list[str]) -> list[str]:
         else:
             dependent.append(name)
     return dependent
+
+
+def _intercept_design(
+    X: np.ndarray, y: np.ndarray, names: list[str] | None
+) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Check one design and prepend its intercept column; raises DesignError."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if X.ndim != 2 or X.shape[0] != y.shape[0]:
+        raise DesignError("X must be (n, k) aligned with y")
+    if not np.isin(y, (0.0, 1.0)).all():
+        raise DesignError("outcome must be coded {0, 1}")
+    if y.min() == y.max():
+        raise DesignError("constant outcome")
+    n, k = X.shape
+    names = list(names) if names is not None else [f"x{i}" for i in range(k)]
+    if len(names) != k:
+        raise DesignError("one name per predictor column required")
+    full_names = ["intercept"] + names
+    Xd = np.column_stack([np.ones(n), X])
+    if np.linalg.matrix_rank(Xd) < k + 1:
+        raise RankDeficiencyError(_dependent_columns(Xd, full_names))
+    return Xd, y, full_names
 
 
 def fit_logistic(
@@ -346,86 +376,120 @@ def fit_logistic(
     from the inverse observed information; p-values are two-sided Wald tests.
     An intercept column is prepended automatically.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] != y.shape[0]:
-        raise DesignError("X must be (n, k) aligned with y")
-    if not np.isin(y, (0.0, 1.0)).all():
-        raise DesignError("outcome must be coded {0, 1}")
-    if y.min() == y.max():
-        raise DesignError("constant outcome")
-    n, k = X.shape
-    names = list(names) if names is not None else [f"x{i}" for i in range(k)]
-    if len(names) != k:
-        raise DesignError("one name per predictor column required")
-    full_names = ["intercept"] + names
-    Xd = np.column_stack([np.ones(n), X])
+    Xd, y, full_names = _intercept_design(X, y, names)
+    fit = _fit_stack(Xd[None], y[None], [full_names], max_iter, score_tol, ll_tol, separation_bound)[0]
+    if isinstance(fit, SeparationError):
+        raise fit
+    return fit
 
-    if np.linalg.matrix_rank(Xd) < k + 1:
-        raise RankDeficiencyError(_dependent_columns(Xd, full_names))
 
-    beta = np.zeros(k + 1)
+def _fit_stack(
+    Xd: np.ndarray,
+    y: np.ndarray,
+    names: list[list[str]],
+    max_iter: int = 100,
+    score_tol: float = 1e-8,
+    ll_tol: float = 1e-10,
+    separation_bound: float = 30.0,
+) -> list[FitResult | SeparationError]:
+    """fit_logistic's Newton loop over a stack of designs of one shape: Xd
+    (B, n, k) with the intercept column first, y (B, n), one name list each.
+
+    Each member keeps its own beta, log-likelihood, step halving and
+    iteration count, and leaves at its own exit: score convergence, the
+    log-likelihood test, the separation bound, a singular information matrix
+    or max_iter. numpy runs a stacked matmul one (n, k) slice at a time and a
+    stacked solve or inverse one LAPACK call per matrix, and the sums run
+    along the last axis, so each member gets the same bits as a stack of
+    one. Returns a FitResult or a SeparationError per member, in stack order.
+    """
+    n_models, n, k = Xd.shape
+    beta = np.zeros((n_models, k))
     ll = _loglik(Xd, y, beta)
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        eta = Xd @ beta
-        p = 1.0 / (1.0 + np.exp(-np.clip(eta, -500, 500)))
-        score = Xd.T @ (y - p)
-        if np.max(np.abs(score)) < score_tol:
-            converged = True
+    converged = np.zeros(n_models, dtype=bool)
+    iterations = np.zeros(n_models, dtype=np.int64)
+    errors: dict[int, SeparationError] = {}
+
+    def separation(i: int, b: np.ndarray) -> SeparationError:
+        worst = int(np.argmax(np.abs(b)))
+        return SeparationError(names[i][worst], float(np.abs(b[worst])))
+
+    active = np.arange(n_models)  # the members still iterating
+    Xa, ya = Xd, y
+    for iteration in range(1, max_iter + 1):
+        if active.size == 0:
             break
+        iterations[active] = iteration
+        b, ll_a = beta[active], ll[active]
+        XaT = Xa.transpose(0, 2, 1)
+        p = _probabilities(Xa, b)
+        score = XaT @ (ya - p)[:, :, None]
+        # the members that take a step this iteration
+        moving = ~(np.max(np.abs(score[:, :, 0]), axis=1) < score_tol)
+        converged[active[~moving]] = True
         w = p * (1.0 - p)
-        info = Xd.T @ (Xd * w[:, None])
+        info = XaT @ (Xa * w[:, :, None])
         try:
-            step = np.linalg.solve(info, score)
+            step = np.linalg.solve(info, score)[:, :, 0]
         except np.linalg.LinAlgError:
-            worst = int(np.argmax(np.abs(beta)))
-            raise SeparationError(full_names[worst], float(np.abs(beta[worst]))) from None
-        # halve the step until the log-likelihood stops decreasing
+            # some information matrix is singular: solve member by member
+            step = np.zeros_like(b)
+            for j in np.flatnonzero(moving):
+                try:
+                    step[j] = np.linalg.solve(info[j], score[j])[:, 0]
+                except np.linalg.LinAlgError:
+                    errors[int(active[j])] = separation(active[j], b[j])
+                    moving[j] = False
+        candidate = b + step
+        new_ll = _loglik(Xa, ya, candidate)
+        # halve a member's step until its log-likelihood stops decreasing;
+        # the members still short all started at 1, so they share the scale
+        short = np.flatnonzero(moving & ~(new_ll >= ll_a - 1e-12))
         scale = 1.0
-        new_ll = -np.inf
-        candidate = beta
-        while scale >= 2.0**-12:
-            candidate = beta + scale * step
-            new_ll = _loglik(Xd, y, candidate)
-            if new_ll >= ll - 1e-12:
-                break
+        while short.size and scale > 2.0**-12:
             scale /= 2.0
-        beta = candidate
-        if np.max(np.abs(beta)) > separation_bound:
-            worst = int(np.argmax(np.abs(beta)))
-            raise SeparationError(full_names[worst], float(np.abs(beta[worst])))
-        if abs(new_ll - ll) < ll_tol * (abs(ll) + 1.0):
-            ll = new_ll
-            converged = True
-            break
-        ll = new_ll
+            candidate[short] = b[short] + scale * step[short]
+            new_ll[short] = _loglik(Xa[short], ya[short], candidate[short])
+            short = short[~(new_ll[short] >= ll_a[short] - 1e-12)]
+        separated = moving & (np.max(np.abs(candidate), axis=1) > separation_bound)
+        for j in np.flatnonzero(separated):
+            errors[int(active[j])] = separation(active[j], candidate[j])
+        done = moving & ~separated & (np.abs(new_ll - ll_a) < ll_tol * (np.abs(ll_a) + 1.0))
+        converged[active[done]] = True
+        beta[active[moving]] = candidate[moving]
+        ll[active[moving]] = new_ll[moving]
+        keep = moving & ~separated & ~done
+        if not keep.all():
+            active, Xa, ya = active[keep], Xa[keep], ya[keep]
 
-    eta = Xd @ beta
-    p = 1.0 / (1.0 + np.exp(-np.clip(eta, -500, 500)))
+    results: list[FitResult | SeparationError] = [errors.get(i) for i in range(n_models)]
+    fitted = [i for i in range(n_models) if i not in errors]
+    if not fitted:
+        return results
+    Xf, yf, bf = Xd[fitted], y[fitted], beta[fitted]
+    p = _probabilities(Xf, bf)
     w = p * (1.0 - p)
-    info = Xd.T @ (Xd * w[:, None])
-    cov = np.linalg.inv(info)
-    se = np.sqrt(np.diag(cov))
-    z = np.divide(beta, se, out=np.zeros_like(beta), where=se > 0)
-    # scipy.stats.norm.sf(x) is ndtr(-x); the port gives the same bits
-    # without importing scipy into every analyze
-    p_values = np.array([2.0 * _ndtr(-abs(v)) for v in z.tolist()])
-
-    p_bar = y.mean()
-    null_ll = n * (p_bar * math.log(p_bar) + (1.0 - p_bar) * math.log(1.0 - p_bar))
-    return FitResult(
-        names=full_names,
-        coef=beta,
-        se=se,
-        p_values=p_values,
-        loglik=_loglik(Xd, y, beta),
-        null_loglik=null_ll,
-        n_used=n,
-        converged=converged,
-        iterations=iterations,
-    )
+    cov = np.linalg.inv(Xf.transpose(0, 2, 1) @ (Xf * w[:, :, None]))
+    se = np.sqrt(np.diagonal(cov, axis1=1, axis2=2))
+    z = np.divide(bf, se, out=np.zeros_like(bf), where=se > 0)
+    loglik = _loglik(Xf, yf, bf)
+    for j, i in enumerate(fitted):
+        p_bar = yf[j].mean()
+        null_ll = n * (p_bar * math.log(p_bar) + (1.0 - p_bar) * math.log(1.0 - p_bar))
+        results[i] = FitResult(
+            names=names[i],
+            coef=bf[j],
+            se=se[j],
+            # scipy.stats.norm.sf(x) is ndtr(-x); the port gives the same bits
+            # without importing scipy into every analyze
+            p_values=np.array([2.0 * _ndtr(-abs(v)) for v in z[j].tolist()]),
+            loglik=float(loglik[j]),
+            null_loglik=null_ll,
+            n_used=n,
+            converged=bool(converged[i]),
+            iterations=int(iterations[i]),
+        )
+    return results
 
 
 def nagelkerke_r2(loglik: float, null_loglik: float, n: int) -> float:
@@ -471,19 +535,49 @@ class ModelOutcome:
     error: str | None = None
 
 
-def run_model(table: PortfolioTable, class_codes: np.ndarray, spec: ModelSpec) -> ModelOutcome:
-    """Fit one model, returning errors as marked outcomes instead of raising."""
-    try:
-        design = build_design(table, class_codes, spec)
-        fit = fit_logistic(design.X, design.y, design.names)
-        vif = (
-            collinearity_diagonal(design.X, design.names)
-            if design.X.shape[1] >= 2
-            else None
-        )
-        return ModelOutcome(spec=spec, fit=fit, vif=vif)
-    except DesignError as exc:
-        return ModelOutcome(spec=spec, error=str(exc))
+def run_models(
+    table: PortfolioTable, class_codes: np.ndarray, specs: list[ModelSpec]
+) -> list[ModelOutcome]:
+    """Fit the models of *specs*, returning errors as marked outcomes instead
+    of raising; outcomes come in spec order.
+
+    The specs of one discipline and target stage are fitted together, their
+    designs of one shape as one stack: the default specs of a group (top and
+    bottom, every ptype) share their rows and predictors, so they form one
+    stack of 8. A group's designs are dropped before the next is built.
+    """
+    outcomes = [ModelOutcome(spec=spec) for spec in specs]
+    groups: dict[tuple[str, str], list[int]] = {}
+    for i, spec in enumerate(specs):
+        groups.setdefault((spec.discipline, spec.target_stage), []).append(i)
+    for group in groups.values():
+        stacks: dict[tuple[int, ...], list[tuple]] = {}  # design shape -> members
+        for i in group:
+            try:
+                design = build_design(table, class_codes, specs[i])
+                Xd, y, names = _intercept_design(design.X, design.y, design.names)
+            except DesignError as exc:
+                outcomes[i].error = str(exc)
+                continue
+            stacks.setdefault(Xd.shape, []).append((i, design, Xd, y, names))
+        for members in stacks.values():
+            index, designs, Xds, ys, name_lists = zip(*members)
+            fits = _fit_stack(np.stack(Xds), np.stack(ys), list(name_lists))
+            for i, design, fit in zip(index, designs, fits):
+                if isinstance(fit, SeparationError):
+                    outcomes[i].error = str(fit)
+                    continue
+                try:
+                    vif = (
+                        collinearity_diagonal(design.X, design.names)
+                        if design.X.shape[1] >= 2
+                        else None
+                    )
+                except DesignError as exc:
+                    outcomes[i].error = str(exc)
+                    continue
+                outcomes[i].fit, outcomes[i].vif = fit, vif
+    return outcomes
 
 
 def sig_label(p: float) -> str:

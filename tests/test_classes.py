@@ -17,7 +17,7 @@ from careerflow.classes import (
     stage_window,
 )
 from careerflow.columnar import columns_from_corpus
-from careerflow.classes import stage_productivity
+from careerflow.classes import sorted_unique, stage_productivity
 from careerflow.corpus import JournalRecord
 from careerflow.synth import CohortConfig, CorpusConfig, gen_corpus
 
@@ -215,3 +215,11 @@ def test_stage_windows_cover_publishing_years():
 def test_class_order_constant():
     assert CLASS_ORDER == ("top", "middle", "bottom")
     assert (TOP, MIDDLE, BOTTOM) == (0, 1, 2)
+
+
+@pytest.mark.parametrize("values", [[], [3], [2, -1, 2, 0, -1, 7, 3], list(range(5, -2, -1)) * 3])
+def test_sorted_unique_matches_np_unique(values):
+    values = np.array(values, dtype=np.int32)
+    got = sorted_unique(values)
+    assert got.dtype == values.dtype
+    assert np.array_equal(got, np.unique(values))

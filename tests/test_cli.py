@@ -347,6 +347,19 @@ def test_report_refuses_a_malformed_manifest_line(run_dir, capsys, line):
     assert captured.out == ""
 
 
+def test_repeated_ptype_writes_what_one_ptype_writes(run_dir):
+    def outputs():
+        manifest = (run_dir / MANIFEST_NAME).read_text()
+        paths = [json.loads(line)["path"] for line in manifest.splitlines()]
+        return manifest, {path: (run_dir / path).read_bytes() for path in paths}
+
+    assert main(["analyze", "--out", str(run_dir), "--ptype", "P1", "--scope", "D00"]) == 0
+    once = outputs()
+    assert "regression/models_top_mid_P1.tsv" in once[1]
+    assert main(["analyze", "--out", str(run_dir), "--ptype", "P1", "--ptype", "P1", "--scope", "D00"]) == 0
+    assert outputs() == once
+
+
 def test_failed_ingest_keeps_the_previous_cache(run_dir, monkeypatch):
     cache = run_dir / "corpus.cache"
     before = cache.read_bytes()
@@ -423,6 +436,9 @@ def test_each_stage_imports_only_its_modules(tmp_path):
     assert not loaded["synth"] & {"careerflow.pipeline", "careerflow.regression", "careerflow.mobility"}
     for stage in ("ingest", "analyze", "analyze-narrow"):
         assert "careerflow.synth" not in loaded[stage], stage
+    for stage in ("analyze", "analyze-narrow"):
+        # np.unique imports numpy.ma in numpy 2.4
+        assert "numpy.ma" not in loaded[stage], stage
     for stage, modules in loaded.items():
         assert not any(m.split(".")[0] == "scipy" for m in modules), stage
 

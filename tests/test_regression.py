@@ -12,6 +12,8 @@ from careerflow.regression import (
     RankDeficiencyError,
     SeparationError,
     SingularCorrelationError,
+    _fit_stack,
+    _intercept_design,
     _ndtr,
     build_design,
     collinearity_diagonal,
@@ -19,9 +21,10 @@ from careerflow.regression import (
     fit_logistic,
     grid_rows,
     nagelkerke_r2,
-    run_model,
+    run_models,
     sig_label,
 )
+from careerflow import regression
 from careerflow.synth import CohortConfig, CorpusConfig, gen_corpus
 
 from conftest import make_corpus, make_pub
@@ -321,15 +324,15 @@ def test_constant_outcome_in_design_fatal():
 def test_run_model_marks_errors_instead_of_raising():
     table = _tiny_table()
     codes = np.full((6, 3, 4), TOP, dtype=np.int8)
-    outcome = run_model(table, codes, ModelSpec("top", "mid", ("male", "prior_class"), "P1", "MED"))
+    [outcome] = run_models(table, codes, [ModelSpec("top", "mid", ("male", "prior_class"), "P1", "MED")])
     assert outcome.fit is None
     assert "constant outcome" in outcome.error
 
 
-def test_end_to_end_model_on_synthetic_corpus():
+def _synthetic_table_and_codes(n_disciplines=1):
     corpus = gen_corpus(
         CorpusConfig(
-            cohort=CohortConfig(n_authors=400, n_disciplines=1, persistence=0.7, seed=29),
+            cohort=CohortConfig(n_authors=400, n_disciplines=n_disciplines, persistence=0.7, seed=29),
             gender_unknown_prob=0.0,
         )
     )
@@ -338,7 +341,12 @@ def test_end_to_end_model_on_synthetic_corpus():
     from careerflow.classes import assign_cohort_classes
 
     codes, _ = assign_cohort_classes(table.discipline_idx, table.productivity)
-    outcome = run_model(table, codes, default_spec("top", "mid", "P1", "D00"))
+    return table, codes
+
+
+def test_end_to_end_model_on_synthetic_corpus():
+    table, codes = _synthetic_table_and_codes()
+    [outcome] = run_models(table, codes, [default_spec("top", "mid", "P1", "D00")])
     assert outcome.error is None
     assert outcome.fit.converged
     assert outcome.fit.n_used > 300
@@ -346,6 +354,141 @@ def test_end_to_end_model_on_synthetic_corpus():
     assert all(v >= 1.0 - 1e-9 for v in outcome.vif.values())
     # persistence makes the prior-class odds ratio exceed 1
     assert outcome.fit.by_name("prior_class")["odds_ratio"] > 1.0
+
+
+def assert_same_fit(a, b):
+    assert a.names == b.names
+    for field in ("coef", "se", "p_values"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+    assert (a.loglik, a.null_loglik, a.iterations, a.converged) == (
+        b.loglik,
+        b.null_loglik,
+        b.iterations,
+        b.converged,
+    )
+
+
+def test_run_models_equals_its_one_spec_calls():
+    table, codes = _synthetic_table_and_codes(n_disciplines=3)
+    specs = [
+        default_spec(side, stage, ptype, disc)
+        for side in ("top", "bottom")
+        for stage in ("mid", "late")
+        for ptype in ("P1", "P2", "P3", "P4")
+        for disc in ("D00", "D01", "D02", "D99")
+    ]
+    stacked = run_models(table, codes, specs)
+    assert [o.spec for o in stacked] == specs
+    errors = " ".join(o.error for o in stacked if o.error)
+    assert sum(o.fit is not None for o in stacked) >= 24
+    assert "perfect separation" in errors and "unknown discipline" in errors
+    for spec, outcome in zip(specs, stacked):
+        [alone] = run_models(table, codes, [spec])
+        assert outcome.error == alone.error
+        assert outcome.vif == alone.vif
+        assert (outcome.fit is None) == (alone.fit is None)
+        if outcome.fit is not None:
+            assert_same_fit(outcome.fit, alone.fit)
+
+
+# Designs of one shape (18 rows, 2 predictors) whose fits leave the Newton
+# loop by every exit; fitted with max_iter=16.
+_HALVING = np.array([
+    [1.6, -2.1, 0], [-0.9, 0.4, 0], [2.6, 6.0, 1], [-1.1, -2.8, 0], [5.5, 1.1, 1],
+    [-0.8, -6.4, 0], [3.2, 2.6, 1], [2.3, 0.7, 1], [-1.1, -5.7, 0], [-0.5, 5.4, 1],
+    [1.5, 3.3, 1], [-3.5, 0.5, 0], [-4.8, 0.8, 1], [-5.2, 0.6, 0], [8.6, -5.3, 0],
+    [0.3, 0.6, 1], [-42.1, 4.8, 0],
+])
+_MIRRORED = np.array([[1, 2], [2, -1], [-1, 3], [0, 1], [3, 0], [-2, -2], [1, -3], [2, 2], [-3, 1]], float)
+_MAX_ITER = 16
+
+
+def _logistic_draw(seed):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((18, 2))
+    y = (rng.random(18) < 1.0 / (1.0 + np.exp(-(X @ [2.0, 2.0])))).astype(float)
+    return X, y
+
+
+def _exit_members():
+    # a column equal to u except on four rows, by +-2^-30 with zero sum and
+    # zero inner product with u: full rank, but the rounded information
+    # matrix has two equal rows, so LAPACK meets an exactly zero pivot
+    u = np.array([1, 2, 3, 4, 1, 2, 3, 4, 5, 1, 2, 3, 4, 5, 2, 3, 4, 5], float)
+    z = np.zeros(18)
+    z[:4] = [1, -1, -1, 1]
+    a = np.linspace(-1.0, 1.0, 18) + 0.05
+    return {
+        # y splits each design row evenly, so the score is 0 at beta = 0
+        "score": (np.vstack([_MIRRORED, _MIRRORED]), np.repeat([1.0, 0.0], 9)),
+        "fast": _logistic_draw(54),
+        "slower": _logistic_draw(0),
+        # both halve at iteration 6, one step to 1/4, the other to 1/2
+        "halving_twice": (np.vstack([_HALVING[:, :2], [1.0, 1.0]]), np.append(_HALVING[:, 2], 1.0)),
+        "halving_once": (np.vstack([_HALVING[:, :2], [2.0, 2.0]]), np.append(_HALVING[:, 2], 1.0)),
+        "separated": (np.column_stack([a, np.cos(7 * a)]), (a > 0).astype(float)),
+        "singular": (np.column_stack([u, u + 2.0**-30 * z]), np.tile([0.0, 1.0], 9)),
+        "out_of_iterations": _logistic_draw(2053),
+    }
+
+
+def _lone(X, y):
+    try:
+        return fit_logistic(X, y, ["a", "b"], max_iter=_MAX_ITER)
+    except SeparationError as exc:
+        return str(exc)
+
+
+def test_exit_members_reach_their_exits(monkeypatch):
+    loglik_calls = []
+    counted = regression._loglik
+
+    def counting(*args):
+        loglik_calls.append(1)
+        return counted(*args)
+
+    monkeypatch.setattr(regression, "_loglik", counting)
+    lone = {}
+    halvings = {}
+    for name, (X, y) in _exit_members().items():
+        loglik_calls.clear()
+        lone[name] = _lone(X, y)
+        if not isinstance(lone[name], str):
+            # one call at the start, one per iteration, one per halving, one at the end
+            halvings[name] = len(loglik_calls) - lone[name].iterations - 2
+    assert lone["score"].iterations == 1 and lone["score"].converged
+    assert not lone["score"].coef.any()
+    assert lone["fast"].converged and lone["slower"].converged
+    assert lone["fast"].iterations < lone["slower"].iterations < lone["halving_once"].iterations
+    assert lone["halving_once"].converged and lone["halving_twice"].converged
+    assert halvings["halving_twice"] > halvings["halving_once"] > 0
+    assert halvings["fast"] == halvings["slower"] == 0
+    bound = float(lone["separated"].split("past ")[1].split(";")[0])
+    assert bound > 30.0
+    assert "for intercept diverged past 0.0;" in lone["singular"]
+    assert not lone["out_of_iterations"].converged
+    assert lone["out_of_iterations"].iterations == _MAX_ITER
+
+
+@pytest.mark.parametrize("order", ["forward", "reversed"])
+def test_stacked_fit_equals_lone_fits(order):
+    members = list(_exit_members().items())
+    if order == "reversed":
+        members.reverse()
+    designs = [_intercept_design(X, y, ["a", "b"]) for _, (X, y) in members]
+    stacked = _fit_stack(
+        np.stack([Xd for Xd, _, _ in designs]),
+        np.stack([y for _, y, _ in designs]),
+        [names for _, _, names in designs],
+        max_iter=_MAX_ITER,
+    )
+    for (name, (X, y)), result in zip(members, stacked):
+        lone = _lone(X, y)
+        if isinstance(lone, str):
+            assert isinstance(result, SeparationError), name
+            assert str(result) == lone, name
+        else:
+            assert_same_fit(result, lone)
 
 
 # ---------------------------------------------------------------------------
