@@ -97,7 +97,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
     merged = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            merged = json.load(fh)
+            try:
+                merged = json.load(fh)
+            except (ValueError, RecursionError) as exc:  # invalid JSON or UTF-8, deep nesting
+                raise CorpusError(f"config {args.config}: {exc}") from None
+        if not isinstance(merged, dict):
+            raise CorpusError(f"config {args.config}: not a JSON object")
     flags = {
         "n_authors": args.authors_n,
         "n_disciplines": args.disciplines_n,

@@ -310,9 +310,9 @@ def portfolio_lines(table: PortfolioTable) -> Iterator[str]:
             "median_team_size": round(float(table.team_median[row]), 6),
             "mean_fwci4y": round(fwci, 6) if math.isfinite(fwci) else None,
             "ajpr_by_stage": {
-                stage: round(float(table.ajpr_stage[row, s]), 6)
-                for s, stage in enumerate(STAGES)
-                if math.isfinite(table.ajpr_stage[row, s])
+                stage: round(value, 6)
+                for stage, value in zip(STAGES, table.ajpr_stage[row].tolist())
+                if math.isfinite(value)
             },
         }
         yield json.dumps(obj, separators=(",", ":"))
@@ -320,17 +320,21 @@ def portfolio_lines(table: PortfolioTable) -> Iterator[str]:
 
 def class_dump_lines(table: PortfolioTable, codes: np.ndarray) -> Iterator[str]:
     cols = table.columns
+    cells = [
+        f'"stage":"{stage}","ptype":"{ptype}","value":'
+        for stage in STAGES
+        for ptype in PRODUCTIVITY_TYPES
+    ]
     for row in range(table.n_sample):
         author = json.dumps(cols.author_ids[int(table.sample_idx[row])])
-        disc = json.dumps(cols.disc_vocab[table.discipline_idx[row]] if table.discipline_idx[row] >= 0 else None)
-        for s, stage in enumerate(STAGES):
-            for t, ptype in enumerate(PRODUCTIVITY_TYPES):
-                value = table.productivity[row, s, t]
-                cls = CLASS_ORDER[codes[row, s, t]]
-                yield (
-                    f'{{"author_id":{author},"discipline":{disc},"stage":"{stage}",'
-                    f'"ptype":"{ptype}","value":{value:.6f},"class":"{cls}"}}'
-                )
+        disc_idx = int(table.discipline_idx[row])
+        disc = json.dumps(cols.disc_vocab[disc_idx] if disc_idx >= 0 else None)
+        head = f'{{"author_id":{author},"discipline":{disc},'
+        # one conversion per row: indexing a numpy array per cell costs more
+        # than formatting the cell
+        values, classes = table.productivity[row].ravel().tolist(), codes[row].ravel().tolist()
+        for cell, value, cls in zip(cells, values, classes):
+            yield f'{head}{cell}{value:.6f},"class":"{CLASS_ORDER[cls]}"}}'
 
 
 def scope_matrices(
@@ -374,16 +378,20 @@ def models_table(outcomes: list[ModelOutcome]) -> str:
             rows.append((disc, "", "", "", "", "", "", "", "", "", "", "", "", "", outcome.error))
             continue
         fit = outcome.fit
+        coef, se, p_values = fit.coef.tolist(), fit.se.tolist(), fit.p_values.tolist()
+        odds_ratios, fit_ci_low, fit_ci_high = (
+            fit.odds_ratios.tolist(), fit.ci_low.tolist(), fit.ci_high.tolist()
+        )
         for i, name in enumerate(fit.names):
             if name == "intercept":
                 # Wald bounds for the intercept are reported on the log-odds
                 # scale; exponentiated bounds would be misleading here.
-                ci_low = fit.coef[i] - 1.96 * fit.se[i]
-                ci_high = fit.coef[i] + 1.96 * fit.se[i]
+                ci_low = coef[i] - 1.96 * se[i]
+                ci_high = coef[i] + 1.96 * se[i]
                 scale = "log_odds"
             else:
-                ci_low = fit.ci_low[i]
-                ci_high = fit.ci_high[i]
+                ci_low = fit_ci_low[i]
+                ci_high = fit_ci_high[i]
                 scale = "odds_ratio"
             rows.append(
                 (
@@ -393,13 +401,13 @@ def models_table(outcomes: list[ModelOutcome]) -> str:
                     str(fit.converged).lower(),
                     fit.iterations,
                     name,
-                    f"{fit.coef[i]:.6f}",
-                    f"{fit.se[i]:.6f}",
-                    f"{fit.odds_ratios[i]:.6f}",
+                    f"{coef[i]:.6f}",
+                    f"{se[i]:.6f}",
+                    f"{odds_ratios[i]:.6f}",
                     f"{ci_low:.6f}",
                     f"{ci_high:.6f}",
-                    sig_label(float(fit.p_values[i])),
-                    f"{fit.p_values[i]:.6g}",
+                    sig_label(p_values[i]),
+                    f"{p_values[i]:.6g}",
                     scale,
                     "",
                 )

@@ -115,32 +115,45 @@ class Design:
 
 
 def build_design(table: PortfolioTable, class_codes: np.ndarray, spec: ModelSpec) -> Design:
-    """Assemble the predictor matrix and outcome vector for one model.
+    """Assemble the predictor matrix and outcome vector for one model: a
+    stack of one of the designs run_models builds."""
+    Xd, y, [error] = _design_stack(table, class_codes, [spec])
+    if error is not None:
+        raise error
+    return Design(X=Xd[0, :, 1:], y=y[0], names=list(spec.predictors), n_used=y.shape[1])
 
-    Rows are sample authors in the spec's discipline scope with every
-    required predictor defined; indicator predictors are coded {0, 1} and
-    continuous predictors enter unstandardized.
+
+def _design_stack(
+    table: PortfolioTable, class_codes: np.ndarray, specs: list[ModelSpec]
+) -> tuple[np.ndarray, np.ndarray, list[DesignError | None]]:
+    """Build the designs of specs that share discipline, target stage and
+    predictors as one stack: Xd (B, n, k+1) with the intercept column first,
+    y (B, n), and per member the DesignError of its build or None.
+
+    Rows are sample authors in the discipline scope with every required
+    predictor defined; indicator predictors are coded {0, 1} and continuous
+    predictors enter unstandardized. The members share their rows and every
+    column but prior_class, which, like the outcome, depends on the member's
+    outcome class and ptype.
     """
+    spec = specs[0]
+    n_models, k = len(specs), len(spec.predictors)
     cols = table.columns
-    stage_idx = {s: i for i, s in enumerate(STAGES)}
-    class_idx = {c: i for i, c in enumerate(CLASS_ORDER)}
-    t_idx = stage_idx[spec.target_stage]
-    p_idx = stage_idx[spec.prior_stage]
-    pt = PRODUCTIVITY_TYPES.index(spec.ptype)
-    side = class_idx[spec.outcome_class]
+    t_idx = STAGES.index(spec.target_stage)
+
+    def failed(messages: list[str]) -> tuple[np.ndarray, np.ndarray, list[DesignError | None]]:
+        errors: list[DesignError | None] = [DesignError(message) for message in messages]
+        return np.empty((n_models, 0, k + 1)), np.empty((n_models, 0)), errors
 
     if spec.discipline == "all":
-        in_scope = np.ones(table.n_sample, dtype=bool)
+        usable = np.ones(table.n_sample, dtype=bool)
+    elif spec.discipline in cols.disc_vocab:
+        usable = table.discipline_idx == cols.disc_vocab.index(spec.discipline)
     else:
-        try:
-            disc = cols.disc_vocab.index(spec.discipline)
-        except ValueError:
-            raise DesignError(f"unknown discipline {spec.discipline!r}") from None
-        in_scope = table.discipline_idx == disc
+        return failed([f"unknown discipline {spec.discipline!r}"] * n_models)
 
     gender = cols.gender_code[table.sample_idx]
     columns: dict[str, np.ndarray] = {}
-    usable = in_scope.copy()
     for name in spec.predictors:
         if name == "male":
             values = np.where(gender == GENDER_MALE, 1.0, 0.0)
@@ -158,22 +171,34 @@ def build_design(table: PortfolioTable, class_codes: np.ndarray, spec: ModelSpec
             values = table.team_median
             usable &= np.isfinite(values)
         elif name == "top200":
-            values = table.top200.astype(np.float64)
-        else:  # prior_class
-            values = (class_codes[:, p_idx, pt] == side).astype(np.float64)
+            values = table.top200
+        else:  # prior_class: one column per member
+            continue
         columns[name] = values
 
     rows = np.flatnonzero(usable)
     if rows.shape[0] == 0:
-        raise DesignError(f"no usable rows for {spec.family}/{spec.ptype}/{spec.discipline}")
-    X = np.column_stack([columns[name][rows] for name in spec.predictors])
-    y = (class_codes[rows, t_idx, pt] == side).astype(np.float64)
-    if y.min() == y.max():
-        raise DesignError(
-            f"constant outcome for {spec.family}/{spec.ptype}/{spec.discipline}: "
-            f"every author is {'in' if y[0] else 'outside'} the {spec.outcome_class} class"
+        return failed([f"no usable rows for {s.family}/{s.ptype}/{s.discipline}" for s in specs])
+    # (n, stage, member) class codes and each member's class code
+    member_codes = class_codes[rows][:, :, [PRODUCTIVITY_TYPES.index(s.ptype) for s in specs]]
+    sides = np.array([CLASS_ORDER.index(s.outcome_class) for s in specs])
+    Xd = np.empty((n_models, rows.shape[0], k + 1))
+    Xd[:, :, 0] = 1.0
+    for j, name in enumerate(spec.predictors, 1):
+        if name == "prior_class":
+            Xd[:, :, j] = (member_codes[:, STAGES.index(spec.prior_stage)] == sides).T
+        else:
+            Xd[:, :, j] = columns[name][rows]
+    y = np.ascontiguousarray((member_codes[:, t_idx] == sides).T, dtype=np.float64)
+
+    errors: list[DesignError | None] = [None] * n_models
+    for b in np.flatnonzero(y.min(axis=1) == y.max(axis=1)).tolist():
+        s = specs[b]
+        errors[b] = DesignError(
+            f"constant outcome for {s.family}/{s.ptype}/{s.discipline}: "
+            f"every author is {'in' if y[b, 0] else 'outside'} the {s.outcome_class} class"
         )
-    return Design(X=X, y=y, names=list(spec.predictors), n_used=rows.shape[0])
+    return Xd, y, errors
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +362,17 @@ def _dependent_columns(X: np.ndarray, names: list[str]) -> list[str]:
     return dependent
 
 
+def _rank_errors(Xd: np.ndarray, names: list[str]) -> list[RankDeficiencyError | None]:
+    """One stacked rank check over designs Xd (B, n, k) whose columns share
+    *names*: per member a RankDeficiencyError naming its dependent columns,
+    or None at full rank. numpy takes the SVD one matrix at a time, so a
+    member gets the rank it gets alone."""
+    return [
+        RankDeficiencyError(_dependent_columns(X, names)) if rank < Xd.shape[2] else None
+        for X, rank in zip(Xd, np.linalg.matrix_rank(Xd).tolist())
+    ]
+
+
 def _intercept_design(
     X: np.ndarray, y: np.ndarray, names: list[str] | None
 ) -> tuple[np.ndarray, np.ndarray, list[str]]:
@@ -355,8 +391,9 @@ def _intercept_design(
         raise DesignError("one name per predictor column required")
     full_names = ["intercept"] + names
     Xd = np.column_stack([np.ones(n), X])
-    if np.linalg.matrix_rank(Xd) < k + 1:
-        raise RankDeficiencyError(_dependent_columns(Xd, full_names))
+    [error] = _rank_errors(Xd[None], full_names)
+    if error is not None:
+        raise error
     return Xd, y, full_names
 
 
@@ -506,21 +543,62 @@ def collinearity_diagonal(X: np.ndarray, names: list[str]) -> dict[str, float]:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] < 2:
         raise DesignError("need at least two predictor columns")
-    stds = X.std(axis=0)
-    for i, s in enumerate(stds):
-        if s == 0.0:
-            raise DesignError(f"constant predictor column: {names[i]}")
-    corr = np.corrcoef(X, rowvar=False)
-    k = corr.shape[0]
-    for i in range(k):
-        for j in range(i + 1, k):
-            if abs(corr[i, j]) > 0.999:
-                raise SingularCorrelationError((names[i], names[j]), float(corr[i, j]))
+    [vif] = _vif_stack(X[None], list(names))
+    if isinstance(vif, DesignError):
+        raise vif
+    return vif
+
+
+def _vif_stack(X: np.ndarray, names: list[str]) -> list[dict[str, float] | DesignError]:
+    """collinearity_diagonal over a stack X (B, n, k) whose columns share
+    *names*: per member its VIFs or the DesignError it raises, in stack order.
+
+    The correlation matrices take np.corrcoef's steps in its order (column
+    means, the centred X^T X, the 1/(n-1) scale, both divisions by the
+    standard deviations, the clip), and numpy runs the stacked matmul and
+    inverse one matrix at a time, so each member gets the bits that
+    np.corrcoef and np.linalg.inv give it alone.
+    """
+    n_models, n, k = X.shape
+    results: list = [None] * n_models
+    constant = X.std(axis=1) == 0.0
+    for b in np.flatnonzero(constant.any(axis=1)).tolist():
+        results[b] = DesignError(f"constant predictor column: {names[int(np.argmax(constant[b]))]}")
+    varying = np.flatnonzero(~constant.any(axis=1))
+    Xc = X[varying]
+    Xc -= Xc.mean(axis=1, keepdims=True)
+    corr = Xc.transpose(0, 2, 1) @ Xc
+    corr *= np.true_divide(1, n - 1)
+    stddev = np.sqrt(np.diagonal(corr, axis1=1, axis2=2))
+    corr /= stddev[:, :, None]
+    corr /= stddev[:, None, :]
+    np.clip(corr, -1, 1, out=corr)
+
+    # the first pair past 0.999 in (i, j) order
+    upper_i, upper_j = np.triu_indices(k, 1)
+    high = np.abs(corr[:, upper_i, upper_j]) > 0.999
+    for m in np.flatnonzero(high.any(axis=1)).tolist():
+        pair = int(np.argmax(high[m]))
+        i, j = upper_i[pair], upper_j[pair]
+        results[varying[m]] = SingularCorrelationError((names[i], names[j]), float(corr[m, i, j]))
+    invertible = np.flatnonzero(~high.any(axis=1))
     try:
-        inverse = np.linalg.inv(corr)
+        diagonals = list(np.diagonal(np.linalg.inv(corr[invertible]), axis1=1, axis2=2))
     except np.linalg.LinAlgError:
-        raise SingularCorrelationError((names[0], names[-1]), 1.0) from None
-    return {name: float(inverse[i, i]) for i, name in enumerate(names)}
+        # some correlation matrix is singular: invert member by member
+        diagonals = []
+        for c in corr[invertible]:
+            try:
+                diagonals.append(np.diagonal(np.linalg.inv(c)))
+            except np.linalg.LinAlgError:
+                diagonals.append(None)
+    for m, diagonal in zip(invertible.tolist(), diagonals):
+        results[varying[m]] = (
+            SingularCorrelationError((names[0], names[-1]), 1.0)
+            if diagonal is None
+            else dict(zip(names, diagonal.tolist()))
+        )
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -541,42 +619,53 @@ def run_models(
     """Fit the models of *specs*, returning errors as marked outcomes instead
     of raising; outcomes come in spec order.
 
-    The specs of one discipline and target stage are fitted together, their
-    designs of one shape as one stack: the default specs of a group (top and
-    bottom, every ptype) share their rows and predictors, so they form one
-    stack of 8. A group's designs are dropped before the next is built.
+    The specs that share discipline, target stage and predictors form a
+    group, built, checked and fitted as one stack: the default specs of a
+    discipline and target stage (top and bottom, every ptype) form one group
+    of 8. A group's designs are dropped before the next is built.
     """
-    outcomes = [ModelOutcome(spec=spec) for spec in specs]
-    groups: dict[tuple[str, str], list[int]] = {}
+    outcomes: list = [None] * len(specs)
+    groups: dict[tuple, list[int]] = {}
     for i, spec in enumerate(specs):
-        groups.setdefault((spec.discipline, spec.target_stage), []).append(i)
+        groups.setdefault((spec.discipline, spec.target_stage, spec.predictors), []).append(i)
     for group in groups.values():
-        stacks: dict[tuple[int, ...], list[tuple]] = {}  # design shape -> members
-        for i in group:
-            try:
-                design = build_design(table, class_codes, specs[i])
-                Xd, y, names = _intercept_design(design.X, design.y, design.names)
-            except DesignError as exc:
-                outcomes[i].error = str(exc)
-                continue
-            stacks.setdefault(Xd.shape, []).append((i, design, Xd, y, names))
-        for members in stacks.values():
-            index, designs, Xds, ys, name_lists = zip(*members)
-            fits = _fit_stack(np.stack(Xds), np.stack(ys), list(name_lists))
-            for i, design, fit in zip(index, designs, fits):
-                if isinstance(fit, SeparationError):
-                    outcomes[i].error = str(fit)
-                    continue
-                try:
-                    vif = (
-                        collinearity_diagonal(design.X, design.names)
-                        if design.X.shape[1] >= 2
-                        else None
-                    )
-                except DesignError as exc:
-                    outcomes[i].error = str(exc)
-                    continue
-                outcomes[i].fit, outcomes[i].vif = fit, vif
+        for i, outcome in zip(group, _fit_group(table, class_codes, [specs[i] for i in group])):
+            outcomes[i] = outcome
+    return outcomes
+
+
+def _fit_group(
+    table: PortfolioTable, class_codes: np.ndarray, specs: list[ModelSpec]
+) -> list[ModelOutcome]:
+    """The outcomes of one group of run_models. A member's first error wins,
+    in the order build, rank, separation, VIF; each later check runs, as one
+    stack, on the members that passed the earlier ones."""
+    Xd, y, errors = _design_stack(table, class_codes, specs)
+    names = ["intercept", *specs[0].predictors]
+    outcomes = [ModelOutcome(spec=spec) for spec in specs]
+
+    def passing() -> list[int]:
+        return [b for b, error in enumerate(errors) if error is None]
+
+    members = passing()
+    if members:  # else the build failed every member
+        for b, error in zip(members, _rank_errors(Xd[members], names)):
+            errors[b] = error
+        members = passing()
+        fits = dict(zip(members, _fit_stack(Xd[members], y[members], [names] * len(members))))
+        for b, fit in fits.items():
+            if isinstance(fit, SeparationError):
+                errors[b] = fit
+        members = passing()
+        vifs = _vif_stack(Xd[members, :, 1:], names[1:]) if len(names) > 2 else [None] * len(members)
+        for b, vif in zip(members, vifs):
+            if isinstance(vif, DesignError):
+                errors[b] = vif
+            else:
+                outcomes[b].fit, outcomes[b].vif = fits[b], vif
+    for outcome, error in zip(outcomes, errors):
+        if error is not None:
+            outcome.error = str(error)
     return outcomes
 
 

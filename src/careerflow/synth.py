@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field, replace
-from typing import Iterator, TextIO
+from dataclasses import dataclass, field, fields
+from typing import Iterator, TextIO, get_type_hints
 
 import numpy as np
 
@@ -45,6 +45,8 @@ class CohortConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.n_disciplines < 1:
+            raise CorpusError(f"need n_disciplines >= 1, got {self.n_disciplines}")
         if self.n_authors < 5 * self.n_disciplines:
             raise CorpusError("need n_authors >= 5 * n_disciplines")
         if not 0.0 <= self.persistence <= 1.0:
@@ -444,11 +446,19 @@ def calibrate_persistence(
 
 
 def config_from_mapping(obj: dict) -> CorpusConfig:
-    """Declarative config: flat JSON keys for CohortConfig and CorpusConfig."""
-    cohort_keys = {"n_authors", "n_disciplines", "persistence", "ability_spread", "noise_scale", "seed"}
-    cohort = CohortConfig(**{k: obj[k] for k in cohort_keys if k in obj})
-    rest = {k: v for k, v in obj.items() if k not in cohort_keys}
-    unknown = set(rest) - {f.name for f in CorpusConfig.__dataclass_fields__.values()}
+    """Declarative config: flat JSON keys for CohortConfig and CorpusConfig.
+    An integer field takes an int, a real field an int or a float; a bool is
+    neither."""
+    types = {**get_type_hints(CohortConfig), **get_type_hints(CorpusConfig)}
+    del types["cohort"]
+    unknown = set(obj) - set(types)
     if unknown:
         raise CorpusError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    return replace(CorpusConfig(cohort=cohort), **rest)
+    for key, value in obj.items():
+        allowed = (int,) if types[key] is int else (int, float)
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            kind = "an integer" if types[key] is int else "a number"
+            raise CorpusError(f"config key {key} must be {kind}, got {type(value).__name__}")
+    cohort_keys = {f.name for f in fields(CohortConfig)}
+    cohort = CohortConfig(**{k: v for k, v in obj.items() if k in cohort_keys})
+    return CorpusConfig(cohort=cohort, **{k: v for k, v in obj.items() if k not in cohort_keys})

@@ -78,6 +78,49 @@ def test_synth_careers_before_min_year_exit_2_without_writing(tmp_path, capsys):
     assert not (out / "publications.jsonl").exists()
 
 
+@pytest.mark.parametrize("how", ["flag 0", "flag -1", "config 0"])
+def test_synth_fewer_than_one_discipline_exit_2_without_writing(tmp_path, capsys, how):
+    out = tmp_path / "x"
+    source, count = how.split()
+    if source == "flag":
+        argv = ["synth", "--out", str(out), "--authors-n", "20", "--disciplines-n", count]
+    else:
+        path = tmp_path / "synth.json"
+        path.write_text(json.dumps({"n_authors": 20, "n_disciplines": int(count)}))
+        argv = ["synth", "--out", str(out), "--config", str(path)]
+    assert main(argv) == 2
+    assert f"need n_disciplines >= 1, got {count}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param("{bad", ": Expecting property name", id="invalid-json"),
+        pytest.param("[1,2]", ": not a JSON object", id="non-object"),
+        pytest.param("[" * 100_000, ": maximum recursion depth exceeded", id="deep-nesting"),
+        pytest.param('{"n_authors": "x"}', "n_authors must be an integer, got str", id="int-str"),
+        pytest.param('{"n_authors": 20.5}', "n_authors must be an integer, got float", id="int-float"),
+        pytest.param('{"n_authors": true}', "n_authors must be an integer, got bool", id="int-bool"),
+        pytest.param(
+            '{"n_authors": 20, "persistence": "0.5"}', "persistence must be a number, got str", id="real-str"
+        ),
+        pytest.param(
+            '{"n_authors": 20, "persistence": false}', "persistence must be a number, got bool", id="real-bool"
+        ),
+    ],
+)
+def test_synth_malformed_config_exit_2_without_writing(tmp_path, capsys, text, message):
+    path = tmp_path / "synth.json"
+    path.write_text(text)
+    out = tmp_path / "x"
+    assert main(["synth", "--out", str(out), "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {path}: " if message.startswith(":") else "error: config key ")
+    assert message in err
+    assert not out.exists()
+
+
 def test_ingest_missing_journals_exits_2(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(synth_args(out)) == 0

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from careerflow.classes import BOTTOM, MIDDLE, TOP
+from careerflow.classes import BOTTOM, MIDDLE, PRODUCTIVITY_TYPES, TOP
 from careerflow.columnar import columns_from_corpus
 from careerflow.portfolio import derive_portfolios
 from careerflow.regression import (
@@ -17,6 +17,7 @@ from careerflow.regression import (
     _ndtr,
     build_design,
     collinearity_diagonal,
+    default_predictors,
     default_spec,
     fit_logistic,
     grid_rows,
@@ -389,6 +390,135 @@ def test_run_models_equals_its_one_spec_calls():
         assert (outcome.fit is None) == (alone.fit is None)
         if outcome.fit is not None:
             assert_same_fit(outcome.fit, alone.fit)
+
+
+def _assert_same_outcome(outcome, alone):
+    assert outcome.error == alone.error
+    assert outcome.vif == alone.vif
+    assert (outcome.fit is None) == (alone.fit is None)
+    if outcome.fit is not None:
+        assert_same_fit(outcome.fit, alone.fit)
+
+
+def test_run_models_custom_predictor_tuples_equal_their_one_spec_calls():
+    table, codes = _synthetic_table_and_codes(n_disciplines=2)
+    tuples = {
+        "mid": [("male", "prior_class"), ("prior_class",), ("mean_fwci4y", "ajpr", "median_team_size"),
+                ("prior_class", "male", "intl_collab_rate")],
+        "late": [("top200", "prior_class"), ("male", "ajpr", "top200"), ("ajpr",)],
+    }
+    specs = [
+        ModelSpec(side, stage, predictors, ptype, disc)
+        for disc in ("D00", "all", "D01")
+        for ptype in ("P1", "P3")
+        for stage in ("mid", "late")
+        for predictors in tuples[stage] + [default_predictors(stage)]
+        for side in ("top", "bottom")
+    ]
+    stacked = run_models(table, codes, specs)
+    assert [o.spec for o in stacked] == specs
+    assert sum(o.fit is not None and o.vif is None for o in stacked) >= 4  # one-predictor models
+    assert sum(o.vif is not None for o in stacked) >= 40
+    for spec, outcome in zip(specs, stacked):
+        [alone] = run_models(table, codes, [spec])
+        _assert_same_outcome(outcome, alone)
+
+
+def test_rank_deficient_middle_member_keeps_its_error_and_its_neighbours_fits():
+    table, codes = _synthetic_table_and_codes()
+    codes = codes.copy()
+    codes[:, 0, 2] = MIDDLE  # no P3 early-stage top class: P3's top prior_class is all 0
+    specs = [default_spec("top", "mid", ptype, "D00") for ptype in PRODUCTIVITY_TYPES]
+    # P4's outcome is constant, on the side opposite to P1's first row
+    p1_first = build_design(table, codes, specs[0]).y[0]
+    codes[:, 1, 3] = MIDDLE if p1_first else TOP
+    outcomes = run_models(table, codes, specs)
+    assert outcomes[2].fit is None
+    assert outcomes[2].error == "design is rank deficient; dependent columns: prior_class"
+    assert outcomes[3].error == (
+        f"constant outcome for top_mid/P4/D00: every author is {'outside' if p1_first else 'in'} the top class"
+    )
+    for spec, outcome in zip(specs, outcomes):
+        [alone] = run_models(table, codes, [spec])
+        _assert_same_outcome(outcome, alone)
+        if outcome.error and "constant" in outcome.error:
+            continue
+        # the lone fit of the same design gives the same bits and the same error
+        design = build_design(table, codes, spec)
+        try:
+            lone = fit_logistic(design.X, design.y, design.names)
+        except RankDeficiencyError as exc:
+            assert str(exc) == outcome.error
+        else:
+            assert_same_fit(outcome.fit, lone)
+            assert outcome.vif == collinearity_diagonal(design.X, design.names)
+
+
+# Three-column designs of five rows, one per VIF outcome. "singular" is
+# exact: its correlation matrix is [[1, .5, .5], [.5, 1, -.5], [.5, -.5, 1]]
+# up to rounding that leaves LAPACK an exactly zero pivot, with no pair past
+# 0.999.
+def _vif_members():
+    rng = np.random.default_rng(41)
+    a, b = np.array([-2.0, -1, 0, 1, 2]), np.array([-2.0, 0, 2, -1, 1])
+    constant = rng.standard_normal((5, 3))
+    constant[:, 1:] = [2.5, -1.0]  # the first constant column is named
+    pair = rng.standard_normal((5, 3))
+    pair[:, 2] = 3.0 * pair[:, 1] - 1.0
+    return {
+        "good": rng.standard_normal((5, 3)),
+        "constant": constant,
+        "pair": pair,
+        "singular": np.column_stack([a, b, a - b]),
+        "good_too": rng.standard_normal((5, 3)),
+    }
+
+
+def _vif_alone(X, names):
+    try:
+        return collinearity_diagonal(X, names)
+    except DesignError as exc:
+        return str(exc)
+
+
+def _assert_same_vif(result, alone, X):
+    assert isinstance(result, dict) and list(result) == list(alone)
+    assert np.array_equal(list(result.values()), list(alone.values()))
+    # the bits of np.corrcoef and np.linalg.inv
+    assert np.array_equal(list(alone.values()), np.diagonal(np.linalg.inv(np.corrcoef(X, rowvar=False))))
+
+
+@pytest.mark.parametrize("order", ["forward", "reversed"])
+def test_vif_stack_equals_lone_collinearity_diagonal(order):
+    names = ["a", "b", "c"]
+    members = list(_vif_members().items())
+    if order == "reversed":
+        members.reverse()
+    stacked = regression._vif_stack(np.stack([X for _, X in members]), names)
+    alone = {name: _vif_alone(X, names) for name, X in members}
+    assert alone["constant"] == "constant predictor column: b"
+    assert alone["pair"] == "predictor correlation matrix is singular: |r(b, c)| = 1.0000"
+    assert alone["singular"] == "predictor correlation matrix is singular: |r(a, c)| = 1.0000"
+    for (name, X), result in zip(members, stacked):
+        if isinstance(alone[name], str):
+            assert isinstance(result, DesignError) and str(result) == alone[name], name
+        else:
+            _assert_same_vif(result, alone[name], X)
+
+
+def test_vif_stack_names_the_first_pair_past_the_bound():
+    rng = np.random.default_rng(43)
+    p, q, noise = rng.standard_normal((3, 60))
+    X = np.column_stack([p, q, q + 1e-6 * noise, p + 0.02 * noise])
+    corr = np.corrcoef(X, rowvar=False)
+    # (0, 3) comes first in (i, j) order; (1, 2) is the closer pair
+    assert 0.999 < abs(corr[0, 3]) < abs(corr[1, 2])
+    names = ["p", "q", "q_near", "p_near"]
+    good = rng.standard_normal((60, 4))
+    stacked = regression._vif_stack(np.stack([good, X]), names)
+    _assert_same_vif(stacked[0], _vif_alone(good, names), good)
+    assert str(stacked[1]) == _vif_alone(X, names)
+    assert str(stacked[1]).startswith("predictor correlation matrix is singular: |r(p, p_near)| = 0.999")
 
 
 # Designs of one shape (18 rows, 2 predictors) whose fits leave the Newton
