@@ -1,10 +1,11 @@
 """Columnar view of a corpus for vectorized derivation at scale.
 
-The builder consumes validated PublicationRecord objects one at a time (from
-a stream or an in-memory Corpus) and keeps only flat arrays, so corpora with
-millions of publications never exist as object lists. Columns serialize to a
-line-delimited text form (json section lines; array payloads base64-encoded
-with explicit little-endian dtypes) used by the ingest cache.
+The builder consumes publication lines (ingest) or validated
+PublicationRecord objects (an in-memory Corpus) one at a time and keeps only
+flat arrays, so corpora with millions of publications never exist as object
+lists. Columns serialize to a line-delimited text form (json section lines;
+array payloads base64-encoded with explicit little-endian dtypes) used by the
+ingest cache.
 """
 from __future__ import annotations
 
@@ -12,11 +13,21 @@ import base64
 import json
 from array import array
 from dataclasses import dataclass, fields
-from typing import Iterable, TextIO
+from typing import Collection, Iterable, TextIO
 
 import numpy as np
 
-from .corpus import AuthorRecord, Corpus, JournalRecord, PublicationRecord
+from .corpus import (
+    PUBLICATIONS_FILE,
+    QUALIFYING_DOC_TYPES,
+    AuthorRecord,
+    Corpus,
+    JournalRecord,
+    PublicationRecord,
+    PublicationValidator,
+    Reject,
+    iter_json_lines,
+)
 
 GENDER_UNKNOWN, GENDER_FEMALE, GENDER_MALE = 0, 1, 2
 GENDER_CODES = {"unknown": GENDER_UNKNOWN, "female": GENDER_FEMALE, "male": GENDER_MALE}
@@ -37,6 +48,14 @@ def gender_gate(label: str, probability: float) -> str:
     if not 0.0 <= probability <= 1.0:
         raise ValueError("probability must be within [0, 1]")
     return label if label != "unknown" and probability >= GENDER_THRESHOLD else "unknown"
+
+
+class _Index(dict):
+    """Vocabulary index: looking up a new name gives it the next index."""
+
+    def __missing__(self, name: str) -> int:
+        idx = self[name] = len(self)
+        return idx
 
 
 def _vocab_remap(index: dict[str, int]) -> tuple[list[str], np.ndarray]:
@@ -199,9 +218,9 @@ class ColumnsBuilder:
         self.author_ids = sorted(authors)
         self._author_idx = {a: i for i, a in enumerate(self.author_ids)}
         self._authors = authors
-        self._disc_idx: dict[str, int] = {}
-        self._country_idx: dict[str, int] = {}
-        self._inst_idx: dict[str, int] = {}
+        self._disc_idx = _Index()
+        self._country_idx = _Index()
+        self._inst_idx = _Index()
         # journal percentile cache: journal_id -> (max pct, tuple of disc idx)
         self._journal_cache: dict[str, tuple[int, tuple[int, ...]]] = {}
         self._journals = journals
@@ -212,7 +231,6 @@ class ColumnsBuilder:
         self._pub_nauth = array("i")
         self._pub_intl = array("b")
         self._inc_author = array("i")
-        self._inc_nauth = array("i")  # authors per pub, for inc_pub expansion
         self._jd_flat = array("i")
         self._jd_len = array("i")
         self._ref_flat = array("i")
@@ -221,56 +239,88 @@ class ColumnsBuilder:
         self._country_len = array("i")
         self._inst_flat = array("i")
         self._inst_len = array("i")
-        self._ce_pub = array("i")
+        self._ce_len = array("i")  # citation entries per pub, for ce_pub expansion
         self._ce_year = array("i")
         self._ce_count = array("q")
-        self._n_pubs = 0
 
-    def _intern(self, table: dict[str, int], name: str) -> int:
-        idx = table.get(name)
-        if idx is None:
-            idx = table[name] = len(table)
-        return idx
+    def add_lines(self, lines: Iterable[str | bytes], rejects: list[Reject]) -> int:
+        """Parse, validate and add publication lines; returns how many were added.
+
+        A line that PublicationValidator.clean_fields passes is appended from
+        its JSON object directly. Any other line takes the record path
+        (PublicationValidator.record, then add), which gives its exact reject,
+        so the columns and *rejects* equal those of add() over
+        corpus.iter_publications.
+        """
+        validator = PublicationValidator(self._journals, self._authors, self.reference_year)
+        clean_fields = validator.clean_fields
+        append = self._append
+        n_before = len(self._pub_year)
+        for line_no, obj in iter_json_lines(lines, PUBLICATIONS_FILE, rejects):
+            fields = clean_fields(obj)
+            if fields is not None:
+                append(*fields)
+                continue
+            rec = validator.record(line_no, obj, rejects)
+            if rec is not None:
+                self.add(rec)
+        return len(self._pub_year) - n_before
 
     def add(self, pub: PublicationRecord) -> None:
-        p = self._n_pubs
-        self._n_pubs += 1
-        self._pub_year.append(pub.year)
-        self._pub_qual.append(1 if pub.qualifying else 0)
-        self._pub_nauth.append(len(pub.author_ids))
-        self._pub_intl.append(1 if len(pub.affiliation_countries) >= 2 else 0)
-        for aid in pub.author_ids:
-            self._inc_author.append(self._author_idx[aid])
+        self._append(
+            pub.year,
+            pub.doc_type,
+            pub.author_ids,
+            pub.affiliation_countries,
+            pub.affiliation_institutions,
+            pub.journal_id,
+            pub.citations_by_year.keys(),
+            pub.citations_by_year.values(),
+            pub.cited_ref_disciplines,
+        )
 
-        if pub.journal_id is None:
+    def _append(
+        self,
+        year: int,
+        doc_type: str,
+        author_ids: Collection[str],
+        countries: Collection[str],
+        institutions: Collection[str],
+        journal_id: str | None,
+        cit_years: Collection[int],
+        cit_counts: Iterable[int],
+        refs: Collection[str],
+    ) -> None:
+        """One validated publication; countries and institutions sorted and
+        unique, citation years unique."""
+        self._pub_year.append(year)
+        self._pub_qual.append(doc_type in QUALIFYING_DOC_TYPES)
+        self._pub_nauth.append(len(author_ids))
+        self._pub_intl.append(len(countries) >= 2)
+        self._inc_author.extend(map(self._author_idx.__getitem__, author_ids))
+
+        if journal_id is None:
             self._pub_pct.append(-1)
             self._jd_len.append(0)
         else:
-            cached = self._journal_cache.get(pub.journal_id)
+            cached = self._journal_cache.get(journal_id)
             if cached is None:
-                jrec = self._journals[pub.journal_id]
-                discs = tuple(
-                    self._intern(self._disc_idx, d) for d in sorted(jrec.percentile_by_discipline)
-                )
-                cached = (jrec.max_percentile, discs)
-                self._journal_cache[pub.journal_id] = cached
+                jrec = self._journals[journal_id]
+                discs = tuple(map(self._disc_idx.__getitem__, sorted(jrec.percentile_by_discipline)))
+                cached = self._journal_cache[journal_id] = (jrec.max_percentile, discs)
             self._pub_pct.append(cached[0])
             self._jd_flat.extend(cached[1])
             self._jd_len.append(len(cached[1]))
 
-        self._ref_len.append(len(pub.cited_ref_disciplines))
-        for d in pub.cited_ref_disciplines:
-            self._ref_flat.append(self._intern(self._disc_idx, d))
-        self._country_len.append(len(pub.affiliation_countries))
-        for c in pub.affiliation_countries:
-            self._country_flat.append(self._intern(self._country_idx, c))
-        self._inst_len.append(len(pub.affiliation_institutions))
-        for inst in pub.affiliation_institutions:
-            self._inst_flat.append(self._intern(self._inst_idx, inst))
-        for year, count in pub.citations_by_year.items():
-            self._ce_pub.append(p)
-            self._ce_year.append(year)
-            self._ce_count.append(count)
+        self._ref_len.append(len(refs))
+        self._ref_flat.extend(map(self._disc_idx.__getitem__, refs))
+        self._country_len.append(len(countries))
+        self._country_flat.extend(map(self._country_idx.__getitem__, countries))
+        self._inst_len.append(len(institutions))
+        self._inst_flat.extend(map(self._inst_idx.__getitem__, institutions))
+        self._ce_len.append(len(cit_years))
+        self._ce_year.extend(cit_years)
+        self._ce_count.extend(cit_counts)
 
     def finalize(self) -> CorpusColumns:
         n_authors = len(self.author_ids)
@@ -326,7 +376,9 @@ class ColumnsBuilder:
             inc_author, inc_pub, inst_starts, inst_flat, len(inst_vocab), n_authors
         )
 
-        ce_pub = np.frombuffer(self._ce_pub, dtype=np.int32).copy()
+        ce_pub = np.repeat(
+            np.arange(n_pubs, dtype=np.int32), np.frombuffer(self._ce_len, dtype=np.int32)
+        )
         ce_year = np.frombuffer(self._ce_year, dtype=np.int32).copy()
         ce_count = np.frombuffer(self._ce_count, dtype=np.int64).copy()
         # citations in the publication year and the three years after it

@@ -35,6 +35,8 @@ JOURNALS_FILE = "journals"
 AUTHORS_FILE = "authors"
 MANIFEST_NAME = "manifest.txt"
 
+_raw_decode = json.JSONDecoder().raw_decode
+
 
 class CorpusError(ValueError):
     """Fatal input problem (unreadable stream, unusable configuration)."""
@@ -304,7 +306,7 @@ def parse_publication_line(
     )
 
 
-def _iter_json_lines(
+def iter_json_lines(
     lines: Iterable[str | bytes], file: str, rejects: list[Reject]
 ) -> Iterator[tuple[int, dict]]:
     """Numbered JSON objects of *lines*; a line that is not one becomes a reject.
@@ -324,17 +326,26 @@ def _iter_json_lines(
         raw = raw.strip()
         if not raw:
             continue
+        # the stripped line is one JSON value exactly when raw_decode ends at
+        # its end; any other line is parsed again by json.loads for the exact
+        # error (a leading U+FEFF is "Unexpected UTF-8 BOM" there, not
+        # raw_decode's "Expecting value")
         try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            rejects.append(Reject(line_no, file, f"invalid json: {exc.msg}"))
-            continue
-        except ValueError:  # int() past the interpreter's digit limit
-            rejects.append(Reject(line_no, file, "invalid json: integer too long"))
-            continue
-        except RecursionError:
-            rejects.append(Reject(line_no, file, "invalid json: nesting too deep"))
-            continue
+            obj, end = _raw_decode(raw)
+        except (ValueError, RecursionError):
+            end = -1
+        if end != len(raw):
+            try:
+                obj = json.loads(raw)
+            except json.JSONDecodeError as exc:
+                rejects.append(Reject(line_no, file, f"invalid json: {exc.msg}"))
+                continue
+            except ValueError:  # int() past the interpreter's digit limit
+                rejects.append(Reject(line_no, file, "invalid json: integer too long"))
+                continue
+            except RecursionError:
+                rejects.append(Reject(line_no, file, "invalid json: nesting too deep"))
+                continue
         if not isinstance(obj, dict):
             rejects.append(Reject(line_no, file, "record is not an object"))
             continue
@@ -344,7 +355,7 @@ def _iter_json_lines(
 def parse_journals(lines: Iterable[str | bytes], rejects: list[Reject]) -> dict[str, JournalRecord]:
     journals: dict[str, JournalRecord] = {}
     disciplines: set[str] = set()
-    for line_no, obj in _iter_json_lines(lines, JOURNALS_FILE, rejects):
+    for line_no, obj in iter_json_lines(lines, JOURNALS_FILE, rejects):
         try:
             rec = parse_journal_line(obj)
             _check_disciplines(rec.percentile_by_discipline, disciplines)
@@ -360,7 +371,7 @@ def parse_journals(lines: Iterable[str | bytes], rejects: list[Reject]) -> dict[
 
 def parse_authors(lines: Iterable[str | bytes], rejects: list[Reject]) -> dict[str, AuthorRecord]:
     authors: dict[str, AuthorRecord] = {}
-    for line_no, obj in _iter_json_lines(lines, AUTHORS_FILE, rejects):
+    for line_no, obj in iter_json_lines(lines, AUTHORS_FILE, rejects):
         try:
             rec = parse_author_line(obj)
         except _LineError as exc:
@@ -373,6 +384,111 @@ def parse_authors(lines: Iterable[str | bytes], rejects: list[Reject]) -> dict[s
     return authors
 
 
+class PublicationValidator:
+    """Line checks of one publication stream, with the state that spans its
+    lines: the pub_ids accepted so far, and the discipline codes and the
+    country and institution names that accepted lines carried.
+
+    record() is the exact path: every reject reason of a publication line
+    comes from it. clean_fields() is a shortcut for lines that pass all of
+    record()'s checks; it never accepts a line that record() would reject.
+    """
+
+    def __init__(
+        self,
+        journals: dict[str, JournalRecord],
+        authors: dict[str, AuthorRecord],
+        reference_year: int,
+    ):
+        self.journals = journals
+        self.authors = authors
+        self.reference_year = reference_year
+        self.seen: set[str] = set()
+        self.disciplines: set[str] = set()
+        self.names: set[str] = set()
+
+    def record(self, line_no: int, obj: dict, rejects: list[Reject]) -> PublicationRecord | None:
+        """*obj* as a validated record, or None with its reject appended."""
+        try:
+            rec = parse_publication_line(obj, self.journals, self.authors, self.reference_year)
+            _check_disciplines(rec.cited_ref_disciplines, self.disciplines)
+        except _LineError as exc:
+            rejects.append(Reject(line_no, PUBLICATIONS_FILE, str(exc)))
+            return None
+        if rec.pub_id in self.seen:
+            rejects.append(Reject(line_no, PUBLICATIONS_FILE, f"duplicate pub_id {_echo(rec.pub_id)}"))
+            return None
+        self.seen.add(rec.pub_id)
+        self.names.update(rec.affiliation_countries, rec.affiliation_institutions)
+        return rec
+
+    def clean_fields(self, obj: dict) -> tuple | None:
+        """(year, doc_type, author_ids, affiliation_countries,
+        affiliation_institutions, journal_id, citation years, citation
+        counts, cited_ref_disciplines) of *obj*, normalised as record() would,
+        when the line passes all of record()'s checks; else None, and the
+        line is left to record(). An accepted pub_id is marked seen.
+
+        The tests are C-level where they can be. Every element of a list
+        field must be a known value: an author id of *authors*, or a
+        discipline code or name that an earlier accepted line carried. Known
+        values are non-empty strings (as parse_authors and parse_journals
+        give ids), so this also checks the element types. A new value, a
+        repeated pub_id or a repeated citation year answers None.
+        """
+        try:
+            pub_id = obj.get("pub_id")
+            year = obj.get("year")
+            author_ids = obj.get("author_ids")
+            countries = obj.get("affiliation_countries", [])
+            institutions = obj.get("affiliation_institutions", [])
+            refs = obj.get("cited_ref_disciplines", [])
+            journal_id = obj.get("journal_id")
+            raw_cits = obj.get("citations_by_year", {})
+            if not (
+                type(pub_id) is str
+                and pub_id
+                and pub_id not in self.seen
+                and type(year) is int
+                and MIN_YEAR <= year <= self.reference_year
+                and obj.get("doc_type") in DOC_TYPES
+                and type(author_ids) is list
+                and author_ids
+                and len(author_set := set(author_ids)) == len(author_ids)
+                and self.authors.keys() >= author_set
+                and type(countries) is list
+                and self.names.issuperset(countries)
+                and type(institutions) is list
+                and self.names.issuperset(institutions)
+                and type(refs) is list
+                and self.disciplines.issuperset(refs)
+                and (journal_id is None or journal_id in self.journals)
+                and type(raw_cits) is dict
+            ):
+                return None
+            cit_years = list(map(int, raw_cits))
+            cit_counts = list(raw_cits.values())
+            for cit_year, cnt in zip(cit_years, cit_counts):
+                if not (year <= cit_year <= INT32_MAX and type(cnt) is int and 0 <= cnt <= INT32_MAX):
+                    return None
+            if len(cit_years) > 1 and len(set(cit_years)) < len(cit_years):
+                return None
+        except (TypeError, ValueError):
+            return None
+        self.seen.add(pub_id)
+        return (
+            year,
+            obj["doc_type"],
+            author_ids,
+            countries if len(countries) < 2 else sorted(set(countries)),
+            institutions if len(institutions) < 2 else sorted(set(institutions)),
+            journal_id,
+            cit_years,
+            cit_counts,
+            refs,
+        )
+
+
 def iter_publications(
     lines: Iterable[str | bytes],
     journals: dict[str, JournalRecord],
@@ -382,23 +498,14 @@ def iter_publications(
 ) -> Iterator[PublicationRecord]:
     """Validated publication stream; schema violations land in *rejects*.
 
-    Streaming consumers (the CLI cache writer, the columnar builder) use this
-    directly so the full record list never has to be materialized.
+    The record-level reference of ingest: the columnar builder's add_lines
+    must agree with it line for line.
     """
-    seen: set[str] = set()
-    disciplines: set[str] = set()
-    for line_no, obj in _iter_json_lines(lines, PUBLICATIONS_FILE, rejects):
-        try:
-            rec = parse_publication_line(obj, journals, authors, reference_year)
-            _check_disciplines(rec.cited_ref_disciplines, disciplines)
-        except _LineError as exc:
-            rejects.append(Reject(line_no, PUBLICATIONS_FILE, str(exc)))
-            continue
-        if rec.pub_id in seen:
-            rejects.append(Reject(line_no, PUBLICATIONS_FILE, f"duplicate pub_id {_echo(rec.pub_id)}"))
-            continue
-        seen.add(rec.pub_id)
-        yield rec
+    validator = PublicationValidator(journals, authors, reference_year)
+    for line_no, obj in iter_json_lines(lines, PUBLICATIONS_FILE, rejects):
+        rec = validator.record(line_no, obj, rejects)
+        if rec is not None:
+            yield rec
 
 
 def parse_corpus(

@@ -33,7 +33,6 @@ from .corpus import (
     Reject,
     SampleFilterConfig,
     StageError,
-    iter_publications,
     parse_authors,
     parse_journals,
 )
@@ -166,11 +165,8 @@ def run_ingest(
         authors = parse_authors(fh, rejects)
 
     builder = ColumnsBuilder(journals, authors, reference_year)
-    n_pubs = 0
     with open(pubs_path, "rb") as pubs_in:
-        for rec in iter_publications(pubs_in, journals, authors, reference_year, rejects):
-            builder.add(rec)
-            n_pubs += 1
+        n_pubs = builder.add_lines(pubs_in, rejects)
     columns = builder.finalize()
     retained, report = gates_from_columns(columns, config)
 

@@ -33,6 +33,18 @@ CITATION_OFFSET_WEIGHTS = (0.35, 0.30, 0.15, 0.10, 0.06, 0.04)
 NO_JOURNAL_PROB = 0.05
 # doc type codes of the generator index corpus.DOC_TYPES
 _ARTICLE, _CONFERENCE, _OTHER = map(DOC_TYPES.index, ("article", "conference_paper", "other"))
+# the generator lists every pool entry by name before it writes a line, so a
+# pool size is capped to keep a mistyped config from stalling synth
+MAX_COUNTRIES = 1_000
+MAX_INSTITUTIONS = 1_000_000
+
+
+def _check_finite(config: object) -> None:
+    """Reject a NaN or infinite real field (json reads NaN and Infinity)."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise CorpusError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -45,6 +57,9 @@ class CohortConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _check_finite(self)
+        if self.seed < 0:
+            raise CorpusError(f"need seed >= 0, got {self.seed}")
         if self.n_disciplines < 1:
             raise CorpusError(f"need n_disciplines >= 1, got {self.n_disciplines}")
         if self.n_authors < 5 * self.n_disciplines:
@@ -76,6 +91,7 @@ class CorpusConfig:
     reference_year: int = 2022
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if not 1 <= self.min_academic_age <= self.max_academic_age:
             raise CorpusError("need 1 <= min_academic_age <= max_academic_age")
         for name in ("pubs_per_year", "citation_rate", "other_doc_rate", "ref_count_mean"):
@@ -85,8 +101,11 @@ class CorpusConfig:
                      "gender_female_share", "own_discipline_ref_share"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise CorpusError(f"{name} must be a probability")
-        if self.n_countries < 1 or self.n_institutions < 1:
-            raise CorpusError("need at least one country and institution pool entry")
+        if not (1 <= self.n_countries <= MAX_COUNTRIES and 1 <= self.n_institutions <= MAX_INSTITUTIONS):
+            raise CorpusError(
+                f"need 1 <= n_countries <= {MAX_COUNTRIES} and 1 <= n_institutions <= "
+                f"{MAX_INSTITUTIONS}, got {self.n_countries} and {self.n_institutions}"
+            )
         # the oldest career starts max_academic_age years back; ingest
         # rejects every publication dated before MIN_YEAR
         if self.reference_year - self.max_academic_age < MIN_YEAR:

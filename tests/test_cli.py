@@ -3,6 +3,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 import typing
 from pathlib import Path
 
@@ -118,6 +119,56 @@ def test_synth_malformed_config_exit_2_without_writing(tmp_path, capsys, text, m
     err = capsys.readouterr().err
     assert err.startswith(f"error: config {path}: " if message.startswith(":") else "error: config key ")
     assert message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_synth_negative_seed_exit_2_without_writing(tmp_path, capsys, how):
+    out = tmp_path / "x"
+    if how == "flag":
+        argv = ["synth", "--out", str(out), "--authors-n", "20", "--seed", "-1"]
+    else:
+        path = tmp_path / "synth.json"
+        path.write_text(json.dumps({"n_authors": 20, "seed": -1}))
+        argv = ["synth", "--out", str(out), "--config", str(path)]
+    assert main(argv) == 2
+    assert "need seed >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("pubs_per_year", "Infinity"),
+        ("citation_rate", "NaN"),
+        ("persistence", "NaN"),
+        ("persistence", "Infinity"),
+        ("noise_scale", "Infinity"),
+        ("percentile_bias", "-Infinity"),
+        ("team_size_mean", "Infinity"),
+    ],
+)
+def test_synth_non_finite_real_exit_2_without_writing(tmp_path, capsys, key, value):
+    path = tmp_path / "synth.json"
+    path.write_text(f'{{"n_authors": 20, "{key}": {value}}}')
+    out = tmp_path / "x"
+    assert main(["synth", "--out", str(out), "--config", str(path)]) == 2
+    shown = {"Infinity": "inf", "-Infinity": "-inf", "NaN": "nan"}[value]
+    assert f"error: {key} must be finite, got {shown}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["n_countries", "n_institutions"])
+def test_synth_pool_size_past_cap_exit_2_fast_without_writing(tmp_path, capsys, key):
+    path = tmp_path / "synth.json"
+    path.write_text(json.dumps({"n_authors": 20, key: 100_000_000_000}))
+    out = tmp_path / "x"
+    start = time.perf_counter()
+    assert main(["synth", "--out", str(out), "--config", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "n_countries <= 1000" in err and "n_institutions <= 1000000" in err
+    assert "100000000000" in err
     assert not out.exists()
 
 

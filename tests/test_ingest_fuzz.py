@@ -1,9 +1,11 @@
-"""Ingest never aborts on a bad input line.
+"""Ingest never aborts on a bad input line, and agrees with the reference.
 
 Generated lines are appended to a small valid corpus and the real CLI ingests
 it. Every appended non-blank line must end up either accepted or as exactly
 one reject carrying its line number, and the original lines must keep their
-results.
+results. The CLI's rejects.jsonl and the column section of its cache must
+equal those of the record-level reference path (parse_corpus, then
+columns_from_corpus and dump_columns) on the same input bytes.
 """
 import contextlib
 import io
@@ -17,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from careerflow.cli import main
-from careerflow.corpus import parse_journals
+from careerflow.columnar import columns_from_corpus, dump_columns
+from careerflow.corpus import parse_corpus, parse_journals
 from careerflow.pipeline import CACHE_NAME, load_cache
 
 FILES = ("publications", "journals", "authors")
@@ -32,6 +35,8 @@ PUB_FIELDS = (
     "citations_by_year",
     "cited_ref_disciplines",
 )
+REFERENCE_YEAR = 2022  # the CLI ingest default
+COLUMN_KINDS = ("meta", "strings", "overrides", "array")
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=120)
 
 # any JSON value, lone surrogates included (they survive json.dumps as \ud800)
@@ -97,6 +102,26 @@ def base(tmp_path_factory):
     }
 
 
+def assert_equals_reference(run: Path) -> None:
+    """The CLI ingest outputs in *run* equal the reference path's on its inputs."""
+    # BytesIO splits lines on b"\n" only, as iterating a file opened "rb" does
+    inputs = {name: io.BytesIO((run / f"{name}.jsonl").read_bytes()) for name in FILES}
+    corpus, rejects = parse_corpus(
+        inputs["publications"], inputs["journals"], inputs["authors"], REFERENCE_YEAR
+    )
+    assert (run / "rejects.jsonl").read_bytes() == b"".join(
+        r.to_json().encode() + b"\n" for r in rejects
+    )
+    columns = io.StringIO()
+    dump_columns(columns_from_corpus(corpus), columns)
+    cached = [
+        line
+        for line in (run / CACHE_NAME).read_text(encoding="utf-8").splitlines(keepends=True)
+        if json.loads(line)["kind"] in COLUMN_KINDS
+    ]
+    assert "".join(cached) == columns.getvalue()
+
+
 def check_appended(base: dict, file: str, extra: list[bytes]) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         run = Path(tmp)
@@ -107,6 +132,7 @@ def check_appended(base: dict, file: str, extra: list[bytes]) -> None:
             (run / f"{name}.jsonl").write_bytes(data)
         code, stdout = ingest(run)
         assert code == 0  # a bad line is a reject, never the end of ingest
+        assert_equals_reference(run)
         rejects = [json.loads(line) for line in (run / "rejects.jsonl").read_text().splitlines()]
         cache = (run / CACHE_NAME).read_bytes()
         if file == "publications":
@@ -166,3 +192,84 @@ def test_ingest_survives_any_value_in_a_publication_field(base, replacements):
         obj[name] = value
         extra.append(json.dumps(obj).encode())
     check_appended(base, "publications", extra)
+
+
+def late_faults(pub: dict) -> dict[str, list[dict | bytes]]:
+    """Lines that pass the early checks of a clean line and fail a later one,
+    or that only the record path can normalise, keyed by test id."""
+    lines: dict[str, list[dict | bytes]] = {"bool-year": [dict(pub, year=True)]}
+    for field in ("author_ids", "cited_ref_disciplines", "affiliation_countries", "affiliation_institutions"):
+        for name, bad in (("true", True), ("nested", ["x"]), ("empty", "")):
+            lines[f"{field}-{name}"] = [dict(pub, **{field: pub[field] + [bad]})]
+    for name, key in (
+        ("space", " 1999"),
+        ("plus", "+1999"),
+        ("underscore", "1_999"),
+        ("arabic-indic", "\u0661\u0669\u0669\u0669"),
+    ):
+        lines[f"citation-key-{name}"] = [dict(pub, year=1998, citations_by_year={key: 4})]
+    # the later count wins, at the place of the first key: 1999 counts 5 in
+    # the four-year window 1998-2001
+    lines["citation-key-repeated-as-int"] = [
+        dict(pub, year=1998, citations_by_year={"1999": 3, "2000": 1, "01999": 5})
+    ]
+    lines["citation-count-bool"] = [dict(pub, citations_by_year={str(pub["year"]): True})]
+    lines["citation-year-before-pub"] = [dict(pub, citations_by_year={str(pub["year"] - 1): 1})]
+    # a name accepted as an institution is no accepted discipline code
+    lines["discipline-first-seen-mid-file"] = [
+        dict(pub, pub_id="new1", cited_ref_disciplines=["Z9", "Z9"]),
+        dict(pub, pub_id="new2", cited_ref_disciplines=["Z9"]),
+        dict(pub, pub_id="new3", affiliation_institutions=["all"]),
+        dict(pub, pub_id="new4", cited_ref_disciplines=["all"]),
+    ]
+    lines["names-first-seen-mid-file"] = [
+        dict(pub, pub_id="new1", affiliation_countries=["ZZ", "AA", "ZZ"], affiliation_institutions=["i9"]),
+        dict(pub, pub_id="new2", affiliation_countries=["ZZ"], affiliation_institutions=["i9", "i9"]),
+    ]
+    lines["duplicate-of-rejected-pub-id"] = [
+        dict(pub, pub_id="dup", year=1800),
+        dict(pub, pub_id="dup"),
+        dict(pub, pub_id="dup"),
+    ]
+    lines["duplicate-author"] = [dict(pub, author_ids=pub["author_ids"] * 2)]
+    lines["journal-id-empty"] = [dict(pub, journal_id="")]
+    optional = ("affiliation_countries", "affiliation_institutions", "citations_by_year", "cited_ref_disciplines")
+    lines["journal-id-null-and-fields-missing"] = [
+        {k: v for k, v in dict(pub, journal_id=None).items() if k not in optional}
+    ]
+    lines["bom"] = [b"\xef\xbb\xbf" + json.dumps(pub).encode()]
+    lines["trailing-data"] = [json.dumps(pub).encode() + b" []"]
+    return lines
+
+
+LATE_FAULT_IDS = list(late_faults({**dict.fromkeys(PUB_FIELDS, []), "year": 2000}))
+
+
+@pytest.mark.parametrize("case", LATE_FAULT_IDS)
+def test_ingest_equals_reference_on_late_faults(base, tmp_path, case):
+    pub = dict(base["first_pub"], pub_id="late")
+    extra = [line if isinstance(line, bytes) else json.dumps(line).encode() for line in late_faults(pub)[case]]
+    for name in FILES:
+        data = base["inputs"][name]
+        if name == "publications":
+            data += b"".join(line + b"\n" for line in extra)
+        (tmp_path / f"{name}.jsonl").write_bytes(data)
+    code, _ = ingest(tmp_path)
+    assert code == 0
+    assert_equals_reference(tmp_path)
+    reasons = {
+        r["line_no"] - base["lines"]["publications"]: r["reason"]
+        for r in map(json.loads, (tmp_path / "rejects.jsonl").read_text().splitlines())
+    }
+    if case == "bom":
+        assert reasons == {1: "invalid json: Unexpected UTF-8 BOM (decode using utf-8-sig)"}
+    elif case == "duplicate-of-rejected-pub-id":
+        assert reasons == {1: "year 1800 out of [1900, 2022]", 3: "duplicate pub_id dup"}
+    elif case == "discipline-first-seen-mid-file":
+        assert reasons == {4: "bad discipline 'all'"}
+    elif case == "trailing-data":
+        assert reasons == {1: "invalid json: Extra data"}
+    elif case.startswith(("citation-key-", "names-", "journal-id-null")):
+        assert reasons == {}
+    else:
+        assert len(reasons) == 1
