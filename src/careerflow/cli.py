@@ -15,7 +15,14 @@ import os
 import sys
 from pathlib import Path
 
-from .corpus import MANIFEST_NAME, CorpusError, SampleFilterConfig, StageError
+from .corpus import (
+    MANIFEST_NAME,
+    MAX_REFERENCE_YEAR,
+    MIN_YEAR,
+    CorpusError,
+    SampleFilterConfig,
+    StageError,
+)
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -52,6 +59,15 @@ def _out_dir(args: argparse.Namespace) -> Path:
     if not out:
         raise CorpusError("no output directory: pass --out or set CAREERFLOW_OUT")
     return Path(out)
+
+
+def _check_reference_year(year: int | None) -> None:
+    """A --reference-year outside [MIN_YEAR, MAX_REFERENCE_YEAR] is a usage
+    error, raised before a stage reads or writes anything."""
+    if year is not None and not MIN_YEAR <= year <= MAX_REFERENCE_YEAR:
+        raise CorpusError(
+            f"--reference-year must be within [{MIN_YEAR}, {MAX_REFERENCE_YEAR}], got {year}"
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,6 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    _check_reference_year(args.reference_year)
     merged = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
@@ -136,6 +153,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
+    _check_reference_year(args.reference_year)
     out_dir = _out_dir(args)
     config = SampleFilterConfig(
         min_publications=args.min_pubs,

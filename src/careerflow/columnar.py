@@ -3,17 +3,21 @@
 The builder consumes publication lines (ingest) or validated
 PublicationRecord objects (an in-memory Corpus) one at a time and keeps only
 flat arrays, so corpora with millions of publications never exist as object
-lists. Columns serialize to a line-delimited text form (json section lines;
-array payloads base64-encoded with explicit little-endian dtypes) used by the
-ingest cache.
+lists. Ingest reads a publications file in byte ranges, one builder per range
+(ingest_range), and merges them in file order (merge_ranges). Columns
+serialize to a line-delimited text form (json section lines; array payloads
+base64-encoded with explicit little-endian dtypes) used by the ingest cache.
 """
 from __future__ import annotations
 
 import base64
+import heapq
 import json
+import os
 from array import array
 from dataclasses import dataclass, fields
-from typing import Collection, Iterable, TextIO
+from pathlib import Path
+from typing import BinaryIO, Collection, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -26,6 +30,7 @@ from .corpus import (
     PublicationRecord,
     PublicationValidator,
     Reject,
+    duplicate_pub_reject,
     iter_json_lines,
 )
 
@@ -40,7 +45,38 @@ assert array("i").itemsize == 4
 # dense author x value count tables are used below this cell budget, and
 # are built this many incidences at a time to bound the expanded keys
 _DENSE_COUNT_LIMIT = 20_000_000
-_DENSE_CHUNK = 1_000_000
+_DENSE_CHUNK = 250_000
+
+# ingest cuts a publications file into one byte range per CPU it may run on,
+# but into no more ranges than leaves each this many bytes on average, so a
+# small file is read in one process
+MIN_RANGE_BYTES = 1 << 20
+
+# the builder's per-publication buffers, and each flat buffer with the
+# per-publication length buffer that delimits it
+_PUB_BUFFERS = (
+    "_pub_year",
+    "_pub_qual",
+    "_pub_pct",
+    "_pub_nauth",
+    "_pub_intl",
+    "_jd_len",
+    "_ref_len",
+    "_country_len",
+    "_inst_len",
+    "_ce_len",
+)
+_FLAT_BUFFERS = {
+    "_inc_author": "_pub_nauth",
+    "_jd_flat": "_jd_len",
+    "_ref_flat": "_ref_len",
+    "_country_flat": "_country_len",
+    "_inst_flat": "_inst_len",
+    "_ce_year": "_ce_len",
+    "_ce_count": "_ce_len",
+}
+# the flat buffers that hold indices into each vocabulary
+_VOCAB_BUFFERS = (("_jd_flat", "_ref_flat"), ("_country_flat",), ("_inst_flat",))
 
 
 def gender_gate(label: str, probability: float) -> str:
@@ -242,9 +278,13 @@ class ColumnsBuilder:
         self._ce_len = array("i")  # citation entries per pub, for ce_pub expansion
         self._ce_year = array("i")
         self._ce_count = array("q")
+        # line number of each publication add_lines accepted; its pub_id is
+        # the matching entry of self._validator.seen
+        self._pub_line = array("i")
+        self._validator = PublicationValidator(journals, authors, reference_year)
 
-    def add_lines(self, lines: Iterable[str | bytes], rejects: list[Reject]) -> int:
-        """Parse, validate and add publication lines; returns how many were added.
+    def add_lines(self, lines: Iterable[str | bytes], rejects: list[Reject]) -> None:
+        """Parse, validate and add publication lines.
 
         A line that PublicationValidator.clean_fields passes is appended from
         its JSON object directly. Any other line takes the record path
@@ -252,19 +292,20 @@ class ColumnsBuilder:
         so the columns and *rejects* equal those of add() over
         corpus.iter_publications.
         """
-        validator = PublicationValidator(self._journals, self._authors, self.reference_year)
+        validator = self._validator
         clean_fields = validator.clean_fields
         append = self._append
-        n_before = len(self._pub_year)
+        pub_line = self._pub_line.append
         for line_no, obj in iter_json_lines(lines, PUBLICATIONS_FILE, rejects):
             fields = clean_fields(obj)
             if fields is not None:
                 append(*fields)
-                continue
-            rec = validator.record(line_no, obj, rejects)
-            if rec is not None:
+            else:
+                rec = validator.record(line_no, obj, rejects)
+                if rec is None:
+                    continue
                 self.add(rec)
-        return len(self._pub_year) - n_before
+            pub_line(line_no)
 
     def add(self, pub: PublicationRecord) -> None:
         self._append(
@@ -322,21 +363,31 @@ class ColumnsBuilder:
         self._ce_year.extend(cit_years)
         self._ce_count.extend(cit_counts)
 
-    def finalize(self) -> CorpusColumns:
-        n_authors = len(self.author_ids)
-        pub_year = np.frombuffer(self._pub_year, dtype=np.int32).copy()
-        n_pubs = pub_year.shape[0]
-        pub_qual = np.frombuffer(self._pub_qual, dtype=np.int8).astype(bool)
-        pub_pct = np.frombuffer(self._pub_pct, dtype=np.int32).astype(np.int16)
-        pub_nauth = np.frombuffer(self._pub_nauth, dtype=np.int32).copy()
-        pub_intl = np.frombuffer(self._pub_intl, dtype=np.int8).astype(bool)
+    def _take(self, name: str, dtype: type) -> np.ndarray:
+        """Buffer *name* as a new array of *dtype*. The builder lets go of the
+        buffer, so finalize holds each one only until it is converted."""
+        buf = np.asarray(getattr(self, name))
+        setattr(self, name, None)
+        return buf.astype(dtype)
 
-        inc_author = np.frombuffer(self._inc_author, dtype=np.int32).copy()
+    def finalize(self) -> CorpusColumns:
+        """The columns of everything added. It consumes the builder's buffers."""
+        take = self._take
+        n_authors = len(self.author_ids)
+        pub_year = take("_pub_year", np.int32)
+        n_pubs = pub_year.shape[0]
+        pub_qual = take("_pub_qual", bool)
+        pub_pct = take("_pub_pct", np.int16)
+        pub_nauth = take("_pub_nauth", np.int32)
+        pub_intl = take("_pub_intl", bool)
+
+        inc_author = take("_inc_author", np.int32)
         inc_pub = np.repeat(np.arange(n_pubs, dtype=np.int32), pub_nauth)
         # canonical order: (author, year, pub); segment heads are earliest pubs
         order = np.lexsort((inc_pub, pub_year[inc_pub], inc_author))
         inc_author = inc_author[order]
         inc_pub = inc_pub[order]
+        del order
         author_starts = np.zeros(n_authors + 1, dtype=np.int64)
         np.cumsum(np.bincount(inc_author, minlength=n_authors), out=author_starts[1:])
 
@@ -348,45 +399,44 @@ class ColumnsBuilder:
             inc_author[pub_qual[inc_pub]], minlength=n_authors
         ).astype(np.int64)
 
-        def ragged(flat: array, lens: array, remap: np.ndarray | None = None):
-            vals = np.frombuffer(flat, dtype=np.int32).copy()
-            if remap is not None and vals.shape[0]:
+        def ragged(flat: str, lens: str, remap: np.ndarray):
+            vals = take(flat, np.int32)
+            if vals.shape[0]:
                 vals = remap[vals]
-            lens_arr = np.frombuffer(lens, dtype=np.int32)
             starts = np.zeros(n_pubs + 1, dtype=np.int64)
-            np.cumsum(lens_arr, out=starts[1:])
+            np.cumsum(take(lens, np.int32), out=starts[1:])
             return starts, vals
 
         disc_vocab, disc_perm = _vocab_remap(self._disc_idx)
         country_vocab, country_perm = _vocab_remap(self._country_idx)
         inst_vocab, inst_perm = _vocab_remap(self._inst_idx)
 
-        jd_starts, jd_disc = ragged(self._jd_flat, self._jd_len, disc_perm)
-        ref_starts, ref_disc = ragged(self._ref_flat, self._ref_len, disc_perm)
-        country_starts, country_flat = ragged(self._country_flat, self._country_len, country_perm)
-        inst_starts, inst_flat = ragged(self._inst_flat, self._inst_len, inst_perm)
-
+        jd_starts, jd_disc = ragged("_jd_flat", "_jd_len", disc_perm)
+        inst_starts, inst_flat = ragged("_inst_flat", "_inst_len", inst_perm)
+        ref_starts, ref_disc = ragged("_ref_flat", "_ref_len", disc_perm)
         dominant_disc = _modal_from_ragged(
             inc_author, inc_pub, ref_starts, ref_disc, len(disc_vocab), n_authors
         )
+        del ref_starts, ref_disc
+        country_starts, country_flat = ragged("_country_flat", "_country_len", country_perm)
         dominant_country = _modal_from_ragged(
             inc_author, inc_pub, country_starts, country_flat, len(country_vocab), n_authors
         )
+        del country_starts, country_flat
         dominant_inst = _modal_from_ragged(
             inc_author, inc_pub, inst_starts, inst_flat, len(inst_vocab), n_authors
         )
 
-        ce_pub = np.repeat(
-            np.arange(n_pubs, dtype=np.int32), np.frombuffer(self._ce_len, dtype=np.int32)
-        )
-        ce_year = np.frombuffer(self._ce_year, dtype=np.int32).copy()
-        ce_count = np.frombuffer(self._ce_count, dtype=np.int64).copy()
+        ce_pub = np.repeat(np.arange(n_pubs, dtype=np.int32), take("_ce_len", np.int32))
+        ce_year = take("_ce_year", np.int32)
+        ce_count = take("_ce_count", np.int64)
         # citations in the publication year and the three years after it
         cited_year = pub_year[ce_pub]
         in_window = (ce_year >= cited_year) & (ce_year < cited_year + 4)
         pub_cits4y = np.bincount(
             ce_pub[in_window], weights=ce_count[in_window], minlength=n_pubs
         ).astype(np.int64)
+        del ce_pub, ce_year, ce_count, cited_year, in_window
 
         gender_code = np.zeros(n_authors, dtype=np.int8)
         override: list[str | None] = [None] * n_authors
@@ -429,6 +479,150 @@ def columns_from_corpus(corpus: Corpus) -> CorpusColumns:
     for pub in corpus.publications:
         builder.add(pub)
     return builder.finalize()
+
+
+# ---------------------------------------------------------------------------
+# byte ranges of a publications file
+
+
+def byte_ranges(path: Path) -> list[tuple[int, int | None]]:
+    """(start, end) byte offsets that cut *path* into ranges at line starts:
+    one per CPU of this process's affinity mask, but no more than leaves
+    MIN_RANGE_BYTES per range, and always at least one. The last range ends
+    at the end of the file (None), so a pipe, whose size reads 0, is read
+    whole, and never opened here."""
+    size = os.path.getsize(path)
+    # a platform without affinity masks (and without fork) reads in one range
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    n = min(cpus, size // MIN_RANGE_BYTES)
+    bounds = [0]
+    if n > 1:
+        with open(path, "rb") as fh:
+            for i in range(1, n):
+                # the first line start at or after i/n of the file
+                fh.seek(i * size // n - 1)
+                fh.readline()
+                if bounds[-1] < fh.tell() < size:
+                    bounds.append(fh.tell())
+    return list(zip(bounds, [*bounds[1:], None]))
+
+
+@dataclass
+class RangeResult:
+    """One byte range of a publications file, ingested: the builder's
+    buffers; its vocabularies (discipline, country, institution) in insertion
+    order; its rejects, with line numbers counted from the range's first
+    line; its line count; and the pub_id and line number of each accepted
+    publication, in order. It holds no numpy object, so a forked worker
+    makes one without calling into numpy, and it pickles."""
+
+    buffers: dict[str, array]
+    vocabs: tuple[list[str], list[str], list[str]]
+    rejects: list[Reject]
+    n_lines: int
+    pub_ids: list[str]
+    pub_lines: array
+
+
+def ingest_range(
+    path: Path,
+    start: int,
+    end: int | None,
+    journals: dict[str, JournalRecord],
+    authors: dict[str, AuthorRecord],
+    reference_year: int,
+) -> RangeResult:
+    """Stream the lines of *path* from byte *start*, a line start, up to byte
+    *end*, a line start or None for the end of the file, through
+    ColumnsBuilder.add_lines."""
+    builder = ColumnsBuilder(journals, authors, reference_year)
+    rejects: list[Reject] = []
+    n_lines = 0
+
+    def lines(fh: BinaryIO) -> Iterator[bytes]:
+        nonlocal n_lines
+        left = float("inf") if end is None else end - start
+        while left > 0 and (line := fh.readline()):
+            n_lines += 1
+            yield line
+            left -= len(line)
+
+    with open(path, "rb") as fh:
+        if start:
+            fh.seek(start)
+        builder.add_lines(lines(fh), rejects)
+    return RangeResult(
+        buffers={name: getattr(builder, name) for name in (*_PUB_BUFFERS, *_FLAT_BUFFERS)},
+        vocabs=(list(builder._disc_idx), list(builder._country_idx), list(builder._inst_idx)),
+        rejects=rejects,
+        n_lines=n_lines,
+        pub_ids=list(builder._validator.seen),
+        pub_lines=builder._pub_line,
+    )
+
+
+def _drop_publications(buffers: dict[str, np.ndarray], dropped: list[int]) -> dict[str, np.ndarray]:
+    """*buffers* without the publications at indices *dropped*."""
+    keep = np.ones(buffers["_pub_year"].shape[0], dtype=bool)
+    keep[dropped] = False
+    kept = {name: buffers[name][np.repeat(keep, buffers[lens])] for name, lens in _FLAT_BUFFERS.items()}
+    kept.update((name, buffers[name][keep]) for name in _PUB_BUFFERS)
+    return kept
+
+
+def merge_ranges(
+    results: list[RangeResult],
+    journals: dict[str, JournalRecord],
+    authors: dict[str, AuthorRecord],
+    reference_year: int,
+) -> tuple[ColumnsBuilder, list[Reject]]:
+    """A builder holding the publications of *results*, the byte ranges of
+    one file in file order, as if it had read the whole file; and their
+    rejects with file line numbers. It consumes the results' buffers.
+
+    A range's line numbers are offset by the lines of the ranges before it.
+    A publication whose pub_id an earlier range accepted is dropped with the
+    reject record() gives a repeated pub_id: it passed every other check, so
+    a sequential read rejects it for that reason too. Each vocabulary is
+    rebuilt from the codes the kept publications reference; those are the
+    codes a sequential read interns, as only accepted lines intern codes.
+    """
+    seen: set[str] = set()
+    rejects: list[Reject] = []
+    offset = 0
+    parts: list[dict[str, np.ndarray]] = []
+    for res in results:
+        dropped = [k for k, pub_id in enumerate(res.pub_ids) if pub_id in seen]
+        seen.update(res.pub_ids)
+        local = [Reject(r.line_no + offset, r.file, r.reason) for r in res.rejects]
+        duplicates = [duplicate_pub_reject(res.pub_lines[k] + offset, res.pub_ids[k]) for k in dropped]
+        rejects.extend(heapq.merge(local, duplicates, key=lambda r: r.line_no))
+        offset += res.n_lines
+        buffers = {name: np.asarray(buf) for name, buf in res.buffers.items()}
+        res.buffers.clear()
+        parts.append(_drop_publications(buffers, dropped) if dropped else buffers)
+
+    builder = ColumnsBuilder(journals, authors, reference_year)
+    indexes = []
+    for kind, flat_names in enumerate(_VOCAB_BUFFERS):
+        used: list[np.ndarray] = []
+        for res, buffers in zip(results, parts):
+            mask = np.zeros(len(res.vocabs[kind]), dtype=bool)
+            for name in flat_names:
+                mask[buffers[name]] = True
+            used.append(np.flatnonzero(mask))
+        vocab = sorted({res.vocabs[kind][i] for res, idx in zip(results, used) for i in idx})
+        index = _Index((name, i) for i, name in enumerate(vocab))
+        for res, buffers, idx in zip(results, parts, used):
+            perm = np.full(len(res.vocabs[kind]), -1, dtype=np.int32)
+            perm[idx] = [index[res.vocabs[kind][i]] for i in idx]
+            for name in flat_names:
+                buffers[name] = perm[buffers[name]]
+        indexes.append(index)
+    builder._disc_idx, builder._country_idx, builder._inst_idx = indexes
+    for name in (*_PUB_BUFFERS, *_FLAT_BUFFERS):
+        setattr(builder, name, np.concatenate([buffers.pop(name) for buffers in parts]))
+    return builder, rejects
 
 
 # ---------------------------------------------------------------------------

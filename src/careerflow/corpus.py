@@ -17,6 +17,8 @@ QUALIFYING_DOC_TYPES = frozenset(("article", "conference_paper"))
 GENDER_LABELS = ("female", "male", "unknown")
 
 MIN_YEAR = 1900
+# the latest reference year the CLI takes: four digits, far inside int32
+MAX_REFERENCE_YEAR = 9999
 ECHO_MAX = 64  # longest input value a reject reason quotes in full
 # a citation year must fit the cache's int32 year column, and a count the
 # same bound, so sums of counts stay far inside int64; a larger value makes
@@ -384,6 +386,11 @@ def parse_authors(lines: Iterable[str | bytes], rejects: list[Reject]) -> dict[s
     return authors
 
 
+def duplicate_pub_reject(line_no: int, pub_id: str) -> Reject:
+    """The reject of a publication line whose pub_id an earlier line took."""
+    return Reject(line_no, PUBLICATIONS_FILE, f"duplicate pub_id {_echo(pub_id)}")
+
+
 class PublicationValidator:
     """Line checks of one publication stream, with the state that spans its
     lines: the pub_ids accepted so far, and the discipline codes and the
@@ -403,7 +410,8 @@ class PublicationValidator:
         self.journals = journals
         self.authors = authors
         self.reference_year = reference_year
-        self.seen: set[str] = set()
+        # accepted pub_ids in acceptance order (a dict keeps it)
+        self.seen: dict[str, None] = {}
         self.disciplines: set[str] = set()
         self.names: set[str] = set()
 
@@ -416,9 +424,9 @@ class PublicationValidator:
             rejects.append(Reject(line_no, PUBLICATIONS_FILE, str(exc)))
             return None
         if rec.pub_id in self.seen:
-            rejects.append(Reject(line_no, PUBLICATIONS_FILE, f"duplicate pub_id {_echo(rec.pub_id)}"))
+            rejects.append(duplicate_pub_reject(line_no, rec.pub_id))
             return None
-        self.seen.add(rec.pub_id)
+        self.seen[rec.pub_id] = None
         self.names.update(rec.affiliation_countries, rec.affiliation_institutions)
         return rec
 
@@ -475,7 +483,7 @@ class PublicationValidator:
                 return None
         except (TypeError, ValueError):
             return None
-        self.seen.add(pub_id)
+        self.seen[pub_id] = None
         return (
             year,
             obj["doc_type"],

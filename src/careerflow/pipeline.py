@@ -12,9 +12,11 @@ import hashlib
 import json
 import math
 import os
+import pickle
+import signal
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -25,11 +27,23 @@ from .classes import (
     assign_cohort_classes,
     sorted_unique,
 )
-from .columnar import GENDER_NAMES, ColumnsBuilder, CorpusColumns, dump_columns, load_columns
+from .columnar import (
+    GENDER_NAMES,
+    ColumnsBuilder,
+    CorpusColumns,
+    RangeResult,
+    byte_ranges,
+    dump_columns,
+    ingest_range,
+    load_columns,
+    merge_ranges,
+)
 from .corpus import (
     MANIFEST_NAME,
+    AuthorRecord,
     CorpusError,
     FilterReport,
+    JournalRecord,
     Reject,
     SampleFilterConfig,
     StageError,
@@ -146,6 +160,92 @@ def _filter_config_dict(config: SampleFilterConfig) -> dict:
     }
 
 
+def _fork_range(pubs_path: Path, start: int, end: int | None, *args) -> tuple[int, BinaryIO]:
+    """Fork a worker that ingests bytes *start* to *end* of *pubs_path* and
+    pickles (True, RangeResult) or (False, error text) into a pipe; returns
+    its pid and the read end. The worker runs only ingest_range and pickle,
+    never numpy, and leaves by os._exit, so it runs no exit handler it
+    inherited."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                try:
+                    reply = (True, ingest_range(pubs_path, start, end, *args))
+                except Exception as exc:
+                    reply = (False, f"{type(exc).__name__}: {exc}")
+                pickle.dump(reply, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _ingest_publications(
+    pubs_path: Path,
+    journals: dict[str, JournalRecord],
+    authors: dict[str, AuthorRecord],
+    reference_year: int,
+) -> tuple[ColumnsBuilder, list[Reject]]:
+    """The publications of *pubs_path* in one builder, with their rejects.
+
+    The file is cut into byte ranges (columnar.byte_ranges). A forked worker
+    ingests each range but the first, which this process ingests meanwhile,
+    and the ranges are merged in file order, so the builder and rejects are
+    the same for any range count. Every worker is reaped before this returns
+    or raises; a failed worker is a StageError.
+    """
+    args = (journals, authors, reference_year)
+    ranges = byte_ranges(pubs_path)
+    workers: dict[int, BinaryIO] = {}
+    try:
+        for start, end in ranges[1:]:
+            pid, pipe = _fork_range(pubs_path, start, end, *args)
+            workers[pid] = pipe
+        results: list[RangeResult] = [ingest_range(pubs_path, *ranges[0], *args)]
+        for (start, end), (pid, pipe) in zip(ranges[1:], list(workers.items())):
+            try:
+                ok, reply = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                ok, reply = False, "no result"
+            pipe.close()
+            _, status = os.waitpid(pid, 0)
+            del workers[pid]
+            if not ok or status != 0:
+                raise StageError(
+                    "ingest",
+                    f"worker for bytes {start}-{end or 'end'} of {pubs_path} failed "
+                    f"(exit {os.waitstatus_to_exitcode(status)}): {reply}",
+                )
+            results.append(reply)
+    finally:
+        for pid, pipe in workers.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return merge_ranges(results, *args)
+
+
+def _write_aside(out_dir: Path, writers: dict[str, Callable[[TextIO], None]]) -> None:
+    """Write each named file of *out_dir* aside, then rename them all into
+    place, so an interrupted ingest leaves no truncated file and keeps every
+    previous one until all new ones are written."""
+    tmp_paths = {name: out_dir / f".{name}.{os.getpid()}.tmp" for name in writers}
+    try:
+        for name, write in writers.items():
+            with open(tmp_paths[name], "w", encoding="utf-8") as fh:
+                write(fh)
+        for name, tmp_path in tmp_paths.items():
+            os.replace(tmp_path, out_dir / name)
+    finally:
+        for tmp_path in tmp_paths.values():
+            tmp_path.unlink(missing_ok=True)
+
+
 def run_ingest(
     pubs_path: Path,
     journals_path: Path,
@@ -164,58 +264,40 @@ def run_ingest(
     with open(authors_path, "rb") as fh:
         authors = parse_authors(fh, rejects)
 
-    builder = ColumnsBuilder(journals, authors, reference_year)
-    with open(pubs_path, "rb") as pubs_in:
-        n_pubs = builder.add_lines(pubs_in, rejects)
+    builder, pub_rejects = _ingest_publications(pubs_path, journals, authors, reference_year)
+    rejects += pub_rejects
     columns = builder.finalize()
+    n_pubs = columns.n_publications
     retained, report = gates_from_columns(columns, config)
+    report_obj = {"removed": report.removed, "retained": report.retained, "total": report.total}
 
-    # written aside and renamed into place, so an interrupted ingest never
-    # leaves a truncated cache behind
-    cache_path = out_dir / CACHE_NAME
-    tmp_path = out_dir / f".{CACHE_NAME}.{os.getpid()}.tmp"
-    try:
-        with open(tmp_path, "w", encoding="utf-8") as cache:
-            header = {
-                "kind": "header",
-                "cache_version": CACHE_VERSION,
-                "reference_year": reference_year,
-                "n_publications": n_pubs,
-                "filter": _filter_config_dict(config),
-            }
-            cache.write(json.dumps(header, separators=(",", ":")) + "\n")
-            dump_columns(columns, cache)
-            cache.write(
-                json.dumps({"kind": "retained", "ids": sorted(retained)}, separators=(",", ":"))
-                + "\n"
-            )
-            cache.write(
-                json.dumps(
-                    {
-                        "kind": "report",
-                        "removed": report.removed,
-                        "retained": report.retained,
-                        "total": report.total,
-                    },
-                    separators=(",", ":"),
-                )
-                + "\n"
-            )
-        os.replace(tmp_path, cache_path)
-    finally:
-        tmp_path.unlink(missing_ok=True)
-
-    with open(out_dir / "rejects.jsonl", "w", encoding="utf-8") as fh:
+    def write_rejects(fh: TextIO) -> None:
         for reject in rejects:
             fh.write(reject.to_json() + "\n")
-    with open(out_dir / "filter_report.json", "w", encoding="utf-8") as fh:
-        json.dump(
-            {"removed": report.removed, "retained": report.retained, "total": report.total},
-            fh,
-            indent=2,
-        )
+
+    def write_report(fh: TextIO) -> None:
+        json.dump(report_obj, fh, indent=2)
         fh.write("\n")
-    return IngestResult(cache_path, n_pubs, len(rejects), report, len(retained))
+
+    def write_cache(fh: TextIO) -> None:
+        header = {
+            "kind": "header",
+            "cache_version": CACHE_VERSION,
+            "reference_year": reference_year,
+            "n_publications": n_pubs,
+            "filter": _filter_config_dict(config),
+        }
+        fh.write(json.dumps(header, separators=(",", ":")) + "\n")
+        dump_columns(columns, fh)
+        fh.write(json.dumps({"kind": "retained", "ids": sorted(retained)}, separators=(",", ":")) + "\n")
+        fh.write(json.dumps({"kind": "report", **report_obj}, separators=(",", ":")) + "\n")
+
+    # the cache is renamed last: analyze reads it
+    _write_aside(
+        out_dir,
+        {"rejects.jsonl": write_rejects, "filter_report.json": write_report, CACHE_NAME: write_cache},
+    )
+    return IngestResult(out_dir / CACHE_NAME, n_pubs, len(rejects), report, len(retained))
 
 
 # ---------------------------------------------------------------------------

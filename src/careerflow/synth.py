@@ -19,6 +19,7 @@ import numpy as np
 from .classes import BOTTOM, TOP, assign_class_codes
 from .corpus import (
     DOC_TYPES,
+    MAX_REFERENCE_YEAR,
     MIN_YEAR,
     AuthorRecord,
     Corpus,
@@ -105,6 +106,10 @@ class CorpusConfig:
             raise CorpusError(
                 f"need 1 <= n_countries <= {MAX_COUNTRIES} and 1 <= n_institutions <= "
                 f"{MAX_INSTITUTIONS}, got {self.n_countries} and {self.n_institutions}"
+            )
+        if self.reference_year > MAX_REFERENCE_YEAR:
+            raise CorpusError(
+                f"reference_year must be <= {MAX_REFERENCE_YEAR}, got {self.reference_year}"
             )
         # the oldest career starts max_academic_age years back; ingest
         # rejects every publication dated before MIN_YEAR

@@ -189,6 +189,26 @@ def test_ingest_missing_journals_exits_2(tmp_path, capsys):
     assert str(missing) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("year", [3000000000, 10000, 1899, 1500, -1])
+@pytest.mark.parametrize("stage", ["ingest", "synth", "synth-config"])
+def test_reference_year_out_of_range_exit_2_before_reading_or_writing(tmp_path, capsys, stage, year):
+    out = tmp_path / "x"
+    if stage == "ingest":
+        # inputs that do not exist: the year is refused before they are looked for
+        argv = ingest_args(tmp_path / "missing")[:-1] + [str(out), "--reference-year", str(year)]
+    elif stage == "synth":
+        argv = synth_args(out) + ["--reference-year", str(year)]
+    else:
+        config = tmp_path / "synth.json"
+        config.write_text(json.dumps({"reference_year": year}))
+        argv = synth_args(out) + ["--config", str(config)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(year) in err and "reference" in err
+    assert "not found" not in err
+    assert not out.exists()
+
+
 def test_ingest_prints_gate_table_and_caches(run_dir, capsys):
     # fixture already ran ingest; run again to capture output
     assert main(ingest_args(run_dir)) == 0
@@ -466,6 +486,30 @@ def test_failed_ingest_keeps_the_previous_cache(run_dir, monkeypatch):
     with pytest.raises(RuntimeError, match="interrupted"):
         main(ingest_args(run_dir))
     assert cache.read_bytes() == before
+    assert list(run_dir.glob("*.tmp")) == []
+
+
+@pytest.mark.parametrize("failing", ["rejects", "filter_report"])
+def test_failed_ingest_write_keeps_every_previous_output(run_dir, monkeypatch, capsys, failing):
+    outputs = ("corpus.cache", "rejects.jsonl", "filter_report.json")
+    with open(run_dir / "publications.jsonl", "ab") as fh:
+        fh.write(b"not json\n")
+    assert main(ingest_args(run_dir)) == 0
+    before = {name: (run_dir / name).read_bytes() for name in outputs}
+    assert before["rejects.jsonl"]
+    with open(run_dir / "publications.jsonl", "ab") as fh:
+        fh.write(b"[]\n")  # the new rejects.jsonl would differ
+
+    def disk_full(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    if failing == "rejects":
+        monkeypatch.setattr(pipeline.Reject, "to_json", disk_full)
+    else:
+        monkeypatch.setattr(pipeline.json, "dump", disk_full)
+    assert main(ingest_args(run_dir)) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert {name: (run_dir / name).read_bytes() for name in outputs} == before
     assert list(run_dir.glob("*.tmp")) == []
 
 

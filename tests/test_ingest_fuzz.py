@@ -5,22 +5,29 @@ it. Every appended non-blank line must end up either accepted or as exactly
 one reject carrying its line number, and the original lines must keep their
 results. The CLI's rejects.jsonl and the column section of its cache must
 equal those of the record-level reference path (parse_corpus, then
-columns_from_corpus and dump_columns) on the same input bytes.
+columns_from_corpus and dump_columns) on the same input bytes, however the
+publications file is cut into byte ranges for ingest's worker processes.
 """
 import contextlib
 import io
 import json
+import os
+import pickle
+import sys
 import tempfile
+import threading
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from careerflow import columnar, pipeline
 from careerflow.cli import main
-from careerflow.columnar import columns_from_corpus, dump_columns
-from careerflow.corpus import parse_corpus, parse_journals
+from careerflow.columnar import byte_ranges, columns_from_corpus, dump_columns, ingest_range
+from careerflow.corpus import parse_authors, parse_corpus, parse_journals
 from careerflow.pipeline import CACHE_NAME, load_cache
 
 FILES = ("publications", "journals", "authors")
@@ -57,6 +64,32 @@ citation_maps = st.dictionaries(
     st.integers(min_value=0) | json_values,
     max_size=3,
 )
+
+
+@contextlib.contextmanager
+def cut_at_lines(lines: list[int]):
+    """Make ingest cut its publications file just before each line index of
+    *lines* (0-based; the line count cuts at the end of the file)."""
+
+    def ranges(path: Path) -> list[tuple[int, int]]:
+        data = path.read_bytes()
+        starts = [0] + [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]
+        bounds = [0, *(starts[line] if line < len(starts) else len(data) for line in sorted(lines))]
+        return list(zip(bounds, [*bounds[1:], None]))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "byte_ranges", ranges)
+        yield
+
+
+@contextlib.contextmanager
+def cpus(n: int):
+    """Make ingest see *n* CPUs and cut ranges of any size, so it reads the
+    publications file in n ranges that byte_ranges chooses."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        mp.setattr(columnar, "MIN_RANGE_BYTES", 1)
+        yield
 
 
 def ingest(run: Path) -> tuple[int, str]:
@@ -122,7 +155,9 @@ def assert_equals_reference(run: Path) -> None:
     assert "".join(cached) == columns.getvalue()
 
 
-def check_appended(base: dict, file: str, extra: list[bytes]) -> None:
+def check_appended(base: dict, file: str, extra: list[bytes], cuts_from_end: list[int]) -> None:
+    """Append *extra* to *file* and ingest it with the publications file cut
+    before the lines *cuts_from_end* counted back from its end."""
     with tempfile.TemporaryDirectory() as tmp:
         run = Path(tmp)
         for name in FILES:
@@ -130,7 +165,9 @@ def check_appended(base: dict, file: str, extra: list[bytes]) -> None:
             if name == file:
                 data += b"".join(line + b"\n" for line in extra)
             (run / f"{name}.jsonl").write_bytes(data)
-        code, stdout = ingest(run)
+        n_lines = (run / "publications.jsonl").read_bytes().count(b"\n")
+        with cut_at_lines([max(n_lines - k, 0) for k in cuts_from_end]):
+            code, stdout = ingest(run)
         assert code == 0  # a bad line is a reject, never the end of ingest
         assert_equals_reference(run)
         rejects = [json.loads(line) for line in (run / "rejects.jsonl").read_text().splitlines()]
@@ -165,10 +202,15 @@ raw_lines = st.lists(
 )
 
 
+# where the publications file is cut, counted in lines back from its end, so
+# that the cuts fall among the appended lines
+cuts_from_end = st.lists(st.integers(0, 6), max_size=3)
+
+
 @FUZZ
-@given(file=st.sampled_from(FILES), extra=raw_lines)
-def test_ingest_survives_arbitrary_byte_lines(base, file, extra):
-    check_appended(base, file, extra)
+@given(file=st.sampled_from(FILES), extra=raw_lines, cuts=cuts_from_end)
+def test_ingest_survives_arbitrary_byte_lines(base, file, extra, cuts):
+    check_appended(base, file, extra, cuts)
 
 
 # (pub_id suffix, field, value): a few ids, so duplicates happen too
@@ -184,14 +226,14 @@ replacements = st.lists(
 
 
 @FUZZ
-@given(replacements=replacements)
-def test_ingest_survives_any_value_in_a_publication_field(base, replacements):
+@given(replacements=replacements, cuts=cuts_from_end)
+def test_ingest_survives_any_value_in_a_publication_field(base, replacements, cuts):
     extra = []
     for suffix, (name, value) in replacements:
         obj = dict(base["first_pub"], pub_id=f"fuzz{suffix}")
         obj[name] = value
         extra.append(json.dumps(obj).encode())
-    check_appended(base, "publications", extra)
+    check_appended(base, "publications", extra, cuts)
 
 
 def late_faults(pub: dict) -> dict[str, list[dict | bytes]]:
@@ -273,3 +315,215 @@ def test_ingest_equals_reference_on_late_faults(base, tmp_path, case):
         assert reasons == {}
     else:
         assert len(reasons) == 1
+
+
+def write_inputs(run: Path, base: dict, extra: list[bytes], final_newline: bool = True) -> None:
+    """The base corpus with *extra* lines appended to its publications."""
+    for name in FILES:
+        data = base["inputs"][name]
+        if name == "publications":
+            data += b"\n".join(extra) + (b"\n" if final_newline else b"")
+        (run / f"{name}.jsonl").write_bytes(data)
+
+
+def pub_rejects(run: Path, base: dict) -> dict[int, str]:
+    """reason by line number among the appended lines (1 is the first)."""
+    first = base["lines"]["publications"]
+    return {
+        r["line_no"] - first: r["reason"]
+        for r in map(json.loads, (run / "rejects.jsonl").read_text().splitlines())
+    }
+
+
+def boundary_cases(pub: dict) -> dict[str, tuple[list[dict | bytes], list[int], dict[int, str]]]:
+    """(appended lines, cuts before these appended lines (0-based), expected
+    rejects by appended line number), keyed by test id."""
+    q7 = dict(cited_ref_disciplines=["Q7"], affiliation_countries=["QQ"], affiliation_institutions=["iq"])
+    return {
+        "duplicate-across-boundary": (
+            [dict(pub, pub_id="x1"), dict(pub, pub_id="x1"), dict(pub, pub_id="x1")],
+            [1, 2],
+            {2: "duplicate pub_id x1", 3: "duplicate pub_id x1"},
+        ),
+        "duplicate-of-a-line-before-the-first-cut": ([dict(pub)], [0], {1: f"duplicate pub_id {pub['pub_id']}"}),
+        "duplicate-whose-first-copy-was-rejected": (
+            [dict(pub, pub_id="dup", year=1800), dict(pub, pub_id="dup"), dict(pub, pub_id="dup")],
+            [1, 2],
+            {1: "year 1800 out of [1900, 2022]", 3: "duplicate pub_id dup"},
+        ),
+        "code-first-seen-in-a-later-range": (
+            [dict(pub, pub_id="n1"), dict(pub, pub_id="n2", **q7), dict(pub, pub_id="n3", **q7)],
+            [1, 2],
+            {},
+        ),
+        "code-only-on-a-cross-range-duplicate": (
+            [dict(pub, pub_id="d1"), dict(pub, pub_id="d1", **q7)],
+            [1],
+            {2: "duplicate pub_id d1"},
+        ),
+        "code-on-a-cross-range-duplicate-and-a-later-line": (
+            [dict(pub, pub_id="d1"), dict(pub, pub_id="d1", **q7), dict(pub, pub_id="d2", **q7)],
+            [1],
+            {2: "duplicate pub_id d1"},
+        ),
+        "range-of-rejects-only": (
+            [b"not json", dict(pub, pub_id="r1", year=1800), b"[]", dict(pub, pub_id="r2")],
+            [0, 3],
+            {
+                1: "invalid json: Expecting value",
+                2: "year 1800 out of [1900, 2022]",
+                3: "record is not an object",
+            },
+        ),
+        "empty-last-range": ([dict(pub, pub_id="e1")], [1], {}),
+        "blank-and-invalid-utf8-at-boundaries": (
+            [b"", b"  \t", b"\xff\xfe", dict(pub, pub_id="u1"), b"\xc3", b""],
+            [1, 2, 3, 4, 5],
+            {3: "invalid utf-8", 5: "invalid utf-8"},
+        ),
+    }
+
+
+BOUNDARY_CASE_IDS = list(boundary_cases({"pub_id": "p", "year": 2000}))
+
+
+@pytest.mark.parametrize("case", BOUNDARY_CASE_IDS)
+def test_ingest_equals_reference_with_ranges_cut_at_chosen_lines(base, tmp_path, case):
+    lines, cuts, expected = boundary_cases(base["first_pub"])[case]
+    write_inputs(tmp_path, base, [line if isinstance(line, bytes) else json.dumps(line).encode() for line in lines])
+    with cut_at_lines([base["lines"]["publications"] + cut for cut in cuts]):
+        code, _ = ingest(tmp_path)
+    assert code == 0
+    assert_equals_reference(tmp_path)
+    assert pub_rejects(tmp_path, base) == expected
+    if case.startswith("code-"):
+        # the codes of a dropped line are interned only if a kept line has them
+        columns = load_cache(tmp_path / CACHE_NAME).columns
+        interned = {"Q7", "QQ", "iq"} & {*columns.disc_vocab, *columns.country_vocab, *columns.inst_vocab}
+        assert interned == (set() if case == "code-only-on-a-cross-range-duplicate" else {"Q7", "QQ", "iq"})
+
+
+@pytest.mark.parametrize("cut", [1, 2])
+def test_final_line_without_newline(base, tmp_path, cut):
+    pub = base["first_pub"]
+    lines = [json.dumps(dict(pub, pub_id="f1")).encode(), json.dumps(dict(pub, pub_id="f1")).encode()]
+    write_inputs(tmp_path, base, lines, final_newline=False)
+    with cut_at_lines([base["lines"]["publications"] + cut]):
+        code, _ = ingest(tmp_path)
+    assert code == 0
+    assert_equals_reference(tmp_path)
+    assert pub_rejects(tmp_path, base) == {2: "duplicate pub_id f1"}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ingest_equals_reference_on_any_cpu_count(base, tmp_path, n):
+    pub = dict(base["first_pub"], pub_id="late")
+    extra = [
+        line if isinstance(line, bytes) else json.dumps(line).encode()
+        for lines in late_faults(pub).values()
+        for line in lines
+    ]
+    write_inputs(tmp_path, base, extra)
+    assert len(byte_ranges(tmp_path / "publications.jsonl")) == 1  # too small to cut
+    with cpus(n):
+        assert len(byte_ranges(tmp_path / "publications.jsonl")) == n
+        code, _ = ingest(tmp_path)
+    assert code == 0
+    assert_equals_reference(tmp_path)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_byte_ranges_cut_at_line_starts(tmp_path, n):
+    data = b"".join(b"x" * (i % 7) + b"\n" for i in range(50)) + b"no newline"
+    path = tmp_path / "publications.jsonl"
+    path.write_bytes(data)
+    with cpus(n):
+        ranges = byte_ranges(path)
+    assert len(ranges) == n
+    assert ranges[0][0] == 0 and ranges[-1][1] is None
+    for (_, end), (start, _) in zip(ranges, ranges[1:]):
+        assert end == start and data[start - 1 : start] == b"\n"
+    # a line longer than a range leaves fewer, never empty, ranges
+    path.write_bytes(b"x" * 100 + b"\n" + b"y\n")
+    with cpus(n):
+        assert byte_ranges(path) == ([(0, 101), (101, None)] if n > 1 else [(0, None)])
+    path.write_bytes(b"")
+    with cpus(n):
+        assert byte_ranges(path) == [(0, None)]
+
+
+def test_ingest_reads_publications_from_a_pipe(base, tmp_path):
+    """A pipe's size reads 0: it is read whole, in one range."""
+    write_inputs(tmp_path, base, [])
+    fifo = tmp_path / "pipe.jsonl"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(base["inputs"]["publications"],))
+    writer.start()
+    argv = ["ingest", "--out", str(tmp_path), "--pubs", str(fifo)]
+    argv += ["--journals", str(tmp_path / "journals.jsonl"), "--authors", str(tmp_path / "authors.jsonl")]
+    with cpus(2), contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert (tmp_path / CACHE_NAME).read_bytes() == base["cache"]
+
+
+@pytest.mark.parametrize("failure", ["worker-raises", "worker-dies", "parent-raises"])
+def test_failed_range_keeps_the_previous_cache_and_reaps_every_worker(base, tmp_path, capsys, failure):
+    write_inputs(tmp_path, base, [])
+    assert ingest(tmp_path)[0] == 0
+    before = {name: (tmp_path / name).read_bytes() for name in (CACHE_NAME, "rejects.jsonl")}
+    write_inputs(tmp_path, base, [b"not json"])
+    parent = os.getpid()
+    real = pipeline.ingest_range
+
+    def failing(path, start, end, *args):
+        in_worker = os.getpid() != parent
+        if failure == "worker-dies" and in_worker:
+            os._exit(3)
+        if failure == ("worker-raises" if in_worker else "parent-raises"):
+            raise RuntimeError("range failed")
+        return real(path, start, end, *args)
+
+    argv = ["ingest", "--out", str(tmp_path)]
+    for name in FILES:
+        argv += [f"--{'pubs' if name == 'publications' else name}", str(tmp_path / f"{name}.jsonl")]
+    with cpus(3), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "ingest_range", failing)
+        if failure == "parent-raises":
+            with pytest.raises(RuntimeError, match="range failed"):
+                main(argv)
+        else:
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert "stage ingest" in err
+            assert ("RuntimeError: range failed" in err) == (failure == "worker-raises")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert {name: (tmp_path / name).read_bytes() for name in before} == before
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
+def test_a_range_is_ingested_without_calling_numpy(base, tmp_path):
+    """A forked worker runs ingest_range; numpy may hold threads that do not
+    survive a fork, so ingest_range must not call into it."""
+    numpy_dir = os.path.dirname(np.__file__)
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(numpy_dir):
+            calls.append(frame.f_code.co_name)
+        elif event == "c_call" and "numpy" in f"{getattr(arg, '__module__', '')} {type(arg).__module__}":
+            calls.append(repr(arg))
+
+    write_inputs(tmp_path, base, [b"not json", json.dumps(dict(base["first_pub"], pub_id="n1")).encode()])
+    journals = parse_journals(io.BytesIO(base["inputs"]["journals"]), [])
+    authors = parse_authors(io.BytesIO(base["inputs"]["authors"]), [])
+    sys.setprofile(profile)
+    try:
+        result = ingest_range(tmp_path / "publications.jsonl", 0, None, journals, authors, REFERENCE_YEAR)
+    finally:
+        sys.setprofile(None)
+    assert calls == []
+    assert len(result.rejects) == 1 and result.pub_ids[-1] == "n1"
+    assert b"numpy" not in pickle.dumps(result)
