@@ -290,19 +290,11 @@ LATE_FAULT_IDS = list(late_faults({**dict.fromkeys(PUB_FIELDS, []), "year": 2000
 @pytest.mark.parametrize("case", LATE_FAULT_IDS)
 def test_ingest_equals_reference_on_late_faults(base, tmp_path, case):
     pub = dict(base["first_pub"], pub_id="late")
-    extra = [line if isinstance(line, bytes) else json.dumps(line).encode() for line in late_faults(pub)[case]]
-    for name in FILES:
-        data = base["inputs"][name]
-        if name == "publications":
-            data += b"".join(line + b"\n" for line in extra)
-        (tmp_path / f"{name}.jsonl").write_bytes(data)
+    write_inputs(tmp_path, base, late_faults(pub)[case])
     code, _ = ingest(tmp_path)
     assert code == 0
     assert_equals_reference(tmp_path)
-    reasons = {
-        r["line_no"] - base["lines"]["publications"]: r["reason"]
-        for r in map(json.loads, (tmp_path / "rejects.jsonl").read_text().splitlines())
-    }
+    reasons = pub_rejects(tmp_path, base)
     if case == "bom":
         assert reasons == {1: "invalid json: Unexpected UTF-8 BOM (decode using utf-8-sig)"}
     elif case == "duplicate-of-rejected-pub-id":
@@ -317,12 +309,14 @@ def test_ingest_equals_reference_on_late_faults(base, tmp_path, case):
         assert len(reasons) == 1
 
 
-def write_inputs(run: Path, base: dict, extra: list[bytes], final_newline: bool = True) -> None:
-    """The base corpus with *extra* lines appended to its publications."""
+def write_inputs(run: Path, base: dict, extra: list[dict | bytes], final_newline: bool = True) -> None:
+    """The base corpus with *extra* lines (a dict as its JSON) appended to its
+    publications."""
+    lines = [line if isinstance(line, bytes) else json.dumps(line).encode() for line in extra]
     for name in FILES:
         data = base["inputs"][name]
         if name == "publications":
-            data += b"\n".join(extra) + (b"\n" if final_newline else b"")
+            data += b"\n".join(lines) + (b"\n" if final_newline else b"")
         (run / f"{name}.jsonl").write_bytes(data)
 
 
@@ -390,7 +384,7 @@ BOUNDARY_CASE_IDS = list(boundary_cases({"pub_id": "p", "year": 2000}))
 @pytest.mark.parametrize("case", BOUNDARY_CASE_IDS)
 def test_ingest_equals_reference_with_ranges_cut_at_chosen_lines(base, tmp_path, case):
     lines, cuts, expected = boundary_cases(base["first_pub"])[case]
-    write_inputs(tmp_path, base, [line if isinstance(line, bytes) else json.dumps(line).encode() for line in lines])
+    write_inputs(tmp_path, base, lines)
     with cut_at_lines([base["lines"]["publications"] + cut for cut in cuts]):
         code, _ = ingest(tmp_path)
     assert code == 0
@@ -406,8 +400,7 @@ def test_ingest_equals_reference_with_ranges_cut_at_chosen_lines(base, tmp_path,
 @pytest.mark.parametrize("cut", [1, 2])
 def test_final_line_without_newline(base, tmp_path, cut):
     pub = base["first_pub"]
-    lines = [json.dumps(dict(pub, pub_id="f1")).encode(), json.dumps(dict(pub, pub_id="f1")).encode()]
-    write_inputs(tmp_path, base, lines, final_newline=False)
+    write_inputs(tmp_path, base, [dict(pub, pub_id="f1")] * 2, final_newline=False)
     with cut_at_lines([base["lines"]["publications"] + cut]):
         code, _ = ingest(tmp_path)
     assert code == 0
@@ -418,12 +411,7 @@ def test_final_line_without_newline(base, tmp_path, cut):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_ingest_equals_reference_on_any_cpu_count(base, tmp_path, n):
     pub = dict(base["first_pub"], pub_id="late")
-    extra = [
-        line if isinstance(line, bytes) else json.dumps(line).encode()
-        for lines in late_faults(pub).values()
-        for line in lines
-    ]
-    write_inputs(tmp_path, base, extra)
+    write_inputs(tmp_path, base, [line for lines in late_faults(pub).values() for line in lines])
     assert len(byte_ranges(tmp_path / "publications.jsonl")) == 1  # too small to cut
     with cpus(n):
         assert len(byte_ranges(tmp_path / "publications.jsonl")) == n
@@ -516,7 +504,7 @@ def test_a_range_is_ingested_without_calling_numpy(base, tmp_path):
         elif event == "c_call" and "numpy" in f"{getattr(arg, '__module__', '')} {type(arg).__module__}":
             calls.append(repr(arg))
 
-    write_inputs(tmp_path, base, [b"not json", json.dumps(dict(base["first_pub"], pub_id="n1")).encode()])
+    write_inputs(tmp_path, base, [b"not json", dict(base["first_pub"], pub_id="n1")])
     journals = parse_journals(io.BytesIO(base["inputs"]["journals"]), [])
     authors = parse_authors(io.BytesIO(base["inputs"]["authors"]), [])
     sys.setprofile(profile)
