@@ -4,20 +4,21 @@ The builder consumes publication lines (ingest) or validated
 PublicationRecord objects (an in-memory Corpus) one at a time and keeps only
 flat arrays, so corpora with millions of publications never exist as object
 lists. Ingest reads a publications file in byte ranges, one builder per range
-(ingest_range), and merges them in file order (merge_ranges). Columns
-serialize to a line-delimited text form (json section lines; array payloads
-base64-encoded with explicit little-endian dtypes) used by the ingest cache.
+(ingest_range), and merges them in file order (merge_ranges). This module
+also owns the ingest cache format (write_cache, read_cache): a version line
+with a sha256 of the rest, one json line, then the arrays as raw
+little-endian blocks.
 """
 from __future__ import annotations
 
-import base64
+import hashlib
 import heapq
 import json
 import os
 from array import array
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import BinaryIO, Collection, Iterable, Iterator, TextIO
+from typing import BinaryIO, Collection, Iterable, Iterator
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .corpus import (
     QUALIFYING_DOC_TYPES,
     AuthorRecord,
     Corpus,
+    CorpusError,
     JournalRecord,
     PublicationRecord,
     PublicationValidator,
@@ -626,97 +628,66 @@ def merge_ranges(
 
 
 # ---------------------------------------------------------------------------
-# line-delimited serialization
+# the ingest cache
 
-_ARRAY_FIELDS = (
-    "gender_code",
-    "first_pub_year",
-    "qualifying_count",
-    "dominant_discipline",
-    "dominant_country_idx",
-    "dominant_institution_idx",
-    "pub_year",
-    "pub_qualifying",
-    "pub_percentile",
-    "pub_n_authors",
-    "pub_intl",
-    "pub_cits4y",
-    "inc_author",
-    "inc_pub",
-    "author_starts",
-    "jd_starts",
-    "jd_disc",
-    "inst_starts",
-    "inst_flat",
-)
-
-_STRING_FIELDS = ("author_ids", "disc_vocab", "country_vocab", "inst_vocab")
+CACHE_VERSION = 2
+# the json line and each array block are zero-padded to a multiple of this,
+# so every block is aligned for its dtype
+_ALIGN = 8
 
 
-def _encode_array(arr: np.ndarray) -> tuple[str, str]:
-    if arr.dtype == bool:
-        portable = arr.astype("<i1")
-    else:
-        portable = arr.astype(arr.dtype.newbyteorder("<"))
-    return portable.dtype.str, base64.b64encode(portable.tobytes()).decode("ascii")
+def _compact(obj) -> bytes:
+    return json.dumps(obj, separators=(",", ":")).encode("ascii") + b"\n"
 
 
-def _decode_array(dtype: str, n: int, payload: str, as_bool: bool) -> np.ndarray:
-    arr = np.frombuffer(base64.b64decode(payload), dtype=np.dtype(dtype), count=n)
-    arr = arr.astype(arr.dtype.newbyteorder("="))
-    return arr.astype(bool) if as_bool else arr
-
-
-def dump_columns(columns: CorpusColumns, fh: TextIO) -> None:
-    """Write every column as one json line; arrays carry base64 payloads."""
-    meta = {"kind": "meta", "reference_year": columns.reference_year}
-    fh.write(json.dumps(meta, separators=(",", ":")) + "\n")
-    for name in _STRING_FIELDS:
-        obj = {"kind": "strings", "name": name, "values": getattr(columns, name)}
-        fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
-    overrides = {
-        str(i): code for i, code in enumerate(columns.country_override) if code is not None
-    }
-    fh.write(
-        json.dumps({"kind": "overrides", "values": overrides}, separators=(",", ":")) + "\n"
-    )
-    for name in _ARRAY_FIELDS:
-        arr = getattr(columns, name)
-        dtype, payload = _encode_array(arr)
-        obj = {
-            "kind": "array",
-            "name": name,
-            "dtype": dtype,
-            "n": int(arr.shape[0]),
-            "bool": bool(arr.dtype == bool),
-            "data": payload,
-        }
-        fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
-
-
-def load_columns(lines: Iterable[str]) -> CorpusColumns:
-    """Inverse of dump_columns; raises KeyError on missing sections."""
-    parts: dict = {}
-    meta: dict = {}
-    overrides_raw: dict[str, str] = {}
-    for line in lines:
-        obj = json.loads(line)
-        kind = obj["kind"]
-        if kind == "meta":
-            meta = obj
-        elif kind == "strings":
-            parts[obj["name"]] = obj["values"]
-        elif kind == "overrides":
-            overrides_raw = obj["values"]
-        elif kind == "array":
-            parts[obj["name"]] = _decode_array(obj["dtype"], obj["n"], obj["data"], obj["bool"])
+def write_cache(fh: BinaryIO, header: dict, columns: CorpusColumns) -> None:
+    """Write *header* (a json object) and *columns* as a cache. Line 1 gives
+    the cache version and the sha256 of every byte after it. Line 2 is a
+    json object: *header*, each field of *columns* that is not an array, and
+    a [name, dtype, length] descriptor per array. The arrays follow as raw
+    little-endian blocks in that order."""
+    layout: dict = {"header": header, "arrays": []}
+    blocks = []
+    for field in fields(CorpusColumns):
+        value = getattr(columns, field.name)
+        if isinstance(value, np.ndarray):
+            block = np.ascontiguousarray(value, value.dtype.newbyteorder("<"))
+            layout["arrays"].append([field.name, block.dtype.str, block.shape[0]])
+            blocks += [block.data, bytes(-block.nbytes % _ALIGN)]
         else:
-            raise ValueError(f"unknown column section kind {kind!r}")
-    override: list[str | None] = [None] * len(parts["author_ids"])
-    for key, code in overrides_raw.items():
-        override[int(key)] = code
-    field_names = {f.name for f in fields(CorpusColumns)}
-    kwargs = {name: parts[name] for name in field_names if name in parts}
-    return CorpusColumns(
-        reference_year=meta["reference_year"], country_override=override, **kwargs
-    )
+            layout[field.name] = value
+    line = _compact(layout)
+    body = [line, bytes(-len(line) % _ALIGN), *blocks]
+    digest = hashlib.sha256()
+    for part in body:
+        digest.update(part)
+    fh.write(_compact({"cache_version": CACHE_VERSION, "sha256": digest.hexdigest()}))
+    for part in body:
+        fh.write(part)
+
+
+def read_cache(fh: BinaryIO) -> tuple[dict, CorpusColumns]:
+    """The header and columns that write_cache wrote to *fh*, a regular file.
+    The body after line 1 is read once, and each array is a writable view
+    of it. Another cache version, or a body that does not match its sha256,
+    is a CorpusError."""
+    try:
+        top = json.loads(fh.readline())
+    except ValueError:
+        top = None
+    version = top.get("cache_version") if isinstance(top, dict) else None
+    if version != CACHE_VERSION:
+        raise CorpusError(f"cache version {version!r}, expected {CACHE_VERSION} (re-run ingest)")
+    body = bytearray(os.fstat(fh.fileno()).st_size - fh.tell())
+    fh.readinto(body)
+    if hashlib.sha256(body).hexdigest() != top.get("sha256"):
+        raise CorpusError("cache is damaged: its sha256 does not match (re-run ingest)")
+    end = body.index(b"\n") + 1
+    layout = json.loads(body[:end])
+    offset = end + -end % _ALIGN
+    for name, dtype, n in layout.pop("arrays"):
+        arr = np.frombuffer(body, np.dtype(dtype), n, offset)
+        layout[name] = arr.astype(arr.dtype.newbyteorder("="), copy=False)
+        offset += arr.nbytes + -arr.nbytes % _ALIGN
+    header = layout.pop("header")
+    return header, CorpusColumns(**layout)

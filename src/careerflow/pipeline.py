@@ -1,10 +1,9 @@
-"""Ingest cache format, the analysis pipeline, and output writers.
+"""Ingest, the analysis pipeline, and output writers.
 
-The cache is a single line-delimited file with a versioned header line
-followed by kind-tagged json sections: the corpus in columnar form (array
-payloads base64-encoded with explicit dtypes), the retained author set, and
-the filter report. Publications are parsed and validated once, at ingest;
-analysis re-reads only arrays.
+Ingest parses and validates publications once and writes the corpus in
+columnar form to the cache (columnar.write_cache), with a header of its
+own: the publication count, the filter config, the retained author ids
+and the filter report. Analyze re-reads only the cache.
 """
 from __future__ import annotations
 
@@ -16,7 +15,7 @@ import pickle
 import signal
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, TextIO
+from typing import IO, BinaryIO, Callable, Collection, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -33,10 +32,10 @@ from .columnar import (
     CorpusColumns,
     RangeResult,
     byte_ranges,
-    dump_columns,
     ingest_range,
-    load_columns,
     merge_ranges,
+    read_cache,
+    write_cache,
 )
 from .corpus import (
     MANIFEST_NAME,
@@ -60,7 +59,6 @@ from .mobility import (
 from .portfolio import PortfolioTable, derive_portfolios
 from .regression import ModelOutcome, default_spec, grid_rows, run_models, sig_label
 
-CACHE_VERSION = 1
 CACHE_NAME = "corpus.cache"
 # analyze owns these directories: a file in them that the manifest does not
 # list is a stale output of an earlier run and is removed
@@ -230,14 +228,18 @@ def _ingest_publications(
     return merge_ranges(results, *args)
 
 
-def _write_aside(out_dir: Path, writers: dict[str, Callable[[TextIO], None]]) -> None:
-    """Write each named file of *out_dir* aside, then rename them all into
-    place, so an interrupted ingest leaves no truncated file and keeps every
-    previous one until all new ones are written."""
+def _write_aside(
+    out_dir: Path, writers: dict[str, Callable[[IO], None]], binary: Collection[str] = ()
+) -> None:
+    """Write each named file of *out_dir* aside, in binary if it is named in
+    *binary* and as UTF-8 text if not, then rename them all into place, so
+    an interrupted ingest leaves no truncated file and keeps every previous
+    one until all new ones are written."""
     tmp_paths = {name: out_dir / f".{name}.{os.getpid()}.tmp" for name in writers}
     try:
         for name, write in writers.items():
-            with open(tmp_paths[name], "w", encoding="utf-8") as fh:
+            text = name not in binary
+            with open(tmp_paths[name], "w" if text else "wb", encoding="utf-8" if text else None) as fh:
                 write(fh)
         for name, tmp_path in tmp_paths.items():
             os.replace(tmp_path, out_dir / name)
@@ -279,23 +281,21 @@ def run_ingest(
         json.dump(report_obj, fh, indent=2)
         fh.write("\n")
 
-    def write_cache(fh: TextIO) -> None:
-        header = {
-            "kind": "header",
-            "cache_version": CACHE_VERSION,
-            "reference_year": reference_year,
-            "n_publications": n_pubs,
-            "filter": _filter_config_dict(config),
-        }
-        fh.write(json.dumps(header, separators=(",", ":")) + "\n")
-        dump_columns(columns, fh)
-        fh.write(json.dumps({"kind": "retained", "ids": sorted(retained)}, separators=(",", ":")) + "\n")
-        fh.write(json.dumps({"kind": "report", **report_obj}, separators=(",", ":")) + "\n")
-
+    header = {
+        "n_publications": n_pubs,
+        "filter": _filter_config_dict(config),
+        "retained": sorted(retained),
+        "report": report_obj,
+    }
     # the cache is renamed last: analyze reads it
     _write_aside(
         out_dir,
-        {"rejects.jsonl": write_rejects, "filter_report.json": write_report, CACHE_NAME: write_cache},
+        {
+            "rejects.jsonl": write_rejects,
+            "filter_report.json": write_report,
+            CACHE_NAME: lambda fh: write_cache(fh, header, columns),
+        },
+        binary=(CACHE_NAME,),
     )
     return IngestResult(out_dir / CACHE_NAME, n_pubs, len(rejects), report, len(retained))
 
@@ -315,33 +315,9 @@ class LoadedCache:
 def load_cache(cache_path: Path) -> LoadedCache:
     if not cache_path.exists():
         raise CorpusError(f"cache not found: {cache_path} (run ingest first)")
-    header: dict | None = None
-    report: FilterReport | None = None
-    retained: set[str] = set()
-    column_lines: list[str] = []
-    with open(cache_path, encoding="utf-8") as fh:
-        for line in fh:
-            # every cache line opens with its kind tag; sniff it without
-            # json-parsing multi-megabyte array payloads twice
-            obj_kind = line[9 : line.index('"', 9)] if line.startswith('{"kind":"') else ""
-            if obj_kind == "header":
-                header = json.loads(line)
-                if header.get("cache_version") != CACHE_VERSION:
-                    raise CorpusError(
-                        f"unsupported cache version {header.get('cache_version')!r}"
-                    )
-            elif obj_kind == "retained":
-                retained = set(json.loads(line)["ids"])
-            elif obj_kind == "report":
-                obj = json.loads(line)
-                report = FilterReport(obj["removed"], obj["retained"], obj["total"])
-            elif obj_kind in ("meta", "strings", "overrides", "array"):
-                column_lines.append(line)
-            else:
-                raise CorpusError(f"corrupt cache line (kind {obj_kind!r})")
-    if header is None or report is None:
-        raise CorpusError("cache is incomplete (missing header or filter report)")
-    return LoadedCache(header, load_columns(column_lines), retained, report)
+    with open(cache_path, "rb") as fh:
+        header, columns = read_cache(fh)
+    return LoadedCache(header, columns, set(header["retained"]), FilterReport(**header["report"]))
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +502,7 @@ def run_analyze(
 
     try:
         loaded = load_cache(out_dir / CACHE_NAME)
-    except (ValueError, KeyError, TypeError) as exc:  # CorpusError; JSON, base64, dtype faults
+    except (ValueError, KeyError, TypeError) as exc:  # CorpusError, or a header without its fields
         raise StageError("load-cache", str(exc)) from exc
 
     columns = loaded.columns

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import re
@@ -7,12 +8,17 @@ import time
 import typing
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import careerflow
 from careerflow import pipeline
 from careerflow.cli import main
+from careerflow.columnar import ColumnsBuilder, CorpusColumns, read_cache, write_cache
+from careerflow.corpus import parse_authors, parse_journals
 from careerflow.pipeline import MANIFEST_NAME
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 def synth_args(out: Path, n=40, disciplines=2, seed=7, rho=0.5):
@@ -418,22 +424,101 @@ def test_analyze_removes_outputs_its_manifest_does_not_list(run_dir):
     assert (run_dir / "corpus.cache").exists()  # only analyze's own directories are swept
 
 
+def cache_layout(data: bytes) -> tuple[int, dict[str, tuple[int, int]], list[int]]:
+    """The end of line 2 of a version-2 cache, the (start, end) offset of
+    each array block by name, and the offsets of its padding bytes. Line 2
+    and each block are padded to a multiple of 8 bytes counted from the
+    start of line 2."""
+    body = data.index(b"\n") + 1
+    at = line_end = data.index(b"\n", body) + 1
+    blocks: dict[str, tuple[int, int]] = {}
+    padding = list(range(at, at + -(at - body) % 8))
+    at += len(padding)
+    for name, dtype, n in json.loads(data[body:line_end])["arrays"]:
+        blocks[name] = (at, at + np.dtype(dtype).itemsize * n)
+        at = blocks[name][1]
+        pad = -(at - body) % 8
+        padding += range(at, at + pad)
+        at += pad
+    assert at == len(data)
+    return line_end, blocks, padding
+
+
 def test_corrupt_cache_payload_is_a_load_cache_error(run_dir, capsys):
     cache = run_dir / "corpus.cache"
-    lines = cache.read_text().splitlines(keepends=True)
-    at = next(i for i, line in enumerate(lines) if line.startswith('{"kind":"array"'))
-    array = json.loads(lines[at])
-    data = array["data"]
-    # a whole number of base64 quads too short for the array; not base64 at
-    # all; a dtype numpy does not know
-    for fault in ({"data": data[: len(data) // 8 * 4]}, {"data": "not base64"}, {"dtype": "zz"}):
-        lines[at] = json.dumps({**array, **fault}, separators=(",", ":")) + "\n"
-        cache.write_text("".join(lines))
+    data = cache.read_bytes()
+    body = data.index(b"\n") + 1
+    line_end, blocks, padding = cache_layout(data)
+    assert padding
+
+    def flipped(at: int) -> bytes:
+        return data[:at] + bytes([data[at] ^ 1]) + data[at + 1 :]
+
+    start, end = blocks["pub_cits4y"]
+    v1_header = {"kind": "header", "cache_version": 1, "reference_year": 2022, "n_publications": 1}
+    faults = {
+        "byte in line 2": flipped((body + line_end) // 2),
+        "byte in a block": flipped((start + end) // 2),
+        "padding byte": flipped(padding[0]),
+        "cut inside a block": data[: (start + end) // 2],
+        "appended byte": data + b"\0",
+        "version 1": (
+            json.dumps(v1_header, separators=(",", ":")) + "\n" + '{"kind":"meta","reference_year":2022}\n'
+        ).encode(),
+    }
+    for fault, damaged in faults.items():
+        cache.write_bytes(damaged)
         capsys.readouterr()
-        assert main(["analyze", "--out", str(run_dir)]) == 1
+        assert main(["analyze", "--out", str(run_dir)]) == 1, fault
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: stage load-cache: "), captured.err
-        assert captured.out == ""
+        assert captured.err.startswith("error: stage load-cache: "), (fault, captured.err)
+        assert "re-run ingest" in captured.err, (fault, captured.err)
+        assert captured.out == "", fault
+
+
+@pytest.mark.parametrize("inputs", ["golden", "empty"])
+def test_cache_round_trips_the_builder_columns(tmp_path, capsys, inputs):
+    if inputs == "golden":
+        src = GOLDEN
+    else:
+        src = tmp_path / "empty"
+        src.mkdir()
+        for name in ("publications", "journals", "authors"):
+            (src / f"{name}.jsonl").write_bytes(b"")
+    rejects: list = []
+    with open(src / "journals.jsonl", "rb") as fh:
+        journals = parse_journals(fh, rejects)
+    with open(src / "authors.jsonl", "rb") as fh:
+        authors = parse_authors(fh, rejects)
+    builder = ColumnsBuilder(journals, authors, 2022)
+    with open(src / "publications.jsonl", "rb") as fh:
+        builder.add_lines(fh, rejects)
+    assert rejects == []
+    expected = builder.finalize()
+    assert (expected.n_authors > 0) == (inputs == "golden")
+    header = {"n_publications": expected.n_publications, "retained": []}
+    with open(tmp_path / "corpus.cache", "wb") as fh:
+        write_cache(fh, header, expected)
+    with open(tmp_path / "corpus.cache", "rb") as fh:
+        loaded_header, loaded = read_cache(fh)
+
+    assert loaded_header == header
+    for field in dataclasses.fields(CorpusColumns):
+        want, got = getattr(expected, field.name), getattr(loaded, field.name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype, field.name
+            assert got.flags.writeable, field.name
+            assert np.array_equal(got, want), field.name
+        else:
+            assert type(got) is type(want) and got == want, field.name
+
+    out = tmp_path / "run"
+    argv = ["--pubs", str(src / "publications.jsonl"), "--journals", str(src / "journals.jsonl")]
+    assert main(["ingest", *argv, "--authors", str(src / "authors.jsonl"), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["analyze", "--out", str(out)]) == (0 if inputs == "golden" else 1)
+    if inputs == "empty":
+        assert capsys.readouterr().err.startswith("error: stage filter: ")
 
 
 @pytest.mark.parametrize(
@@ -478,11 +563,11 @@ def test_failed_ingest_keeps_the_previous_cache(run_dir, monkeypatch):
     cache = run_dir / "corpus.cache"
     before = cache.read_bytes()
 
-    def broken_dump(columns, fh):
-        fh.write('{"kind":"meta"')
+    def broken_write(fh, header, columns):
+        fh.write(b'{"cache_version":2')
         raise RuntimeError("interrupted")
 
-    monkeypatch.setattr(pipeline, "dump_columns", broken_dump)
+    monkeypatch.setattr(pipeline, "write_cache", broken_write)
     with pytest.raises(RuntimeError, match="interrupted"):
         main(ingest_args(run_dir))
     assert cache.read_bytes() == before

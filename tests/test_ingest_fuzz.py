@@ -3,10 +3,10 @@
 Generated lines are appended to a small valid corpus and the real CLI ingests
 it. Every appended non-blank line must end up either accepted or as exactly
 one reject carrying its line number, and the original lines must keep their
-results. The CLI's rejects.jsonl and the column section of its cache must
-equal those of the record-level reference path (parse_corpus, then
-columns_from_corpus and dump_columns) on the same input bytes, however the
-publications file is cut into byte ranges for ingest's worker processes.
+results. The CLI's rejects.jsonl and cache must equal those of the
+record-level reference path (parse_corpus, then columns_from_corpus and
+write_cache under the CLI's cache header) on the same input bytes, however
+the publications file is cut into byte ranges for ingest's worker processes.
 """
 import contextlib
 import io
@@ -26,7 +26,13 @@ from hypothesis import strategies as st
 
 from careerflow import columnar, pipeline
 from careerflow.cli import main
-from careerflow.columnar import byte_ranges, columns_from_corpus, dump_columns, ingest_range
+from careerflow.columnar import (
+    byte_ranges,
+    columns_from_corpus,
+    ingest_range,
+    read_cache,
+    write_cache,
+)
 from careerflow.corpus import parse_authors, parse_corpus, parse_journals
 from careerflow.pipeline import CACHE_NAME, load_cache
 
@@ -43,7 +49,6 @@ PUB_FIELDS = (
     "cited_ref_disciplines",
 )
 REFERENCE_YEAR = 2022  # the CLI ingest default
-COLUMN_KINDS = ("meta", "strings", "overrides", "array")
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=120)
 
 # any JSON value, lone surrogates included (they survive json.dumps as \ud800)
@@ -145,14 +150,11 @@ def assert_equals_reference(run: Path) -> None:
     assert (run / "rejects.jsonl").read_bytes() == b"".join(
         r.to_json().encode() + b"\n" for r in rejects
     )
-    columns = io.StringIO()
-    dump_columns(columns_from_corpus(corpus), columns)
-    cached = [
-        line
-        for line in (run / CACHE_NAME).read_text(encoding="utf-8").splitlines(keepends=True)
-        if json.loads(line)["kind"] in COLUMN_KINDS
-    ]
-    assert "".join(cached) == columns.getvalue()
+    with open(run / CACHE_NAME, "rb") as fh:
+        header, _ = read_cache(fh)
+    expected = io.BytesIO()
+    write_cache(expected, header, columns_from_corpus(corpus))
+    assert (run / CACHE_NAME).read_bytes() == expected.getvalue()
 
 
 def check_appended(base: dict, file: str, extra: list[bytes], cuts_from_end: list[int]) -> None:
