@@ -3,14 +3,18 @@
 Input is three line-delimited JSON files (publications, journals, authors).
 Malformed lines become reject records, never silent drops. Filtering applies
 five gates in a fixed order so the removal counts are comparable across runs.
+Workers forks the worker processes that synth and ingest run on every CPU.
 """
 from __future__ import annotations
 
 import json
+import os
+import pickle
 import re
+import signal
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 DOC_TYPES = ("article", "conference_paper", "other")
 QUALIFYING_DOC_TYPES = frozenset(("article", "conference_paper"))
@@ -50,6 +54,75 @@ class StageError(RuntimeError):
     def __init__(self, stage: str, message: str):
         self.stage = stage
         super().__init__(f"stage {stage}: {message}")
+
+
+class Workers:
+    """Forked worker processes of one stage, one callable each.
+
+    fork() runs a callable in a child, which pickles (True, its result) or
+    (False, the error text) into a pipe and leaves by os._exit, so it runs
+    no exit handler and flushes no buffer it inherited. results() yields the
+    replies in fork order and reaps each worker; a failed or dead worker is
+    a StageError of the stage. Leaving the with block kills and reaps every
+    worker not yet reaped, on any path.
+
+    A fork copies only the thread that calls it, so a worker must not call
+    into a library that may hold a pool of threads: ingest's workers never
+    call numpy, and synth's call numpy's random generators and array
+    functions but no BLAS or LAPACK routine.
+    """
+
+    def __init__(self, stage: str):
+        self.stage = stage
+        self._running: list[tuple[int, BinaryIO, str]] = []
+
+    def __enter__(self) -> Workers:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        for pid, pipe, _ in self._running:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        self._running.clear()
+
+    def fork(self, what: str, work: Callable[[], object]) -> None:
+        """Run *work* in a new worker; *what* names its share in errors."""
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                os.close(read_fd)
+                with open(write_fd, "wb") as pipe:
+                    try:
+                        reply = (True, work())
+                    except Exception as exc:
+                        reply = (False, f"{type(exc).__name__}: {exc}")
+                    pickle.dump(reply, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_fd)
+        self._running.append((pid, open(read_fd, "rb"), what))
+
+    def results(self) -> Iterator[object]:
+        while self._running:
+            pid, pipe, what = self._running[0]
+            try:
+                ok, reply = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                ok, reply = False, "no result"
+            pipe.close()
+            _, status = os.waitpid(pid, 0)
+            del self._running[0]
+            if not ok or status != 0:
+                raise StageError(
+                    self.stage,
+                    f"worker for {what} failed "
+                    f"(exit {os.waitstatus_to_exitcode(status)}): {reply}",
+                )
+            yield reply
 
 
 class _LineError(ValueError):

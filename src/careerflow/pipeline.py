@@ -7,15 +7,14 @@ and the filter report. Analyze re-reads only the cache.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 import os
-import pickle
-import signal
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, BinaryIO, Callable, Collection, Iterable, Iterator, TextIO
+from typing import IO, Callable, Collection, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -46,6 +45,7 @@ from .corpus import (
     Reject,
     SampleFilterConfig,
     StageError,
+    Workers,
     parse_authors,
     parse_journals,
 )
@@ -158,31 +158,6 @@ def _filter_config_dict(config: SampleFilterConfig) -> dict:
     }
 
 
-def _fork_range(pubs_path: Path, start: int, end: int | None, *args) -> tuple[int, BinaryIO]:
-    """Fork a worker that ingests bytes *start* to *end* of *pubs_path* and
-    pickles (True, RangeResult) or (False, error text) into a pipe; returns
-    its pid and the read end. The worker runs only ingest_range and pickle,
-    never numpy, and leaves by os._exit, so it runs no exit handler it
-    inherited."""
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            with open(write_fd, "wb") as pipe:
-                try:
-                    reply = (True, ingest_range(pubs_path, start, end, *args))
-                except Exception as exc:
-                    reply = (False, f"{type(exc).__name__}: {exc}")
-                pickle.dump(reply, pipe, protocol=pickle.HIGHEST_PROTOCOL)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
-
-
 def _ingest_publications(
     pubs_path: Path,
     journals: dict[str, JournalRecord],
@@ -199,32 +174,14 @@ def _ingest_publications(
     """
     args = (journals, authors, reference_year)
     ranges = byte_ranges(pubs_path)
-    workers: dict[int, BinaryIO] = {}
-    try:
+    with Workers("ingest") as workers:
         for start, end in ranges[1:]:
-            pid, pipe = _fork_range(pubs_path, start, end, *args)
-            workers[pid] = pipe
+            workers.fork(
+                f"bytes {start}-{end or 'end'} of {pubs_path}",
+                functools.partial(ingest_range, pubs_path, start, end, *args),
+            )
         results: list[RangeResult] = [ingest_range(pubs_path, *ranges[0], *args)]
-        for (start, end), (pid, pipe) in zip(ranges[1:], list(workers.items())):
-            try:
-                ok, reply = pickle.load(pipe)
-            except (EOFError, pickle.UnpicklingError):
-                ok, reply = False, "no result"
-            pipe.close()
-            _, status = os.waitpid(pid, 0)
-            del workers[pid]
-            if not ok or status != 0:
-                raise StageError(
-                    "ingest",
-                    f"worker for bytes {start}-{end or 'end'} of {pubs_path} failed "
-                    f"(exit {os.waitstatus_to_exitcode(status)}): {reply}",
-                )
-            results.append(reply)
-    finally:
-        for pid, pipe in workers.items():
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        results += workers.results()
     return merge_ranges(results, *args)
 
 
