@@ -32,6 +32,7 @@ from .corpus import (
     PublicationRecord,
     PublicationValidator,
     Reject,
+    cpu_count,
     duplicate_pub_reject,
     iter_json_lines,
 )
@@ -494,9 +495,7 @@ def byte_ranges(path: Path) -> list[tuple[int, int | None]]:
     at the end of the file (None), so a pipe, whose size reads 0, is read
     whole, and never opened here."""
     size = os.path.getsize(path)
-    # a platform without affinity masks (and without fork) reads in one range
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    n = min(cpus, size // MIN_RANGE_BYTES)
+    n = min(cpu_count(), size // MIN_RANGE_BYTES)
     bounds = [0]
     if n > 1:
         with open(path, "rb") as fh:

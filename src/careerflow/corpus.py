@@ -56,6 +56,13 @@ class StageError(RuntimeError):
         super().__init__(f"stage {stage}: {message}")
 
 
+def cpu_count() -> int:
+    """The CPUs of this process's affinity mask: the most processes a stage
+    runs at once. A platform without affinity masks (and without fork) runs
+    one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
 class Workers:
     """Forked worker processes of one stage, one callable each.
 

@@ -14,7 +14,6 @@ import contextlib
 import functools
 import io
 import math
-import os
 import shutil
 import tempfile
 from dataclasses import dataclass, field, fields
@@ -33,6 +32,7 @@ from .corpus import (
     JournalRecord,
     Workers,
     author_to_json,
+    cpu_count,
     journal_to_json,
     parse_corpus,
 )
@@ -385,9 +385,7 @@ def author_ranges(config: CorpusConfig, values: np.ndarray) -> list[tuple[int, i
     AUTHOR_COST_PUBS plus their expected publications, about ten times
     pubs_per_year per unit of stage value."""
     n = len(values)
-    # a platform without affinity masks (and without fork) writes one range
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    k = max(1, min(cpus, n // MIN_RANGE_AUTHORS))
+    k = max(1, min(cpu_count(), n // MIN_RANGE_AUTHORS))
     cost = np.cumsum(10.0 * config.pubs_per_year * values.sum(axis=1) + AUTHOR_COST_PUBS)
     cuts = np.searchsorted(cost, cost[-1] * np.arange(1, k) / k).tolist()
     bounds = sorted({0, n, *cuts})
