@@ -22,6 +22,7 @@ from .corpus import (
     CorpusError,
     SampleFilterConfig,
     StageError,
+    write_aside,
 )
 
 EXIT_OK = 0
@@ -137,10 +138,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
     pubs_path = Path(args.pubs) if args.pubs else base / "publications.jsonl"
     journals_path = Path(args.journals) if args.journals else base / "journals.jsonl"
     authors_path = Path(args.authors) if args.authors else base / "authors.jsonl"
-    with open(pubs_path, "w", encoding="utf-8") as p, open(
-        journals_path, "w", encoding="utf-8"
-    ) as j, open(authors_path, "w", encoding="utf-8") as a:
-        counts = _CLI.write_synthetic_corpus(config, p, j, a)
+    # a failed synth leaves any previous corpus as it was
+    with write_aside([pubs_path, journals_path, authors_path]) as files:
+        counts = _CLI.write_synthetic_corpus(config, *files)
     print(f"seed: {config.cohort.seed}")
     print(f"rho: {config.cohort.persistence}")
     for name, path in (

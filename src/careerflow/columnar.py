@@ -45,10 +45,9 @@ GENDER_THRESHOLD = 0.85
 # buffers are reinterpreted as int32; 'i' must be 4 bytes on this platform
 assert array("i").itemsize == 4
 
-# dense author x value count tables are used below this cell budget, and
-# are built this many incidences at a time to bound the expanded keys
-_DENSE_COUNT_LIMIT = 20_000_000
-_DENSE_CHUNK = 250_000
+# the modal values are counted in chunks of whole authors that expand to at
+# most this many (author, value) entries, or to one author's if that is more
+_CHUNK = 1 << 16
 
 # ingest cuts a publications file into one byte range per CPU it may run on,
 # but into no more ranges than leaves each this many bytes on average, so a
@@ -107,41 +106,6 @@ def _vocab_remap(index: dict[str, int]) -> tuple[list[str], np.ndarray]:
     return vocab, perm
 
 
-def _ragged_keys(
-    inc_author: np.ndarray,
-    inc_pub: np.ndarray,
-    starts: np.ndarray,
-    values: np.ndarray,
-    n_values: int,
-) -> np.ndarray:
-    """author * n_values + value for each value listed by each incidence's publication."""
-    # built in place, so fewer full-length int64 arrays are alive at once
-    lens = starts[inc_pub + 1] - starts[inc_pub]
-    keys = np.repeat(inc_author.astype(np.int64) * n_values, lens)
-    offsets = np.repeat(starts[inc_pub], lens)
-    offsets += np.arange(int(lens.sum()), dtype=np.int64) - np.repeat(np.cumsum(lens) - lens, lens)
-    keys += values[offsets]
-    return keys
-
-
-def _dense_counts(
-    inc_author: np.ndarray,
-    inc_pub: np.ndarray,
-    starts: np.ndarray,
-    values: np.ndarray,
-    n_values: int,
-    n_authors: int,
-) -> np.ndarray:
-    """(A, V) count of each value per author. Returning only the counts frees
-    the last chunk's keys before the caller copies rows out of them."""
-    counts = np.zeros(n_authors * n_values, dtype=np.int64)
-    for lo in range(0, inc_author.shape[0], _DENSE_CHUNK):
-        hi = lo + _DENSE_CHUNK
-        keys = _ragged_keys(inc_author[lo:hi], inc_pub[lo:hi], starts, values, n_values)
-        counts += np.bincount(keys, minlength=n_authors * n_values)
-    return counts.reshape(n_authors, n_values)
-
-
 def _modal_from_ragged(
     inc_author: np.ndarray,
     inc_pub: np.ndarray,
@@ -150,29 +114,46 @@ def _modal_from_ragged(
     n_values: int,
     n_authors: int,
 ) -> np.ndarray:
-    """Per-author modal value over the pooled per-publication value lists.
+    """Per-author modal value over the pooled per-publication value lists of
+    the incidences, which are sorted by author.
 
+    The incidences are walked in chunks of whole authors (_CHUNK), so memory
+    grows with the incidence count and _CHUNK, not with the expanded entries.
     Ties break to the smallest index; vocabularies are sorted, so that is the
     lexicographically smallest code. Returns -1 for authors with no values.
     """
     dominant = np.full(n_authors, -1, dtype=np.int32)
     if n_values == 0 or inc_author.shape[0] == 0:
         return dominant
-    if n_authors * n_values <= _DENSE_COUNT_LIMIT:
-        counts = _dense_counts(inc_author, inc_pub, starts, values, n_values, n_authors)
-        has_any = counts.sum(axis=1) > 0
-        dominant[has_any] = np.argmax(counts[has_any], axis=1).astype(np.int32)
-        return dominant
-    # sparse path for wide vocabularies
-    keys = _ragged_keys(inc_author, inc_pub, starts, values, n_values)
-    uniq, cnts = np.unique(keys, return_counts=True)
-    authors = uniq // n_values
-    vals = (uniq % n_values).astype(np.int32)
-    order = np.lexsort((vals, -cnts, authors))
-    authors = authors[order]
-    first = np.ones(authors.shape[0], dtype=bool)
-    first[1:] = authors[1:] != authors[:-1]
-    dominant[authors[first]] = vals[order][first]
+    # entries up to the end of each incidence's value list, built in place
+    ends = starts[inc_pub + 1]
+    ends -= starts[inc_pub]
+    np.cumsum(ends, out=ends)
+    # each author's last incidence, and the entries up to its end
+    last = np.append(np.flatnonzero(inc_author[1:] != inc_author[:-1]), inc_author.shape[0] - 1)
+    author_ends = ends[last]
+    lo = done = k = 0
+    while k < last.shape[0]:
+        # the authors whose entries fit in the chunk, or the next one alone
+        k = max(int(np.searchsorted(author_ends, done + _CHUNK, "right")), k + 1)
+        hi, top = int(last[k - 1]) + 1, int(author_ends[k - 1])
+        if top > done:
+            lens = np.diff(ends[lo:hi], prepend=done)
+            a0 = int(inc_author[lo])
+            keys = np.repeat((inc_author[lo:hi] - a0).astype(np.int64) * n_values, lens)
+            # an entry's index into values: its list's start plus its place in it
+            offsets = np.repeat(starts[inc_pub[lo:hi]] - ends[lo:hi] + lens, lens)
+            offsets += np.arange(done, top)
+            keys += values[offsets]
+            del offsets
+            uniq, counts = np.unique(keys, return_counts=True)
+            authors, vals = np.divmod(uniq, n_values)
+            order = np.lexsort((vals, -counts, authors))
+            authors = authors[order]
+            first = np.ones(authors.shape[0], dtype=bool)
+            first[1:] = authors[1:] != authors[:-1]
+            dominant[authors[first] + a0] = vals[order][first]
+        lo, done = hi, top
     return dominant
 
 

@@ -3,10 +3,12 @@
 Input is three line-delimited JSON files (publications, journals, authors).
 Malformed lines become reject records, never silent drops. Filtering applies
 five gates in a fixed order so the removal counts are comparable across runs.
-Workers forks the worker processes that synth and ingest run on every CPU.
+Workers forks the worker processes that synth and ingest run on every CPU,
+and write_aside gives both stages their all-or-nothing file writes.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import pickle
@@ -14,7 +16,8 @@ import re
 import signal
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import BinaryIO, Callable, Iterable, Iterator
+from pathlib import Path
+from typing import IO, BinaryIO, Callable, Collection, Iterable, Iterator, Sequence
 
 DOC_TYPES = ("article", "conference_paper", "other")
 QUALIFYING_DOC_TYPES = frozenset(("article", "conference_paper"))
@@ -130,6 +133,29 @@ class Workers:
                     f"(exit {os.waitstatus_to_exitcode(status)}): {reply}",
                 )
             yield reply
+
+
+@contextlib.contextmanager
+def write_aside(paths: Sequence[Path], binary: Collection[Path] = ()) -> Iterator[list[IO]]:
+    """Open a temporary file beside each of *paths*, in binary if it is in
+    *binary* and as UTF-8 text if not, and yield them in order. When the
+    with block ends without an exception they are closed and renamed onto
+    *paths* in order; on any exception they are removed. So a failure part
+    way leaves no truncated file and keeps every previous one."""
+    tmp_paths = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in paths]
+    try:
+        with contextlib.ExitStack() as stack:
+            yield [
+                stack.enter_context(
+                    open(tmp, "wb") if path in binary else open(tmp, "w", encoding="utf-8")
+                )
+                for path, tmp in zip(paths, tmp_paths)
+            ]
+        for path, tmp in zip(paths, tmp_paths):
+            os.replace(tmp, path)
+    finally:
+        for tmp in tmp_paths:
+            tmp.unlink(missing_ok=True)
 
 
 class _LineError(ValueError):

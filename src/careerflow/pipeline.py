@@ -11,10 +11,9 @@ import functools
 import hashlib
 import json
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Callable, Collection, Iterable, Iterator, TextIO
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -48,6 +47,7 @@ from .corpus import (
     Workers,
     parse_authors,
     parse_journals,
+    write_aside,
 )
 from .mobility import (
     MATRIX_TABLE_HEADER,
@@ -185,26 +185,6 @@ def _ingest_publications(
     return merge_ranges(results, *args)
 
 
-def _write_aside(
-    out_dir: Path, writers: dict[str, Callable[[IO], None]], binary: Collection[str] = ()
-) -> None:
-    """Write each named file of *out_dir* aside, in binary if it is named in
-    *binary* and as UTF-8 text if not, then rename them all into place, so
-    an interrupted ingest leaves no truncated file and keeps every previous
-    one until all new ones are written."""
-    tmp_paths = {name: out_dir / f".{name}.{os.getpid()}.tmp" for name in writers}
-    try:
-        for name, write in writers.items():
-            text = name not in binary
-            with open(tmp_paths[name], "w" if text else "wb", encoding="utf-8" if text else None) as fh:
-                write(fh)
-        for name, tmp_path in tmp_paths.items():
-            os.replace(tmp_path, out_dir / name)
-    finally:
-        for tmp_path in tmp_paths.values():
-            tmp_path.unlink(missing_ok=True)
-
-
 def run_ingest(
     pubs_path: Path,
     journals_path: Path,
@@ -230,14 +210,6 @@ def run_ingest(
     retained, report = gates_from_columns(columns, config)
     report_obj = {"removed": report.removed, "retained": report.retained, "total": report.total}
 
-    def write_rejects(fh: TextIO) -> None:
-        for reject in rejects:
-            fh.write(reject.to_json() + "\n")
-
-    def write_report(fh: TextIO) -> None:
-        json.dump(report_obj, fh, indent=2)
-        fh.write("\n")
-
     header = {
         "n_publications": n_pubs,
         "filter": _filter_config_dict(config),
@@ -245,16 +217,16 @@ def run_ingest(
         "report": report_obj,
     }
     # the cache is renamed last: analyze reads it
-    _write_aside(
-        out_dir,
-        {
-            "rejects.jsonl": write_rejects,
-            "filter_report.json": write_report,
-            CACHE_NAME: lambda fh: write_cache(fh, header, columns),
-        },
-        binary=(CACHE_NAME,),
-    )
-    return IngestResult(out_dir / CACHE_NAME, n_pubs, len(rejects), report, len(retained))
+    cache_path = out_dir / CACHE_NAME
+    with write_aside(
+        [out_dir / "rejects.jsonl", out_dir / "filter_report.json", cache_path], binary=[cache_path]
+    ) as (rejects_fh, report_fh, cache_fh):
+        for reject in rejects:
+            rejects_fh.write(reject.to_json() + "\n")
+        json.dump(report_obj, report_fh, indent=2)
+        report_fh.write("\n")
+        write_cache(cache_fh, header, columns)
+    return IngestResult(cache_path, n_pubs, len(rejects), report, len(retained))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import json
 import math
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,7 +10,14 @@ from hypothesis import strategies as st
 
 from careerflow import columnar
 from careerflow.columnar import columns_from_corpus, gender_gate
-from careerflow.corpus import AuthorRecord, SampleFilterConfig, filter_sample
+from careerflow.corpus import (
+    AuthorRecord,
+    AuthorSummary,
+    SampleFilterConfig,
+    accumulate_summaries,
+    filter_sample,
+    modal_value,
+)
 from careerflow.portfolio import (
     academic_age,
     ajpr,
@@ -411,7 +420,51 @@ def test_publication_fwci_matches_reference():
             assert bulk_fwci[i] == pytest.approx(ref, abs=1e-9)
 
 
-def test_modal_values_sparse_branch_matches_dense(monkeypatch):
+# ---------------------------------------------------------------------------
+# modal values in author chunks
+
+CHUNKS = [1, 2, 3, 7]
+
+
+def reference_modes(corpus) -> dict[str, tuple]:
+    """Each author's modal discipline, country and institution from the
+    record-level reference, None where the author lists no value."""
+    summaries = accumulate_summaries(corpus.publications, corpus.reference_year, 5)
+    institutions: dict[str, Counter] = {}
+    for pub in corpus.publications:
+        for aid in pub.author_ids:
+            institutions.setdefault(aid, Counter()).update(pub.affiliation_institutions)
+    empty = AuthorSummary()
+    return {
+        aid: (
+            modal_value(summaries.get(aid, empty).disciplines),
+            modal_value(summaries.get(aid, empty).countries),
+            modal_value(institutions.get(aid, Counter())),
+        )
+        for aid in corpus.authors
+    }
+
+
+def columnar_modes(corpus, chunk: int) -> dict[str, tuple]:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(columnar, "_CHUNK", chunk)
+        columns = columns_from_corpus(corpus)
+
+    def name(vocab, code):
+        return vocab[code] if code >= 0 else None
+
+    return {
+        aid: (
+            name(columns.disc_vocab, columns.dominant_discipline[i]),
+            name(columns.country_vocab, columns.dominant_country_idx[i]),
+            name(columns.inst_vocab, columns.dominant_institution_idx[i]),
+        )
+        for i, aid in enumerate(columns.author_ids)
+    }
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_modal_values_match_the_record_reference(chunk):
     corpus = gen_corpus(
         CorpusConfig(
             cohort=CohortConfig(n_authors=60, n_disciplines=3, seed=17),
@@ -420,8 +473,10 @@ def test_modal_values_sparse_branch_matches_dense(monkeypatch):
         )
     )
     # zz-tie holds one of each value twice over, listed largest code first;
-    # zz-empty has a publication with no values, zz-none no publication
-    for aid in ("zz-tie", "zz-empty", "zz-none"):
+    # zz-empty has a publication with no values, zz-none no publication;
+    # zz-heavy alone lists more values than any chunk, from a vocabulary
+    # wider than a chunk
+    for aid in ("zz-tie", "zz-empty", "zz-none", "zz-heavy"):
         corpus.authors[aid] = AuthorRecord(aid, "unknown", 0.0)
     corpus.publications += [
         make_pub(
@@ -436,16 +491,82 @@ def test_modal_values_sparse_branch_matches_dense(monkeypatch):
     corpus.publications.append(
         make_pub(pub_id="zz-empty", authors=("zz-empty",), countries=(), institutions=())
     )
-    dense = columns_from_corpus(corpus)
-    monkeypatch.setattr(columnar, "_DENSE_COUNT_LIMIT", 0)
-    sparse = columns_from_corpus(corpus)
+    wide = [f"W{k:02d}" for k in range(12)]
+    corpus.publications += [
+        make_pub(
+            pub_id=f"zz-heavy-{k}",
+            authors=("zz-heavy",),
+            countries=wide[k:],
+            institutions=wide[: k + 1],
+            refs=tuple(wide[k:]) + ("W05",) * k,
+        )
+        for k in range(10)
+    ]
+    assert len(corpus.publications[-1].cited_ref_disciplines) > max(CHUNKS)
 
-    index = dense.author_index()
-    for attr in ("dominant_discipline", "dominant_country_idx", "dominant_institution_idx"):
-        assert np.array_equal(getattr(sparse, attr), getattr(dense, attr)), attr
-        assert getattr(dense, attr)[index["zz-empty"]] == -1
-        assert getattr(dense, attr)[index["zz-none"]] == -1
-    tie = index["zz-tie"]
-    assert dense.discipline_of(tie) == "D00"
-    assert dense.dominant_country(tie) == "C00"
-    assert dense.dominant_institution(tie) == "inst0001"
+    modes = columnar_modes(corpus, chunk)
+    assert modes == reference_modes(corpus)
+    assert modes["zz-tie"] == ("D00", "C00", "inst0001")
+    assert modes["zz-empty"] == modes["zz-none"] == (None, None, None)
+    assert modes["zz-heavy"] == ("W05", "W09", "W00")
+
+
+VALUES = st.sampled_from([f"V{k:02d}" for k in range(10)])
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.lists(st.sampled_from([f"a{k}" for k in range(8)]), min_size=1, max_size=3, unique=True),
+            st.lists(VALUES, max_size=3),
+            st.lists(VALUES, max_size=4),
+            st.lists(VALUES, max_size=12),
+        ),
+        max_size=25,
+    )
+)
+def test_modal_values_match_the_record_reference_on_fuzzed_corpora(chunk, spec):
+    pubs = [
+        make_pub(pub_id=f"p{k}", authors=authors, countries=countries, institutions=insts, refs=refs)
+        for k, (authors, countries, insts, refs) in enumerate(spec)
+    ]
+    corpus = make_corpus(pubs)
+    assert columnar_modes(corpus, chunk) == reference_modes(corpus)
+
+
+def test_modal_value_memory_is_bounded_by_incidences_and_chunk(monkeypatch):
+    """Every publication cites 40 to 60 disciplines, so the (author, value)
+    entries outnumber the incidences fifty-fold; the tracemalloc peak of
+    each _modal_from_ragged call must not grow with them."""
+    rng = np.random.default_rng(5)
+    discs = [f"D{k:02d}" for k in range(16)]
+    pubs = [
+        make_pub(
+            pub_id=f"p{k}",
+            authors={f"a{a:04d}" for a in rng.integers(0, 1500, rng.integers(1, 5))},
+            institutions=(f"I{rng.integers(0, 9)}",),
+            refs=[discs[d] for d in rng.integers(0, 16, rng.integers(40, 61))],
+        )
+        for k in range(6000)
+    ]
+    real = columnar._modal_from_ragged
+    calls = []
+
+    def traced(inc_author, inc_pub, starts, values, n_values, n_authors):
+        entries = int((starts[inc_pub + 1] - starts[inc_pub]).sum())
+        tracemalloc.start()
+        try:
+            return real(inc_author, inc_pub, starts, values, n_values, n_authors)
+        finally:
+            calls.append((inc_author.shape[0], entries, tracemalloc.get_traced_memory()[1]))
+            tracemalloc.stop()
+
+    monkeypatch.setattr(columnar, "_modal_from_ragged", traced)
+    columns_from_corpus(make_corpus(pubs))
+    n_inc, entries, _ = calls[0]  # the cited disciplines
+    assert entries >= 40 * n_inc
+    # 64 bytes per incidence and per entry of a chunk of the shipped size
+    for n_inc, entries, peak in calls:
+        assert peak <= 64 * (n_inc + (1 << 16)), (n_inc, entries, peak)

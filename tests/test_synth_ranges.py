@@ -154,6 +154,8 @@ def test_a_live_blas_thread_pool_at_the_fork_changes_nothing(one_process, tmp_pa
 
 @pytest.mark.parametrize("failure", ["worker-raises", "worker-dies", "parent-raises"])
 def test_failed_range_is_a_stage_error_and_reaps_every_worker(tmp_path, capsys, failure):
+    """It also leaves the previous corpus as it was, and no temporary file."""
+    previous = cli_synth(tmp_path)
     parent = os.getpid()
     real = synth.iter_author_batches
 
@@ -181,6 +183,40 @@ def test_failed_range_is_a_stage_error_and_reaps_every_worker(tmp_path, capsys, 
                 assert f"(exit {-signal.SIGKILL}): no result" in err
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert {name: (tmp_path / f"{name}.jsonl").read_bytes() for name in FILES} == previous
+    assert sorted(path.name for path in tmp_path.iterdir()) == [f"{name}.jsonl" for name in sorted(FILES)]
+
+
+def test_files_in_three_directories_are_each_written_aside_in_their_own(one_process, tmp_path, capsys):
+    paths = {name: tmp_path / name / f"{name}.jsonl" for name in FILES}
+    for path in paths.values():
+        path.parent.mkdir()
+    argv = ["synth", "--out", str(tmp_path), *SYNTH_ARGS]
+    for flag, name in zip(("--pubs", "--journals", "--authors"), FILES):
+        argv += [flag, str(paths[name])]
+    renames = []
+    real_replace = os.replace
+
+    def replace(src, dst):
+        renames.append((Path(src).parent, Path(dst)))
+        real_replace(src, dst)
+
+    with contextlib.redirect_stdout(io.StringIO()), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "replace", replace)
+        assert main(argv) == 0
+    assert renames == [(path.parent, path) for path in paths.values()]
+    assert {name: path.read_bytes() for name, path in paths.items()} == one_process
+
+    def failing(generator, start, stop):
+        raise RuntimeError("range failed")
+
+    with cpus(3), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(synth, "iter_author_batches", failing)
+        with pytest.raises(RuntimeError, match="range failed"):
+            main(argv)
+    assert {name: path.read_bytes() for name, path in paths.items()} == one_process
+    for path in paths.values():
+        assert list(path.parent.iterdir()) == [path]
 
 
 def test_a_range_is_written_without_a_blas_or_lapack_call():
