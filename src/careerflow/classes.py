@@ -119,57 +119,44 @@ def assign_class_codes(values: np.ndarray) -> tuple[np.ndarray, bool]:
 # bulk productivity and cohort assignment
 
 
-def publication_weights_array(columns: CorpusColumns) -> tuple[np.ndarray, int]:
-    """(P, 4) weight matrix in PRODUCTIVITY_TYPES order, plus the count of
-    qualifying publications whose prestige weight fell back to 0 for lack of
-    a journal percentile."""
-    pct = columns.pub_percentile.astype(np.float64)
-    missing = pct < 0
-    prestige = np.where(missing, 0.0, pct / 100.0)
-    inv_authors = 1.0 / columns.pub_n_authors
-    weights = np.empty((columns.n_publications, 4))
-    weights[:, 0] = prestige
-    weights[:, 1] = prestige * inv_authors
-    weights[:, 2] = 1.0
-    weights[:, 3] = inv_authors
-    uncovered = int(np.count_nonzero(missing & columns.pub_qualifying))
-    return weights, uncovered
-
-
-def stage_masks(
-    columns: CorpusColumns, keep: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """(authors, pubs) of the incidences of publications where *keep* holds,
-    plus one mask over those incidences per stage in STAGES: the publication
-    falls inside that author's stage window.
+def stage_masks(columns: CorpusColumns, authors: np.ndarray, pubs: np.ndarray) -> list[np.ndarray]:
+    """One mask over the incidences (authors, pubs) per stage in STAGES: the
+    publication falls inside that author's stage window.
 
     The late window may overlap early or mid for short careers, in which
     case a publication counts in both stages.
     """
-    selected = keep[columns.inc_pub]
-    authors = columns.inc_author[selected]
-    pubs = columns.inc_pub[selected]
     years = columns.pub_year[pubs]
     first_year = columns.first_pub_year[authors]
     masks = []
     for stage in STAGES:
         lo, hi = stage_window(first_year, stage, columns.reference_year)
         masks.append((years >= lo) & (years <= hi))
-    return authors, pubs, masks
+    return masks
 
 
-def stage_productivity(columns: CorpusColumns) -> tuple[np.ndarray, int]:
-    """(A, 3, 4) annual productivity per author, stage, and counting scheme."""
-    weights, uncovered = publication_weights_array(columns)
-    authors, pubs, masks = stage_masks(columns, columns.pub_qualifying)
-    sums = np.zeros((columns.n_authors, len(STAGES), len(PRODUCTIVITY_TYPES)))
+def incidence_productivity(
+    columns: CorpusColumns, local: np.ndarray, pubs: np.ndarray, masks: list[np.ndarray], n: int
+) -> np.ndarray:
+    """(n, 3, 4) annual productivity per author, stage and counting scheme
+    over the qualifying incidences (local, pubs), where local is the author
+    index less the first author's, and masks are their stage_masks.
+
+    Prestige-normalized schemes weigh a publication by its journal's highest
+    percentile divided by 100, or 0 without one; fractional schemes divide
+    by the full author count.
+    """
+    pct = columns.pub_percentile[pubs].astype(np.float64)
+    prestige = np.where(pct < 0, 0.0, pct / 100.0)
+    inv_authors = 1.0 / columns.pub_n_authors[pubs]
+    weights = (prestige, prestige * inv_authors, np.ones(pubs.shape[0]), inv_authors)
+    sums = np.empty((n, len(STAGES), len(PRODUCTIVITY_TYPES)))
     for s, mask in enumerate(masks):
-        a = authors[mask]
-        p = pubs[mask]
-        for t in range(len(PRODUCTIVITY_TYPES)):
-            sums[:, s, t] = np.bincount(a, weights=weights[p, t], minlength=columns.n_authors)
+        a = local[mask]
+        for t, weight in enumerate(weights):
+            sums[:, s, t] = np.bincount(a, weights=weight[mask], minlength=n)
     lengths = np.array([STAGE_WINDOW_YEARS[s] for s in STAGES], dtype=np.float64)
-    return sums / lengths[None, :, None], uncovered
+    return sums / lengths[None, :, None]
 
 
 def sorted_unique(values: np.ndarray) -> np.ndarray:

@@ -139,7 +139,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     journals_path = Path(args.journals) if args.journals else base / "journals.jsonl"
     authors_path = Path(args.authors) if args.authors else base / "authors.jsonl"
     # a failed synth leaves any previous corpus as it was
-    with write_aside([pubs_path, journals_path, authors_path]) as files:
+    with write_aside() as open_aside:
+        files = [open_aside(path) for path in (pubs_path, journals_path, authors_path)]
         counts = _CLI.write_synthetic_corpus(config, *files)
     print(f"seed: {config.cohort.seed}")
     print(f"rho: {config.cohort.persistence}")

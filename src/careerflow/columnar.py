@@ -106,6 +106,17 @@ def _vocab_remap(index: dict[str, int]) -> tuple[list[str], np.ndarray]:
     return vocab, perm
 
 
+def author_chunks(bounds: np.ndarray, size: int) -> Iterator[tuple[int, int]]:
+    """Runs [k0, k1) of consecutive groups, in order, where group k spans
+    bounds[k]:bounds[k + 1] of a sequence (bounds ascending from 0). A run
+    spans at most *size*, or is one group alone that spans more."""
+    k, n = 0, bounds.shape[0] - 1
+    while k < n:
+        k1 = max(int(np.searchsorted(bounds, bounds[k] + size, "right")) - 1, k + 1)
+        yield k, k1
+        k = k1
+
+
 def _modal_from_ragged(
     inc_author: np.ndarray,
     inc_pub: np.ndarray,
@@ -129,14 +140,13 @@ def _modal_from_ragged(
     ends = starts[inc_pub + 1]
     ends -= starts[inc_pub]
     np.cumsum(ends, out=ends)
-    # each author's last incidence, and the entries up to its end
-    last = np.append(np.flatnonzero(inc_author[1:] != inc_author[:-1]), inc_author.shape[0] - 1)
-    author_ends = ends[last]
-    lo = done = k = 0
-    while k < last.shape[0]:
-        # the authors whose entries fit in the chunk, or the next one alone
-        k = max(int(np.searchsorted(author_ends, done + _CHUNK, "right")), k + 1)
-        hi, top = int(last[k - 1]) + 1, int(author_ends[k - 1])
+    # each author's incidences, and its entries, as a run of each sequence
+    last = np.flatnonzero(inc_author[1:] != inc_author[:-1])
+    inc_bounds = np.concatenate(([0], last + 1, [inc_author.shape[0]]))
+    entry_bounds = np.concatenate(([0], ends[last], ends[-1:]))
+    for k0, k1 in author_chunks(entry_bounds, _CHUNK):
+        lo, hi = int(inc_bounds[k0]), int(inc_bounds[k1])
+        done, top = int(entry_bounds[k0]), int(entry_bounds[k1])
         if top > done:
             lens = np.diff(ends[lo:hi], prepend=done)
             a0 = int(inc_author[lo])
@@ -153,7 +163,6 @@ def _modal_from_ragged(
             first = np.ones(authors.shape[0], dtype=bool)
             first[1:] = authors[1:] != authors[:-1]
             dominant[authors[first] + a0] = vals[order][first]
-        lo, done = hi, top
     return dominant
 
 

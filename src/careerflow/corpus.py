@@ -4,7 +4,8 @@ Input is three line-delimited JSON files (publications, journals, authors).
 Malformed lines become reject records, never silent drops. Filtering applies
 five gates in a fixed order so the removal counts are comparable across runs.
 Workers forks the worker processes that synth and ingest run on every CPU,
-and write_aside gives both stages their all-or-nothing file writes.
+and write_aside gives synth, ingest and analyze their all-or-nothing file
+writes.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import signal
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, BinaryIO, Callable, Collection, Iterable, Iterator, Sequence
+from typing import IO, BinaryIO, Callable, Iterable, Iterator
 
 DOC_TYPES = ("article", "conference_paper", "other")
 QUALIFYING_DOC_TYPES = frozenset(("article", "conference_paper"))
@@ -135,26 +136,38 @@ class Workers:
             yield reply
 
 
+def aside_path(path: Path) -> Path:
+    """The temporary file that write_aside writes for *path*: hidden, beside
+    it, and named for this process."""
+    return path.with_name(f".{path.name}.{os.getpid()}.tmp")
+
+
 @contextlib.contextmanager
-def write_aside(paths: Sequence[Path], binary: Collection[Path] = ()) -> Iterator[list[IO]]:
-    """Open a temporary file beside each of *paths*, in binary if it is in
-    *binary* and as UTF-8 text if not, and yield them in order. When the
-    with block ends without an exception they are closed and renamed onto
-    *paths* in order; on any exception they are removed. So a failure part
-    way leaves no truncated file and keeps every previous one."""
-    tmp_paths = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in paths]
+def write_aside() -> Iterator[Callable[..., IO]]:
+    """Yield a function open_aside(path, binary=False) that opens
+    aside_path(path) for writing, in binary or as UTF-8 text. When the with
+    block ends without an exception, every file it opened is closed and
+    renamed onto its path, in the order opened; on any exception they are
+    removed. So a failure part way leaves no truncated file and keeps every
+    previous one, and a path that is a symbolic link is replaced by a
+    regular file, never written through."""
+    opened: list[tuple[Path, Path, IO]] = []
+
+    def open_aside(path: Path, binary: bool = False) -> IO:
+        tmp = aside_path(path)
+        fh = open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8")
+        opened.append((path, tmp, fh))
+        return fh
+
     try:
-        with contextlib.ExitStack() as stack:
-            yield [
-                stack.enter_context(
-                    open(tmp, "wb") if path in binary else open(tmp, "w", encoding="utf-8")
-                )
-                for path, tmp in zip(paths, tmp_paths)
-            ]
-        for path, tmp in zip(paths, tmp_paths):
+        yield open_aside
+        for _, _, fh in opened:
+            fh.close()
+        for path, tmp, _ in opened:
             os.replace(tmp, path)
     finally:
-        for tmp in tmp_paths:
+        for _, tmp, fh in opened:
+            fh.close()
             tmp.unlink(missing_ok=True)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -45,6 +46,7 @@ from .corpus import (
     SampleFilterConfig,
     StageError,
     Workers,
+    aside_path,
     parse_authors,
     parse_journals,
     write_aside,
@@ -65,6 +67,11 @@ CACHE_NAME = "corpus.cache"
 OUTPUT_DIRS = ("matrices", "sankey", "regression")
 
 MODEL_FAMILIES = ("top_mid", "top_late", "bottom_mid", "bottom_late")
+
+# analyze writes each jsonl output this many lines at a time, and reads
+# outputs back this many bytes at a time
+LINE_BATCH = 4096
+HASH_BLOCK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -218,14 +225,15 @@ def run_ingest(
     }
     # the cache is renamed last: analyze reads it
     cache_path = out_dir / CACHE_NAME
-    with write_aside(
-        [out_dir / "rejects.jsonl", out_dir / "filter_report.json", cache_path], binary=[cache_path]
-    ) as (rejects_fh, report_fh, cache_fh):
-        for reject in rejects:
-            rejects_fh.write(reject.to_json() + "\n")
-        json.dump(report_obj, report_fh, indent=2)
-        report_fh.write("\n")
-        write_cache(cache_fh, header, columns)
+    with write_aside() as open_aside:
+        with open_aside(out_dir / "rejects.jsonl") as fh:
+            for reject in rejects:
+                fh.write(reject.to_json() + "\n")
+        with open_aside(out_dir / "filter_report.json") as fh:
+            json.dump(report_obj, fh, indent=2)
+            fh.write("\n")
+        with open_aside(cache_path, binary=True) as fh:
+            write_cache(fh, header, columns)
     return IngestResult(cache_path, n_pubs, len(rejects), report, len(retained))
 
 
@@ -253,10 +261,21 @@ def load_cache(cache_path: Path) -> LoadedCache:
 # analysis outputs
 
 
-def _write_text(path: Path, content: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(content)
+def _line_batches(lines: Iterable[str]) -> Iterator[str]:
+    """The text of *lines*, each ended by a newline, LINE_BATCH lines at a
+    time, so a large output is never held whole."""
+    lines = iter(lines)
+    while batch := list(itertools.islice(lines, LINE_BATCH)):
+        yield "\n".join(batch) + "\n"
+
+
+def _file_sha256(path: Path) -> str:
+    """The sha256 of the file at *path*, read HASH_BLOCK bytes at a time."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(HASH_BLOCK):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _tsv(rows: Iterable[Iterable]) -> str:
@@ -459,10 +478,51 @@ def run_analyze(
     else:
         scope_list = ["all"] + sample_discs
 
-    outputs: dict[str, str] = {}
-    outputs["gates.tsv"] = gates_table(loaded.report)
-    outputs["portfolios.jsonl"] = "\n".join(portfolio_lines(table)) + "\n"
-    outputs["classes.jsonl"] = "\n".join(class_dump_lines(table, codes)) + "\n"
+    # every output is written aside and hashed as it is written; all are
+    # renamed into place only once every one is written and read back, the
+    # manifest last, so a failure leaves the previous run as it was
+    manifest: dict[str, str] = {}
+    with write_aside() as open_aside:
+        for rel_path, pieces in analyze_outputs(loaded, table, codes, too_small, ptypes, scope_list):
+            path = out_dir / rel_path
+            path.parent.mkdir(parents=True, exist_ok=True)
+            digest = hashlib.sha256()
+            with open_aside(path, binary=True) as fh:
+                for piece in pieces:
+                    data = piece.encode("utf-8")
+                    digest.update(data)
+                    fh.write(data)
+            manifest[rel_path] = digest.hexdigest()
+        for rel_path, digest in manifest.items():
+            if _file_sha256(aside_path(out_dir / rel_path)) != digest:
+                raise StageError("manifest", f"hash mismatch for {rel_path}")
+        with open_aside(out_dir / MANIFEST_NAME) as fh:
+            for rel_path in sorted(manifest):
+                entry = {"path": rel_path, "sha256": manifest[rel_path]}
+                fh.write(json.dumps(entry, separators=(",", ":")) + "\n")
+
+    for sub in OUTPUT_DIRS:
+        for path in (out_dir / sub).rglob("*"):
+            if path.is_file() and path.relative_to(out_dir).as_posix() not in manifest:
+                path.unlink()
+    return AnalyzeResult(out_dir, manifest, table.n_sample)
+
+
+def analyze_outputs(
+    loaded: LoadedCache,
+    table: PortfolioTable,
+    codes: np.ndarray,
+    too_small: list[tuple[int, str, str]],
+    ptypes: list[str],
+    scope_list: list[str],
+) -> Iterator[tuple[str, Iterable[str]]]:
+    """Each output of analyze but the manifest, in the order written: its
+    path in the run dir and its text, in pieces. A failure in the mobility
+    or regression stage is a StageError of that stage."""
+    columns = table.columns
+    yield "gates.tsv", [gates_table(loaded.report)]
+    yield "portfolios.jsonl", _line_batches(portfolio_lines(table))
+    yield "classes.jsonl", _line_batches(class_dump_lines(table, codes))
     coverage = {
         "fwci_skipped_publications": table.fwci_skipped_pubs,
         "prestige_weight_uncovered_publications": table.prestige_uncovered_pubs,
@@ -471,7 +531,7 @@ def run_analyze(
             for d, s, t in too_small
         ],
     }
-    outputs["coverage.json"] = json.dumps(coverage, indent=2, sort_keys=True) + "\n"
+    yield "coverage.json", [json.dumps(coverage, indent=2, sort_keys=True) + "\n"]
 
     try:
         disc_names = [
@@ -487,8 +547,8 @@ def run_analyze(
                     + matrix_table_rows(matrices[:2])
                     + matrix_table_rows([matrices[2]], final_summary=False)
                 )
-                outputs[f"matrices/{ptype}_{scope}.tsv"] = _tsv(rows)
-                outputs[f"sankey/{ptype}_{scope}.txt"] = sankey_export(matrices[:2])
+                yield f"matrices/{ptype}_{scope}.tsv", [_tsv(rows)]
+                yield f"sankey/{ptype}_{scope}.txt", [sankey_export(matrices[:2])]
     except StageError:
         raise
     except Exception as exc:
@@ -507,33 +567,11 @@ def run_analyze(
         for outcome in results:
             by_family.setdefault((outcome.spec.family, outcome.spec.ptype), []).append(outcome)
         for (family, ptype), outcomes in sorted(by_family.items()):
-            outputs[f"regression/models_{family}_{ptype}.tsv"] = models_table(outcomes)
-            outputs[f"regression/collinearity_{family}_{ptype}.tsv"] = collinearity_table(outcomes)
+            yield f"regression/models_{family}_{ptype}.tsv", [models_table(outcomes)]
+            yield f"regression/collinearity_{family}_{ptype}.tsv", [collinearity_table(outcomes)]
             predictors = default_spec(*family.split("_"), ptype, "all").predictors
-            outputs[f"regression/grid_{family}_{ptype}.tsv"] = _tsv(
-                grid_rows(outcomes, predictors)
-            )
+            yield f"regression/grid_{family}_{ptype}.tsv", [_tsv(grid_rows(outcomes, predictors))]
     except StageError:
         raise
     except Exception as exc:
         raise StageError("regression", str(exc)) from exc
-
-    manifest: dict[str, str] = {}
-    for rel_path, content in sorted(outputs.items()):
-        _write_text(out_dir / rel_path, content)
-        manifest[rel_path] = hashlib.sha256(content.encode("utf-8")).hexdigest()
-    manifest_lines = [
-        json.dumps({"path": path, "sha256": manifest[path]}, separators=(",", ":"))
-        for path in sorted(manifest)
-    ]
-    _write_text(out_dir / MANIFEST_NAME, "\n".join(manifest_lines) + "\n")
-
-    for rel_path, digest in manifest.items():
-        actual = hashlib.sha256((out_dir / rel_path).read_bytes()).hexdigest()
-        if actual != digest:
-            raise StageError("manifest", f"hash mismatch for {rel_path}")
-    for sub in OUTPUT_DIRS:
-        for path in (out_dir / sub).rglob("*"):
-            if path.is_file() and path.relative_to(out_dir).as_posix() not in manifest:
-                path.unlink()
-    return AnalyzeResult(out_dir, manifest, table.n_sample)

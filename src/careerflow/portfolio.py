@@ -17,11 +17,20 @@ from typing import Iterable
 
 import numpy as np
 
-from .classes import stage_masks, stage_productivity
-from .columnar import CorpusColumns
+from .classes import (
+    PRODUCTIVITY_TYPES,
+    STAGES,
+    incidence_productivity,
+    stage_masks,
+)
+from .columnar import CorpusColumns, author_chunks
 from .corpus import Corpus, JournalRecord, PublicationRecord
 
 FWCI_WINDOW = 4  # publication year plus three consecutive years
+
+# derive_portfolios computes the per-author attributes over chunks of whole
+# authors holding at most this many incidences, or one author's if more
+_CHUNK = 1 << 13
 
 FieldBaseline = dict[tuple[str, int], float]
 
@@ -333,7 +342,11 @@ def derive_portfolios(
     """Compute every portfolio attribute for the sampled authors.
 
     Baselines and the institution ranking use the full corpus; per-author
-    attributes are reported for sample_ids (default: every author).
+    attributes are reported for sample_ids (default: every author). They are
+    computed over chunks of whole authors (_CHUNK), so memory grows with the
+    publication and author counts and _CHUNK, not with the incidences; each
+    author's incidences are summed in the same order as over the whole
+    corpus, so every value is the same for any _CHUNK.
     """
     n_authors = columns.n_authors
     if sample_ids is None:
@@ -342,57 +355,63 @@ def derive_portfolios(
         index = columns.author_index()
         sample_idx = np.array(sorted(index[a] for a in sample_ids), dtype=np.int64)
 
-    inc_author = columns.inc_author
-    inc_pub = columns.inc_pub
-    qual = columns.pub_qualifying[inc_pub]
-
-    # collaboration metrics over qualifying publications
-    collab = qual & (columns.pub_n_authors[inc_pub] >= 2)
-    intl = collab & columns.pub_intl[inc_pub]
-    collab_count = np.bincount(inc_author[collab], minlength=n_authors)
-    intl_count = np.bincount(inc_author[intl], minlength=n_authors)
-    intl_rate = np.full(n_authors, np.nan)
-    has_collab = collab_count > 0
-    intl_rate[has_collab] = 100.0 * intl_count[has_collab] / collab_count[has_collab]
-
-    team = np.minimum(columns.pub_n_authors[inc_pub[qual]], 10).astype(np.float64)
-    team_median = _segment_median(inc_author[qual], team, n_authors)
-
     baseline = build_baseline_arrays(columns)
     fwci, fwci_skipped = publication_fwci(columns, baseline)
-    fwci_inc = fwci[inc_pub]
-    fwci_ok = qual & np.isfinite(fwci_inc)
-    fwci_sums = np.bincount(inc_author[fwci_ok], weights=fwci_inc[fwci_ok], minlength=n_authors)
-    fwci_counts = np.bincount(inc_author[fwci_ok], minlength=n_authors)
+
+    intl_rate = np.full(n_authors, np.nan)
+    team_median = np.full(n_authors, np.nan)
     fwci_mean = np.full(n_authors, np.nan)
-    has_fwci = fwci_counts > 0
-    fwci_mean[has_fwci] = fwci_sums[has_fwci] / fwci_counts[has_fwci]
+    ajpr_stage = np.full((n_authors, len(STAGES)), np.nan)
+    productivity = np.empty((n_authors, len(STAGES), len(PRODUCTIVITY_TYPES)))
+    author_starts = columns.author_starts
+    for a0, a1 in author_chunks(author_starts, _CHUNK):
+        n = a1 - a0
+        # the chunk's incidences of qualifying publications: every attribute
+        # here pools those only
+        lo, hi = author_starts[a0], author_starts[a1]
+        pubs = columns.inc_pub[lo:hi]
+        qual = columns.pub_qualifying[pubs]
+        pubs = pubs[qual]
+        authors = columns.inc_author[lo:hi][qual]
+        local = authors - a0
 
-    # AJPR per stage over qualifying publications in journals with a percentile
-    authors, pubs, masks = stage_masks(
-        columns, columns.pub_qualifying & (columns.pub_percentile >= 0)
-    )
-    pct = columns.pub_percentile[pubs].astype(np.float64)
-    ajpr_stage = np.full((n_authors, len(masks)), np.nan)
-    for s, mask in enumerate(masks):
-        a = authors[mask]
-        ajpr_sums = np.bincount(a, weights=pct[mask], minlength=n_authors)
-        ajpr_counts = np.bincount(a, minlength=n_authors)
-        defined = ajpr_counts > 0
-        ajpr_stage[defined, s] = ajpr_sums[defined] / ajpr_counts[defined]
+        n_pub_authors = columns.pub_n_authors[pubs]
+        collab = n_pub_authors >= 2
+        collab_count = np.bincount(local[collab], minlength=n)
+        intl_count = np.bincount(local[collab & columns.pub_intl[pubs]], minlength=n)
+        has_collab = collab_count > 0
+        intl_rate[a0:a1][has_collab] = 100.0 * intl_count[has_collab] / collab_count[has_collab]
 
-    productivity, uncovered = stage_productivity(columns)
+        team = np.minimum(n_pub_authors, 10).astype(np.float64)
+        team_median[a0:a1] = _segment_median(local, team, n)
+
+        pub_fwci = fwci[pubs]
+        fwci_ok = np.isfinite(pub_fwci)
+        fwci_sums = np.bincount(local[fwci_ok], weights=pub_fwci[fwci_ok], minlength=n)
+        fwci_counts = np.bincount(local[fwci_ok], minlength=n)
+        has_fwci = fwci_counts > 0
+        fwci_mean[a0:a1][has_fwci] = fwci_sums[has_fwci] / fwci_counts[has_fwci]
+
+        masks = stage_masks(columns, authors, pubs)
+        # AJPR per stage over publications in journals with a percentile
+        pct = columns.pub_percentile[pubs]
+        has_pct = pct >= 0
+        pct = pct.astype(np.float64)
+        for s, mask in enumerate(masks):
+            mask = mask & has_pct
+            ajpr_sums = np.bincount(local[mask], weights=pct[mask], minlength=n)
+            ajpr_counts = np.bincount(local[mask], minlength=n)
+            defined = ajpr_counts > 0
+            ajpr_stage[a0:a1, s][defined] = ajpr_sums[defined] / ajpr_counts[defined]
+
+        productivity[a0:a1] = incidence_productivity(columns, local, pubs, masks, n)
 
     # institution ranking over the last four calendar years
     window_lo = columns.reference_year - 3
-    pi_pub = np.repeat(
-        np.arange(columns.n_publications, dtype=np.int64), np.diff(columns.inst_starts)
-    )
-    in_window = (columns.pub_year[pi_pub] >= window_lo) & (
-        columns.pub_year[pi_pub] <= columns.reference_year
-    )
+    in_window = (columns.pub_year >= window_lo) & (columns.pub_year <= columns.reference_year)
     inst_counts = np.bincount(
-        columns.inst_flat[in_window], minlength=len(columns.inst_vocab)
+        columns.inst_flat[np.repeat(in_window, np.diff(columns.inst_starts))],
+        minlength=len(columns.inst_vocab),
     ).astype(np.int64)
     if inst_counts.shape[0]:
         cutoff = top_institution_cutoff(inst_counts, top_n_institutions)
@@ -405,6 +424,8 @@ def derive_portfolios(
     top200[with_inst] = top_mask[dom_inst[with_inst]]
 
     age = columns.reference_year - columns.first_pub_year
+    # qualifying publications whose prestige weight is 0 for want of a percentile
+    uncovered = int(np.count_nonzero((columns.pub_percentile < 0) & columns.pub_qualifying))
 
     return PortfolioTable(
         columns=columns,

@@ -17,8 +17,9 @@ from careerflow.classes import (
     stage_window,
 )
 from careerflow.columnar import columns_from_corpus
-from careerflow.classes import sorted_unique, stage_productivity
+from careerflow.classes import sorted_unique
 from careerflow.corpus import JournalRecord
+from careerflow.portfolio import derive_portfolios
 from careerflow.synth import CohortConfig, CorpusConfig, gen_corpus
 
 from conftest import make_pub
@@ -174,7 +175,7 @@ def test_tie_asymmetry_top_never_exceeds_twenty_percent(values):
 def test_every_sample_author_gets_exactly_one_class_per_stage_ptype():
     corpus = gen_corpus(CorpusConfig(cohort=CohortConfig(n_authors=30, n_disciplines=2, seed=4)))
     columns = columns_from_corpus(corpus)
-    productivity, _ = stage_productivity(columns)
+    productivity = derive_portfolios(columns).productivity
     codes, _ = assign_cohort_classes(columns.dominant_discipline, productivity)
     assert codes.shape == (30, 3, 4)
     assert set(np.unique(codes)) <= {TOP, MIDDLE, BOTTOM}
@@ -185,7 +186,7 @@ def test_bulk_productivity_matches_reference():
         CorpusConfig(cohort=CohortConfig(n_authors=25, n_disciplines=2, seed=17, ability_spread=0.5))
     )
     columns = columns_from_corpus(corpus)
-    productivity, _ = stage_productivity(columns)
+    productivity = derive_portfolios(columns).productivity
     by_author: dict[str, list] = {}
     for pub in corpus.publications:
         for aid in pub.author_ids:

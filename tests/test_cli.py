@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import inspect
 import json
 import re
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import careerflow
-from careerflow import pipeline
+from careerflow import corpus, pipeline
 from careerflow.cli import main
 from careerflow.columnar import ColumnsBuilder, CorpusColumns, read_cache, write_cache
 from careerflow.corpus import parse_authors, parse_journals
@@ -596,6 +597,80 @@ def test_failed_ingest_write_keeps_every_previous_output(run_dir, monkeypatch, c
     assert "No space left on device" in capsys.readouterr().err
     assert {name: (run_dir / name).read_bytes() for name in outputs} == before
     assert list(run_dir.glob("*.tmp")) == []
+
+
+def previous_run(run_dir: Path) -> dict[str, bytes]:
+    """A full analyze, then a re-ingest that retains fewer authors, so every
+    output of the next analyze differs. Returns the manifest and each file
+    it lists."""
+    assert main(["analyze", "--out", str(run_dir)]) == 0
+    assert main(ingest_args(run_dir) + ["--min-pubs", "60"]) == 0
+    files = {MANIFEST_NAME: (run_dir / MANIFEST_NAME).read_bytes()}
+    for line in files[MANIFEST_NAME].decode().splitlines():
+        entry = json.loads(line)
+        files[entry["path"]] = (run_dir / entry["path"]).read_bytes()
+        assert hashlib.sha256(files[entry["path"]]).hexdigest() == entry["sha256"]
+    return files
+
+
+def assert_run_unchanged(run_dir: Path, files: dict[str, bytes], capsys) -> None:
+    assert {path: (run_dir / path).read_bytes() for path in files} == files
+    assert list(run_dir.rglob("*.tmp")) == []
+    capsys.readouterr()
+    assert main(["report", "--out", str(run_dir)]) == 0
+
+
+@pytest.mark.parametrize("failing_open", [3, 40])
+def test_failed_analyze_write_keeps_the_previous_run(run_dir, monkeypatch, capsys, failing_open):
+    before = previous_run(run_dir)
+    real_open = open
+    opened = []
+
+    def disk_full_open(file, mode="r", *args, **kwargs):
+        if "w" in mode:
+            opened.append(file)
+            if len(opened) == failing_open:
+                raise OSError(28, "No space left on device")
+        return real_open(file, mode, *args, **kwargs)
+
+    for module in (pipeline, corpus):
+        monkeypatch.setattr(module, "open", disk_full_open, raising=False)
+    assert main(["analyze", "--out", str(run_dir)]) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert len(opened) == failing_open
+    monkeypatch.undo()
+    assert_run_unchanged(run_dir, before, capsys)
+
+
+def test_failed_regression_after_the_jsonl_keeps_the_previous_run(run_dir, monkeypatch, capsys):
+    before = previous_run(run_dir)
+    aside = []
+
+    def failing_models(table, codes, jobs):
+        aside.extend(path.name for path in run_dir.glob("*.tmp"))
+        raise RuntimeError("singular design")
+
+    monkeypatch.setattr(pipeline, "run_models", failing_models)
+    assert main(["analyze", "--out", str(run_dir)]) == 1
+    assert "stage regression: singular design" in capsys.readouterr().err
+    # the jsonl outputs were already written, beside their paths
+    assert {name.split(".")[1] for name in aside} >= {"portfolios", "classes"}
+    assert_run_unchanged(run_dir, before, capsys)
+
+
+def test_analyze_replaces_a_symlinked_output_and_leaves_its_target(run_dir, tmp_path):
+    assert main(["analyze", "--out", str(run_dir)]) == 0
+    outside = tmp_path / "outside.tsv"
+    outside.write_text("not an output\n")
+    link = run_dir / "matrices" / "P3_all.tsv"
+    link.unlink()
+    link.symlink_to(outside)
+    assert main(["analyze", "--out", str(run_dir), "--ptype", "P3", "--scope", "all"]) == 0
+    assert outside.read_text() == "not an output\n"
+    assert link.is_file() and not link.is_symlink()
+    manifest = (run_dir / MANIFEST_NAME).read_text()
+    digest = hashlib.sha256(link.read_bytes()).hexdigest()
+    assert json.dumps({"path": "matrices/P3_all.tsv", "sha256": digest}, separators=(",", ":")) in manifest
 
 
 def test_pipeline_annotations_resolve():

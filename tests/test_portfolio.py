@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from careerflow import columnar
+from careerflow import columnar, portfolio
+from careerflow.classes import PRODUCTIVITY_TYPES, STAGES, annual_productivity
 from careerflow.columnar import columns_from_corpus, gender_gate
 from careerflow.corpus import (
     AuthorRecord,
@@ -570,3 +571,146 @@ def test_modal_value_memory_is_bounded_by_incidences_and_chunk(monkeypatch):
     # 64 bytes per incidence and per entry of a chunk of the shipped size
     for n_inc, entries, peak in calls:
         assert peak <= 64 * (n_inc + (1 << 16)), (n_inc, entries, peak)
+
+
+# ---------------------------------------------------------------------------
+# per-author attributes in author chunks
+
+
+def chunked_attributes(columns, chunk: int) -> dict[str, np.ndarray]:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(portfolio, "_CHUNK", chunk)
+        table = derive_portfolios(columns)
+    return {
+        name: getattr(table, name)
+        for name in ("intl_rate", "team_median", "fwci_mean", "ajpr_stage", "productivity")
+    }
+
+
+def assert_matches_record_reference(corpus, columns, attributes: dict[str, np.ndarray]) -> None:
+    """Each author's chunked attributes against the record-level reference;
+    an undefined reference value is NaN in the columns."""
+    baseline = build_field_baseline(corpus)
+    by_author: dict[str, list] = {}
+    for pub in corpus.publications:
+        for aid in pub.author_ids:
+            by_author.setdefault(aid, []).append(pub)
+
+    def same(value, ref, tol):
+        if ref is None:
+            assert math.isnan(value)
+        else:
+            assert value == pytest.approx(ref, abs=tol)
+
+    for idx, aid in enumerate(columns.author_ids):
+        pubs = by_author.get(aid)
+        if not pubs:  # nothing is defined, and every productivity is 0
+            assert math.isnan(attributes["team_median"][idx])
+            assert not attributes["productivity"][idx].any()
+            continue
+        qual = [p for p in pubs if p.qualifying]
+        same(attributes["intl_rate"][idx], intl_collab_rate(qual), 1e-9)
+        same(attributes["team_median"][idx], median_team_size(qual) if qual else None, 0)
+        same(attributes["fwci_mean"][idx], mean_fwci4y(pubs, corpus.journals, baseline)[0], 1e-9)
+        first = min(p.year for p in pubs)
+        for s, stage in enumerate(STAGES):
+            window = stage_window(first, stage, corpus.reference_year)
+            same(attributes["ajpr_stage"][idx, s], ajpr(pubs, corpus.journals, window), 1e-9)
+            for t, ptype in enumerate(PRODUCTIVITY_TYPES):
+                ref = annual_productivity(pubs, stage, ptype, corpus.journals, corpus.reference_year)
+                assert attributes["productivity"][idx, s, t] == pytest.approx(ref, abs=1e-12)
+
+
+def assert_same_bits(a: dict[str, np.ndarray], b: dict[str, np.ndarray]) -> None:
+    for name in a:
+        assert a[name].tobytes() == b[name].tobytes(), name
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_chunked_derive_matches_the_record_reference(chunk):
+    corpus = gen_corpus(
+        CorpusConfig(cohort=CohortConfig(n_authors=30, n_disciplines=2, seed=23, ability_spread=0.6))
+    )
+    # zz-other has no qualifying publication and zz-none no publication
+    corpus.authors["zz-none"] = AuthorRecord("zz-none", "unknown", 0.0)
+    corpus.authors["zz-other"] = AuthorRecord("zz-other", "unknown", 0.0)
+    corpus.publications.append(
+        make_pub(pub_id="zz-other", year=2010, doc_type="other", authors=("zz-other",))
+    )
+    columns = columns_from_corpus(corpus)
+    # one author's incidences outnumber every chunk size
+    assert np.diff(columns.author_starts).max() > max(CHUNKS)
+    attributes = chunked_attributes(columns, chunk)
+    assert_matches_record_reference(corpus, columns, attributes)
+    assert_same_bits(attributes, chunked_attributes(columns, portfolio._CHUNK))
+
+
+JOURNALS = st.sampled_from([None, "J1", "J2", "J3"])
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.lists(st.sampled_from([f"a{k}" for k in range(6)]), min_size=1, max_size=4, unique=True),
+            st.integers(1985, 2022),
+            st.sampled_from(["article", "conference_paper", "other"]),
+            st.lists(st.sampled_from(["C1", "C2", "C3"]), max_size=3),
+            JOURNALS,
+            st.dictionaries(st.integers(1985, 2022), st.integers(0, 9), max_size=4),
+        ),
+        min_size=1,
+        max_size=30,
+    )
+)
+def test_chunked_derive_matches_the_record_reference_on_fuzzed_corpora(chunk, spec):
+    pubs = [
+        make_pub(
+            pub_id=f"p{k}",
+            year=year,
+            doc_type=doc_type,
+            authors=authors,
+            countries=countries,
+            journal=journal,
+            citations={y: n for y, n in citations.items() if y >= year},
+        )
+        for k, (authors, year, doc_type, countries, journal, citations) in enumerate(spec)
+    ]
+    corpus = make_corpus(pubs, journals={"J1": {"D1": 40}, "J2": {"D1": 90, "D2": 10}, "J3": {"D3": 0}})
+    columns = columns_from_corpus(corpus)
+    attributes = chunked_attributes(columns, chunk)
+    assert_matches_record_reference(corpus, columns, attributes)
+    assert_same_bits(attributes, chunked_attributes(columns, portfolio._CHUNK))
+
+
+def test_derive_memory_is_bounded_by_publications_authors_and_chunk():
+    """Every publication has 20 to 40 authors, so the incidences outnumber
+    the publications thirtyfold; the tracemalloc peak of derive_portfolios
+    must grow with the publications, authors and _CHUNK, not with them."""
+    rng = np.random.default_rng(11)
+    pubs = [
+        make_pub(
+            pub_id=f"p{k}",
+            year=int(rng.integers(1980, 2023)),
+            authors={f"a{a:04d}" for a in rng.integers(0, 1500, rng.integers(20, 41))},
+            countries=(f"C{rng.integers(0, 3)}", f"C{rng.integers(0, 3)}"),
+            journal=f"J{rng.integers(0, 4)}",
+            citations={2020: int(rng.integers(0, 9))},
+        )
+        for k in range(4000)
+    ]
+    journals = {f"J{k}": {f"D{k}": 25 * k} for k in range(4)}
+    columns = columns_from_corpus(make_corpus(pubs, journals=journals))
+    n_inc = columns.inc_author.shape[0]
+    assert n_inc >= 25 * columns.n_publications
+    tracemalloc.start()
+    try:
+        derive_portfolios(columns)
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    # 64 bytes per publication, 256 per author and 128 per incidence of a
+    # chunk of the shipped size
+    bound = 64 * columns.n_publications + 256 * columns.n_authors + 128 * portfolio._CHUNK
+    assert peak <= bound, (n_inc, peak, bound)
