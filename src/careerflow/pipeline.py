@@ -483,7 +483,8 @@ def run_analyze(
     # manifest last, so a failure leaves the previous run as it was
     manifest: dict[str, str] = {}
     with write_aside() as open_aside:
-        for rel_path, pieces in analyze_outputs(loaded, table, codes, too_small, ptypes, scope_list):
+        outputs = analyze_outputs(loaded.report, table, codes, too_small, ptypes, scope_list)
+        for rel_path, pieces in outputs:
             path = out_dir / rel_path
             path.parent.mkdir(parents=True, exist_ok=True)
             digest = hashlib.sha256()
@@ -509,7 +510,7 @@ def run_analyze(
 
 
 def analyze_outputs(
-    loaded: LoadedCache,
+    report: FilterReport,
     table: PortfolioTable,
     codes: np.ndarray,
     too_small: list[tuple[int, str, str]],
@@ -520,7 +521,7 @@ def analyze_outputs(
     path in the run dir and its text, in pieces. A failure in the mobility
     or regression stage is a StageError of that stage."""
     columns = table.columns
-    yield "gates.tsv", [gates_table(loaded.report)]
+    yield "gates.tsv", [gates_table(report)]
     yield "portfolios.jsonl", _line_batches(portfolio_lines(table))
     yield "classes.jsonl", _line_batches(class_dump_lines(table, codes))
     coverage = {
