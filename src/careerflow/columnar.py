@@ -4,10 +4,10 @@ The builder consumes publication lines (ingest) or validated
 PublicationRecord objects (an in-memory Corpus) one at a time and keeps only
 flat arrays, so corpora with millions of publications never exist as object
 lists. Ingest reads a publications file in byte ranges, one builder per range
-(ingest_range), and merges them in file order (merge_ranges). This module
-also owns the ingest cache format (write_cache, read_cache): a version line
-with a sha256 of the rest, one json line, then the arrays as raw
-little-endian blocks.
+(ingest_range), and merges them in file order into the columns
+(merge_ranges). This module also owns the ingest cache format (write_cache,
+read_cache): a version line with a sha256 of the rest, one json line, then
+the arrays as raw little-endian blocks.
 """
 from __future__ import annotations
 
@@ -94,16 +94,6 @@ class _Index(dict):
     def __missing__(self, name: str) -> int:
         idx = self[name] = len(self)
         return idx
-
-
-def _vocab_remap(index: dict[str, int]) -> tuple[list[str], np.ndarray]:
-    """Sorted vocabulary plus a permutation from insertion to sorted indices."""
-    vocab = sorted(index)
-    order = {name: i for i, name in enumerate(vocab)}
-    perm = np.empty(len(index), dtype=np.int32)
-    for name, old in index.items():
-        perm[old] = order[name]
-    return vocab, perm
 
 
 def author_chunks(bounds: np.ndarray, size: int) -> Iterator[tuple[int, int]]:
@@ -243,10 +233,7 @@ class ColumnsBuilder:
         authors: dict[str, AuthorRecord],
         reference_year: int,
     ):
-        self.reference_year = reference_year
-        self.author_ids = sorted(authors)
-        self._author_idx = {a: i for i, a in enumerate(self.author_ids)}
-        self._authors = authors
+        self._author_idx = {a: i for i, a in enumerate(sorted(authors))}
         self._disc_idx = _Index()
         self._country_idx = _Index()
         self._inst_idx = _Index()
@@ -356,114 +343,17 @@ class ColumnsBuilder:
         self._ce_year.extend(cit_years)
         self._ce_count.extend(cit_counts)
 
-    def _take(self, name: str, dtype: type) -> np.ndarray:
-        """Buffer *name* as a new array of *dtype*. The builder lets go of the
-        buffer, so finalize holds each one only until it is converted."""
-        buf = np.asarray(getattr(self, name))
-        setattr(self, name, None)
-        return buf.astype(dtype)
-
-    def finalize(self) -> CorpusColumns:
-        """The columns of everything added. It consumes the builder's buffers."""
-        take = self._take
-        n_authors = len(self.author_ids)
-        pub_year = take("_pub_year", np.int32)
-        n_pubs = pub_year.shape[0]
-        pub_qual = take("_pub_qual", bool)
-        pub_pct = take("_pub_pct", np.int16)
-        pub_nauth = take("_pub_nauth", np.int32)
-        pub_intl = take("_pub_intl", bool)
-
-        inc_author = take("_inc_author", np.int32)
-        inc_pub = np.repeat(np.arange(n_pubs, dtype=np.int32), pub_nauth)
-        # canonical order: (author, year, pub); segment heads are earliest pubs
-        order = np.lexsort((inc_pub, pub_year[inc_pub], inc_author))
-        inc_author = inc_author[order]
-        inc_pub = inc_pub[order]
-        del order
-        author_starts = np.zeros(n_authors + 1, dtype=np.int64)
-        np.cumsum(np.bincount(inc_author, minlength=n_authors), out=author_starts[1:])
-
-        first_pub_year = np.full(n_authors, -1, dtype=np.int32)
-        has_pubs = author_starts[1:] > author_starts[:-1]
-        first_pub_year[has_pubs] = pub_year[inc_pub[author_starts[:-1][has_pubs]]]
-
-        qual_count = np.bincount(
-            inc_author[pub_qual[inc_pub]], minlength=n_authors
-        ).astype(np.int64)
-
-        def ragged(flat: str, lens: str, remap: np.ndarray):
-            vals = take(flat, np.int32)
-            if vals.shape[0]:
-                vals = remap[vals]
-            starts = np.zeros(n_pubs + 1, dtype=np.int64)
-            np.cumsum(take(lens, np.int32), out=starts[1:])
-            return starts, vals
-
-        disc_vocab, disc_perm = _vocab_remap(self._disc_idx)
-        country_vocab, country_perm = _vocab_remap(self._country_idx)
-        inst_vocab, inst_perm = _vocab_remap(self._inst_idx)
-
-        jd_starts, jd_disc = ragged("_jd_flat", "_jd_len", disc_perm)
-        inst_starts, inst_flat = ragged("_inst_flat", "_inst_len", inst_perm)
-        ref_starts, ref_disc = ragged("_ref_flat", "_ref_len", disc_perm)
-        dominant_disc = _modal_from_ragged(
-            inc_author, inc_pub, ref_starts, ref_disc, len(disc_vocab), n_authors
-        )
-        del ref_starts, ref_disc
-        country_starts, country_flat = ragged("_country_flat", "_country_len", country_perm)
-        dominant_country = _modal_from_ragged(
-            inc_author, inc_pub, country_starts, country_flat, len(country_vocab), n_authors
-        )
-        del country_starts, country_flat
-        dominant_inst = _modal_from_ragged(
-            inc_author, inc_pub, inst_starts, inst_flat, len(inst_vocab), n_authors
-        )
-
-        ce_pub = np.repeat(np.arange(n_pubs, dtype=np.int32), take("_ce_len", np.int32))
-        ce_year = take("_ce_year", np.int32)
-        ce_count = take("_ce_count", np.int64)
-        # citations in the publication year and the three years after it
-        cited_year = pub_year[ce_pub]
-        in_window = (ce_year >= cited_year) & (ce_year < cited_year + 4)
-        pub_cits4y = np.bincount(
-            ce_pub[in_window], weights=ce_count[in_window], minlength=n_pubs
-        ).astype(np.int64)
-        del ce_pub, ce_year, ce_count, cited_year, in_window
-
-        gender_code = np.zeros(n_authors, dtype=np.int8)
-        override: list[str | None] = [None] * n_authors
-        for aid, idx in self._author_idx.items():
-            rec = self._authors[aid]
-            gender_code[idx] = GENDER_CODES[gender_gate(rec.gender_label, rec.gender_probability)]
-            override[idx] = rec.country_override
-
-        return CorpusColumns(
-            reference_year=self.reference_year,
-            author_ids=self.author_ids,
-            gender_code=gender_code,
-            country_override=override,
-            first_pub_year=first_pub_year,
-            qualifying_count=qual_count,
-            dominant_discipline=dominant_disc,
-            dominant_country_idx=dominant_country,
-            dominant_institution_idx=dominant_inst,
-            pub_year=pub_year,
-            pub_qualifying=pub_qual,
-            pub_percentile=pub_pct,
-            pub_n_authors=pub_nauth,
-            pub_intl=pub_intl,
-            pub_cits4y=pub_cits4y,
-            inc_author=inc_author,
-            inc_pub=inc_pub,
-            author_starts=author_starts,
-            jd_starts=jd_starts,
-            jd_disc=jd_disc,
-            inst_starts=inst_starts,
-            inst_flat=inst_flat,
-            disc_vocab=disc_vocab,
-            country_vocab=country_vocab,
-            inst_vocab=inst_vocab,
+    def result(self, rejects: list[Reject], n_lines: int) -> RangeResult:
+        """Everything added, as the result of one range of *n_lines* lines
+        with *rejects*. It hands over the builder's buffers and calls no
+        numpy."""
+        return RangeResult(
+            buffers={name: getattr(self, name) for name in (*_PUB_BUFFERS, *_FLAT_BUFFERS)},
+            vocabs=(list(self._disc_idx), list(self._country_idx), list(self._inst_idx)),
+            rejects=rejects,
+            n_lines=n_lines,
+            pub_ids=list(self._validator.seen),
+            pub_lines=self._pub_line,
         )
 
 
@@ -471,7 +361,7 @@ def columns_from_corpus(corpus: Corpus) -> CorpusColumns:
     builder = ColumnsBuilder(corpus.journals, corpus.authors, corpus.reference_year)
     for pub in corpus.publications:
         builder.add(pub)
-    return builder.finalize()
+    return merge_ranges([builder.result([], 0)], corpus.authors, corpus.reference_year)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -542,14 +432,7 @@ def ingest_range(
         if start:
             fh.seek(start)
         builder.add_lines(lines(fh), rejects)
-    return RangeResult(
-        buffers={name: getattr(builder, name) for name in (*_PUB_BUFFERS, *_FLAT_BUFFERS)},
-        vocabs=(list(builder._disc_idx), list(builder._country_idx), list(builder._inst_idx)),
-        rejects=rejects,
-        n_lines=n_lines,
-        pub_ids=list(builder._validator.seen),
-        pub_lines=builder._pub_line,
-    )
+    return builder.result(rejects, n_lines)
 
 
 def _drop_publications(buffers: dict[str, np.ndarray], dropped: list[int]) -> dict[str, np.ndarray]:
@@ -563,20 +446,22 @@ def _drop_publications(buffers: dict[str, np.ndarray], dropped: list[int]) -> di
 
 def merge_ranges(
     results: list[RangeResult],
-    journals: dict[str, JournalRecord],
     authors: dict[str, AuthorRecord],
     reference_year: int,
-) -> tuple[ColumnsBuilder, list[Reject]]:
-    """A builder holding the publications of *results*, the byte ranges of
-    one file in file order, as if it had read the whole file; and their
-    rejects with file line numbers. It consumes the results' buffers.
+) -> tuple[CorpusColumns, list[Reject]]:
+    """The columns of the publications of *results*, the byte ranges of one
+    file in file order, as if one builder had read the whole file; and their
+    rejects with file line numbers. It consumes the results' pub_ids and
+    buffers, letting go of each range's part of a buffer once it is in a
+    column.
 
     A range's line numbers are offset by the lines of the ranges before it.
     A publication whose pub_id an earlier range accepted is dropped with the
     reject record() gives a repeated pub_id: it passed every other check, so
     a sequential read rejects it for that reason too. Each vocabulary is
-    rebuilt from the codes the kept publications reference; those are the
-    codes a sequential read interns, as only accepted lines intern codes.
+    rebuilt, sorted, from the codes the kept publications reference; those
+    are the codes a sequential read interns, as only accepted lines intern
+    codes.
     """
     seen: set[str] = set()
     rejects: list[Reject] = []
@@ -589,12 +474,15 @@ def merge_ranges(
         duplicates = [duplicate_pub_reject(res.pub_lines[k] + offset, res.pub_ids[k]) for k in dropped]
         rejects.extend(heapq.merge(local, duplicates, key=lambda r: r.line_no))
         offset += res.n_lines
+        res.pub_ids.clear()
         buffers = {name: np.asarray(buf) for name, buf in res.buffers.items()}
         res.buffers.clear()
         parts.append(_drop_publications(buffers, dropped) if dropped else buffers)
+    # the pub_id strings are let go before any column is built, so that
+    # they do not add to its peak
+    del seen
 
-    builder = ColumnsBuilder(journals, authors, reference_year)
-    indexes = []
+    vocabs = []
     for kind, flat_names in enumerate(_VOCAB_BUFFERS):
         used: list[np.ndarray] = []
         for res, buffers in zip(results, parts):
@@ -603,17 +491,112 @@ def merge_ranges(
                 mask[buffers[name]] = True
             used.append(np.flatnonzero(mask))
         vocab = sorted({res.vocabs[kind][i] for res, idx in zip(results, used) for i in idx})
-        index = _Index((name, i) for i, name in enumerate(vocab))
+        index = {name: i for i, name in enumerate(vocab)}
         for res, buffers, idx in zip(results, parts, used):
             perm = np.full(len(res.vocabs[kind]), -1, dtype=np.int32)
             perm[idx] = [index[res.vocabs[kind][i]] for i in idx]
             for name in flat_names:
                 buffers[name] = perm[buffers[name]]
-        indexes.append(index)
-    builder._disc_idx, builder._country_idx, builder._inst_idx = indexes
-    for name in (*_PUB_BUFFERS, *_FLAT_BUFFERS):
-        setattr(builder, name, np.concatenate([buffers.pop(name) for buffers in parts]))
-    return builder, rejects
+        vocabs.append(vocab)
+    disc_vocab, country_vocab, inst_vocab = vocabs
+
+    def column(name: str, dtype: type) -> np.ndarray:
+        """Buffer *name* of every part, joined as *dtype*; the parts let go of it."""
+        return np.concatenate([buffers.pop(name) for buffers in parts]).astype(dtype, copy=False)
+
+    author_ids = sorted(authors)
+    n_authors = len(author_ids)
+    pub_year = column("_pub_year", np.int32)
+    n_pubs = pub_year.shape[0]
+    pub_qual = column("_pub_qual", bool)
+    pub_pct = column("_pub_pct", np.int16)
+    pub_nauth = column("_pub_nauth", np.int32)
+    pub_intl = column("_pub_intl", bool)
+
+    inc_author = column("_inc_author", np.int32)
+    inc_pub = np.repeat(np.arange(n_pubs, dtype=np.int32), pub_nauth)
+    # canonical order: (author, year, pub); segment heads are earliest pubs
+    order = np.lexsort((inc_pub, pub_year[inc_pub], inc_author))
+    inc_author = inc_author[order]
+    inc_pub = inc_pub[order]
+    del order
+    author_starts = np.zeros(n_authors + 1, dtype=np.int64)
+    np.cumsum(np.bincount(inc_author, minlength=n_authors), out=author_starts[1:])
+
+    first_pub_year = np.full(n_authors, -1, dtype=np.int32)
+    has_pubs = author_starts[1:] > author_starts[:-1]
+    first_pub_year[has_pubs] = pub_year[inc_pub[author_starts[:-1][has_pubs]]]
+
+    qual_count = np.bincount(
+        inc_author[pub_qual[inc_pub]], minlength=n_authors
+    ).astype(np.int64)
+
+    def ragged(flat: str, lens: str) -> tuple[np.ndarray, np.ndarray]:
+        starts = np.zeros(n_pubs + 1, dtype=np.int64)
+        np.cumsum(column(lens, np.int32), out=starts[1:])
+        return starts, column(flat, np.int32)
+
+    jd_starts, jd_disc = ragged("_jd_flat", "_jd_len")
+    inst_starts, inst_flat = ragged("_inst_flat", "_inst_len")
+    ref_starts, ref_disc = ragged("_ref_flat", "_ref_len")
+    dominant_disc = _modal_from_ragged(
+        inc_author, inc_pub, ref_starts, ref_disc, len(disc_vocab), n_authors
+    )
+    del ref_starts, ref_disc
+    country_starts, country_flat = ragged("_country_flat", "_country_len")
+    dominant_country = _modal_from_ragged(
+        inc_author, inc_pub, country_starts, country_flat, len(country_vocab), n_authors
+    )
+    del country_starts, country_flat
+    dominant_inst = _modal_from_ragged(
+        inc_author, inc_pub, inst_starts, inst_flat, len(inst_vocab), n_authors
+    )
+
+    ce_pub = np.repeat(np.arange(n_pubs, dtype=np.int32), column("_ce_len", np.int32))
+    ce_year = column("_ce_year", np.int32)
+    ce_count = column("_ce_count", np.int64)
+    # citations in the publication year and the three years after it
+    cited_year = pub_year[ce_pub]
+    in_window = (ce_year >= cited_year) & (ce_year < cited_year + 4)
+    pub_cits4y = np.bincount(
+        ce_pub[in_window], weights=ce_count[in_window], minlength=n_pubs
+    ).astype(np.int64)
+    del ce_pub, ce_year, ce_count, cited_year, in_window
+
+    gender_code = np.zeros(n_authors, dtype=np.int8)
+    override: list[str | None] = [None] * n_authors
+    for idx, aid in enumerate(author_ids):
+        rec = authors[aid]
+        gender_code[idx] = GENDER_CODES[gender_gate(rec.gender_label, rec.gender_probability)]
+        override[idx] = rec.country_override
+
+    return CorpusColumns(
+        reference_year=reference_year,
+        author_ids=author_ids,
+        gender_code=gender_code,
+        country_override=override,
+        first_pub_year=first_pub_year,
+        qualifying_count=qual_count,
+        dominant_discipline=dominant_disc,
+        dominant_country_idx=dominant_country,
+        dominant_institution_idx=dominant_inst,
+        pub_year=pub_year,
+        pub_qualifying=pub_qual,
+        pub_percentile=pub_pct,
+        pub_n_authors=pub_nauth,
+        pub_intl=pub_intl,
+        pub_cits4y=pub_cits4y,
+        inc_author=inc_author,
+        inc_pub=inc_pub,
+        author_starts=author_starts,
+        jd_starts=jd_starts,
+        jd_disc=jd_disc,
+        inst_starts=inst_starts,
+        inst_flat=inst_flat,
+        disc_vocab=disc_vocab,
+        country_vocab=country_vocab,
+        inst_vocab=inst_vocab,
+    ), rejects
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from .classes import (
 )
 from .columnar import (
     GENDER_NAMES,
-    ColumnsBuilder,
     CorpusColumns,
     RangeResult,
     byte_ranges,
@@ -147,7 +146,6 @@ class IngestResult:
     n_publications: int
     n_rejects: int
     report: FilterReport
-    retained: int
 
 
 def _filter_config_dict(config: SampleFilterConfig) -> dict:
@@ -170,12 +168,12 @@ def _ingest_publications(
     journals: dict[str, JournalRecord],
     authors: dict[str, AuthorRecord],
     reference_year: int,
-) -> tuple[ColumnsBuilder, list[Reject]]:
-    """The publications of *pubs_path* in one builder, with their rejects.
+) -> tuple[CorpusColumns, list[Reject]]:
+    """The columns of the publications of *pubs_path*, with their rejects.
 
     The file is cut into byte ranges (columnar.byte_ranges). A forked worker
     ingests each range but the first, which this process ingests meanwhile,
-    and the ranges are merged in file order, so the builder and rejects are
+    and the ranges are merged in file order, so the columns and rejects are
     the same for any range count. Every worker is reaped before this returns
     or raises; a failed worker is a StageError.
     """
@@ -189,7 +187,7 @@ def _ingest_publications(
             )
         results: list[RangeResult] = [ingest_range(pubs_path, *ranges[0], *args)]
         results += workers.results()
-    return merge_ranges(results, *args)
+    return merge_ranges(results, authors, reference_year)
 
 
 def run_ingest(
@@ -210,9 +208,8 @@ def run_ingest(
     with open(authors_path, "rb") as fh:
         authors = parse_authors(fh, rejects)
 
-    builder, pub_rejects = _ingest_publications(pubs_path, journals, authors, reference_year)
+    columns, pub_rejects = _ingest_publications(pubs_path, journals, authors, reference_year)
     rejects += pub_rejects
-    columns = builder.finalize()
     n_pubs = columns.n_publications
     retained, report = gates_from_columns(columns, config)
     report_obj = {"removed": report.removed, "retained": report.retained, "total": report.total}
@@ -234,7 +231,7 @@ def run_ingest(
             fh.write("\n")
         with open_aside(cache_path, binary=True) as fh:
             write_cache(fh, header, columns)
-    return IngestResult(cache_path, n_pubs, len(rejects), report, len(retained))
+    return IngestResult(cache_path, n_pubs, len(rejects), report)
 
 
 # ---------------------------------------------------------------------------

@@ -217,11 +217,15 @@ def top200_flag(corpus: Corpus, author_id: str, top_n: int = 200) -> bool:
 
 @dataclass
 class BaselineArrays:
-    """Field baseline in array form: cell = disc_idx * n_years + (year - year_min)."""
+    """Field baseline in array form: cell = disc_idx * n_years + (year - year_min).
+    It keeps the publication index and cell of each (publication, journal
+    discipline) pair, which every user of the baseline walks."""
 
     year_min: int
     n_years: int
     means: np.ndarray  # 0.0 where the cell is empty
+    jd_pub: np.ndarray
+    cells: np.ndarray
 
 
 @dataclass
@@ -250,38 +254,26 @@ class PortfolioTable:
         return self.sample_idx.shape[0]
 
 
-def _journal_cells(
-    columns: CorpusColumns, year_min: int, n_years: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Publication index and baseline cell of each (publication, journal
-    discipline) pair."""
-    jd_pub = np.repeat(
-        np.arange(columns.n_publications, dtype=np.int64), np.diff(columns.jd_starts)
-    )
-    cells = columns.jd_disc.astype(np.int64) * n_years + (columns.pub_year[jd_pub] - year_min)
-    return jd_pub, cells
-
-
 def build_baseline_arrays(columns: CorpusColumns) -> BaselineArrays:
-    if columns.n_publications == 0:
-        return BaselineArrays(0, 1, np.zeros(len(columns.disc_vocab)))
-    year_min = int(columns.pub_year.min())
-    n_years = int(columns.pub_year.max()) - year_min + 1
+    n_pubs = columns.n_publications
+    year_min = int(columns.pub_year.min()) if n_pubs else 0
+    n_years = int(columns.pub_year.max()) - year_min + 1 if n_pubs else 1
     n_cells = len(columns.disc_vocab) * n_years
-    jd_pub, cells = _journal_cells(columns, year_min, n_years)
+    jd_pub = np.repeat(np.arange(n_pubs, dtype=np.int64), np.diff(columns.jd_starts))
+    cells = columns.jd_disc.astype(np.int64) * n_years + (columns.pub_year[jd_pub] - year_min)
     sums = np.bincount(cells, weights=columns.pub_cits4y[jd_pub].astype(np.float64), minlength=n_cells)
     counts = np.bincount(cells, minlength=n_cells)
     means = np.zeros(n_cells)
     nonzero = counts > 0
     means[nonzero] = sums[nonzero] / counts[nonzero]
-    return BaselineArrays(year_min, n_years, means)
+    return BaselineArrays(year_min, n_years, means, jd_pub, cells)
 
 
 def publication_fwci(columns: CorpusColumns, baseline: BaselineArrays) -> tuple[np.ndarray, int]:
     """Per-publication FWCI (NaN undefined) and the skipped-publication count."""
     n_pubs = columns.n_publications
     fwci = np.full(n_pubs, np.nan)
-    jd_pub, cells = _journal_cells(columns, baseline.year_min, baseline.n_years)
+    jd_pub, cells = baseline.jd_pub, baseline.cells
     if jd_pub.shape[0] == 0:
         return fwci, 0
     base = baseline.means[cells]
@@ -304,7 +296,7 @@ def cell_fwci_means(columns: CorpusColumns, baseline: BaselineArrays) -> np.ndar
     because each publication's contribution to a cell is its citation count
     over that same cell's mean.
     """
-    jd_pub, cells = _journal_cells(columns, baseline.year_min, baseline.n_years)
+    jd_pub, cells = baseline.jd_pub, baseline.cells
     if jd_pub.shape[0] == 0:
         return np.zeros(0)
     base = baseline.means[cells]
@@ -355,8 +347,8 @@ def derive_portfolios(
         index = columns.author_index()
         sample_idx = np.array(sorted(index[a] for a in sample_ids), dtype=np.int64)
 
-    baseline = build_baseline_arrays(columns)
-    fwci, fwci_skipped = publication_fwci(columns, baseline)
+    # the baseline and its pairs are let go before the chunk loop
+    fwci, fwci_skipped = publication_fwci(columns, build_baseline_arrays(columns))
 
     intl_rate = np.full(n_authors, np.nan)
     team_median = np.full(n_authors, np.nan)

@@ -15,7 +15,7 @@ import pytest
 import careerflow
 from careerflow import corpus, pipeline
 from careerflow.cli import main
-from careerflow.columnar import ColumnsBuilder, CorpusColumns, read_cache, write_cache
+from careerflow.columnar import ColumnsBuilder, CorpusColumns, merge_ranges, read_cache, write_cache
 from careerflow.corpus import parse_authors, parse_journals
 from careerflow.pipeline import MANIFEST_NAME
 
@@ -495,7 +495,8 @@ def test_cache_round_trips_the_builder_columns(tmp_path, capsys, inputs):
     with open(src / "publications.jsonl", "rb") as fh:
         builder.add_lines(fh, rejects)
     assert rejects == []
-    expected = builder.finalize()
+    expected, rejects = merge_ranges([builder.result(rejects, 0)], authors, 2022)
+    assert rejects == []
     assert (expected.n_authors > 0) == (inputs == "golden")
     header = {"n_publications": expected.n_publications, "retained": []}
     with open(tmp_path / "corpus.cache", "wb") as fh:

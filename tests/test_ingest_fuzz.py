@@ -422,6 +422,37 @@ def test_ingest_equals_reference_on_any_cpu_count(base, tmp_path, n):
     assert_equals_reference(tmp_path)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("pubs", ["empty", "every-line-a-reject"])
+def test_ingest_with_no_accepted_publication_equals_reference(base, tmp_path, pubs, n):
+    """Known authors and journals, no publication: every range part and
+    every vocabulary is empty."""
+    pub = base["first_pub"]
+    lines = [
+        b"not json",
+        json.dumps(dict(pub, year=1800)).encode(),
+        b"[]",
+        json.dumps(dict(pub, author_ids=["nobody"])).encode(),
+        json.dumps(dict(pub, journal_id="nowhere")).encode(),
+        b"\xff",
+    ]
+    for name in FILES:
+        (tmp_path / f"{name}.jsonl").write_bytes(base["inputs"][name])
+    (tmp_path / "publications.jsonl").write_bytes(b"" if pubs == "empty" else b"\n".join(lines) + b"\n")
+    with cpus(n):
+        n_ranges = len(byte_ranges(tmp_path / "publications.jsonl"))
+        code, stdout = ingest(tmp_path)
+    assert code == 0
+    assert n_ranges == (1 if pubs == "empty" else n)
+    assert n_accepted_pubs(stdout) == 0
+    assert_equals_reference(tmp_path)
+    rejected = [json.loads(line)["line_no"] for line in (tmp_path / "rejects.jsonl").read_text().splitlines()]
+    assert rejected == ([] if pubs == "empty" else list(range(1, len(lines) + 1)))
+    columns = load_cache(tmp_path / CACHE_NAME).columns
+    assert columns.n_publications == 0 and len(columns.author_ids) == base["authors"] > 0
+    assert columns.disc_vocab == columns.country_vocab == columns.inst_vocab == []
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 8])
 def test_byte_ranges_cut_at_line_starts(tmp_path, n):
     data = b"".join(b"x" * (i % 7) + b"\n" for i in range(50)) + b"no newline"
