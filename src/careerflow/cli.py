@@ -200,7 +200,9 @@ def _read_listed(out_dir: Path, rel_path: str, digests: dict[str, str]) -> str:
 
 def _manifest_digests(manifest_path: Path) -> dict[str, str]:
     """path -> sha256 of each manifest line, in manifest order; a line that
-    is not a JSON object with string path and sha256 is a StageError."""
+    is not a JSON object with string path and sha256, or whose path is
+    absolute or has a `..` part and so may name a file outside the run
+    directory, is a StageError."""
     digests: dict[str, str] = {}
     for line_no, line in enumerate(manifest_path.read_bytes().splitlines(), 1):
         if not line:
@@ -210,7 +212,12 @@ def _manifest_digests(manifest_path: Path) -> dict[str, str]:
             path, digest = entry["path"], entry["sha256"]
         except (ValueError, KeyError, TypeError):
             path = digest = None
-        if not (isinstance(path, str) and isinstance(digest, str)):
+        if not (
+            isinstance(path, str)
+            and isinstance(digest, str)
+            and not path.startswith("/")
+            and ".." not in path.split("/")
+        ):
             raise StageError("report", f"malformed manifest line {line_no}")
         digests[path] = digest
     return digests

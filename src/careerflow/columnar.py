@@ -66,7 +66,7 @@ _PUB_BUFFERS = (
     "_ref_len",
     "_country_len",
     "_inst_len",
-    "_ce_len",
+    "_pub_cits4y",
 )
 _FLAT_BUFFERS = {
     "_inc_author": "_pub_nauth",
@@ -74,8 +74,6 @@ _FLAT_BUFFERS = {
     "_ref_flat": "_ref_len",
     "_country_flat": "_country_len",
     "_inst_flat": "_inst_len",
-    "_ce_year": "_ce_len",
-    "_ce_count": "_ce_len",
 }
 # the flat buffers that hold indices into each vocabulary
 _VOCAB_BUFFERS = (("_jd_flat", "_ref_flat"), ("_country_flat",), ("_inst_flat",))
@@ -246,6 +244,7 @@ class ColumnsBuilder:
         self._pub_pct = array("i")
         self._pub_nauth = array("i")
         self._pub_intl = array("b")
+        self._pub_cits4y = array("q")
         self._inc_author = array("i")
         self._jd_flat = array("i")
         self._jd_len = array("i")
@@ -255,9 +254,6 @@ class ColumnsBuilder:
         self._country_len = array("i")
         self._inst_flat = array("i")
         self._inst_len = array("i")
-        self._ce_len = array("i")  # citation entries per pub, for ce_pub expansion
-        self._ce_year = array("i")
-        self._ce_count = array("q")
         # line number of each publication add_lines accepted; its pub_id is
         # the matching entry of self._validator.seen
         self._pub_line = array("i")
@@ -295,8 +291,7 @@ class ColumnsBuilder:
             pub.affiliation_countries,
             pub.affiliation_institutions,
             pub.journal_id,
-            pub.citations_by_year.keys(),
-            pub.citations_by_year.values(),
+            pub.window_citations,
             pub.cited_ref_disciplines,
         )
 
@@ -308,16 +303,16 @@ class ColumnsBuilder:
         countries: Collection[str],
         institutions: Collection[str],
         journal_id: str | None,
-        cit_years: Collection[int],
-        cit_counts: Iterable[int],
+        cits4y: int,
         refs: Collection[str],
     ) -> None:
-        """One validated publication; countries and institutions sorted and
-        unique, citation years unique."""
+        """One validated publication, with countries and institutions sorted
+        and unique and its window_citations."""
         self._pub_year.append(year)
         self._pub_qual.append(doc_type in QUALIFYING_DOC_TYPES)
         self._pub_nauth.append(len(author_ids))
         self._pub_intl.append(len(countries) >= 2)
+        self._pub_cits4y.append(cits4y)
         self._inc_author.extend(map(self._author_idx.__getitem__, author_ids))
 
         if journal_id is None:
@@ -339,9 +334,6 @@ class ColumnsBuilder:
         self._country_flat.extend(map(self._country_idx.__getitem__, countries))
         self._inst_len.append(len(institutions))
         self._inst_flat.extend(map(self._inst_idx.__getitem__, institutions))
-        self._ce_len.append(len(cit_years))
-        self._ce_year.extend(cit_years)
-        self._ce_count.extend(cit_counts)
 
     def result(self, rejects: list[Reject], n_lines: int) -> RangeResult:
         """Everything added, as the result of one range of *n_lines* lines
@@ -512,6 +504,7 @@ def merge_ranges(
     pub_pct = column("_pub_pct", np.int16)
     pub_nauth = column("_pub_nauth", np.int32)
     pub_intl = column("_pub_intl", bool)
+    pub_cits4y = column("_pub_cits4y", np.int64)
 
     inc_author = column("_inc_author", np.int32)
     inc_pub = np.repeat(np.arange(n_pubs, dtype=np.int32), pub_nauth)
@@ -551,17 +544,6 @@ def merge_ranges(
     dominant_inst = _modal_from_ragged(
         inc_author, inc_pub, inst_starts, inst_flat, len(inst_vocab), n_authors
     )
-
-    ce_pub = np.repeat(np.arange(n_pubs, dtype=np.int32), column("_ce_len", np.int32))
-    ce_year = column("_ce_year", np.int32)
-    ce_count = column("_ce_count", np.int64)
-    # citations in the publication year and the three years after it
-    cited_year = pub_year[ce_pub]
-    in_window = (ce_year >= cited_year) & (ce_year < cited_year + 4)
-    pub_cits4y = np.bincount(
-        ce_pub[in_window], weights=ce_count[in_window], minlength=n_pubs
-    ).astype(np.int64)
-    del ce_pub, ce_year, ce_count, cited_year, in_window
 
     gender_code = np.zeros(n_authors, dtype=np.int8)
     override: list[str | None] = [None] * n_authors

@@ -28,6 +28,7 @@ MIN_YEAR = 1900
 # the latest reference year the CLI takes: four digits, far inside int32
 MAX_REFERENCE_YEAR = 9999
 ECHO_MAX = 64  # longest input value a reject reason quotes in full
+FWCI_WINDOW = 4  # publication year plus three consecutive years
 # a citation year must fit the cache's int32 year column, and a count the
 # same bound, so sums of counts stay far inside int64; a larger value makes
 # the line a reject instead of an OverflowError that aborts ingest
@@ -196,6 +197,15 @@ class PublicationRecord:
     @property
     def qualifying(self) -> bool:
         return self.doc_type in QUALIFYING_DOC_TYPES
+
+    @property
+    def window_citations(self) -> int:
+        """Citations in the FWCI_WINDOW years from the publication year."""
+        return sum(
+            count
+            for year, count in self.citations_by_year.items()
+            if self.year <= year < self.year + FWCI_WINDOW
+        )
 
 
 @dataclass(slots=True)
@@ -444,7 +454,8 @@ def iter_json_lines(
             except UnicodeDecodeError:
                 rejects.append(Reject(line_no, file, "invalid utf-8"))
                 continue
-        raw = raw.strip()
+        # only JSON's own whitespace: any other is a json.loads error
+        raw = raw.strip(" \t\r\n")
         if not raw:
             continue
         # the stripped line is one JSON value exactly when raw_decode ends at
@@ -551,10 +562,10 @@ class PublicationValidator:
 
     def clean_fields(self, obj: dict) -> tuple | None:
         """(year, doc_type, author_ids, affiliation_countries,
-        affiliation_institutions, journal_id, citation years, citation
-        counts, cited_ref_disciplines) of *obj*, normalised as record() would,
-        when the line passes all of record()'s checks; else None, and the
-        line is left to record(). An accepted pub_id is marked seen.
+        affiliation_institutions, journal_id, window_citations,
+        cited_ref_disciplines) of *obj*, normalised as record() would, when
+        the line passes all of record()'s checks; else None, and the line is
+        left to record(). An accepted pub_id is marked seen.
 
         The tests are C-level where they can be. Every element of a list
         field must be a known value: an author id of *authors*, or a
@@ -594,10 +605,12 @@ class PublicationValidator:
             ):
                 return None
             cit_years = list(map(int, raw_cits))
-            cit_counts = list(raw_cits.values())
-            for cit_year, cnt in zip(cit_years, cit_counts):
+            cits4y = 0
+            for cit_year, cnt in zip(cit_years, raw_cits.values()):
                 if not (year <= cit_year <= INT32_MAX and type(cnt) is int and 0 <= cnt <= INT32_MAX):
                     return None
+                if cit_year < year + FWCI_WINDOW:
+                    cits4y += cnt
             if len(cit_years) > 1 and len(set(cit_years)) < len(cit_years):
                 return None
         except (TypeError, ValueError):
@@ -610,8 +623,7 @@ class PublicationValidator:
             countries if len(countries) < 2 else sorted(set(countries)),
             institutions if len(institutions) < 2 else sorted(set(institutions)),
             journal_id,
-            cit_years,
-            cit_counts,
+            cits4y,
             refs,
         )
 

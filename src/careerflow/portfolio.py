@@ -26,8 +26,6 @@ from .classes import (
 from .columnar import CorpusColumns, author_chunks
 from .corpus import Corpus, JournalRecord, PublicationRecord
 
-FWCI_WINDOW = 4  # publication year plus three consecutive years
-
 # derive_portfolios computes the per-author attributes over chunks of whole
 # authors holding at most this many incidences, or one author's if more
 _CHUNK = 1 << 13
@@ -101,14 +99,6 @@ def _journal_disciplines(pub: PublicationRecord, journals: dict[str, JournalReco
     return tuple(sorted(journals[pub.journal_id].percentile_by_discipline))
 
 
-def _cits_in_window(pub: PublicationRecord) -> int:
-    return sum(
-        count
-        for year, count in pub.citations_by_year.items()
-        if pub.year <= year < pub.year + FWCI_WINDOW
-    )
-
-
 def build_field_baseline(corpus: Corpus) -> FieldBaseline:
     """Mean in-window citation count per (journal discipline, year) cell over
     all corpus publications; a publication contributes once per discipline of
@@ -116,7 +106,7 @@ def build_field_baseline(corpus: Corpus) -> FieldBaseline:
     sums: dict[tuple[str, int], float] = {}
     counts: dict[tuple[str, int], int] = {}
     for pub in corpus.publications:
-        cits = _cits_in_window(pub)
+        cits = pub.window_citations
         for disc in _journal_disciplines(pub, corpus.journals):
             cell = (disc, pub.year)
             sums[cell] = sums.get(cell, 0.0) + cits
@@ -129,7 +119,7 @@ def fwci4y(
 ) -> float | None:
     """In-window citations over the field baseline; multi-discipline journals
     average the per-discipline ratios. None when every baseline is 0/absent."""
-    cits = _cits_in_window(pub)
+    cits = pub.window_citations
     ratios = []
     for disc in _journal_disciplines(pub, journals):
         mean = baseline.get((disc, pub.year))

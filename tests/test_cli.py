@@ -532,11 +532,27 @@ def test_cache_round_trips_the_builder_columns(tmp_path, capsys, inputs):
         '["gates.tsv", "00"]',
         '{"path": 1, "sha256": "00"}',
         '{"path": "gates\xff.tsv", "sha256": "00"}',
+        '{"path": "sankey/../../secret.txt", "sha256": "DIGEST"}',
+        '{"path": "SECRET", "sha256": "DIGEST"}',
     ],
-    ids=["not-json", "no-path", "no-sha256", "not-an-object", "path-not-a-string", "not-utf8"],
+    ids=[
+        "not-json",
+        "no-path",
+        "no-sha256",
+        "not-an-object",
+        "path-not-a-string",
+        "not-utf8",
+        "path-with-dot-dot",
+        "absolute-path",
+    ],
 )
 def test_report_refuses_a_malformed_manifest_line(run_dir, capsys, line):
     assert main(["analyze", "--out", str(run_dir)]) == 0
+    # a file outside the run dir, listed with its digest
+    secret = run_dir.parent / "secret.txt"
+    secret.write_text("not an output\n")
+    line = line.replace("SECRET", str(secret))
+    line = line.replace("DIGEST", hashlib.sha256(secret.read_bytes()).hexdigest())
     manifest = run_dir / MANIFEST_NAME
     with open(manifest, "ab") as fh:
         fh.write(line.encode("latin-1") + b"\n")

@@ -33,7 +33,7 @@ from careerflow.columnar import (
     read_cache,
     write_cache,
 )
-from careerflow.corpus import parse_authors, parse_corpus, parse_journals
+from careerflow.corpus import INT32_MAX, parse_authors, parse_corpus, parse_journals
 from careerflow.pipeline import CACHE_NAME, load_cache
 
 FILES = ("publications", "journals", "authors")
@@ -113,9 +113,10 @@ def n_accepted_pubs(stdout: str) -> int:
 
 
 def is_blank(line: bytes) -> bool:
-    """Whether ingest skips *line* without a reject."""
+    """Whether ingest skips *line* without a reject: it holds only JSON
+    whitespace (space, tab, CR, LF)."""
     try:
-        return not line.decode("utf-8").strip()
+        return not line.decode("utf-8").strip(" \t\r\n")
     except UnicodeDecodeError:
         return False
 
@@ -420,6 +421,70 @@ def test_ingest_equals_reference_on_any_cpu_count(base, tmp_path, n):
         code, _ = ingest(tmp_path)
     assert code == 0
     assert_equals_reference(tmp_path)
+
+
+# whitespace that str.strip() removes and JSON does not allow
+NON_JSON_SPACE = ("\u00a0", "\u3000", "\u0085", "\u001c", "\u001f", "\u2028", "\u2029", "\x0b", "\x0c")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("file", FILES)
+def test_non_json_whitespace_makes_a_reject(base, tmp_path, file, n):
+    """Only space, tab, CR and LF surround a value or fill a skipped line;
+    a line with any other whitespace gets json.loads' reject."""
+    first = json.loads(base["inputs"][file].splitlines()[0])
+    id_key = {"publications": "pub_id", "journals": "journal_id", "authors": "author_id"}[file]
+    record = json.dumps(dict(first, **{id_key: "ws"}))
+    lines = ["", " \t\r", f"\u3000{record}\u3000", f"{record}\u3000", *NON_JSON_SPACE, f" \t{record}\r"]
+    for name in FILES:
+        data = base["inputs"][name]
+        if name == file:
+            data += "".join(line + "\n" for line in lines).encode()
+        (tmp_path / f"{name}.jsonl").write_bytes(data)
+    with cpus(n):
+        code, stdout = ingest(tmp_path)
+    assert code == 0
+    assert_equals_reference(tmp_path)
+    rejects = [json.loads(line) for line in (tmp_path / "rejects.jsonl").read_text().splitlines()]
+    assert {r["file"] for r in rejects} == {file}
+    expected = {3: "invalid json: Expecting value", 4: "invalid json: Extra data"}
+    expected.update((5 + i, "invalid json: Expecting value") for i in range(len(NON_JSON_SPACE)))
+    assert {r["line_no"] - base["lines"][file]: r["reason"] for r in rejects} == expected
+    # the last line, a record between JSON whitespace, is accepted
+    assert n_accepted_pubs(stdout) == base["pubs"] + (file == "publications")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cits4y_sums_the_window_of_each_publication(base, tmp_path, n):
+    """pub_cits4y counts the publication year and the three after it, on
+    the clean and the record path, past int32."""
+    pub = base["first_pub"]
+    year = pub["year"]
+    edges = {str(year): 3, str(year + 3): 5, str(year + 4): 7}
+    full = {str(year + k): INT32_MAX for k in range(5)}
+
+    def record_path(name: str) -> dict:
+        """A first-seen institution, which sends a line to record()."""
+        return dict(affiliation_institutions=[*pub["affiliation_institutions"], name])
+
+    lines = [
+        dict(pub, pub_id="w1", citations_by_year=edges),
+        dict(pub, pub_id="w2", citations_by_year=edges, **record_path("first-seen-1")),
+        dict(pub, pub_id="w3", citations_by_year=full),
+        dict(pub, pub_id="w4", citations_by_year=full, **record_path("first-seen-2")),
+        dict(pub, pub_id="w5", citations_by_year={str(year + 4): 1}),
+    ]
+    write_inputs(tmp_path, base, lines)
+    with cpus(n):
+        code, _ = ingest(tmp_path)
+    assert code == 0
+    assert pub_rejects(tmp_path, base) == {}
+    cits4y = load_cache(tmp_path / CACHE_NAME).columns.pub_cits4y
+    corpus, _ = parse_corpus(
+        *(io.BytesIO((tmp_path / f"{name}.jsonl").read_bytes()) for name in FILES), REFERENCE_YEAR
+    )
+    assert cits4y.tolist() == [rec.window_citations for rec in corpus.publications]
+    assert cits4y[-5:].tolist() == [8, 8, 8_589_934_588, 8_589_934_588, 0]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
