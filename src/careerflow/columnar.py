@@ -32,9 +32,9 @@ from .corpus import (
     PublicationRecord,
     PublicationValidator,
     Reject,
-    cpu_count,
     duplicate_pub_reject,
     iter_json_lines,
+    share_count,
 )
 
 GENDER_UNKNOWN, GENDER_FEMALE, GENDER_MALE = 0, 1, 2
@@ -367,7 +367,7 @@ def byte_ranges(path: Path) -> list[tuple[int, int | None]]:
     at the end of the file (None), so a pipe, whose size reads 0, is read
     whole, and never opened here."""
     size = os.path.getsize(path)
-    n = min(cpu_count(), size // MIN_RANGE_BYTES)
+    n = share_count(size, MIN_RANGE_BYTES)
     bounds = [0]
     if n > 1:
         with open(path, "rb") as fh:

@@ -3,9 +3,9 @@
 Input is three line-delimited JSON files (publications, journals, authors).
 Malformed lines become reject records, never silent drops. Filtering applies
 five gates in a fixed order so the removal counts are comparable across runs.
-Workers forks the worker processes that synth and ingest run on every CPU,
-and write_aside gives synth, ingest and analyze their all-or-nothing file
-writes.
+run_shares runs the shares of work that synth and ingest cut, one process
+per CPU (share_count), and write_aside gives synth, ingest and analyze their
+all-or-nothing file writes.
 """
 from __future__ import annotations
 
@@ -61,80 +61,75 @@ class StageError(RuntimeError):
         super().__init__(f"stage {stage}: {message}")
 
 
-def cpu_count() -> int:
-    """The CPUs of this process's affinity mask: the most processes a stage
-    runs at once. A platform without affinity masks (and without fork) runs
-    one."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+def share_count(total: int, minimum: int) -> int:
+    """How many shares to cut *total* units of work into: one per CPU of this
+    process's affinity mask (a platform without affinity masks, and without
+    fork, has one), but no more than leaves *minimum* units per share, and
+    always at least one."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return max(1, min(cpus, total // minimum))
 
 
-class Workers:
-    """Forked worker processes of one stage, one callable each.
+def run_shares(stage: str, shares: list[tuple[str, Callable[[], object]]]) -> list[object]:
+    """Call each share's work, a (what, work) pair, and return the results
+    in share order; *what* names the share in errors.
 
-    fork() runs a callable in a child, which pickles (True, its result) or
-    (False, the error text) into a pipe and leaves by os._exit, so it runs
-    no exit handler and flushes no buffer it inherited. results() yields the
-    replies in fork order and reaps each worker; a failed or dead worker is
-    a StageError of the stage. Leaving the with block kills and reaps every
-    worker not yet reaped, on any path.
+    shares[0] runs in this process, each other share in a forked worker,
+    which pickles (True, its result) or (False, the error text) into a pipe
+    and leaves by os._exit, so it runs no exit handler and flushes no buffer
+    it inherited. The replies are read once shares[0] is done; a failed or
+    dead worker is a StageError of *stage*. Every worker is reaped before
+    this returns or raises: on an exception, each one still running is
+    killed.
 
     A fork copies only the thread that calls it, so a worker must not call
     into a library that may hold a pool of threads: ingest's workers never
     call numpy, and synth's call numpy's random generators and array
     functions but no BLAS or LAPACK routine.
     """
-
-    def __init__(self, stage: str):
-        self.stage = stage
-        self._running: list[tuple[int, BinaryIO, str]] = []
-
-    def __enter__(self) -> Workers:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        for pid, pipe, _ in self._running:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        self._running.clear()
-
-    def fork(self, what: str, work: Callable[[], object]) -> None:
-        """Run *work* in a new worker; *what* names its share in errors."""
-        read_fd, write_fd = os.pipe()
-        pid = os.fork()
-        if pid == 0:
-            status = 1
-            try:
-                os.close(read_fd)
-                with open(write_fd, "wb") as pipe:
-                    try:
-                        reply = (True, work())
-                    except Exception as exc:
-                        reply = (False, f"{type(exc).__name__}: {exc}")
-                    pickle.dump(reply, pipe, protocol=pickle.HIGHEST_PROTOCOL)
-                status = 0
-            finally:
-                os._exit(status)
-        os.close(write_fd)
-        self._running.append((pid, open(read_fd, "rb"), what))
-
-    def results(self) -> Iterator[object]:
-        while self._running:
-            pid, pipe, what = self._running[0]
+    running: list[tuple[int, BinaryIO, str]] = []
+    try:
+        for what, work in shares[1:]:
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read_fd)
+                    with open(write_fd, "wb") as pipe:
+                        try:
+                            reply = (True, work())
+                        except Exception as exc:
+                            reply = (False, f"{type(exc).__name__}: {exc}")
+                        pickle.dump(reply, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            running.append((pid, open(read_fd, "rb"), what))
+        results = [shares[0][1]()]
+        while running:
+            pid, pipe, what = running[0]
             try:
                 ok, reply = pickle.load(pipe)
             except (EOFError, pickle.UnpicklingError):
                 ok, reply = False, "no result"
             pipe.close()
             _, status = os.waitpid(pid, 0)
-            del self._running[0]
+            del running[0]
             if not ok or status != 0:
                 raise StageError(
-                    self.stage,
+                    stage,
                     f"worker for {what} failed "
                     f"(exit {os.waitstatus_to_exitcode(status)}): {reply}",
                 )
-            yield reply
+            results.append(reply)
+        return results
+    finally:
+        for pid, pipe, _ in running:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def aside_path(path: Path) -> Path:

@@ -28,7 +28,6 @@ from .classes import (
 from .columnar import (
     GENDER_NAMES,
     CorpusColumns,
-    RangeResult,
     byte_ranges,
     ingest_range,
     merge_ranges,
@@ -44,10 +43,10 @@ from .corpus import (
     Reject,
     SampleFilterConfig,
     StageError,
-    Workers,
     aside_path,
     parse_authors,
     parse_journals,
+    run_shares,
     write_aside,
 )
 from .mobility import (
@@ -171,22 +170,21 @@ def _ingest_publications(
 ) -> tuple[CorpusColumns, list[Reject]]:
     """The columns of the publications of *pubs_path*, with their rejects.
 
-    The file is cut into byte ranges (columnar.byte_ranges). A forked worker
-    ingests each range but the first, which this process ingests meanwhile,
+    The file is cut into byte ranges (columnar.byte_ranges), one share each,
     and the ranges are merged in file order, so the columns and rejects are
-    the same for any range count. Every worker is reaped before this returns
-    or raises; a failed worker is a StageError.
+    the same for any range count.
     """
     args = (journals, authors, reference_year)
-    ranges = byte_ranges(pubs_path)
-    with Workers("ingest") as workers:
-        for start, end in ranges[1:]:
-            workers.fork(
+    results = run_shares(
+        "ingest",
+        [
+            (
                 f"bytes {start}-{end or 'end'} of {pubs_path}",
                 functools.partial(ingest_range, pubs_path, start, end, *args),
             )
-        results: list[RangeResult] = [ingest_range(pubs_path, *ranges[0], *args)]
-        results += workers.results()
+            for start, end in byte_ranges(pubs_path)
+        ],
+    )
     return merge_ranges(results, authors, reference_year)
 
 

@@ -24,11 +24,14 @@ from .classes import (
     stage_masks,
 )
 from .columnar import CorpusColumns, author_chunks
-from .corpus import Corpus, JournalRecord, PublicationRecord
+from .corpus import Corpus, JournalRecord, PublicationRecord, modal_value
 
 # derive_portfolios computes the per-author attributes over chunks of whole
 # authors holding at most this many incidences, or one author's if more
 _CHUNK = 1 << 13
+# an author's top200 flag: their dominant institution ranks this high or
+# higher by recent publication output
+TOP_INSTITUTIONS = 200
 
 FieldBaseline = dict[tuple[str, int], float]
 
@@ -48,9 +51,7 @@ def dominant_discipline(author_pubs: Iterable[PublicationRecord]) -> str | None:
     counts: Counter = Counter()
     for pub in author_pubs:
         counts.update(pub.cited_ref_disciplines)
-    if not counts:
-        return None
-    return min(counts.items(), key=lambda item: (-item[1], item[0]))[0]
+    return modal_value(counts)
 
 
 def dominant_affiliation(author_pubs: Iterable[PublicationRecord], kind: str) -> str | None:
@@ -62,9 +63,7 @@ def dominant_affiliation(author_pubs: Iterable[PublicationRecord], kind: str) ->
     for pub in author_pubs:
         values = pub.affiliation_countries if kind == "country" else pub.affiliation_institutions
         counts.update(values)
-    if not counts:
-        return None
-    return min(counts.items(), key=lambda item: (-item[1], item[0]))[0]
+    return modal_value(counts)
 
 
 def intl_collab_rate(author_pubs: Iterable[PublicationRecord]) -> float | None:
@@ -171,16 +170,17 @@ def ajpr(
     return sum(percentiles) / len(percentiles)
 
 
-def top_institution_cutoff(counts: np.ndarray, top_n: int = 200) -> float:
+def top_institution_cutoff(counts: np.ndarray, top_n: int) -> float:
     """Smallest output count still inside the top_n ranks (ties included)."""
     if counts.shape[0] <= top_n:
         return -np.inf
     return float(np.sort(counts)[::-1][top_n - 1])
 
 
-def top_institutions(corpus: Corpus, top_n: int = 200) -> set[str]:
-    """Institutions ranked in the top_n by publication output over the last
-    four calendar years; ties at the boundary rank are all included."""
+def top_institutions(corpus: Corpus) -> set[str]:
+    """Institutions ranked in the top TOP_INSTITUTIONS by publication output
+    over the last four calendar years; ties at the boundary rank are all
+    included."""
     window_lo = corpus.reference_year - 3
     counts: Counter = Counter()
     names: set[str] = set()
@@ -191,14 +191,14 @@ def top_institutions(corpus: Corpus, top_n: int = 200) -> set[str]:
     arr = np.array([counts.get(name, 0) for name in sorted(names)], dtype=np.int64)
     if arr.shape[0] == 0:
         return set()
-    cutoff = top_institution_cutoff(arr, top_n)
+    cutoff = top_institution_cutoff(arr, TOP_INSTITUTIONS)
     return {name for name in names if counts.get(name, 0) >= cutoff}
 
 
-def top200_flag(corpus: Corpus, author_id: str, top_n: int = 200) -> bool:
+def top200_flag(corpus: Corpus, author_id: str) -> bool:
     pubs = [p for p in corpus.publications if author_id in p.author_ids]
     dominant = dominant_affiliation(pubs, "institution")
-    return dominant is not None and dominant in top_institutions(corpus, top_n)
+    return dominant is not None and dominant in top_institutions(corpus)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +319,6 @@ def _segment_median(group: np.ndarray, values: np.ndarray, n_groups: int) -> np.
 def derive_portfolios(
     columns: CorpusColumns,
     sample_ids: set[str] | None = None,
-    top_n_institutions: int = 200,
 ) -> PortfolioTable:
     """Compute every portfolio attribute for the sampled authors.
 
@@ -396,7 +395,7 @@ def derive_portfolios(
         minlength=len(columns.inst_vocab),
     ).astype(np.int64)
     if inst_counts.shape[0]:
-        cutoff = top_institution_cutoff(inst_counts, top_n_institutions)
+        cutoff = top_institution_cutoff(inst_counts, TOP_INSTITUTIONS)
         top_mask = inst_counts >= cutoff
     else:
         top_mask = np.zeros(0, dtype=bool)

@@ -25,6 +25,12 @@ PREDICTORS = (
 
 Z_95 = 1.96
 SIG_THRESHOLD = 0.05
+# fit_logistic's Newton loop stops when the largest score component or the
+# relative log-likelihood change falls below these, and a coefficient past
+# the bound means the outcome is separated
+SCORE_TOL = 1e-8
+LL_TOL = 1e-10
+SEPARATION_BOUND = 30.0
 
 
 class DesignError(ValueError):
@@ -402,19 +408,16 @@ def fit_logistic(
     y: np.ndarray,
     names: list[str] | None = None,
     max_iter: int = 100,
-    score_tol: float = 1e-8,
-    ll_tol: float = 1e-10,
-    separation_bound: float = 30.0,
 ) -> FitResult:
     """Damped-Newton maximum likelihood for a binary outcome.
 
-    Converges when the largest score component drops below score_tol or the
-    relative log-likelihood change drops below ll_tol. Standard errors come
+    Converges when the largest score component drops below SCORE_TOL or the
+    relative log-likelihood change drops below LL_TOL. Standard errors come
     from the inverse observed information; p-values are two-sided Wald tests.
     An intercept column is prepended automatically.
     """
     Xd, y, full_names = _intercept_design(X, y, names)
-    fit = _fit_stack(Xd[None], y[None], [full_names], max_iter, score_tol, ll_tol, separation_bound)[0]
+    fit = _fit_stack(Xd[None], y[None], [full_names], max_iter)[0]
     if isinstance(fit, SeparationError):
         raise fit
     return fit
@@ -425,9 +428,6 @@ def _fit_stack(
     y: np.ndarray,
     names: list[list[str]],
     max_iter: int = 100,
-    score_tol: float = 1e-8,
-    ll_tol: float = 1e-10,
-    separation_bound: float = 30.0,
 ) -> list[FitResult | SeparationError]:
     """fit_logistic's Newton loop over a stack of designs of one shape: Xd
     (B, n, k) with the intercept column first, y (B, n), one name list each.
@@ -462,7 +462,7 @@ def _fit_stack(
         p = _probabilities(Xa, b)
         score = XaT @ (ya - p)[:, :, None]
         # the members that take a step this iteration
-        moving = ~(np.max(np.abs(score[:, :, 0]), axis=1) < score_tol)
+        moving = ~(np.max(np.abs(score[:, :, 0]), axis=1) < SCORE_TOL)
         converged[active[~moving]] = True
         w = p * (1.0 - p)
         info = XaT @ (Xa * w[:, :, None])
@@ -488,10 +488,10 @@ def _fit_stack(
             candidate[short] = b[short] + scale * step[short]
             new_ll[short] = _loglik(Xa[short], ya[short], candidate[short])
             short = short[~(new_ll[short] >= ll_a[short] - 1e-12)]
-        separated = moving & (np.max(np.abs(candidate), axis=1) > separation_bound)
+        separated = moving & (np.max(np.abs(candidate), axis=1) > SEPARATION_BOUND)
         for j in np.flatnonzero(separated):
             errors[int(active[j])] = separation(active[j], candidate[j])
-        done = moving & ~separated & (np.abs(new_ll - ll_a) < ll_tol * (np.abs(ll_a) + 1.0))
+        done = moving & ~separated & (np.abs(new_ll - ll_a) < LL_TOL * (np.abs(ll_a) + 1.0))
         converged[active[done]] = True
         beta[active[moving]] = candidate[moving]
         ll[active[moving]] = new_ll[moving]

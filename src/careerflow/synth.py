@@ -6,7 +6,7 @@ log-space correlation when ability_spread is 0: rho=0 gives independent
 stages (base-rate transitions), rho=1 gives identical classes across stages.
 Every author draws from a counter-based stream keyed on (seed, author index),
 so corpus output is independent of generation order, and
-write_synthetic_corpus writes contiguous author ranges in forked workers.
+write_synthetic_corpus writes contiguous author ranges on every CPU.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from typing import Iterator, TextIO, get_type_hints
 
 import numpy as np
 
-from .classes import BOTTOM, TOP, assign_class_codes
+from .classes import BOTTOM, STAGES, TOP, assign_class_codes, stage_window
 from .corpus import (
     DOC_TYPES,
     MAX_REFERENCE_YEAR,
@@ -30,11 +30,11 @@ from .corpus import (
     Corpus,
     CorpusError,
     JournalRecord,
-    Workers,
     author_to_json,
-    cpu_count,
     journal_to_json,
     parse_corpus,
+    run_shares,
+    share_count,
 )
 
 CITATION_OFFSET_WEIGHTS = (0.35, 0.30, 0.15, 0.10, 0.06, 0.04)
@@ -284,11 +284,12 @@ class _AuthorGenerator:
         z = self.cohort.ability_z[i]
         disc = int(self.cohort.disciplines[i])
 
-        # groups: early, mid and late window, the gap before the late window,
-        # and other doc types over the whole career; windows are cut to
-        # [first_year, ref], so a short career never publishes past ref
-        lo = np.maximum([first_year + 4, first_year + 14, ref - 4, first_year + 24, first_year], first_year)
-        hi = np.minimum([first_year + 13, first_year + 23, ref, ref - 5, ref], ref)
+        # groups: early, mid and late window, the gap between the mid and the
+        # late window, and other doc types over the whole career; windows are
+        # cut to [first_year, ref], so a short career never publishes past ref
+        early, mid, late = (stage_window(first_year, stage, ref) for stage in STAGES)
+        lo = np.maximum([early[0], mid[0], late[0], mid[1] + 1, first_year], first_year)
+        hi = np.minimum([early[1], mid[1], late[1], late[0] - 1, ref], ref)
         ppy = cfg.pubs_per_year
         per_year = np.array([ppy * v[0], ppy * v[1], ppy * v[2], ppy * (0.3 * v[2]), cfg.other_doc_rate])
         counts = rng.poisson(per_year * np.maximum(hi - lo + 1, 0))
@@ -385,7 +386,7 @@ def author_ranges(config: CorpusConfig, values: np.ndarray) -> list[tuple[int, i
     AUTHOR_COST_PUBS plus their expected publications, about ten times
     pubs_per_year per unit of stage value."""
     n = len(values)
-    k = max(1, min(cpu_count(), n // MIN_RANGE_AUTHORS))
+    k = share_count(n, MIN_RANGE_AUTHORS)
     cost = np.cumsum(10.0 * config.pubs_per_year * values.sum(axis=1) + AUTHOR_COST_PUBS)
     cuts = np.searchsorted(cost, cost[-1] * np.arange(1, k) / k).tolist()
     bounds = sorted({0, n, *cuts})
@@ -430,12 +431,10 @@ def write_synthetic_corpus(
 ) -> dict[str, int]:
     """Stream the three input files; returns line counts per file.
 
-    The authors are cut into ranges (author_ranges). A forked worker writes
-    the lines of each range but the first to two temporary files while this
-    process writes the first range straight to the outputs, then appends the
-    workers' files in range order, so every output is the same for any range
-    count. Every worker is reaped before this returns or raises; a failed
-    worker is a StageError.
+    The authors are cut into ranges (author_ranges), one share each. This
+    process writes the first range straight to the outputs, each other share
+    writes its range to two temporary files, and those are appended in range
+    order, so every output is the same for any range count.
     """
     journals = journal_table(config)
     for jid in sorted(journals):
@@ -446,25 +445,28 @@ def write_synthetic_corpus(
     for out in (pubs_out, journals_out, authors_out):
         out.flush()
     with contextlib.ExitStack() as stack:
-        workers = stack.enter_context(Workers("synth"))
-        spills = []
-        for start, stop in ranges[1:]:
-            files = [
+        spills = [
+            [
                 stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
                 for _ in range(2)
             ]
-            workers.fork(
-                f"authors {start}-{stop - 1}",
-                functools.partial(_write_authors, generator, start, stop, *files),
-            )
-            spills.append(files)
-        n_pubs = _write_authors(generator, *ranges[0], pubs_out, authors_out)
-        for count, files in zip(workers.results(), spills):
-            n_pubs += count
+            for _ in ranges[1:]
+        ]
+        counts = run_shares(
+            "synth",
+            [
+                (
+                    f"authors {start}-{stop - 1}",
+                    functools.partial(_write_authors, generator, start, stop, *files),
+                )
+                for (start, stop), files in zip(ranges, [[pubs_out, authors_out], *spills])
+            ],
+        )
+        for files in spills:
             for spill, out in zip(files, (pubs_out, authors_out)):
                 spill.seek(0)
                 shutil.copyfileobj(spill, out, COPY_CHUNK)
-    return {"publications": n_pubs, "journals": len(journals), "authors": config.cohort.n_authors}
+    return {"publications": sum(counts), "journals": len(journals), "authors": config.cohort.n_authors}
 
 
 # ---------------------------------------------------------------------------

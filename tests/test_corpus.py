@@ -1,4 +1,6 @@
 import json
+import os
+import time
 
 import pytest
 
@@ -7,6 +9,7 @@ from careerflow.corpus import (
     SampleFilterConfig,
     filter_sample,
     parse_corpus,
+    run_shares,
     serialize_corpus,
 )
 from careerflow.synth import CohortConfig, CorpusConfig, gen_corpus
@@ -358,3 +361,44 @@ def test_gate_accounting_on_synthetic_corpus():
     assert list(report.removed) == list(GATE_ORDER)
     assert report.removed_total + report.retained == report.total
     assert report.retained == len(retained)
+
+
+# ---------------------------------------------------------------------------
+# run_shares
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_run_shares_returns_the_results_in_share_order(n):
+    """Share 0 runs in this process, each other one in a worker."""
+    parent = os.getpid()
+    shares = [(f"share {i}", lambda i=i: (i, os.getpid() == parent)) for i in range(n)]
+    assert run_shares("test", shares) == [(i, i == 0) for i in range(n)]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_run_shares_forks_nothing_for_one_share(monkeypatch):
+    def no_fork():
+        raise AssertionError("run_shares forked a worker")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert run_shares("test", [("only share", lambda: 7)]) == [7]
+
+
+def test_a_worker_result_larger_than_a_pipe_buffer_arrives_intact():
+    """The worker blocks on its full pipe until share 0 is done."""
+    big = bytes(range(256)) * (1 << 14)  # 4 MiB; a pipe buffer holds 64 KiB by default
+    assert run_shares("test", [("share 0", lambda: b""), ("share 1", lambda: big)]) == [b"", big]
+
+
+def test_an_error_in_share_0_propagates_and_every_worker_is_reaped():
+    def fail():
+        raise RuntimeError("share 0 failed")
+
+    shares = [("share 0", fail), *((f"share {i}", lambda: time.sleep(60)) for i in (1, 2))]
+    started = time.monotonic()
+    with pytest.raises(RuntimeError, match="share 0 failed"):
+        run_shares("test", shares)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert time.monotonic() - started < 30  # the workers were killed, not waited for

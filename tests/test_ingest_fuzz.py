@@ -538,6 +538,20 @@ def test_byte_ranges_cut_at_line_starts(tmp_path, n):
         assert byte_ranges(path) == [(0, None)]
 
 
+def test_a_file_below_the_range_minimum_is_ingested_without_a_fork(base, tmp_path):
+    def no_fork():
+        raise AssertionError("ingest forked a worker")
+
+    write_inputs(tmp_path, base, [])
+    assert len(base["inputs"]["publications"]) < 2 * columnar.MIN_RANGE_BYTES
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(3)))
+        mp.setattr(os, "fork", no_fork)
+        code, _ = ingest(tmp_path)
+    assert code == 0
+    assert (tmp_path / CACHE_NAME).read_bytes() == base["cache"]
+
+
 def test_ingest_reads_publications_from_a_pipe(base, tmp_path):
     """A pipe's size reads 0: it is read whole, in one range."""
     write_inputs(tmp_path, base, [])
