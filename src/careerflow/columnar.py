@@ -61,7 +61,6 @@ _PUB_BUFFERS = (
     "_pub_qual",
     "_pub_pct",
     "_pub_nauth",
-    "_pub_intl",
     "_jd_len",
     "_ref_len",
     "_country_len",
@@ -235,15 +234,18 @@ class ColumnsBuilder:
         self._disc_idx = _Index()
         self._country_idx = _Index()
         self._inst_idx = _Index()
-        # journal percentile cache: journal_id -> (max pct, tuple of disc idx)
-        self._journal_cache: dict[str, tuple[int, tuple[int, ...]]] = {}
-        self._journals = journals
+        # journal_id -> (max percentile, discipline indices); no journal is
+        # (-1, ()). The codes of a journal no kept publication cites are
+        # interned here too, but merge_ranges drops them from the vocabulary.
+        self._journals: dict[str | None, tuple[int, tuple[int, ...]]] = {None: (-1, ())}
+        for jid, jrec in journals.items():
+            discs = tuple(map(self._disc_idx.__getitem__, sorted(jrec.percentile_by_discipline)))
+            self._journals[jid] = (jrec.max_percentile, discs)
 
         self._pub_year = array("i")
         self._pub_qual = array("b")
         self._pub_pct = array("i")
         self._pub_nauth = array("i")
-        self._pub_intl = array("b")
         self._pub_cits4y = array("q")
         self._inc_author = array("i")
         self._jd_flat = array("i")
@@ -311,23 +313,13 @@ class ColumnsBuilder:
         self._pub_year.append(year)
         self._pub_qual.append(doc_type in QUALIFYING_DOC_TYPES)
         self._pub_nauth.append(len(author_ids))
-        self._pub_intl.append(len(countries) >= 2)
         self._pub_cits4y.append(cits4y)
         self._inc_author.extend(map(self._author_idx.__getitem__, author_ids))
 
-        if journal_id is None:
-            self._pub_pct.append(-1)
-            self._jd_len.append(0)
-        else:
-            cached = self._journal_cache.get(journal_id)
-            if cached is None:
-                jrec = self._journals[journal_id]
-                discs = tuple(map(self._disc_idx.__getitem__, sorted(jrec.percentile_by_discipline)))
-                cached = self._journal_cache[journal_id] = (jrec.max_percentile, discs)
-            self._pub_pct.append(cached[0])
-            self._jd_flat.extend(cached[1])
-            self._jd_len.append(len(cached[1]))
-
+        pct, discs = self._journals[journal_id]
+        self._pub_pct.append(pct)
+        self._jd_flat.extend(discs)
+        self._jd_len.append(len(discs))
         self._ref_len.append(len(refs))
         self._ref_flat.extend(map(self._disc_idx.__getitem__, refs))
         self._country_len.append(len(countries))
@@ -503,13 +495,13 @@ def merge_ranges(
     pub_qual = column("_pub_qual", bool)
     pub_pct = column("_pub_pct", np.int16)
     pub_nauth = column("_pub_nauth", np.int32)
-    pub_intl = column("_pub_intl", bool)
     pub_cits4y = column("_pub_cits4y", np.int64)
 
     inc_author = column("_inc_author", np.int32)
     inc_pub = np.repeat(np.arange(n_pubs, dtype=np.int32), pub_nauth)
-    # canonical order: (author, year, pub); segment heads are earliest pubs
-    order = np.lexsort((inc_pub, pub_year[inc_pub], inc_author))
+    # canonical order: (author, year, pub); segment heads are earliest pubs.
+    # inc_pub ascends here and lexsort is stable, so pub breaks the ties.
+    order = np.lexsort((pub_year[inc_pub], inc_author))
     inc_author = inc_author[order]
     inc_pub = inc_pub[order]
     del order
@@ -537,6 +529,8 @@ def merge_ranges(
     )
     del ref_starts, ref_disc
     country_starts, country_flat = ragged("_country_flat", "_country_len")
+    # a publication's countries are unique, so two or more is international
+    pub_intl = np.diff(country_starts) >= 2
     dominant_country = _modal_from_ragged(
         inc_author, inc_pub, country_starts, country_flat, len(country_vocab), n_authors
     )
@@ -623,8 +617,9 @@ def write_cache(fh: BinaryIO, header: dict, columns: CorpusColumns) -> None:
 def read_cache(fh: BinaryIO) -> tuple[dict, CorpusColumns]:
     """The header and columns that write_cache wrote to *fh*, a regular file.
     The body after line 1 is read once, and each array is a writable view
-    of it. Another cache version, or a body that does not match its sha256,
-    is a CorpusError."""
+    of it. Another cache version, a body that does not match its sha256, or
+    a line 2 that is not a json object with a list of arrays, is a
+    CorpusError."""
     try:
         top = json.loads(fh.readline())
     except ValueError:
@@ -636,8 +631,13 @@ def read_cache(fh: BinaryIO) -> tuple[dict, CorpusColumns]:
     fh.readinto(body)
     if hashlib.sha256(body).hexdigest() != top.get("sha256"):
         raise CorpusError("cache is damaged: its sha256 does not match (re-run ingest)")
-    end = body.index(b"\n") + 1
-    layout = json.loads(body[:end])
+    end = body.find(b"\n") + 1
+    try:
+        layout = json.loads(body[:end])
+    except ValueError:
+        layout = None
+    if not isinstance(layout, dict) or not isinstance(layout.get("arrays"), list):
+        raise CorpusError("cache line 2 is not a cache layout (re-run ingest)")
     offset = end + -end % _ALIGN
     for name, dtype, n in layout.pop("arrays"):
         arr = np.frombuffer(body, np.dtype(dtype), n, offset)

@@ -35,11 +35,10 @@ from .columnar import (
     write_cache,
 )
 from .corpus import (
+    GATE_ORDER,
     MANIFEST_NAME,
-    AuthorRecord,
     CorpusError,
     FilterReport,
-    JournalRecord,
     Reject,
     SampleFilterConfig,
     StageError,
@@ -76,6 +75,13 @@ HASH_BLOCK = 1 << 16
 # filter gates over columns
 
 
+def _allowed(codes: np.ndarray, vocab: list[str], allowed: frozenset[str] | None) -> np.ndarray:
+    """Whether each vocabulary code of *codes* names a value in *allowed*
+    (any value, if None); the code -1, no value, never passes."""
+    ok = np.array([allowed is None or name in allowed for name in vocab] + [False], dtype=bool)
+    return ok[codes]
+
+
 def gates_from_columns(
     columns: CorpusColumns, config: SampleFilterConfig
 ) -> tuple[set[str], FilterReport]:
@@ -83,26 +89,16 @@ def gates_from_columns(
     n = columns.n_authors
     has_pubs = columns.first_pub_year >= 0
 
-    country_idx = columns.dominant_country_idx
-    if config.allowed_countries is None:
-        country_vocab_ok = np.ones(max(len(columns.country_vocab), 1), dtype=bool)
-    else:
-        country_vocab_ok = np.array(
-            [c in config.allowed_countries for c in columns.country_vocab] or [False], dtype=bool
-        )
-    country_pass = (country_idx >= 0) & country_vocab_ok[np.maximum(country_idx, 0)]
+    country_pass = _allowed(
+        columns.dominant_country_idx, columns.country_vocab, config.allowed_countries
+    )
     for i, code in enumerate(columns.country_override):
         if code is not None and has_pubs[i]:
             country_pass[i] = config.allowed_countries is None or code in config.allowed_countries
 
-    disc_idx = columns.dominant_discipline
-    if config.allowed_disciplines is None:
-        disc_vocab_ok = np.ones(max(len(columns.disc_vocab), 1), dtype=bool)
-    else:
-        disc_vocab_ok = np.array(
-            [d in config.allowed_disciplines for d in columns.disc_vocab] or [False], dtype=bool
-        )
-    disc_pass = (disc_idx >= 0) & disc_vocab_ok[np.maximum(disc_idx, 0)]
+    disc_pass = _allowed(
+        columns.dominant_discipline, columns.disc_vocab, config.allowed_disciplines
+    )
 
     count_pass = columns.qualifying_count >= config.min_publications
 
@@ -122,13 +118,7 @@ def gates_from_columns(
 
     remaining = np.ones(n, dtype=bool)
     removed: dict[str, int] = {}
-    for gate, mask in (
-        ("country", country_pass),
-        ("discipline", disc_pass),
-        ("min_publications", count_pass),
-        ("academic_age", age_pass),
-        ("recent_activity", active_pass),
-    ):
+    for gate, mask in zip(GATE_ORDER, (country_pass, disc_pass, count_pass, age_pass, active_pass)):
         removed[gate] = int(np.count_nonzero(remaining & ~mask))
         remaining &= mask
     retained = {columns.author_ids[i] for i in np.flatnonzero(remaining)}
@@ -162,32 +152,6 @@ def _filter_config_dict(config: SampleFilterConfig) -> dict:
     }
 
 
-def _ingest_publications(
-    pubs_path: Path,
-    journals: dict[str, JournalRecord],
-    authors: dict[str, AuthorRecord],
-    reference_year: int,
-) -> tuple[CorpusColumns, list[Reject]]:
-    """The columns of the publications of *pubs_path*, with their rejects.
-
-    The file is cut into byte ranges (columnar.byte_ranges), one share each,
-    and the ranges are merged in file order, so the columns and rejects are
-    the same for any range count.
-    """
-    args = (journals, authors, reference_year)
-    results = run_shares(
-        "ingest",
-        [
-            (
-                f"bytes {start}-{end or 'end'} of {pubs_path}",
-                functools.partial(ingest_range, pubs_path, start, end, *args),
-            )
-            for start, end in byte_ranges(pubs_path)
-        ],
-    )
-    return merge_ranges(results, authors, reference_year)
-
-
 def run_ingest(
     pubs_path: Path,
     journals_path: Path,
@@ -206,7 +170,22 @@ def run_ingest(
     with open(authors_path, "rb") as fh:
         authors = parse_authors(fh, rejects)
 
-    columns, pub_rejects = _ingest_publications(pubs_path, journals, authors, reference_year)
+    # the publications file is cut into byte ranges, one share each, and the
+    # ranges are merged in file order, so the columns and rejects are the
+    # same for any range count
+    results = run_shares(
+        "ingest",
+        [
+            (
+                f"bytes {start}-{end or 'end'} of {pubs_path}",
+                functools.partial(
+                    ingest_range, pubs_path, start, end, journals, authors, reference_year
+                ),
+            )
+            for start, end in byte_ranges(pubs_path)
+        ],
+    )
+    columns, pub_rejects = merge_ranges(results, authors, reference_year)
     rejects += pub_rejects
     n_pubs = columns.n_publications
     retained, report = gates_from_columns(columns, config)

@@ -455,9 +455,17 @@ def test_corrupt_cache_payload_is_a_load_cache_error(run_dir, capsys):
     def flipped(at: int) -> bytes:
         return data[:at] + bytes([data[at] ^ 1]) + data[at + 1 :]
 
+    def with_sha256(rest: bytes) -> bytes:
+        """A version-2 cache whose line 1 gives the right sha256 of *rest*."""
+        top = {"cache_version": 2, "sha256": hashlib.sha256(rest).hexdigest()}
+        return json.dumps(top, separators=(",", ":")).encode() + b"\n" + rest
+
+    arrays_not_a_list = dict(json.loads(data[body:line_end]), arrays=7)
     start, end = blocks["pub_cits4y"]
     v1_header = {"kind": "header", "cache_version": 1, "reference_year": 2022, "n_publications": 1}
     faults = {
+        "line 2 not an object": with_sha256(b"7\n" + data[line_end:]),
+        "arrays not a list": with_sha256(json.dumps(arrays_not_a_list).encode() + b"\n" + data[line_end:]),
         "byte in line 2": flipped((body + line_end) // 2),
         "byte in a block": flipped((start + end) // 2),
         "padding byte": flipped(padding[0]),
@@ -672,6 +680,33 @@ def test_failed_regression_after_the_jsonl_keeps_the_previous_run(run_dir, monke
     assert "stage regression: singular design" in capsys.readouterr().err
     # the jsonl outputs were already written, beside their paths
     assert {name.split(".")[1] for name in aside} >= {"portfolios", "classes"}
+    assert_run_unchanged(run_dir, before, capsys)
+
+
+@pytest.mark.parametrize(
+    "stage, function",
+    [
+        ("portfolio", "derive_portfolios"),
+        ("classes", "assign_cohort_classes"),
+        ("mobility", "scope_matrices"),
+    ],
+)
+def test_failed_analyze_stage_is_a_stage_error_and_keeps_the_previous_run(
+    run_dir, monkeypatch, capsys, stage, function
+):
+    before = previous_run(run_dir)
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("injected failure")
+
+    monkeypatch.setattr(pipeline, function, failing)
+    capsys.readouterr()
+    assert main(["analyze", "--out", str(run_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: stage {stage}: "), captured.err
+    assert "injected failure" in captured.err
+    assert captured.out == ""
+    monkeypatch.undo()
     assert_run_unchanged(run_dir, before, capsys)
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from careerflow.corpus import (
     GATE_ORDER,
+    AuthorRecord,
     SampleFilterConfig,
     filter_sample,
     parse_corpus,
@@ -329,6 +330,16 @@ def test_vectorized_gates_match_reference_filter():
         CorpusConfig(cohort=CohortConfig(n_authors=80, n_disciplines=3, seed=33))
     )
     corpus.authors["a0000003"].country_override = "C00"
+    # no publication names a country or cites a discipline, so both
+    # vocabularies are empty and every dominant code is -1
+    bare = make_corpus(
+        [
+            make_pub(pub_id=f"p{k}", year=y, authors=authors, countries=(), refs=())
+            for k, (y, authors) in enumerate([(1995, ("a1",)), (2005, ("a1", "a2")), (2020, ("a2",))])
+        ]
+    )
+    bare.authors["a1"].country_override = "C00"
+    bare.authors["a3"] = AuthorRecord("a3", "unknown", 0.0, "C00")  # no publications
     configs = [
         SampleFilterConfig(),
         SampleFilterConfig(min_publications=40),
@@ -337,16 +348,20 @@ def test_vectorized_gates_match_reference_filter():
         SampleFilterConfig(allowed_disciplines=frozenset({"D00"})),
         SampleFilterConfig(active_window_years=1),
     ]
-    columns = columns_from_corpus(corpus)
-    for config in configs:
-        ref_set, ref_report = filter_sample(corpus, config)
-        col_set, col_report = gates_from_columns(columns, config)
-        assert col_set == ref_set, config
-        assert col_report.removed == ref_report.removed, config
-        assert (col_report.retained, col_report.total) == (
-            ref_report.retained,
-            ref_report.total,
-        )
+    for sample in (corpus, bare):
+        columns = columns_from_corpus(sample)
+        for config in configs:
+            ref_set, ref_report = filter_sample(sample, config)
+            col_set, col_report = gates_from_columns(columns, config)
+            assert col_set == ref_set, config
+            assert col_report.removed == ref_report.removed, config
+            assert (col_report.retained, col_report.total) == (
+                ref_report.retained,
+                ref_report.total,
+            )
+    # the columns of bare, the last sample
+    assert columns.country_vocab == columns.disc_vocab == []
+    assert columns.n_authors == 3 and columns.first_pub_year[2] == -1
 
 
 def test_gate_accounting_on_synthetic_corpus():

@@ -423,6 +423,37 @@ def test_ingest_equals_reference_on_any_cpu_count(base, tmp_path, n):
     assert_equals_reference(tmp_path)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("use", ["unused", "only-on-a-reject", "only-on-a-cross-range-duplicate"])
+def test_a_journal_no_kept_publication_cites_adds_no_discipline(base, tmp_path, use, n):
+    """Each builder resolves every journal up front, so it interns the
+    discipline code of a journal that no kept publication cites; the merge
+    leaves that code out of disc_vocab."""
+    pub = base["first_pub"]
+    extra, expected = {
+        "unused": ([], {}),
+        "only-on-a-reject": (
+            [dict(pub, pub_id="jx1", journal_id="jx", year=1800)],
+            {1: "year 1800 out of [1900, 2022]"},
+        ),
+        # a copy of line 1, which the first range holds, as the last line
+        "only-on-a-cross-range-duplicate": (
+            [dict(pub, journal_id="jx")],
+            {1: f"duplicate pub_id {pub['pub_id']}"},
+        ),
+    }[use]
+    write_inputs(tmp_path, base, extra, final_newline=bool(extra))
+    with open(tmp_path / "journals.jsonl", "ab") as fh:
+        fh.write(b'{"journal_id":"jx","percentiles":{"JX":50}}\n')
+    with cpus(n):
+        code, _ = ingest(tmp_path)
+    assert code == 0
+    assert_equals_reference(tmp_path)
+    assert pub_rejects(tmp_path, base) == expected
+    disc_vocab = load_cache(tmp_path / CACHE_NAME).columns.disc_vocab
+    assert disc_vocab and "JX" not in disc_vocab
+
+
 # whitespace that str.strip() removes and JSON does not allow
 NON_JSON_SPACE = ("\u00a0", "\u3000", "\u0085", "\u001c", "\u001f", "\u2028", "\u2029", "\x0b", "\x0c")
 
