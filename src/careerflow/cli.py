@@ -4,10 +4,14 @@ ingest parses and filters the three input files into a cache under the
 output directory; analyze re-reads that cache and writes every derived
 output plus a sha-256 manifest, so analysis parameters can be iterated
 without re-parsing. CAREERFLOW_OUT provides the default output directory.
+run() is the process entry point of the `careerflow` script and of
+`python -m careerflow.cli`; callers in a process use main().
 """
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import hashlib
 import importlib
 import json
@@ -84,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--authors", help="authors output path")
     synth.add_argument("--out", help="output directory (default CAREERFLOW_OUT)")
     synth.add_argument("--seed", type=int, help="random seed (default 0)")
-    synth.add_argument("--rho", type=float, help="stage persistence in [0,1] (default 0.5)")
+    synth.add_argument("--rho", type=float, help="correlation of the latent stage values in [0,1] (default 0.5)")
     synth.add_argument("--authors-n", type=int, help="number of authors (default 1000)")
     synth.add_argument("--disciplines-n", type=int, help="number of disciplines (default 1)")
     synth.add_argument("--reference-year", type=int, help="snapshot year (default 2022)")
@@ -267,5 +271,19 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """The process entry point: run main() and exit with its code.
+
+    gc.freeze runs after every exit handler registered during main() and
+    moves each object still alive to the permanent generation, so the
+    interpreter's finalization skips its full collections over what numpy
+    and careerflow built at import. Every output is closed and renamed
+    before main() returns, and stdio is still flushed. main() leaves the
+    collector alone, since a caller may run it many times in one process.
+    """
+    atexit.register(gc.freeze)
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import inspect
 import json
@@ -746,16 +747,21 @@ print(json.dumps({"exit": code, "modules": modules}))
 """
 
 
+def cli_process(argv: list[str], stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """One fresh interpreter, without CAREERFLOW_OUT in its environment."""
+    src = str(Path(careerflow.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, *argv],
+        env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+    )
+
+
 def stage_modules(argv: list[str]) -> set[str]:
     """The modules one CLI call loads, run in a fresh interpreter (this test
     process has imported everything already)."""
-    src = str(Path(careerflow.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", STAGE_PROBE, *argv],
-        env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
-        capture_output=True,
-        text=True,
-    )
+    proc = cli_process(["-c", STAGE_PROBE, *argv])
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["exit"] == 0, (argv, proc.stderr)
@@ -791,6 +797,77 @@ def test_each_stage_imports_only_its_modules(tmp_path):
         assert "numpy.ma" not in loaded[stage], stage
     for stage, modules in loaded.items():
         assert not any(m.split(".")[0] == "scipy" for m in modules), stage
+
+
+# the two ways a user starts the CLI as its own process
+ENTRY_POINTS = {
+    "python -m": ["-m", "careerflow.cli"],
+    "run()": ["-c", "from careerflow.cli import run; run()"],
+}
+# an exit handler registered before run() runs after run()'s own
+FREEZE_PROBE = """
+import atexit, gc, sys
+atexit.register(lambda: print(f"frozen at exit: {gc.get_freeze_count() > 0}", file=sys.stderr))
+"""
+PROBED_ENTRY_POINTS = {
+    "python -m": FREEZE_PROBE + "import runpy; runpy.run_module('careerflow.cli', run_name='__main__', alter_sys=True)",
+    "run()": FREEZE_PROBE + "from careerflow.cli import run; run()",
+}
+
+
+@pytest.mark.parametrize("how", sorted(ENTRY_POINTS))
+def test_process_entry_point_exit_codes_and_output(how, run_dir, tmp_path, capsys):
+    start = ENTRY_POINTS[how]
+    assert main(["analyze", "--out", str(run_dir)]) == 0
+    capsys.readouterr()
+    assert main(["report", "--out", str(run_dir)]) == 0
+    printed = capsys.readouterr().out
+
+    proc = cli_process([*start, "--help"])
+    assert proc.returncode == 0, proc.stderr
+    assert b"analyze" in proc.stdout
+
+    # stdout to a file is flushed at exit, byte for byte
+    report = tmp_path / "report.txt"
+    with open(report, "wb") as fh:
+        proc = cli_process([*start, "report", "--out", str(run_dir)], stdout=fh)
+    assert proc.returncode == 0, proc.stderr
+    assert report.read_bytes() == printed.encode()
+
+    proc = cli_process([*start, "analyze"])
+    assert proc.returncode == 2
+    assert b"CAREERFLOW_OUT" in proc.stderr
+
+    cache = run_dir / "corpus.cache"
+    data = cache.read_bytes()
+    at = len(data) // 2
+    cache.write_bytes(data[:at] + bytes([data[at] ^ 1]) + data[at + 1 :])
+    proc = cli_process([*start, "analyze", "--out", str(run_dir)])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(b"error: stage load-cache: ")
+    assert proc.stdout == b""
+
+
+@pytest.mark.parametrize("how", sorted(PROBED_ENTRY_POINTS))
+def test_process_entry_point_freezes_the_heap_at_exit(how, run_dir):
+    assert main(["analyze", "--out", str(run_dir)]) == 0
+    proc = cli_process(["-c", PROBED_ENTRY_POINTS[how], "report", "--out", str(run_dir)])
+    assert proc.returncode == 0, proc.stderr
+    assert b"outputs:" in proc.stdout
+    assert proc.stderr.decode().splitlines()[-1] == "frozen at exit: True"
+
+
+def test_main_leaves_the_collector_alone(run_dir):
+    before = gc.isenabled(), gc.get_freeze_count()
+    assert main(["analyze", "--out", str(run_dir)]) == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+def test_console_script_is_the_process_entry_point():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(careerflow.__file__).resolve().parents[2] / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"careerflow": "careerflow.cli:run"}
 
 
 def test_env_var_default_out(run_dir, monkeypatch, capsys):
