@@ -136,20 +136,24 @@ def stage_masks(columns: CorpusColumns, authors: np.ndarray, pubs: np.ndarray) -
 
 
 def incidence_productivity(
-    columns: CorpusColumns, local: np.ndarray, pubs: np.ndarray, masks: list[np.ndarray], n: int
+    local: np.ndarray, pct: np.ndarray, n_pub_authors: np.ndarray, masks: list[np.ndarray], n: int
 ) -> np.ndarray:
     """(n, 3, 4) annual productivity per author, stage and counting scheme
-    over the qualifying incidences (local, pubs), where local is the author
-    index less the first author's, and masks are their stage_masks.
+    over qualifying incidences, where local is the author index less the
+    first author's, pct and n_pub_authors are the float journal percentile
+    (negative without one) and full author count of each incidence's
+    publication, and masks are their stage_masks.
 
-    Prestige-normalized schemes weigh a publication by its journal's highest
-    percentile divided by 100, or 0 without one; fractional schemes divide
-    by the full author count.
+    Each scheme weighs a publication as publication_weight does, by the
+    PTYPE_PRESTIGE and PTYPE_FRACTIONAL tables.
     """
-    pct = columns.pub_percentile[pubs].astype(np.float64)
     prestige = np.where(pct < 0, 0.0, pct / 100.0)
-    inv_authors = 1.0 / columns.pub_n_authors[pubs]
-    weights = (prestige, prestige * inv_authors, np.ones(pubs.shape[0]), inv_authors)
+    inv_authors = 1.0 / n_pub_authors
+    ones = np.ones(pct.shape[0])
+    weights = [
+        (prestige if PTYPE_PRESTIGE[t] else ones) * (inv_authors if PTYPE_FRACTIONAL[t] else 1.0)
+        for t in PRODUCTIVITY_TYPES
+    ]
     sums = np.empty((n, len(STAGES), len(PRODUCTIVITY_TYPES)))
     for s, mask in enumerate(masks):
         a = local[mask]

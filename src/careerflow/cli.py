@@ -42,6 +42,7 @@ _LAZY = {
     "config_from_mapping": "synth",
     "write_synthetic_corpus": "synth",
     "run_ingest": "pipeline",
+    "gates_table": "pipeline",
     "run_analyze": "pipeline",
 }
 _CLI = sys.modules[__name__]
@@ -175,11 +176,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     )
     print(f"cache: {result.cache_path}")
     print(f"publications: {result.n_publications}  rejects: {result.n_rejects}")
-    print("gate\tremoved")
-    for gate, removed in result.report.removed.items():
-        print(f"{gate}\t{removed}")
-    print(f"retained\t{result.report.retained}")
-    print(f"total\t{result.report.total}")
+    print(_CLI.gates_table(result.report), end="")
     return EXIT_OK
 
 

@@ -451,9 +451,11 @@ def merge_ranges(
     rejects: list[Reject] = []
     offset = 0
     parts: list[dict[str, np.ndarray]] = []
-    for res in results:
-        dropped = [k for k, pub_id in enumerate(res.pub_ids) if pub_id in seen]
-        seen.update(res.pub_ids)
+    for i, res in enumerate(results):
+        # range 0 has no earlier range, and no range follows the last
+        dropped = [k for k, pub_id in enumerate(res.pub_ids) if pub_id in seen] if i else []
+        if i < len(results) - 1:
+            seen.update(res.pub_ids)
         local = [Reject(r.line_no + offset, r.file, r.reason) for r in res.rejects]
         duplicates = [duplicate_pub_reject(res.pub_lines[k] + offset, res.pub_ids[k]) for k in dropped]
         rejects.extend(heapq.merge(local, duplicates, key=lambda r: r.line_no))

@@ -418,6 +418,8 @@ def parse_publication_line(
             raise _LineError(f"citation year {_echo(cit_year)} out of range")
         if isinstance(cnt, bool) or not isinstance(cnt, int) or not 0 <= cnt <= INT32_MAX:
             raise _LineError(f"bad citation count for year {_echo(cit_year)}")
+        if cit_year in citations:
+            raise _LineError(f"duplicate citation year {_echo(cit_year)}")
         citations[cit_year] = cnt
     return PublicationRecord(
         pub_id=pub_id,

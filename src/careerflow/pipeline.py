@@ -12,7 +12,7 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -56,7 +56,7 @@ from .mobility import (
     transition_matrix_codes,
 )
 from .portfolio import PortfolioTable, derive_portfolios
-from .regression import ModelOutcome, default_spec, grid_rows, run_models, sig_label
+from .regression import Z_95, ModelOutcome, default_spec, grid_rows, run_models, sig_label
 
 CACHE_NAME = "corpus.cache"
 # analyze owns these directories: a file in them that the manifest does not
@@ -138,17 +138,10 @@ class IngestResult:
 
 
 def _filter_config_dict(config: SampleFilterConfig) -> dict:
+    """The config's fields in order, each allowlist sorted."""
     return {
-        "allowed_countries": sorted(config.allowed_countries)
-        if config.allowed_countries is not None
-        else None,
-        "allowed_disciplines": sorted(config.allowed_disciplines)
-        if config.allowed_disciplines is not None
-        else None,
-        "min_publications": config.min_publications,
-        "min_academic_age": config.min_academic_age,
-        "max_academic_age": config.max_academic_age,
-        "active_window_years": config.active_window_years,
+        name: sorted(value) if isinstance(value, frozenset) else value
+        for name, value in asdict(config).items()
     }
 
 
@@ -362,8 +355,8 @@ def models_table(outcomes: list[ModelOutcome]) -> str:
             if name == "intercept":
                 # Wald bounds for the intercept are reported on the log-odds
                 # scale; exponentiated bounds would be misleading here.
-                ci_low = coef[i] - 1.96 * se[i]
-                ci_high = coef[i] + 1.96 * se[i]
+                ci_low = coef[i] - Z_95 * se[i]
+                ci_high = coef[i] + Z_95 * se[i]
                 scale = "log_odds"
             else:
                 ci_low = fit_ci_low[i]
@@ -441,9 +434,7 @@ def run_analyze(
     except Exception as exc:
         raise StageError("classes", str(exc)) from exc
 
-    sample_discs = sorted(
-        {columns.disc_vocab[d] for d in sorted_unique(table.discipline_idx) if d >= 0}
-    )
+    sample_discs = [columns.disc_vocab[d] for d in sorted_unique(table.discipline_idx) if d >= 0]
     if scopes:
         unknown = [s for s in scopes if s != "all" and s not in sample_discs]
         if unknown:
@@ -509,13 +500,12 @@ def analyze_outputs(
     yield "coverage.json", [json.dumps(coverage, indent=2, sort_keys=True) + "\n"]
 
     try:
-        disc_names = [
-            columns.disc_vocab[d] if d >= 0 else None for d in table.discipline_idx
-        ]
-        disc_arr = np.array([d if d is not None else "" for d in disc_names])
         for ptype in ptypes:
             for scope in scope_list:
-                mask = np.ones(table.n_sample, dtype=bool) if scope == "all" else disc_arr == scope
+                if scope == "all":
+                    mask = np.ones(table.n_sample, dtype=bool)
+                else:
+                    mask = table.discipline_idx == columns.disc_vocab.index(scope)
                 matrices = scope_matrices(codes, mask, ptype, scope)
                 rows = (
                     [MATRIX_TABLE_HEADER]

@@ -189,8 +189,6 @@ def top_institutions(corpus: Corpus) -> set[str]:
         if window_lo <= pub.year <= corpus.reference_year:
             counts.update(pub.affiliation_institutions)
     arr = np.array([counts.get(name, 0) for name in sorted(names)], dtype=np.int64)
-    if arr.shape[0] == 0:
-        return set()
     cutoff = top_institution_cutoff(arr, TOP_INSTITUTIONS)
     return {name for name in names if counts.get(name, 0) >= cutoff}
 
@@ -207,15 +205,14 @@ def top200_flag(corpus: Corpus, author_id: str) -> bool:
 
 @dataclass
 class BaselineArrays:
-    """Field baseline in array form: cell = disc_idx * n_years + (year - year_min).
-    It keeps the publication index and cell of each (publication, journal
-    discipline) pair, which every user of the baseline walks."""
+    """The field baseline's (publication, journal discipline) pairs whose
+    cell mean is positive: the publication index, the cell (disc_idx *
+    n_years + year - first year) and the ratio of the publication's
+    in-window citations to the cell mean."""
 
-    year_min: int
-    n_years: int
-    means: np.ndarray  # 0.0 where the cell is empty
-    jd_pub: np.ndarray
+    pubs: np.ndarray
     cells: np.ndarray
+    ratios: np.ndarray
 
 
 @dataclass
@@ -251,50 +248,39 @@ def build_baseline_arrays(columns: CorpusColumns) -> BaselineArrays:
     n_cells = len(columns.disc_vocab) * n_years
     jd_pub = np.repeat(np.arange(n_pubs, dtype=np.int64), np.diff(columns.jd_starts))
     cells = columns.jd_disc.astype(np.int64) * n_years + (columns.pub_year[jd_pub] - year_min)
-    sums = np.bincount(cells, weights=columns.pub_cits4y[jd_pub].astype(np.float64), minlength=n_cells)
+    cits = columns.pub_cits4y[jd_pub]
+    sums = np.bincount(cells, weights=cits.astype(np.float64), minlength=n_cells)
     counts = np.bincount(cells, minlength=n_cells)
     means = np.zeros(n_cells)
     nonzero = counts > 0
     means[nonzero] = sums[nonzero] / counts[nonzero]
-    return BaselineArrays(year_min, n_years, means, jd_pub, cells)
+    base = means[cells]
+    valid = base > 0
+    return BaselineArrays(jd_pub[valid], cells[valid], cits[valid] / base[valid])
 
 
 def publication_fwci(columns: CorpusColumns, baseline: BaselineArrays) -> tuple[np.ndarray, int]:
     """Per-publication FWCI (NaN undefined) and the skipped-publication count."""
     n_pubs = columns.n_publications
-    fwci = np.full(n_pubs, np.nan)
-    jd_pub, cells = baseline.jd_pub, baseline.cells
-    if jd_pub.shape[0] == 0:
-        return fwci, 0
-    base = baseline.means[cells]
-    valid = base > 0
-    ratios = np.zeros(jd_pub.shape[0])
-    ratios[valid] = columns.pub_cits4y[jd_pub[valid]] / base[valid]
-    ratio_sums = np.bincount(jd_pub[valid], weights=ratios[valid], minlength=n_pubs)
-    ratio_counts = np.bincount(jd_pub[valid], minlength=n_pubs)
+    ratio_sums = np.bincount(baseline.pubs, weights=baseline.ratios, minlength=n_pubs)
+    ratio_counts = np.bincount(baseline.pubs, minlength=n_pubs)
     defined = ratio_counts > 0
+    fwci = np.full(n_pubs, np.nan)
     fwci[defined] = ratio_sums[defined] / ratio_counts[defined]
     has_journal = np.diff(columns.jd_starts) > 0
     skipped = int(np.count_nonzero(has_journal & ~defined))
     return fwci, skipped
 
 
-def cell_fwci_means(columns: CorpusColumns, baseline: BaselineArrays) -> np.ndarray:
+def cell_fwci_means(baseline: BaselineArrays) -> np.ndarray:
     """Mean per-publication FWCI contribution within each populated cell.
 
     Normalization check: every entry is 1.0 up to float accumulation error,
     because each publication's contribution to a cell is its citation count
     over that same cell's mean.
     """
-    jd_pub, cells = baseline.jd_pub, baseline.cells
-    if jd_pub.shape[0] == 0:
-        return np.zeros(0)
-    base = baseline.means[cells]
-    valid = base > 0
-    ratios = columns.pub_cits4y[jd_pub[valid]] / base[valid]
-    n_cells = baseline.means.shape[0]
-    sums = np.bincount(cells[valid], weights=ratios, minlength=n_cells)
-    counts = np.bincount(cells[valid], minlength=n_cells)
+    sums = np.bincount(baseline.cells, weights=baseline.ratios)
+    counts = np.bincount(baseline.cells)
     populated = counts > 0
     return sums[populated] / counts[populated]
 
@@ -302,8 +288,6 @@ def cell_fwci_means(columns: CorpusColumns, baseline: BaselineArrays) -> np.ndar
 def _segment_median(group: np.ndarray, values: np.ndarray, n_groups: int) -> np.ndarray:
     """Median of values per group; NaN for empty groups."""
     out = np.full(n_groups, np.nan)
-    if group.shape[0] == 0:
-        return out
     order = np.lexsort((values, group))
     sg = group[order]
     sv = values[order]
@@ -375,9 +359,8 @@ def derive_portfolios(
 
         masks = stage_masks(columns, authors, pubs)
         # AJPR per stage over publications in journals with a percentile
-        pct = columns.pub_percentile[pubs]
+        pct = columns.pub_percentile[pubs].astype(np.float64)
         has_pct = pct >= 0
-        pct = pct.astype(np.float64)
         for s, mask in enumerate(masks):
             mask = mask & has_pct
             ajpr_sums = np.bincount(local[mask], weights=pct[mask], minlength=n)
@@ -385,7 +368,7 @@ def derive_portfolios(
             defined = ajpr_counts > 0
             ajpr_stage[a0:a1, s][defined] = ajpr_sums[defined] / ajpr_counts[defined]
 
-        productivity[a0:a1] = incidence_productivity(columns, local, pubs, masks, n)
+        productivity[a0:a1] = incidence_productivity(local, pct, n_pub_authors, masks, n)
 
     # institution ranking over the last four calendar years
     window_lo = columns.reference_year - 3
@@ -394,11 +377,7 @@ def derive_portfolios(
         columns.inst_flat[np.repeat(in_window, np.diff(columns.inst_starts))],
         minlength=len(columns.inst_vocab),
     ).astype(np.int64)
-    if inst_counts.shape[0]:
-        cutoff = top_institution_cutoff(inst_counts, TOP_INSTITUTIONS)
-        top_mask = inst_counts >= cutoff
-    else:
-        top_mask = np.zeros(0, dtype=bool)
+    top_mask = inst_counts >= top_institution_cutoff(inst_counts, TOP_INSTITUTIONS)
     dom_inst = columns.dominant_institution_idx
     top200 = np.zeros(n_authors, dtype=bool)
     with_inst = dom_inst >= 0

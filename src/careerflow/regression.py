@@ -96,10 +96,8 @@ class ModelSpec:
 
 
 def default_predictors(target_stage: str) -> tuple[str, ...]:
-    base = ("male", "mean_fwci4y", "intl_collab_rate", "ajpr", "median_team_size")
-    if target_stage == "late":
-        return base + ("top200", "prior_class")
-    return base + ("prior_class",)
+    """Every predictor; top200 only for late-stage models."""
+    return tuple(p for p in PREDICTORS if p != "top200" or target_stage == "late")
 
 
 def default_spec(outcome_class: str, target_stage: str, ptype: str, discipline: str) -> ModelSpec:

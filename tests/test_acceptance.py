@@ -176,7 +176,7 @@ def test_criterion_06_fwci_normalization():
             )
         )
         columns = columns_from_corpus(corpus)
-        means = cell_fwci_means(columns, build_baseline_arrays(columns))
+        means = cell_fwci_means(build_baseline_arrays(columns))
         assert means.shape[0] > 0
         assert np.abs(means - 1.0).max() <= 1e-9
     _pass(6, t0, "mean publication FWCI is 1.0 +/- 1e-9 in every populated cell")

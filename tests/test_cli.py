@@ -225,6 +225,9 @@ def test_ingest_prints_gate_table_and_caches(run_dir, capsys):
         assert gate in out
     assert (run_dir / "corpus.cache").exists()
     assert (run_dir / "rejects.jsonl").exists()
+    # after the cache and count lines, ingest prints the gates.tsv analyze writes
+    assert main(["analyze", "--out", str(run_dir)]) == 0
+    assert out.split("\n", 2)[2] == (run_dir / "gates.tsv").read_text()
 
 
 @pytest.mark.parametrize(
@@ -334,6 +337,20 @@ def test_analyze_outputs_and_manifest(run_dir):
     assert len(regressions) >= 16
     assert "portfolios.jsonl" in manifest
     assert "classes.jsonl" in manifest
+
+
+def test_analyze_a_corpus_with_no_institution_and_no_journal(run_dir):
+    pubs = run_dir / "publications.jsonl"
+    lines = [json.loads(line) for line in pubs.read_text().splitlines()]
+    pubs.write_text(
+        "".join(json.dumps(dict(obj, affiliation_institutions=[], journal_id=None)) + "\n" for obj in lines)
+    )
+    assert main(ingest_args(run_dir)) == 0
+    assert main(["analyze", "--out", str(run_dir)]) == 0
+    records = (run_dir / "portfolios.jsonl").read_text().splitlines()
+    assert records
+    for line in records:
+        assert '"top200":false' in line and '"dominant_institution":null' in line
 
 
 def test_analyze_ptype_restriction(run_dir):

@@ -253,11 +253,12 @@ def late_faults(pub: dict) -> dict[str, list[dict | bytes]]:
         ("arabic-indic", "\u0661\u0669\u0669\u0669"),
     ):
         lines[f"citation-key-{name}"] = [dict(pub, year=1998, citations_by_year={key: 4})]
-    # the later count wins, at the place of the first key: 1999 counts 5 in
-    # the four-year window 1998-2001
+    # two keys that int() reads as one year are a reject, not one count
+    # overwriting the other
     lines["citation-key-repeated-as-int"] = [
         dict(pub, year=1998, citations_by_year={"1999": 3, "2000": 1, "01999": 5})
     ]
+    lines["citation-key-repeated-with-space"] = [dict(pub, year=1998, citations_by_year={"1999": 1, "1999 ": 7})]
     lines["citation-count-bool"] = [dict(pub, citations_by_year={str(pub["year"]): True})]
     lines["citation-year-before-pub"] = [dict(pub, citations_by_year={str(pub["year"] - 1): 1})]
     # a name accepted as an institution is no accepted discipline code
@@ -306,6 +307,8 @@ def test_ingest_equals_reference_on_late_faults(base, tmp_path, case):
         assert reasons == {4: "bad discipline 'all'"}
     elif case == "trailing-data":
         assert reasons == {1: "invalid json: Extra data"}
+    elif case.startswith("citation-key-repeated-"):
+        assert reasons == {1: "duplicate citation year 1999"}
     elif case.startswith(("citation-key-", "names-", "journal-id-null")):
         assert reasons == {}
     else:
@@ -421,6 +424,7 @@ def test_ingest_equals_reference_on_any_cpu_count(base, tmp_path, n):
         code, _ = ingest(tmp_path)
     assert code == 0
     assert_equals_reference(tmp_path)
+    assert list(pub_rejects(tmp_path, base).values()).count("duplicate citation year 1999") == 2
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

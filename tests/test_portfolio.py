@@ -280,8 +280,7 @@ def test_cell_normalization_on_random_corpus():
         CorpusConfig(cohort=CohortConfig(n_authors=50, n_disciplines=3, seed=21, ability_spread=0.7))
     )
     columns = columns_from_corpus(corpus)
-    baseline = build_baseline_arrays(columns)
-    means = cell_fwci_means(columns, baseline)
+    means = cell_fwci_means(build_baseline_arrays(columns))
     assert means.shape[0] > 0
     assert np.abs(means - 1.0).max() < 1e-9
 
@@ -347,6 +346,21 @@ def test_top_institution_tie_spanning_rank_200():
     cutoff = top_institution_cutoff(counts, 200)
     assert cutoff == 700
     assert np.count_nonzero(counts >= cutoff) == 202
+
+
+def test_bulk_top200_with_no_institution_and_no_journal():
+    """An empty institution ranking flags no author, and no journal gives
+    no baseline pair."""
+    corpus = gen_corpus(CorpusConfig(cohort=CohortConfig(n_authors=20, n_disciplines=2, seed=5)))
+    for pub in corpus.publications:
+        pub.affiliation_institutions, pub.journal_id = (), None
+    columns = columns_from_corpus(corpus)
+    assert columns.inst_vocab == []
+    table = derive_portfolios(columns)
+    assert top_institutions(corpus) == set()
+    assert table.top200.tolist() == [top200_flag(corpus, aid) for aid in columns.author_ids]
+    assert not table.top200.any()
+    assert np.isnan(table.fwci_mean).all()
 
 
 # ---------------------------------------------------------------------------
