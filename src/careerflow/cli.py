@@ -139,21 +139,22 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
     out = args.out or _default_out()
     base = Path(out) if out else Path(".")
+    paths = {
+        "publications": Path(args.pubs) if args.pubs else base / "publications.jsonl",
+        "journals": Path(args.journals) if args.journals else base / "journals.jsonl",
+        "authors": Path(args.authors) if args.authors else base / "authors.jsonl",
+    }
+    # two outputs of one file would be written aside to one temporary file
+    if len({path.resolve() for path in paths.values()}) < len(paths):
+        raise CorpusError("--pubs, --journals and --authors must name three different files")
     base.mkdir(parents=True, exist_ok=True)
-    pubs_path = Path(args.pubs) if args.pubs else base / "publications.jsonl"
-    journals_path = Path(args.journals) if args.journals else base / "journals.jsonl"
-    authors_path = Path(args.authors) if args.authors else base / "authors.jsonl"
     # a failed synth leaves any previous corpus as it was
     with write_aside() as open_aside:
-        files = [open_aside(path) for path in (pubs_path, journals_path, authors_path)]
+        files = [open_aside(path) for path in paths.values()]
         counts = _CLI.write_synthetic_corpus(config, *files)
     print(f"seed: {config.cohort.seed}")
     print(f"rho: {config.cohort.persistence}")
-    for name, path in (
-        ("publications", pubs_path),
-        ("journals", journals_path),
-        ("authors", authors_path),
-    ):
+    for name, path in paths.items():
         print(f"{name}: {counts[name]} -> {path}")
     return EXIT_OK
 
@@ -257,15 +258,9 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except CorpusError as exc:
+    except (CorpusError, StageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_RUNTIME if isinstance(exc, StageError) else EXIT_USAGE
 
 
 def run() -> None:

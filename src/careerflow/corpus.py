@@ -38,8 +38,13 @@ INT32_MAX = 2**31 - 1
 RESERVED_DISCIPLINES = frozenset((".", "..", "all"))
 # nor can a code with a path separator, a control character (C0, DEL or C1)
 # or a line or paragraph separator, which would also split a TSV row or line
-# of the outputs it names (str.splitlines() breaks on NEL, U+2028 and U+2029)
-BAD_DISCIPLINE_CHARS = re.compile(r"[/\\\x00-\x1f\x7f-\x9f\u2028\u2029]")
+# of the outputs it names (str.splitlines() breaks on NEL, U+2028 and U+2029),
+# or a lone surrogate, which is not UTF-8 text
+BAD_DISCIPLINE_CHARS = re.compile(r"[/\\\x00-\x1f\x7f-\x9f\u2028\u2029\ud800-\udfff]")
+# file names are limited to 255 bytes, and analyze's longest name built from
+# a code, .P1_<code>.tsv.<pid>.tmp, adds at most 20 bytes to it on Linux
+# (pid <= 4,194,304)
+MAX_DISCIPLINE_BYTES = 200
 
 PUBLICATIONS_FILE = "publications"
 JOURNALS_FILE = "journals"
@@ -323,19 +328,20 @@ def _str_list(obj: dict, key: str) -> list[str]:
 
 
 def _check_disciplines(codes: Iterable[str], accepted: set[str]) -> None:
-    """Reject a discipline code that cannot name an output file: reserved, or
+    """Reject a discipline code that cannot name an output file: reserved,
     holding a path separator, a control character or a lone surrogate (not
-    UTF-8 encodable). *accepted* holds the codes already passed, so each is
-    tested once."""
+    UTF-8 encodable), or longer than MAX_DISCIPLINE_BYTES in UTF-8.
+    *accepted* holds the codes already passed, so each is tested once."""
     if accepted.issuperset(codes):
         return
     for code in codes:
-        if code in RESERVED_DISCIPLINES or BAD_DISCIPLINE_CHARS.search(code):
+        # the character test comes first: it leaves only encodable codes
+        if (
+            code in RESERVED_DISCIPLINES
+            or BAD_DISCIPLINE_CHARS.search(code)
+            or len(code.encode("utf-8")) > MAX_DISCIPLINE_BYTES
+        ):
             raise _LineError(f"bad discipline {_echo(repr(code))}")
-        try:
-            code.encode("utf-8")
-        except UnicodeEncodeError:
-            raise _LineError(f"bad discipline {_echo(repr(code))}") from None
         accepted.add(code)
 
 

@@ -7,6 +7,7 @@ and the filter report. Analyze re-reads only the cache.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import itertools
@@ -295,9 +296,9 @@ def class_dump_lines(table: PortfolioTable, codes: np.ndarray) -> Iterator[str]:
         for ptype in PRODUCTIVITY_TYPES
     ]
     for row in range(table.n_sample):
-        author = json.dumps(cols.author_ids[int(table.sample_idx[row])])
-        disc_idx = int(table.discipline_idx[row])
-        disc = json.dumps(cols.disc_vocab[disc_idx] if disc_idx >= 0 else None)
+        idx = int(table.sample_idx[row])
+        author = json.dumps(cols.author_ids[idx])
+        disc = json.dumps(cols.discipline_of(idx))
         head = f'{{"author_id":{author},"discipline":{disc},'
         # one conversion per row: indexing a numpy array per cell costs more
         # than formatting the cell
@@ -398,6 +399,15 @@ def collinearity_table(outcomes: list[ModelOutcome]) -> str:
 # analyze driver
 
 
+@contextlib.contextmanager
+def _stage(name: str) -> Iterator[None]:
+    """Raise any Exception of the block as a StageError of stage *name*."""
+    try:
+        yield
+    except Exception as exc:
+        raise StageError(name, str(exc)) from exc
+
+
 @dataclass
 class AnalyzeResult:
     out_dir: Path
@@ -424,15 +434,10 @@ def run_analyze(
     if not loaded.retained:
         raise StageError("filter", "no authors retained by the sample filter")
 
-    try:
+    with _stage("portfolio"):
         table = derive_portfolios(columns, loaded.retained)
-    except Exception as exc:
-        raise StageError("portfolio", str(exc)) from exc
-
-    try:
+    with _stage("classes"):
         codes, too_small = assign_cohort_classes(table.discipline_idx, table.productivity)
-    except Exception as exc:
-        raise StageError("classes", str(exc)) from exc
 
     sample_discs = [columns.disc_vocab[d] for d in sorted_unique(table.discipline_idx) if d >= 0]
     if scopes:
@@ -499,7 +504,7 @@ def analyze_outputs(
     }
     yield "coverage.json", [json.dumps(coverage, indent=2, sort_keys=True) + "\n"]
 
-    try:
+    with _stage("mobility"):
         for ptype in ptypes:
             for scope in scope_list:
                 if scope == "all":
@@ -514,12 +519,8 @@ def analyze_outputs(
                 )
                 yield f"matrices/{ptype}_{scope}.tsv", [_tsv(rows)]
                 yield f"sankey/{ptype}_{scope}.txt", [sankey_export(matrices[:2])]
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError("mobility", str(exc)) from exc
 
-    try:
+    with _stage("regression"):
         model_disciplines = [s for s in scope_list if s != "all"]
         jobs = []
         for family in MODEL_FAMILIES:
@@ -536,7 +537,3 @@ def analyze_outputs(
             yield f"regression/collinearity_{family}_{ptype}.tsv", [collinearity_table(outcomes)]
             predictors = default_spec(*family.split("_"), ptype, "all").predictors
             yield f"regression/grid_{family}_{ptype}.tsv", [_tsv(grid_rows(outcomes, predictors))]
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError("regression", str(exc)) from exc

@@ -241,6 +241,14 @@ class PortfolioTable:
         return self.sample_idx.shape[0]
 
 
+def _group_mean(groups: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """Mean of values in each group, over at least n groups; NaN for an
+    empty group."""
+    sums = np.bincount(groups, weights=values, minlength=n)
+    counts = np.bincount(groups, minlength=n)
+    return np.divide(sums, counts, out=np.full(sums.shape[0], np.nan), where=counts > 0)
+
+
 def build_baseline_arrays(columns: CorpusColumns) -> BaselineArrays:
     n_pubs = columns.n_publications
     year_min = int(columns.pub_year.min()) if n_pubs else 0
@@ -249,26 +257,17 @@ def build_baseline_arrays(columns: CorpusColumns) -> BaselineArrays:
     jd_pub = np.repeat(np.arange(n_pubs, dtype=np.int64), np.diff(columns.jd_starts))
     cells = columns.jd_disc.astype(np.int64) * n_years + (columns.pub_year[jd_pub] - year_min)
     cits = columns.pub_cits4y[jd_pub]
-    sums = np.bincount(cells, weights=cits.astype(np.float64), minlength=n_cells)
-    counts = np.bincount(cells, minlength=n_cells)
-    means = np.zeros(n_cells)
-    nonzero = counts > 0
-    means[nonzero] = sums[nonzero] / counts[nonzero]
-    base = means[cells]
+    # every cell read back holds a publication, so no mean read is NaN
+    base = _group_mean(cells, cits, n_cells)[cells]
     valid = base > 0
     return BaselineArrays(jd_pub[valid], cells[valid], cits[valid] / base[valid])
 
 
 def publication_fwci(columns: CorpusColumns, baseline: BaselineArrays) -> tuple[np.ndarray, int]:
     """Per-publication FWCI (NaN undefined) and the skipped-publication count."""
-    n_pubs = columns.n_publications
-    ratio_sums = np.bincount(baseline.pubs, weights=baseline.ratios, minlength=n_pubs)
-    ratio_counts = np.bincount(baseline.pubs, minlength=n_pubs)
-    defined = ratio_counts > 0
-    fwci = np.full(n_pubs, np.nan)
-    fwci[defined] = ratio_sums[defined] / ratio_counts[defined]
+    fwci = _group_mean(baseline.pubs, baseline.ratios, columns.n_publications)
     has_journal = np.diff(columns.jd_starts) > 0
-    skipped = int(np.count_nonzero(has_journal & ~defined))
+    skipped = int(np.count_nonzero(has_journal & np.isnan(fwci)))
     return fwci, skipped
 
 
@@ -279,10 +278,8 @@ def cell_fwci_means(baseline: BaselineArrays) -> np.ndarray:
     because each publication's contribution to a cell is its citation count
     over that same cell's mean.
     """
-    sums = np.bincount(baseline.cells, weights=baseline.ratios)
-    counts = np.bincount(baseline.cells)
-    populated = counts > 0
-    return sums[populated] / counts[populated]
+    means = _group_mean(baseline.cells, baseline.ratios, 0)
+    return means[~np.isnan(means)]
 
 
 def _segment_median(group: np.ndarray, values: np.ndarray, n_groups: int) -> np.ndarray:
@@ -323,10 +320,10 @@ def derive_portfolios(
     # the baseline and its pairs are let go before the chunk loop
     fwci, fwci_skipped = publication_fwci(columns, build_baseline_arrays(columns))
 
-    intl_rate = np.full(n_authors, np.nan)
-    team_median = np.full(n_authors, np.nan)
-    fwci_mean = np.full(n_authors, np.nan)
-    ajpr_stage = np.full((n_authors, len(STAGES)), np.nan)
+    intl_rate = np.empty(n_authors)
+    team_median = np.empty(n_authors)
+    fwci_mean = np.empty(n_authors)
+    ajpr_stage = np.empty((n_authors, len(STAGES)))
     productivity = np.empty((n_authors, len(STAGES), len(PRODUCTIVITY_TYPES)))
     author_starts = columns.author_starts
     for a0, a1 in author_chunks(author_starts, _CHUNK):
@@ -341,21 +338,16 @@ def derive_portfolios(
         local = authors - a0
 
         n_pub_authors = columns.pub_n_authors[pubs]
+        # a sum of 100.0s is exact, so the mean is 100.0 * intl / collab
         collab = n_pub_authors >= 2
-        collab_count = np.bincount(local[collab], minlength=n)
-        intl_count = np.bincount(local[collab & columns.pub_intl[pubs]], minlength=n)
-        has_collab = collab_count > 0
-        intl_rate[a0:a1][has_collab] = 100.0 * intl_count[has_collab] / collab_count[has_collab]
+        intl_rate[a0:a1] = _group_mean(local[collab], 100.0 * columns.pub_intl[pubs[collab]], n)
 
         team = np.minimum(n_pub_authors, 10).astype(np.float64)
         team_median[a0:a1] = _segment_median(local, team, n)
 
         pub_fwci = fwci[pubs]
         fwci_ok = np.isfinite(pub_fwci)
-        fwci_sums = np.bincount(local[fwci_ok], weights=pub_fwci[fwci_ok], minlength=n)
-        fwci_counts = np.bincount(local[fwci_ok], minlength=n)
-        has_fwci = fwci_counts > 0
-        fwci_mean[a0:a1][has_fwci] = fwci_sums[has_fwci] / fwci_counts[has_fwci]
+        fwci_mean[a0:a1] = _group_mean(local[fwci_ok], pub_fwci[fwci_ok], n)
 
         masks = stage_masks(columns, authors, pubs)
         # AJPR per stage over publications in journals with a percentile
@@ -363,10 +355,7 @@ def derive_portfolios(
         has_pct = pct >= 0
         for s, mask in enumerate(masks):
             mask = mask & has_pct
-            ajpr_sums = np.bincount(local[mask], weights=pct[mask], minlength=n)
-            ajpr_counts = np.bincount(local[mask], minlength=n)
-            defined = ajpr_counts > 0
-            ajpr_stage[a0:a1, s][defined] = ajpr_sums[defined] / ajpr_counts[defined]
+            ajpr_stage[a0:a1, s] = _group_mean(local[mask], pct[mask], n)
 
         productivity[a0:a1] = incidence_productivity(local, pct, n_pub_authors, masks, n)
 
@@ -378,10 +367,8 @@ def derive_portfolios(
         minlength=len(columns.inst_vocab),
     ).astype(np.int64)
     top_mask = inst_counts >= top_institution_cutoff(inst_counts, TOP_INSTITUTIONS)
-    dom_inst = columns.dominant_institution_idx
-    top200 = np.zeros(n_authors, dtype=bool)
-    with_inst = dom_inst >= 0
-    top200[with_inst] = top_mask[dom_inst[with_inst]]
+    # the code -1, no institution, picks the trailing False
+    top200 = np.append(top_mask, False)[columns.dominant_institution_idx]
 
     age = columns.reference_year - columns.first_pub_year
     # qualifying publications whose prestige weight is 0 for want of a percentile

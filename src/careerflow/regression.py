@@ -156,29 +156,20 @@ def _design_stack(
     else:
         return failed([f"unknown discipline {spec.discipline!r}"] * n_models)
 
+    # a row is usable where every column it uses is finite; male is NaN for
+    # an unknown gender
     gender = cols.gender_code[table.sample_idx]
-    columns: dict[str, np.ndarray] = {}
+    columns = {
+        "male": np.select([gender == GENDER_MALE, gender == GENDER_FEMALE], [1.0, 0.0], np.nan),
+        "mean_fwci4y": table.fwci_mean,
+        "intl_collab_rate": table.intl_rate,
+        "ajpr": table.ajpr_stage[:, t_idx],
+        "median_team_size": table.team_median,
+        "top200": table.top200,
+    }
     for name in spec.predictors:
-        if name == "male":
-            values = np.where(gender == GENDER_MALE, 1.0, 0.0)
-            usable &= (gender == GENDER_MALE) | (gender == GENDER_FEMALE)
-        elif name == "mean_fwci4y":
-            values = table.fwci_mean
-            usable &= np.isfinite(values)
-        elif name == "intl_collab_rate":
-            values = table.intl_rate
-            usable &= np.isfinite(values)
-        elif name == "ajpr":
-            values = table.ajpr_stage[:, t_idx]
-            usable &= np.isfinite(values)
-        elif name == "median_team_size":
-            values = table.team_median
-            usable &= np.isfinite(values)
-        elif name == "top200":
-            values = table.top200
-        else:  # prior_class: one column per member
-            continue
-        columns[name] = values
+        if name in columns:  # prior_class has one column per member
+            usable &= np.isfinite(columns[name])
 
     rows = np.flatnonzero(usable)
     if rows.shape[0] == 0:

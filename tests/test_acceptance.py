@@ -274,7 +274,8 @@ def test_criterion_10_throughput_100k_authors(tmp_path):
 
     manifest_lines = (out / "manifest.txt").read_text().splitlines()
     assert len(manifest_lines) > 100
-    sample = sum(1 for _ in open(out / "portfolios.jsonl"))
+    with open(out / "portfolios.jsonl") as fh:
+        sample = sum(1 for _ in fh)
     _pass(
         10,
         t0,

@@ -166,6 +166,20 @@ def test_synth_non_finite_real_exit_2_without_writing(tmp_path, capsys, key, val
     assert not out.exists()
 
 
+def test_synth_outputs_that_name_one_file_exit_2_without_writing(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    target = tmp_path / "X"
+    target.write_text("previous\n")
+    args = synth_args(tmp_path) + ["--pubs", str(target), "--authors", "sub/../X"]
+    assert main(args) == 2
+    assert capsys.readouterr().err == (
+        "error: --pubs, --journals and --authors must name three different files\n"
+    )
+    assert target.read_text() == "previous\n"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["X", "sub"]
+
+
 @pytest.mark.parametrize("key", ["n_countries", "n_institutions"])
 def test_synth_pool_size_past_cap_exit_2_fast_without_writing(tmp_path, capsys, key):
     path = tmp_path / "synth.json"
@@ -277,9 +291,10 @@ def test_ingest_rejects_citation_values_past_int32(run_dir, capsys, bad):
 @pytest.mark.parametrize(
     "code",
     ["x/../../../esc", "\ud800", "all", "..", "a\\b", "a\x00b", "D\t01", "D\n01", "D\x1b01", "D\x7f01",
-     "D\x8501", "D\u202801", "D\u202901"],
+     "D\x8501", "D\u202801", "D\u202901", "D" * 201, "\u00e9" * 101],
     ids=["path-escape", "lone-surrogate", "aggregate-scope", "dot-dot", "backslash", "nul",
-         "tab", "newline", "escape", "del", "next-line", "line-separator", "paragraph-separator"],
+         "tab", "newline", "escape", "del", "next-line", "line-separator", "paragraph-separator",
+         "201-bytes", "202-bytes-of-2-byte-chars"],
 )
 def test_discipline_that_cannot_name_an_output_is_rejected(run_dir, capsys, code):
     assert main(["analyze", "--out", str(run_dir)]) == 0
@@ -295,7 +310,9 @@ def test_discipline_that_cannot_name_an_output_is_rejected(run_dir, capsys, code
     capsys.readouterr()
     assert main(ingest_args(run_dir)) == 0
     assert f"publications: {len(pub_lines)}  rejects: 2" in capsys.readouterr().out
-    reason = f"bad discipline {code!r}"
+    # a reason quotes at most 64 characters of a value
+    shown = repr(code) if len(repr(code)) <= 64 else f"{repr(code)[:64]}...[{len(repr(code))} chars]"
+    reason = f"bad discipline {shown}"
     rejects = (run_dir / "rejects.jsonl").read_text().splitlines()
     assert [json.loads(line) for line in rejects] == [
         {"line_no": len(journal_lines) + 1, "file": "journals", "reason": reason},
@@ -310,6 +327,18 @@ def test_discipline_that_cannot_name_an_output_is_rejected(run_dir, capsys, code
         assert re.fullmatch(r"[A-Za-z0-9_.]+", name) and name not in (".", "..")
     outside = [p for p in run_dir.parent.rglob("*") if run_dir not in (p, *p.parents)]
     assert outside == []
+
+
+def test_discipline_code_of_the_longest_byte_length_names_its_outputs(run_dir, capsys):
+    code = "D" * corpus.MAX_DISCIPLINE_BYTES
+    for name in ("publications.jsonl", "journals.jsonl"):
+        path = run_dir / name
+        path.write_text(path.read_text().replace('"D00"', json.dumps(code)))
+    assert main(ingest_args(run_dir)) == 0
+    assert "rejects: 0" in capsys.readouterr().out
+    assert main(["analyze", "--out", str(run_dir)]) == 0
+    manifest = [json.loads(line)["path"] for line in (run_dir / MANIFEST_NAME).read_text().splitlines()]
+    assert f"matrices/P1_{code}.tsv" in manifest
 
 
 def test_min_pubs_override_honored(run_dir, capsys):
