@@ -8,13 +8,11 @@ jumpers-up, droppers-down) are cells of the `percent` column.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .classes import CLASS_ORDER
-
-STAGE_LABELS = {"early": "Early", "mid": "Mid", "late": "Late"}
 
 
 def percent_tenths(count: int, size: int) -> int:
@@ -39,22 +37,28 @@ class TransitionMatrix:
 
     from_stage: str
     to_stage: str
-    ptype: str
-    scope: str
     counts: np.ndarray
 
     @property
     def class_sizes(self) -> np.ndarray:
         return self.counts.sum(axis=1)
 
+    def flows(self) -> Iterator[tuple[str, str, int, int]]:
+        """(from_class, to_class, count, from-class size) of each of the 9
+        flows, by source then target, in CLASS_ORDER."""
+        counts, sizes = self.counts.tolist(), self.class_sizes.tolist()
+        for from_class, row, size in zip(CLASS_ORDER, counts, sizes):
+            for to_class, count in zip(CLASS_ORDER, row):
+                yield from_class, to_class, count, size
+
 
 def transition_matrix_codes(
-    from_codes: np.ndarray, to_codes: np.ndarray, from_stage: str, to_stage: str, ptype: str, scope: str
+    from_codes: np.ndarray, to_codes: np.ndarray, from_stage: str, to_stage: str
 ) -> TransitionMatrix:
     if from_codes.shape != to_codes.shape:
         raise ValueError("class code arrays must cover the same authors")
     cells = np.bincount(from_codes.astype(np.int64) * 3 + to_codes, minlength=9)
-    return TransitionMatrix(from_stage, to_stage, ptype, scope, cells.reshape(3, 3))
+    return TransitionMatrix(from_stage, to_stage, cells.reshape(3, 3))
 
 
 def sankey_lines(matrices: Sequence[TransitionMatrix]) -> list[str]:
@@ -62,30 +66,16 @@ def sankey_lines(matrices: Sequence[TransitionMatrix]) -> list[str]:
 
     Nodes carry stage-qualified labels ("Early Top"); flows are ordered
     top -> middle -> bottom by source then target; zero-count flows are
-    omitted. All matrices must share a ptype and scope.
+    omitted.
     """
-    if not matrices:
-        return []
-    ptypes = {m.ptype for m in matrices}
-    scopes = {m.scope for m in matrices}
-    if len(ptypes) > 1 or len(scopes) > 1:
-        raise ValueError("matrices must share a ptype and scope")
-    lines = []
-    for matrix in matrices:
-        sizes = matrix.class_sizes
-        from_label = STAGE_LABELS[matrix.from_stage]
-        to_label = STAGE_LABELS[matrix.to_stage]
-        for i, from_class in enumerate(CLASS_ORDER):
-            for j, to_class in enumerate(CLASS_ORDER):
-                count = int(matrix.counts[i, j])
-                if count == 0:
-                    continue
-                pct = format_percent(count, int(sizes[i]))
-                lines.append(
-                    f"{from_label} {from_class.capitalize()} [{pct}] "
-                    f"{to_label} {to_class.capitalize()}"
-                )
-    return lines
+    return [
+        f"{matrix.from_stage.capitalize()} {from_class.capitalize()} "
+        f"[{format_percent(count, size)}] "
+        f"{matrix.to_stage.capitalize()} {to_class.capitalize()}"
+        for matrix in matrices
+        for from_class, to_class, count, size in matrix.flows()
+        if count
+    ]
 
 
 def sankey_export(matrices: Sequence[TransitionMatrix]) -> str:
@@ -111,26 +101,11 @@ def matrix_table_rows(
     matrices = list(matrices)
     rows: list[tuple] = []
     for matrix in matrices:
-        sizes = matrix.class_sizes
-        for i, from_class in enumerate(CLASS_ORDER):
-            for j, to_class in enumerate(CLASS_ORDER):
-                size = int(sizes[i])
-                pct = format_percent(int(matrix.counts[i, j]), size) if size else ""
-                rows.append(
-                    (
-                        matrix.from_stage,
-                        from_class,
-                        matrix.to_stage,
-                        to_class,
-                        int(matrix.counts[i, j]),
-                        size,
-                        pct,
-                    )
-                )
+        for from_class, to_class, count, size in matrix.flows():
+            pct = format_percent(count, size) if size else ""
+            rows.append((matrix.from_stage, from_class, matrix.to_stage, to_class, count, size, pct))
     if matrices and final_summary:
         last = matrices[-1]
-        final_sizes = last.counts.sum(axis=0)
-        for j, to_class in enumerate(CLASS_ORDER):
-            size = int(final_sizes[j])
+        for to_class, size in zip(CLASS_ORDER, last.counts.sum(axis=0).tolist()):
             rows.append((last.to_stage, to_class, "", "", size, size, "100.0" if size else ""))
     return rows

@@ -57,14 +57,15 @@ from .mobility import (
     transition_matrix_codes,
 )
 from .portfolio import PortfolioTable, derive_portfolios
-from .regression import Z_95, ModelOutcome, default_spec, grid_rows, run_models, sig_label
+from .regression import Z_95, ModelOutcome, default_predictors, default_spec, grid_rows, run_models, sig_label
 
 CACHE_NAME = "corpus.cache"
 # analyze owns these directories: a file in them that the manifest does not
 # list is a stale output of an earlier run and is removed
 OUTPUT_DIRS = ("matrices", "sankey", "regression")
 
-MODEL_FAMILIES = ("top_mid", "top_late", "bottom_mid", "bottom_late")
+# (outcome class, target stage) of each model family
+MODEL_FAMILIES = (("top", "mid"), ("top", "late"), ("bottom", "mid"), ("bottom", "late"))
 
 # analyze writes each jsonl output this many lines at a time, and reads
 # outputs back this many bytes at a time
@@ -183,7 +184,7 @@ def run_ingest(
     rejects += pub_rejects
     n_pubs = columns.n_publications
     retained, report = gates_from_columns(columns, config)
-    report_obj = {"removed": report.removed, "retained": report.retained, "total": report.total}
+    report_obj = asdict(report)
 
     header = {
         "n_publications": n_pubs,
@@ -307,22 +308,18 @@ def class_dump_lines(table: PortfolioTable, codes: np.ndarray) -> Iterator[str]:
             yield f'{head}{cell}{value:.6f},"class":"{CLASS_ORDER[cls]}"}}'
 
 
-def scope_matrices(
-    codes: np.ndarray, scope_mask: np.ndarray, ptype: str, scope: str
-) -> list[TransitionMatrix]:
+def scope_matrices(codes: np.ndarray, scope_mask: np.ndarray, ptype: str) -> list[TransitionMatrix]:
+    """The early->mid, mid->late and early->late matrices of *ptype* over
+    the authors in *scope_mask*."""
     t = PRODUCTIVITY_TYPES.index(ptype)
-    pairs = (("early", "mid", 0, 1), ("mid", "late", 1, 2), ("early", "late", 0, 2))
-    out = []
-    for from_stage, to_stage, i, j in pairs:
-        out.append(
-            transition_matrix_codes(
-                codes[scope_mask, i, t], codes[scope_mask, j, t], from_stage, to_stage, ptype, scope
-            )
-        )
-    return out
+    return [
+        transition_matrix_codes(codes[scope_mask, i, t], codes[scope_mask, j, t], STAGES[i], STAGES[j])
+        for i, j in ((0, 1), (1, 2), (0, 2))
+    ]
 
 
 def models_table(outcomes: list[ModelOutcome]) -> str:
+    """One row per coefficient, or per failed model, in the order of *outcomes*."""
     rows = [
         (
             "discipline",
@@ -342,7 +339,7 @@ def models_table(outcomes: list[ModelOutcome]) -> str:
             "note",
         )
     ]
-    for outcome in sorted(outcomes, key=lambda o: o.spec.discipline):
+    for outcome in outcomes:
         disc = outcome.spec.discipline
         if outcome.fit is None:
             rows.append((disc, "", "", "", "", "", "", "", "", "", "", "", "", "", outcome.error))
@@ -387,7 +384,7 @@ def models_table(outcomes: list[ModelOutcome]) -> str:
 
 def collinearity_table(outcomes: list[ModelOutcome]) -> str:
     rows = [("discipline", "predictor", "vif")]
-    for outcome in sorted(outcomes, key=lambda o: o.spec.discipline):
+    for outcome in outcomes:
         if outcome.vif is None:
             continue
         for name, value in outcome.vif.items():
@@ -424,6 +421,11 @@ def run_analyze(
     for ptype in ptypes:
         if ptype not in PRODUCTIVITY_TYPES:
             raise CorpusError(f"unknown ptype {ptype!r}")
+    # the stale-output sweep below unlinks files under these directories;
+    # through a link it would unlink files outside the run dir
+    for sub in OUTPUT_DIRS:
+        if (out_dir / sub).is_symlink():
+            raise StageError("outputs", f"{sub} is a symbolic link")
 
     try:
         loaded = load_cache(out_dir / CACHE_NAME)
@@ -511,7 +513,7 @@ def analyze_outputs(
                     mask = np.ones(table.n_sample, dtype=bool)
                 else:
                     mask = table.discipline_idx == columns.disc_vocab.index(scope)
-                matrices = scope_matrices(codes, mask, ptype, scope)
+                matrices = scope_matrices(codes, mask, ptype)
                 rows = (
                     [MATRIX_TABLE_HEADER]
                     + matrix_table_rows(matrices[:2])
@@ -521,19 +523,17 @@ def analyze_outputs(
                 yield f"sankey/{ptype}_{scope}.txt", [sankey_export(matrices[:2])]
 
     with _stage("regression"):
-        model_disciplines = [s for s in scope_list if s != "all"]
-        jobs = []
-        for family in MODEL_FAMILIES:
-            outcome_class, target_stage = family.split("_")
-            for ptype in ptypes:
-                for disc in model_disciplines:
-                    jobs.append(default_spec(outcome_class, target_stage, ptype, disc))
-        results = run_models(table, codes, jobs)
-        by_family: dict[tuple[str, str], list[ModelOutcome]] = {}
-        for outcome in results:
-            by_family.setdefault((outcome.spec.family, outcome.spec.ptype), []).append(outcome)
-        for (family, ptype), outcomes in sorted(by_family.items()):
-            yield f"regression/models_{family}_{ptype}.tsv", [models_table(outcomes)]
-            yield f"regression/collinearity_{family}_{ptype}.tsv", [collinearity_table(outcomes)]
-            predictors = default_spec(*family.split("_"), ptype, "all").predictors
-            yield f"regression/grid_{family}_{ptype}.tsv", [_tsv(grid_rows(outcomes, predictors))]
+        # every model table lists its disciplines in this order
+        model_disciplines = sorted(s for s in scope_list if s != "all")
+        if not model_disciplines:
+            return
+        groups = [(side, stage, ptype) for side, stage in MODEL_FAMILIES for ptype in ptypes]
+        specs = [default_spec(*group, disc) for group in groups for disc in model_disciplines]
+        results = run_models(table, codes, specs)
+        n = len(model_disciplines)
+        for k, (side, stage, ptype) in enumerate(groups):
+            outcomes = results[k * n : (k + 1) * n]
+            name = f"{side}_{stage}_{ptype}.tsv"
+            yield f"regression/models_{name}", [models_table(outcomes)]
+            yield f"regression/collinearity_{name}", [collinearity_table(outcomes)]
+            yield f"regression/grid_{name}", [_tsv(grid_rows(outcomes, default_predictors(stage)))]

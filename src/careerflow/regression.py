@@ -666,18 +666,13 @@ def sig_label(p: float) -> str:
 def grid_rows(outcomes: list[ModelOutcome], predictors: tuple[str, ...]) -> list[list[str]]:
     """Per-discipline odds-ratio grid.
 
-    Columns are the disciplines with attempted models; non-significant cells
-    (p > 0.05) are blank, unconverged fits are marked "(nc)", failed models
-    carry the error in the r2 row. Intercepts are excluded.
+    Columns are the disciplines of *outcomes*, in their order;
+    non-significant cells (p > 0.05) are blank, unconverged fits are marked
+    "(nc)", failed models carry the error in the r2 row. Intercepts are
+    excluded.
     """
-    outcomes = sorted(outcomes, key=lambda o: o.spec.discipline)
     header = ["predictor"] + [o.spec.discipline for o in outcomes]
-    r2_row = ["r2"]
-    for o in outcomes:
-        if o.fit is None:
-            r2_row.append("(error)")
-        else:
-            r2_row.append(f"{o.fit.pseudo_r2:.3f}")
+    r2_row = ["r2"] + ["(error)" if o.fit is None else f"{o.fit.pseudo_r2:.3f}" for o in outcomes]
     rows = [header, r2_row]
     for name in predictors:
         row = [name]

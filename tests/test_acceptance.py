@@ -92,7 +92,7 @@ def test_criterion_03_independence_baseline():
     )
     early, _ = assign_class_codes(sample.values[:, 0])
     mid, _ = assign_class_codes(sample.values[:, 1])
-    matrix = transition_matrix_codes(early, mid, "early", "mid", "P1", "all")
+    matrix = transition_matrix_codes(early, mid, "early", "mid")
     # the percent column analyze writes, one decimal
     rows = matrix_table_rows([matrix], final_summary=False)
     pct = np.array([float(row[6]) for row in rows]).reshape(3, 3)
@@ -230,11 +230,11 @@ def test_criterion_08_hash_seed_determinism(tmp_path):
 def test_criterion_09_sankey_golden_file():
     t0 = time.perf_counter()
     early_mid = TransitionMatrix(
-        "early", "mid", "P1", "all",
+        "early", "mid",
         np.array([[39083, 25109, 731], [24788, 142042, 27867], [1057, 27593, 36373]]),
     )
     mid_late = TransitionMatrix(
-        "mid", "late", "P1", "all",
+        "mid", "late",
         np.array([[39039, 24102, 1787], [24213, 137633, 32898], [1673, 32790, 30508]]),
     )
     text = sankey_export([early_mid, mid_late])

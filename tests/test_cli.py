@@ -632,6 +632,18 @@ def test_repeated_ptype_writes_what_one_ptype_writes(run_dir):
     assert outputs() == once
 
 
+def test_model_tables_do_not_depend_on_scope_order(run_dir):
+    runs = []
+    for scopes in (["D01", "D00"], ["D00", "D01"]):
+        argv = ["analyze", "--out", str(run_dir), "--ptype", "P1"]
+        assert main(argv + [arg for scope in scopes for arg in ("--scope", scope)]) == 0
+        manifest = (run_dir / MANIFEST_NAME).read_text()
+        paths = [json.loads(line)["path"] for line in manifest.splitlines()]
+        runs.append((manifest, {path: (run_dir / path).read_bytes() for path in paths}))
+    assert sum(path.startswith("regression/") for path in runs[0][1]) == 4 * 3
+    assert runs[0] == runs[1]
+
+
 def test_failed_ingest_keeps_the_previous_cache(run_dir, monkeypatch):
     cache = run_dir / "corpus.cache"
     before = cache.read_bytes()
@@ -770,6 +782,24 @@ def test_analyze_replaces_a_symlinked_output_and_leaves_its_target(run_dir, tmp_
     manifest = (run_dir / MANIFEST_NAME).read_text()
     digest = hashlib.sha256(link.read_bytes()).hexdigest()
     assert json.dumps({"path": "matrices/P3_all.tsv", "sha256": digest}, separators=(",", ":")) in manifest
+
+
+def test_analyze_refuses_a_symlinked_output_dir_and_leaves_its_target(run_dir, tmp_path, capsys):
+    before = previous_run(run_dir)
+    sankey = run_dir / "sankey"
+    sankey.rename(tmp_path / "sankey")
+    outside = tmp_path / "keep"
+    outside.mkdir()
+    (outside / "notes.txt").write_text("not an output\n")
+    sankey.symlink_to(outside, target_is_directory=True)
+    capsys.readouterr()
+    assert main(["analyze", "--out", str(run_dir)]) == 1
+    assert capsys.readouterr().err == "error: stage outputs: sankey is a symbolic link\n"
+    assert [path.name for path in outside.iterdir()] == ["notes.txt"]
+    assert (outside / "notes.txt").read_text() == "not an output\n"
+    sankey.unlink()
+    (tmp_path / "sankey").rename(sankey)
+    assert_run_unchanged(run_dir, before, capsys)
 
 
 def test_pipeline_annotations_resolve():

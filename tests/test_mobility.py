@@ -30,8 +30,8 @@ MID_LATE_COUNTS = [
 ]
 
 
-def published(counts, from_stage, to_stage, ptype="P1") -> TransitionMatrix:
-    return TransitionMatrix(from_stage, to_stage, ptype, "all", np.array(counts, dtype=np.int64))
+def published(counts, from_stage, to_stage) -> TransitionMatrix:
+    return TransitionMatrix(from_stage, to_stage, np.array(counts, dtype=np.int64))
 
 
 def percent_cells(matrix: TransitionMatrix) -> dict[tuple[str, str], str]:
@@ -66,7 +66,7 @@ def test_published_matrix_rates():
 
 def test_identity_class_maps_give_diagonal_matrix():
     codes = np.array([0, 1, 2] * 4, dtype=np.int8)
-    matrix = transition_matrix_codes(codes, codes, "early", "mid", "P1", "all")
+    matrix = transition_matrix_codes(codes, codes, "early", "mid")
     assert np.count_nonzero(matrix.counts - np.diag(np.diag(matrix.counts))) == 0
     cells = percent_cells(matrix)
     assert (cells["top", "top"], cells["bottom", "bottom"]) == ("100.0", "100.0")
@@ -78,7 +78,7 @@ def test_six_author_fixture_matches_brute_force():
     classes_to = [0, 2, 1, 0, 2, 0]
     matrix = transition_matrix_codes(
         np.array(classes_from, dtype=np.int8), np.array(classes_to, dtype=np.int8),
-        "early", "mid", "P1", "all",
+        "early", "mid",
     )
     # independent enumeration over all six authors
     expected = Counter(zip(classes_from, classes_to))
@@ -91,13 +91,13 @@ def test_six_author_fixture_matches_brute_force():
 def test_mismatched_author_sets_fatal():
     with pytest.raises(ValueError):
         transition_matrix_codes(
-            np.zeros(3, dtype=np.int8), np.zeros(4, dtype=np.int8), "early", "mid", "P1", "all"
+            np.zeros(3, dtype=np.int8), np.zeros(4, dtype=np.int8), "early", "mid"
         )
 
 
 def test_empty_from_class_rate_is_absent_not_zero():
     matrix = transition_matrix_codes(
-        np.ones(6, dtype=np.int8), np.zeros(6, dtype=np.int8), "early", "mid", "P1", "all"
+        np.ones(6, dtype=np.int8), np.zeros(6, dtype=np.int8), "early", "mid"
     )
     cells = percent_cells(matrix)
     for from_class in ("top", "bottom"):
@@ -122,11 +122,10 @@ def test_scope_matrices_stage_pairs():
     from careerflow.pipeline import scope_matrices
 
     codes = np.zeros((9, 3, 4), dtype=np.int8)
-    matrices = scope_matrices(codes, np.ones(9, dtype=bool), "P3", "all")
+    matrices = scope_matrices(codes, np.ones(9, dtype=bool), "P3")
     assert [(m.from_stage, m.to_stage) for m in matrices] == [
         ("early", "mid"), ("mid", "late"), ("early", "late")
     ]
-    assert {(m.ptype, m.scope) for m in matrices} == {("P3", "all")}
 
 
 def test_row_accounting_and_percent_sum():
@@ -135,7 +134,7 @@ def test_row_accounting_and_percent_sum():
         n = int(rng.integers(30, 400))
         cf = rng.integers(0, 3, size=n).astype(np.int8)
         ct = rng.integers(0, 3, size=n).astype(np.int8)
-        matrix = transition_matrix_codes(cf, ct, "early", "mid", "P1", "all")
+        matrix = transition_matrix_codes(cf, ct, "early", "mid")
         assert matrix.class_sizes.tolist() == np.bincount(cf, minlength=3).tolist()
         assert matrix.counts.sum() == n
         rows = matrix_table_rows([matrix], final_summary=False)
@@ -151,10 +150,10 @@ def test_aggregating_disciplines_equals_combined():
     ct = rng.integers(0, 3, size=200).astype(np.int8)
     discs = np.repeat(np.arange(4), 50)
     per_disc = [
-        transition_matrix_codes(cf[discs == d], ct[discs == d], "early", "mid", "P1", f"D{d}")
+        transition_matrix_codes(cf[discs == d], ct[discs == d], "early", "mid")
         for d in range(4)
     ]
-    combined = transition_matrix_codes(cf, ct, "early", "mid", "P1", "all")
+    combined = transition_matrix_codes(cf, ct, "early", "mid")
     assert (sum(m.counts for m in per_disc) == combined.counts).all()
 
 
@@ -171,7 +170,7 @@ def test_sankey_top_row_lines():
 
 def test_sankey_identity_three_lines_at_100():
     codes = np.array([0, 1, 2] * 2, dtype=np.int8)
-    lines = sankey_lines([transition_matrix_codes(codes, codes, "early", "mid", "P1", "all")])
+    lines = sankey_lines([transition_matrix_codes(codes, codes, "early", "mid")])
     assert lines == [
         "Early Top [100.0] Mid Top",
         "Early Middle [100.0] Mid Middle",
@@ -197,7 +196,7 @@ def test_jumpers_bounded_by_bottom_row():
     for _ in range(20):
         cf = rng.integers(0, 3, size=60).astype(np.int8)
         ct = rng.integers(0, 3, size=60).astype(np.int8)
-        matrix = transition_matrix_codes(cf, ct, "early", "mid", "P1", "all")
+        matrix = transition_matrix_codes(cf, ct, "early", "mid")
         bottom = int(matrix.class_sizes[2])
         if bottom:
             jumpers_up = percent_tenths(int(matrix.counts[2, 0]), bottom)
@@ -213,17 +212,10 @@ def test_pipeline_scope_matrices_aggregate_to_all():
     codes = rng.integers(0, 3, size=(n, 3, 4)).astype(np.int8)
     discs = np.array(["D0", "D1", "D2"])[rng.integers(0, 3, size=n)]
     all_mask = np.ones(n, dtype=bool)
-    combined = scope_matrices(codes, all_mask, "P2", "all")
-    per_disc = [scope_matrices(codes, discs == d, "P2", d) for d in ("D0", "D1", "D2")]
+    combined = scope_matrices(codes, all_mask, "P2")
+    per_disc = [scope_matrices(codes, discs == d, "P2") for d in ("D0", "D1", "D2")]
     for k in range(3):  # early->mid, mid->late, early->late
         assert (sum(m[k].counts for m in per_disc) == combined[k].counts).all()
-
-
-def test_sankey_requires_shared_ptype_and_scope():
-    a = published(EARLY_MID_COUNTS, "early", "mid", ptype="P1")
-    b = published(MID_LATE_COUNTS, "mid", "late", ptype="P2")
-    with pytest.raises(ValueError):
-        sankey_lines([a, b])
 
 
 def test_matrix_table_rows_structure():
