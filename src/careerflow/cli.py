@@ -12,32 +12,25 @@ from __future__ import annotations
 import argparse
 import atexit
 import gc
-import hashlib
 import importlib
-import json
 import os
 import sys
 from pathlib import Path
 
-from .corpus import (
-    MANIFEST_NAME,
-    MAX_REFERENCE_YEAR,
-    MIN_YEAR,
-    CorpusError,
-    SampleFilterConfig,
-    StageError,
-    write_aside,
-)
+from . import MANIFEST_NAME, CorpusError, StageError
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
+# 128 + SIGPIPE: what a shell reports for a tool cut off by `head`
+EXIT_BROKEN_PIPE = 141
 
 # Each stage imports only the modules it runs: `--help` and report load no
-# numpy, synth no analysis module, ingest and analyze no synth. These names
-# are bound on first use by __getattr__, and the handlers call them through
-# _CLI, the module itself, so a caller that replaces one of them on this
-# module (a tracer, a test) replaces what the stage runs.
+# numpy and no corpus, synth no analysis module, ingest and analyze no
+# synth, so a handler imports what it uses of corpus, json and hashlib.
+# The names below are bound on first use by __getattr__, and the handlers
+# call them through _CLI, the module itself, so a caller that replaces one
+# of them on this module (a tracer, a test) replaces what the stage runs.
 _LAZY = {
     "config_from_mapping": "synth",
     "write_synthetic_corpus": "synth",
@@ -70,6 +63,8 @@ def _out_dir(args: argparse.Namespace) -> Path:
 def _check_reference_year(year: int | None) -> None:
     """A --reference-year outside [MIN_YEAR, MAX_REFERENCE_YEAR] is a usage
     error, raised before a stage reads or writes anything."""
+    from .corpus import MAX_REFERENCE_YEAR, MIN_YEAR
+
     if year is not None and not MIN_YEAR <= year <= MAX_REFERENCE_YEAR:
         raise CorpusError(
             f"--reference-year must be within [{MIN_YEAR}, {MAX_REFERENCE_YEAR}], got {year}"
@@ -116,6 +111,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    import json
+
+    from .corpus import write_aside
+
     _check_reference_year(args.reference_year)
     merged = {}
     if args.config:
@@ -160,6 +159,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
+    from .corpus import SampleFilterConfig
+
     _check_reference_year(args.reference_year)
     out_dir = _out_dir(args)
     config = SampleFilterConfig(
@@ -193,6 +194,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def _read_listed(out_dir: Path, rel_path: str, digests: dict[str, str]) -> str:
     """The text of an output the manifest lists; a missing or altered file
     is a StageError, so report never prints what analyze did not write."""
+    import hashlib
+
     path = out_dir / rel_path
     data = path.read_bytes() if path.is_file() else None
     if data is None or hashlib.sha256(data).hexdigest() != digests[rel_path]:
@@ -205,6 +208,8 @@ def _manifest_digests(manifest_path: Path) -> dict[str, str]:
     is not a JSON object with string path and sha256, or whose path is
     absolute or has a `..` part and so may name a file outside the run
     directory, is a StageError."""
+    import json
+
     digests: dict[str, str] = {}
     for line_no, line in enumerate(manifest_path.read_bytes().splitlines(), 1):
         if not line:
@@ -258,6 +263,8 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
+    except BrokenPipeError:
+        raise  # the reader of stdout has gone: run() exits as SIGPIPE would
     except (CorpusError, StageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME if isinstance(exc, StageError) else EXIT_USAGE
@@ -272,9 +279,23 @@ def run() -> None:
     and careerflow built at import. Every output is closed and renamed
     before main() returns, and stdio is still flushed. main() leaves the
     collector alone, since a caller may run it many times in one process.
+
+    A write to a stdout whose reader is gone, as under `careerflow report |
+    head -1`, ends the process as SIGPIPE would: exit 141, nothing on
+    stderr. Each output is in place by then.
     """
     atexit.register(gc.freeze)
-    sys.exit(main())
+    try:
+        try:
+            code = main()
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; give that flush a
+        # file it can write
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, BinaryIO, Callable, Iterable, Iterator
 
+from . import CorpusError, StageError
+
 DOC_TYPES = ("article", "conference_paper", "other")
 QUALIFYING_DOC_TYPES = frozenset(("article", "conference_paper"))
 GENDER_LABELS = ("female", "male", "unknown")
@@ -49,21 +51,8 @@ MAX_DISCIPLINE_BYTES = 200
 PUBLICATIONS_FILE = "publications"
 JOURNALS_FILE = "journals"
 AUTHORS_FILE = "authors"
-MANIFEST_NAME = "manifest.txt"
 
 _raw_decode = json.JSONDecoder().raw_decode
-
-
-class CorpusError(ValueError):
-    """Fatal input problem (unreadable stream, unusable configuration)."""
-
-
-class StageError(RuntimeError):
-    """Pipeline failure, tagged with the stage that raised it."""
-
-    def __init__(self, stage: str, message: str):
-        self.stage = stage
-        super().__init__(f"stage {stage}: {message}")
 
 
 def share_count(total: int, minimum: int) -> int:

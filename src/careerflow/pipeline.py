@@ -7,7 +7,6 @@ and the filter report. Analyze re-reads only the cache.
 """
 from __future__ import annotations
 
-import contextlib
 import functools
 import hashlib
 import itertools
@@ -19,6 +18,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from . import MANIFEST_NAME, CorpusError, StageError, stage_errors
 from .classes import (
     CLASS_ORDER,
     PRODUCTIVITY_TYPES,
@@ -37,12 +37,9 @@ from .columnar import (
 )
 from .corpus import (
     GATE_ORDER,
-    MANIFEST_NAME,
-    CorpusError,
     FilterReport,
     Reject,
     SampleFilterConfig,
-    StageError,
     aside_path,
     parse_authors,
     parse_journals,
@@ -396,15 +393,6 @@ def collinearity_table(outcomes: list[ModelOutcome]) -> str:
 # analyze driver
 
 
-@contextlib.contextmanager
-def _stage(name: str) -> Iterator[None]:
-    """Raise any Exception of the block as a StageError of stage *name*."""
-    try:
-        yield
-    except Exception as exc:
-        raise StageError(name, str(exc)) from exc
-
-
 @dataclass
 class AnalyzeResult:
     out_dir: Path
@@ -436,9 +424,9 @@ def run_analyze(
     if not loaded.retained:
         raise StageError("filter", "no authors retained by the sample filter")
 
-    with _stage("portfolio"):
+    with stage_errors("portfolio"):
         table = derive_portfolios(columns, loaded.retained)
-    with _stage("classes"):
+    with stage_errors("classes"):
         codes, too_small = assign_cohort_classes(table.discipline_idx, table.productivity)
 
     sample_discs = [columns.disc_vocab[d] for d in sorted_unique(table.discipline_idx) if d >= 0]
@@ -506,7 +494,7 @@ def analyze_outputs(
     }
     yield "coverage.json", [json.dumps(coverage, indent=2, sort_keys=True) + "\n"]
 
-    with _stage("mobility"):
+    with stage_errors("mobility"):
         for ptype in ptypes:
             for scope in scope_list:
                 if scope == "all":
@@ -522,7 +510,7 @@ def analyze_outputs(
                 yield f"matrices/{ptype}_{scope}.tsv", [_tsv(rows)]
                 yield f"sankey/{ptype}_{scope}.txt", [sankey_export(matrices[:2])]
 
-    with _stage("regression"):
+    with stage_errors("regression"):
         # every model table lists its disciplines in this order
         model_disciplines = sorted(s for s in scope_list if s != "all")
         if not model_disciplines:

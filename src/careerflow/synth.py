@@ -21,6 +21,7 @@ from typing import Iterator, TextIO, get_type_hints
 
 import numpy as np
 
+from . import stage_errors
 from .classes import BOTTOM, STAGES, TOP, assign_class_codes, stage_window
 from .corpus import (
     DOC_TYPES,
@@ -434,38 +435,40 @@ def write_synthetic_corpus(
     The authors are cut into ranges (author_ranges), one share each. This
     process writes the first range straight to the outputs, each other share
     writes its range to two temporary files, and those are appended in range
-    order, so every output is the same for any range count.
+    order, so every output is the same for any range count. An error in
+    any share, this process's or a worker's, is a StageError of synth.
     """
-    journals = journal_table(config)
-    for jid in sorted(journals):
-        journals_out.write(journal_to_json(journals[jid]) + "\n")
-    cohort = gen_cohort(config.cohort)
-    generator = _AuthorGenerator(config, cohort)
-    ranges = author_ranges(config, cohort.values)
-    for out in (pubs_out, journals_out, authors_out):
-        out.flush()
-    with contextlib.ExitStack() as stack:
-        spills = [
-            [
-                stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
-                for _ in range(2)
+    with stage_errors("synth"):
+        journals = journal_table(config)
+        for jid in sorted(journals):
+            journals_out.write(journal_to_json(journals[jid]) + "\n")
+        cohort = gen_cohort(config.cohort)
+        generator = _AuthorGenerator(config, cohort)
+        ranges = author_ranges(config, cohort.values)
+        for out in (pubs_out, journals_out, authors_out):
+            out.flush()
+        with contextlib.ExitStack() as stack:
+            spills = [
+                [
+                    stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
+                    for _ in range(2)
+                ]
+                for _ in ranges[1:]
             ]
-            for _ in ranges[1:]
-        ]
-        counts = run_shares(
-            "synth",
-            [
-                (
-                    f"authors {start}-{stop - 1}",
-                    functools.partial(_write_authors, generator, start, stop, *files),
-                )
-                for (start, stop), files in zip(ranges, [[pubs_out, authors_out], *spills])
-            ],
-        )
-        for files in spills:
-            for spill, out in zip(files, (pubs_out, authors_out)):
-                spill.seek(0)
-                shutil.copyfileobj(spill, out, COPY_CHUNK)
+            counts = run_shares(
+                "synth",
+                [
+                    (
+                        f"authors {start}-{stop - 1}",
+                        functools.partial(_write_authors, generator, start, stop, *files),
+                    )
+                    for (start, stop), files in zip(ranges, [[pubs_out, authors_out], *spills])
+                ],
+            )
+            for files in spills:
+                for spill, out in zip(files, (pubs_out, authors_out)):
+                    spill.seek(0)
+                    shutil.copyfileobj(spill, out, COPY_CHUNK)
     return {"publications": sum(counts), "journals": len(journals), "authors": config.cohort.n_authors}
 
 

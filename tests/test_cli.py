@@ -3,6 +3,7 @@ import gc
 import hashlib
 import inspect
 import json
+import os
 import re
 import subprocess
 import sys
@@ -844,6 +845,15 @@ def stage_modules(argv: list[str]) -> set[str]:
     return set(result["modules"])
 
 
+def entry_point_modules(argv: list[str]) -> set[str]:
+    """The modules `python -m careerflow.cli` loads for one call, read from
+    the interpreter's own import log."""
+    proc = cli_process(["-X", "importtime", "-m", "careerflow.cli", *argv])
+    assert proc.returncode == 0, proc.stderr
+    log = [line.split("|")[-1] for line in proc.stderr.decode().splitlines() if line.startswith("import time:")]
+    return {name.strip() for name in log[1:]}  # the first line is the log's header
+
+
 def test_each_stage_imports_only_its_modules(tmp_path):
     out = tmp_path / "run"
     stages = {
@@ -863,8 +873,16 @@ def test_each_stage_imports_only_its_modules(tmp_path):
             assert "rank deficient" in models
             assert any(row.split("\t")[12] for row in models.splitlines()[1:] if "p_value" not in row)
 
+    # nor does the process entry point load them, through `python -m`
     for stage in ("help", "report"):
-        assert "numpy" not in loaded[stage], stage
+        loaded[f"{stage} (python -m)"] = entry_point_modules(stages[stage])
+    for stage in ("help", "report", "help (python -m)", "report (python -m)"):
+        assert not loaded[stage] & {"numpy", "careerflow.corpus", "dataclasses", "pickle", "signal"}, stage
+    assert "hashlib" not in loaded["help"]
+    assert not loaded["help (python -m)"] & {"hashlib", "json"}  # the probe itself loads json
+    # so the package, not corpus, defines the errors main() reports
+    assert careerflow.CorpusError is corpus.CorpusError
+    assert careerflow.StageError is corpus.StageError
     assert not loaded["synth"] & {"careerflow.pipeline", "careerflow.regression", "careerflow.mobility"}
     for stage in ("ingest", "analyze", "analyze-narrow"):
         assert "careerflow.synth" not in loaded[stage], stage
@@ -931,6 +949,24 @@ def test_process_entry_point_freezes_the_heap_at_exit(how, run_dir):
     assert proc.returncode == 0, proc.stderr
     assert b"outputs:" in proc.stdout
     assert proc.stderr.decode().splitlines()[-1] == "frozen at exit: True"
+
+
+@pytest.mark.parametrize("how", sorted(ENTRY_POINTS))
+def test_closed_stdout_exits_as_sigpipe_would(how, run_dir):
+    """A stdout whose reader is gone, as under `careerflow report | head -1`:
+    exit 141 (128 + SIGPIPE) with nothing on stderr, whether the write fails
+    in main() (unbuffered) or at the final flush, and every output analyze
+    wrote is in place."""
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)
+    try:
+        for flags in ([], ["-u"]):
+            for stage in ("analyze", "report"):
+                proc = cli_process([*flags, *ENTRY_POINTS[how], stage, "--out", str(run_dir)], stdout=write_fd)
+                assert (proc.returncode, proc.stderr) == (141, b""), (flags, stage)
+    finally:
+        os.close(write_fd)
+    assert main(["report", "--out", str(run_dir)]) == 0  # the manifest verifies
 
 
 def test_main_leaves_the_collector_alone(run_dir):

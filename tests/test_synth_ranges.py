@@ -8,6 +8,7 @@ error that leaves no worker behind.
 """
 import contextlib
 import io
+import json
 import os
 import signal
 import subprocess
@@ -170,21 +171,36 @@ def test_failed_range_is_a_stage_error_and_reaps_every_worker(tmp_path, capsys, 
     argv = ["synth", "--out", str(tmp_path), *SYNTH_ARGS]
     with cpus(3), pytest.MonkeyPatch.context() as mp:
         mp.setattr(synth, "iter_author_batches", failing)
-        if failure == "parent-raises":
-            with pytest.raises(RuntimeError, match="range failed"):
-                main(argv)
+        assert main(argv) == 1
+    err = capsys.readouterr().err
+    if failure == "parent-raises":
+        assert err == "error: stage synth: range failed\n"
+    else:
+        assert err.startswith("error: stage synth: worker for authors ")
+        if failure == "worker-raises":
+            assert "(exit 0): RuntimeError: range failed" in err
         else:
-            assert main(argv) == 1
-            err = capsys.readouterr().err
-            assert err.startswith("error: stage synth: worker for authors ")
-            if failure == "worker-raises":
-                assert "(exit 0): RuntimeError: range failed" in err
-            else:
-                assert f"(exit {-signal.SIGKILL}): no result" in err
+            assert f"(exit {-signal.SIGKILL}): no result" in err
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert {name: (tmp_path / f"{name}.jsonl").read_bytes() for name in FILES} == previous
     assert sorted(path.name for path in tmp_path.iterdir()) == [f"{name}.jsonl" for name in sorted(FILES)]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("overflow", [{"noise_scale": 1000}, {"pubs_per_year": 1e300}], ids=str)
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+def test_generation_that_overflows_numpy_is_a_stage_error(tmp_path, capsys, n, overflow):
+    """numpy refuses the draws (`lam value too large`) in every share; the
+    error is synth's, whichever process raises it, and no output or
+    temporary file is left."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"n_authors": 200, **overflow}))
+    out = tmp_path / "run"
+    with cpus(n, synth.MIN_RANGE_AUTHORS):
+        assert main(["synth", "--out", str(out), "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: stage synth: ")
+    assert list(out.iterdir()) == []
 
 
 def test_files_in_three_directories_are_each_written_aside_in_their_own(one_process, tmp_path, capsys):
@@ -212,8 +228,8 @@ def test_files_in_three_directories_are_each_written_aside_in_their_own(one_proc
 
     with cpus(3), pytest.MonkeyPatch.context() as mp:
         mp.setattr(synth, "iter_author_batches", failing)
-        with pytest.raises(RuntimeError, match="range failed"):
-            main(argv)
+        assert main(argv) == 1
+    assert capsys.readouterr().err == "error: stage synth: range failed\n"
     assert {name: path.read_bytes() for name, path in paths.items()} == one_process
     for path in paths.values():
         assert list(path.parent.iterdir()) == [path]
