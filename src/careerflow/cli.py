@@ -60,19 +60,17 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return Path(out)
 
 
-def _check_reference_year(year: int | None) -> None:
-    """A --reference-year outside [MIN_YEAR, MAX_REFERENCE_YEAR] is a usage
-    error, raised before a stage reads or writes anything."""
-    from .corpus import MAX_REFERENCE_YEAR, MIN_YEAR
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that help written to a stdout whose reader
+    is gone raises BrokenPipeError, which run() turns into exit 141;
+    argparse's own print_help swallows it. Subparsers take this class too."""
 
-    if year is not None and not MIN_YEAR <= year <= MAX_REFERENCE_YEAR:
-        raise CorpusError(
-            f"--reference-year must be within [{MIN_YEAR}, {MAX_REFERENCE_YEAR}], got {year}"
-        )
+    def print_help(self, file=None) -> None:
+        (file or sys.stdout).write(self.format_help())
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="careerflow",
         description="Career-trajectory productivity pipeline over publication metadata.",
     )
@@ -89,33 +87,37 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--disciplines-n", type=int, help="number of disciplines (default 1)")
     synth.add_argument("--reference-year", type=int, help="snapshot year (default 2022)")
     synth.add_argument("--config", help="declarative JSON config (flags override it)")
+    synth.set_defaults(handler=cmd_synth)
 
     ingest = sub.add_parser("ingest", help="parse, validate, and filter input files")
     ingest.add_argument("--pubs", required=True)
     ingest.add_argument("--journals", required=True)
     ingest.add_argument("--authors", required=True)
     ingest.add_argument("--out", help="output directory (default CAREERFLOW_OUT)")
-    ingest.add_argument("--reference-year", type=int, default=2022)
-    ingest.add_argument("--min-pubs", type=int, default=3)
-    ingest.add_argument("--min-age", type=int, default=25)
-    ingest.add_argument("--max-age", type=int, default=50)
+    # no defaults here: an unset flag takes the config's
+    ingest.add_argument("--reference-year", type=int)
+    ingest.add_argument("--min-pubs", type=int)
+    ingest.add_argument("--min-age", type=int)
+    ingest.add_argument("--max-age", type=int)
+    ingest.set_defaults(handler=cmd_ingest)
 
     analyze = sub.add_parser("analyze", help="run the full analysis over an ingest cache")
     analyze.add_argument("--out", help="run directory holding the cache (default CAREERFLOW_OUT)")
     analyze.add_argument("--ptype", action="append", help="restrict to a productivity type (repeatable)")
     analyze.add_argument("--scope", action="append", help="restrict to a discipline scope (repeatable)")
+    analyze.set_defaults(handler=cmd_analyze)
 
     report = sub.add_parser("report", help="summarize an analyze run")
     report.add_argument("--out", help="run directory (default CAREERFLOW_OUT)")
+    report.set_defaults(handler=cmd_report)
     return parser
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
     import json
 
-    from .corpus import write_aside
+    from .corpus import AUTHORS_FILE, JOURNALS_FILE, PUBLICATIONS_FILE, write_aside
 
-    _check_reference_year(args.reference_year)
     merged = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
@@ -133,16 +135,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
         "reference_year": args.reference_year,
     }
     merged.update({k: v for k, v in flags.items() if v is not None})
-    merged.setdefault("n_authors", 1000)
     config = _CLI.config_from_mapping(merged)
 
     out = args.out or _default_out()
     base = Path(out) if out else Path(".")
-    paths = {
-        "publications": Path(args.pubs) if args.pubs else base / "publications.jsonl",
-        "journals": Path(args.journals) if args.journals else base / "journals.jsonl",
-        "authors": Path(args.authors) if args.authors else base / "authors.jsonl",
-    }
+    given = {PUBLICATIONS_FILE: args.pubs, JOURNALS_FILE: args.journals, AUTHORS_FILE: args.authors}
+    paths = {name: Path(path) if path else base / f"{name}.jsonl" for name, path in given.items()}
     # two outputs of one file would be written aside to one temporary file
     if len({path.resolve() for path in paths.values()}) < len(paths):
         raise CorpusError("--pubs, --journals and --authors must name three different files")
@@ -159,23 +157,16 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    from .corpus import SampleFilterConfig
+    from .corpus import MAX_REFERENCE_YEAR, MIN_YEAR, REFERENCE_YEAR, SampleFilterConfig
 
-    _check_reference_year(args.reference_year)
+    # a year out of range is refused before anything is read or written
+    year = REFERENCE_YEAR if args.reference_year is None else args.reference_year
+    if not MIN_YEAR <= year <= MAX_REFERENCE_YEAR:
+        raise CorpusError(f"--reference-year must be within [{MIN_YEAR}, {MAX_REFERENCE_YEAR}], got {year}")
     out_dir = _out_dir(args)
-    config = SampleFilterConfig(
-        min_publications=args.min_pubs,
-        min_academic_age=args.min_age,
-        max_academic_age=args.max_age,
-    )
-    result = _CLI.run_ingest(
-        Path(args.pubs),
-        Path(args.journals),
-        Path(args.authors),
-        out_dir,
-        args.reference_year,
-        config,
-    )
+    flags = {"min_publications": args.min_pubs, "min_academic_age": args.min_age, "max_academic_age": args.max_age}
+    config = SampleFilterConfig(**{k: v for k, v in flags.items() if v is not None})
+    result = _CLI.run_ingest(Path(args.pubs), Path(args.journals), Path(args.authors), out_dir, year, config)
     print(f"cache: {result.cache_path}")
     print(f"publications: {result.n_publications}  rejects: {result.n_rejects}")
     print(_CLI.gates_table(result.report), end="")
@@ -255,14 +246,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "synth": cmd_synth,
-        "ingest": cmd_ingest,
-        "analyze": cmd_analyze,
-        "report": cmd_report,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except BrokenPipeError:
         raise  # the reader of stdout has gone: run() exits as SIGPIPE would
     except (CorpusError, StageError, OSError) as exc:

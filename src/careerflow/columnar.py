@@ -32,7 +32,7 @@ from .corpus import (
     PublicationRecord,
     PublicationValidator,
     Reject,
-    duplicate_pub_reject,
+    duplicate_reject,
     iter_json_lines,
     share_count,
 )
@@ -457,7 +457,10 @@ def merge_ranges(
         if i < len(results) - 1:
             seen.update(res.pub_ids)
         local = [Reject(r.line_no + offset, r.file, r.reason) for r in res.rejects]
-        duplicates = [duplicate_pub_reject(res.pub_lines[k] + offset, res.pub_ids[k]) for k in dropped]
+        duplicates = [
+            duplicate_reject(res.pub_lines[k] + offset, PUBLICATIONS_FILE, "pub_id", res.pub_ids[k])
+            for k in dropped
+        ]
         rejects.extend(heapq.merge(local, duplicates, key=lambda r: r.line_no))
         offset += res.n_lines
         res.pub_ids.clear()

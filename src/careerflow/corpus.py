@@ -27,6 +27,7 @@ QUALIFYING_DOC_TYPES = frozenset(("article", "conference_paper"))
 GENDER_LABELS = ("female", "male", "unknown")
 
 MIN_YEAR = 1900
+REFERENCE_YEAR = 2022  # the snapshot year of ingest and synth when none is given
 # the latest reference year the CLI takes: four digits, far inside int32
 MAX_REFERENCE_YEAR = 9999
 ECHO_MAX = 64  # longest input value a reject reason quotes in full
@@ -350,6 +351,7 @@ def parse_journal_line(obj: dict) -> JournalRecord:
         if isinstance(pct, bool) or not isinstance(pct, int) or not 0 <= pct <= 99:
             raise _LineError(f"percentile out of range for {_echo(disc)}")
         percentiles[disc] = pct
+    _check_disciplines(percentiles, set())
     return JournalRecord(journal_id, percentiles)
 
 
@@ -476,41 +478,37 @@ def iter_json_lines(
         yield line_no, obj
 
 
-def parse_journals(lines: Iterable[str | bytes], rejects: list[Reject]) -> dict[str, JournalRecord]:
-    journals: dict[str, JournalRecord] = {}
-    disciplines: set[str] = set()
-    for line_no, obj in iter_json_lines(lines, JOURNALS_FILE, rejects):
+def _parse_records(
+    lines: Iterable[str | bytes], file: str, key: str, parse_line: Callable[[dict], object], rejects: list[Reject]
+) -> dict:
+    """The records of a keyed file, by their *key* field: a line that
+    parse_line refuses, or whose key an earlier line took, becomes a reject."""
+    records: dict = {}
+    for line_no, obj in iter_json_lines(lines, file, rejects):
         try:
-            rec = parse_journal_line(obj)
-            _check_disciplines(rec.percentile_by_discipline, disciplines)
+            rec = parse_line(obj)
         except _LineError as exc:
-            rejects.append(Reject(line_no, JOURNALS_FILE, str(exc)))
+            rejects.append(Reject(line_no, file, str(exc)))
             continue
-        if rec.journal_id in journals:
-            rejects.append(Reject(line_no, JOURNALS_FILE, f"duplicate journal_id {_echo(rec.journal_id)}"))
+        value = getattr(rec, key)
+        if value in records:
+            rejects.append(duplicate_reject(line_no, file, key, value))
             continue
-        journals[rec.journal_id] = rec
-    return journals
+        records[value] = rec
+    return records
+
+
+def parse_journals(lines: Iterable[str | bytes], rejects: list[Reject]) -> dict[str, JournalRecord]:
+    return _parse_records(lines, JOURNALS_FILE, "journal_id", parse_journal_line, rejects)
 
 
 def parse_authors(lines: Iterable[str | bytes], rejects: list[Reject]) -> dict[str, AuthorRecord]:
-    authors: dict[str, AuthorRecord] = {}
-    for line_no, obj in iter_json_lines(lines, AUTHORS_FILE, rejects):
-        try:
-            rec = parse_author_line(obj)
-        except _LineError as exc:
-            rejects.append(Reject(line_no, AUTHORS_FILE, str(exc)))
-            continue
-        if rec.author_id in authors:
-            rejects.append(Reject(line_no, AUTHORS_FILE, f"duplicate author_id {_echo(rec.author_id)}"))
-            continue
-        authors[rec.author_id] = rec
-    return authors
+    return _parse_records(lines, AUTHORS_FILE, "author_id", parse_author_line, rejects)
 
 
-def duplicate_pub_reject(line_no: int, pub_id: str) -> Reject:
-    """The reject of a publication line whose pub_id an earlier line took."""
-    return Reject(line_no, PUBLICATIONS_FILE, f"duplicate pub_id {_echo(pub_id)}")
+def duplicate_reject(line_no: int, file: str, key: str, value: str) -> Reject:
+    """The reject of a line whose *key* field holds a value an earlier line took."""
+    return Reject(line_no, file, f"duplicate {key} {_echo(value)}")
 
 
 class PublicationValidator:
@@ -546,7 +544,7 @@ class PublicationValidator:
             rejects.append(Reject(line_no, PUBLICATIONS_FILE, str(exc)))
             return None
         if rec.pub_id in self.seen:
-            rejects.append(duplicate_pub_reject(line_no, rec.pub_id))
+            rejects.append(duplicate_reject(line_no, PUBLICATIONS_FILE, "pub_id", rec.pub_id))
             return None
         self.seen[rec.pub_id] = None
         self.names.update(rec.affiliation_countries, rec.affiliation_institutions)

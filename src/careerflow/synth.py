@@ -22,11 +22,12 @@ from typing import Iterator, TextIO, get_type_hints
 import numpy as np
 
 from . import stage_errors
-from .classes import BOTTOM, STAGES, TOP, assign_class_codes, stage_window
+from .classes import BOTTOM, MIN_COHORT_SIZE, STAGES, TOP, assign_class_codes, stage_window
 from .corpus import (
     DOC_TYPES,
     MAX_REFERENCE_YEAR,
     MIN_YEAR,
+    REFERENCE_YEAR,
     AuthorRecord,
     Corpus,
     CorpusError,
@@ -67,7 +68,7 @@ def _check_finite(config: object) -> None:
 
 @dataclass(frozen=True)
 class CohortConfig:
-    n_authors: int
+    n_authors: int = 1000
     n_disciplines: int = 1
     persistence: float = 0.5
     ability_spread: float = 0.0
@@ -80,8 +81,8 @@ class CohortConfig:
             raise CorpusError(f"need seed >= 0, got {self.seed}")
         if self.n_disciplines < 1:
             raise CorpusError(f"need n_disciplines >= 1, got {self.n_disciplines}")
-        if self.n_authors < 5 * self.n_disciplines:
-            raise CorpusError("need n_authors >= 5 * n_disciplines")
+        if self.n_authors < MIN_COHORT_SIZE * self.n_disciplines:
+            raise CorpusError(f"need n_authors >= {MIN_COHORT_SIZE} * n_disciplines")
         if not 0.0 <= self.persistence <= 1.0:
             raise CorpusError("persistence must be within [0, 1]")
         if self.ability_spread < 0 or self.noise_scale < 0:
@@ -106,7 +107,7 @@ class CorpusConfig:
     max_academic_age: int = 50
     gender_female_share: float = 0.35
     gender_unknown_prob: float = 0.05
-    reference_year: int = 2022
+    reference_year: int = REFERENCE_YEAR
 
     def __post_init__(self) -> None:
         _check_finite(self)
@@ -169,9 +170,12 @@ def gen_cohort(config: CohortConfig) -> CohortSample:
     for s in (1, 2):
         log_v[:, s] = rho * log_v[:, s - 1] + (1.0 - rho) * log_a + innovation * eps[:, s]
     disciplines = (np.arange(n, dtype=np.int32) % config.n_disciplines).astype(np.int32)
+    # an overflow raises here, not a warning and then numpy's refusal of the draws
+    with np.errstate(over="raise"):
+        values = np.exp(log_v)
     return CohortSample(
         disciplines=disciplines,
-        values=np.exp(log_v),
+        values=values,
         ability_z=z,
         discipline_codes=discipline_codes(config.n_disciplines),
     )
@@ -186,7 +190,7 @@ def journal_table(config: CorpusConfig) -> dict[str, JournalRecord]:
     journals: dict[str, JournalRecord] = {}
     for disc in discipline_codes(config.cohort.n_disciplines):
         for pct in range(100):
-            jid = f"{disc}-j{pct:02d}"
+            jid = _journal_id(disc, pct)
             journals[jid] = JournalRecord(jid, {disc: pct})
     return journals
 
@@ -197,6 +201,10 @@ def _author_rng(seed: int, index: int) -> np.random.Generator:
 
 def _author_id(index: int) -> str:
     return f"a{index:07d}"
+
+
+def _journal_id(disc: str, pct: int) -> str:
+    return f"{disc}-j{pct:02d}"
 
 
 def _partner_draws(rng: np.random.Generator, universe: int, self_index: int, counts: np.ndarray) -> np.ndarray:
@@ -260,7 +268,7 @@ class _AuthorGenerator:
         # else's partner about 50 times, so each id is formatted once
         self.coauthor_json = [f',"{_author_id(j)}"' for j in range(config.cohort.n_authors)]
         # indexed by percentile; -1 (no journal) picks the trailing null
-        self.journal_json = [[f'"{d}-j{p:02d}"' for p in range(100)] + ["null"] for d in codes]
+        self.journal_json = [[f'"{_journal_id(d, p)}"' for p in range(100)] + ["null"] for d in codes]
         self.cite_weights = np.array(CITATION_OFFSET_WEIGHTS)
         self.cite_offsets = np.arange(len(CITATION_OFFSET_WEIGHTS))
 

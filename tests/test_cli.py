@@ -289,6 +289,28 @@ def test_ingest_rejects_citation_values_past_int32(run_dir, capsys, bad):
     ]
 
 
+def test_ingest_rejects_repeated_ids_and_a_percentile_before_its_discipline(run_dir, capsys):
+    """A journal or author line whose id an earlier line took is a reject
+    naming the id field; a journal line with a bad percentile for a code that
+    also cannot name an output is rejected for the percentile."""
+    journals, authors = run_dir / "journals.jsonl", run_dir / "authors.jsonl"
+    journal_lines = journals.read_text().splitlines()
+    author_lines = authors.read_text().splitlines()
+    with open(journals, "a") as fh:
+        fh.write(journal_lines[0] + "\n")
+        fh.write('{"journal_id":"extra","percentiles":{"all":150}}\n')
+    with open(authors, "a") as fh:
+        fh.write(author_lines[0] + "\n")
+    assert main(ingest_args(run_dir)) == 0
+    journal_id = json.loads(journal_lines[0])["journal_id"]
+    author_id = json.loads(author_lines[0])["author_id"]
+    assert (run_dir / "rejects.jsonl").read_text() == (
+        f'{{"line_no":{len(journal_lines) + 1},"file":"journals","reason":"duplicate journal_id {journal_id}"}}\n'
+        f'{{"line_no":{len(journal_lines) + 2},"file":"journals","reason":"percentile out of range for all"}}\n'
+        f'{{"line_no":{len(author_lines) + 1},"file":"authors","reason":"duplicate author_id {author_id}"}}\n'
+    )
+
+
 @pytest.mark.parametrize(
     "code",
     ["x/../../../esc", "\ud800", "all", "..", "a\\b", "a\x00b", "D\t01", "D\n01", "D\x1b01", "D\x7f01",
@@ -955,15 +977,16 @@ def test_process_entry_point_freezes_the_heap_at_exit(how, run_dir):
 def test_closed_stdout_exits_as_sigpipe_would(how, run_dir):
     """A stdout whose reader is gone, as under `careerflow report | head -1`:
     exit 141 (128 + SIGPIPE) with nothing on stderr, whether the write fails
-    in main() (unbuffered) or at the final flush, and every output analyze
-    wrote is in place."""
+    in main() (unbuffered) or at the final flush, for help too, and every
+    output analyze wrote is in place."""
     read_fd, write_fd = os.pipe()
     os.close(read_fd)
     try:
         for flags in ([], ["-u"]):
-            for stage in ("analyze", "report"):
-                proc = cli_process([*flags, *ENTRY_POINTS[how], stage, "--out", str(run_dir)], stdout=write_fd)
-                assert (proc.returncode, proc.stderr) == (141, b""), (flags, stage)
+            for argv in (["analyze", "--out", str(run_dir)], ["report", "--out", str(run_dir)],
+                         ["--help"], ["synth", "--help"]):
+                proc = cli_process([*flags, *ENTRY_POINTS[how], *argv], stdout=write_fd)
+                assert (proc.returncode, proc.stderr) == (141, b""), (flags, argv)
     finally:
         os.close(write_fd)
     assert main(["report", "--out", str(run_dir)]) == 0  # the manifest verifies

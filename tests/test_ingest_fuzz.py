@@ -33,7 +33,7 @@ from careerflow.columnar import (
     read_cache,
     write_cache,
 )
-from careerflow.corpus import INT32_MAX, parse_authors, parse_corpus, parse_journals
+from careerflow.corpus import INT32_MAX, REFERENCE_YEAR, parse_authors, parse_corpus, parse_journals
 from careerflow.pipeline import CACHE_NAME, load_cache
 
 FILES = ("publications", "journals", "authors")
@@ -48,7 +48,6 @@ PUB_FIELDS = (
     "citations_by_year",
     "cited_ref_disciplines",
 )
-REFERENCE_YEAR = 2022  # the CLI ingest default
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=120)
 
 # any JSON value, lone surrogates included (they survive json.dumps as \ud800)

@@ -189,10 +189,9 @@ def test_failed_range_is_a_stage_error_and_reaps_every_worker(tmp_path, capsys, 
 
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("overflow", [{"noise_scale": 1000}, {"pubs_per_year": 1e300}], ids=str)
-@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
 def test_generation_that_overflows_numpy_is_a_stage_error(tmp_path, capsys, n, overflow):
-    """numpy refuses the draws (`lam value too large`) in every share; the
-    error is synth's, whichever process raises it, and no output or
+    """Stage values that overflow, or draws numpy refuses in every share,
+    are synth's error, whichever process raises it, and no output or
     temporary file is left."""
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"n_authors": 200, **overflow}))
@@ -258,3 +257,20 @@ def test_a_range_is_written_without_a_blas_or_lapack_call():
         sys.setprofile(None)
     assert calls == []
     assert n_pubs == pubs.getvalue().count("\n") > 0 and authors.getvalue().count("\n") == 40
+
+
+def test_stage_values_that_overflow_are_one_error_without_a_warning(tmp_path):
+    """In a process that leaves warnings at Python's defaults, an overflow of
+    the stage values is reported once, as synth's error, with no numpy
+    warning before it."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"n_authors": 10, "noise_scale": 1000}))
+    out = tmp_path / "run"
+    proc = subprocess.run(
+        [sys.executable, "-m", "careerflow.cli", "synth", "--out", str(out), "--config", str(path)],
+        env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},
+        capture_output=True,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (1, b"error: stage synth: overflow encountered in exp\n")
+    assert list(out.iterdir()) == []
