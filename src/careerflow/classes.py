@@ -17,7 +17,9 @@ from .columnar import CorpusColumns
 from .corpus import JournalRecord, PublicationRecord
 
 STAGES = ("early", "mid", "late")
-STAGE_WINDOW_YEARS = {"early": 10, "mid": 10, "late": 5}
+# (first year, length in years) of each stage window; the first year counts
+# from the first publication year, the late one's from the reference year
+STAGE_WINDOWS = {"early": (4, 10), "mid": (14, 10), "late": (-4, 5)}
 
 PRODUCTIVITY_TYPES = ("P1", "P2", "P3", "P4")
 PTYPE_PRESTIGE = {"P1": True, "P2": True, "P3": False, "P4": False}
@@ -31,13 +33,11 @@ MIN_COHORT_SIZE = 5
 def stage_window(first_pub_year: int, stage: str, reference_year: int) -> tuple[int, int]:
     """Inclusive calendar interval of a career stage; elementwise when
     first_pub_year is an array."""
-    if stage == "early":
-        return first_pub_year + 4, first_pub_year + 13
-    if stage == "mid":
-        return first_pub_year + 14, first_pub_year + 23
-    if stage == "late":
-        return reference_year - 4, reference_year
-    raise ValueError(f"unknown stage {stage!r}")
+    if stage not in STAGE_WINDOWS:
+        raise ValueError(f"unknown stage {stage!r}")
+    offset, length = STAGE_WINDOWS[stage]
+    lo = (reference_year if stage == "late" else first_pub_year) + offset
+    return lo, lo + length - 1
 
 
 def publication_weight(
@@ -83,7 +83,7 @@ def annual_productivity(
         for p in pubs
         if p.qualifying and lo <= p.year <= hi
     )
-    return total / STAGE_WINDOW_YEARS[stage]
+    return total / STAGE_WINDOWS[stage][1]
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +159,7 @@ def incidence_productivity(
         a = local[mask]
         for t, weight in enumerate(weights):
             sums[:, s, t] = np.bincount(a, weights=weight[mask], minlength=n)
-    lengths = np.array([STAGE_WINDOW_YEARS[s] for s in STAGES], dtype=np.float64)
+    lengths = np.array([STAGE_WINDOWS[s][1] for s in STAGES], dtype=np.float64)
     return sums / lengths[None, :, None]
 
 
@@ -182,8 +182,7 @@ def assign_cohort_classes(
     of shape (S, 3, 4) and the list of too-small cohorts as
     (discipline_idx, stage, ptype) tuples.
     """
-    n = discipline_idx.shape[0]
-    codes = np.full((n, 3, 4), MIDDLE, dtype=np.int8)
+    codes = np.full(productivity.shape, MIDDLE, dtype=np.int8)
     too_small: list[tuple[int, str, str]] = []
     for disc in sorted_unique(discipline_idx):
         members = np.flatnonzero(discipline_idx == disc)

@@ -23,6 +23,7 @@ from typing import BinaryIO, Collection, Iterable, Iterator
 import numpy as np
 
 from .corpus import (
+    GENDER_LABELS,
     PUBLICATIONS_FILE,
     QUALIFYING_DOC_TYPES,
     AuthorRecord,
@@ -37,9 +38,8 @@ from .corpus import (
     share_count,
 )
 
-GENDER_UNKNOWN, GENDER_FEMALE, GENDER_MALE = 0, 1, 2
-GENDER_CODES = {"unknown": GENDER_UNKNOWN, "female": GENDER_FEMALE, "male": GENDER_MALE}
-GENDER_NAMES = {v: k for k, v in GENDER_CODES.items()}
+GENDER_CODES = {label: code for code, label in enumerate(GENDER_LABELS)}
+GENDER_FEMALE, GENDER_MALE = GENDER_CODES["female"], GENDER_CODES["male"]
 GENDER_THRESHOLD = 0.85
 
 # buffers are reinterpreted as int32; 'i' must be 4 bytes on this platform
@@ -80,8 +80,6 @@ _VOCAB_BUFFERS = (("_jd_flat", "_ref_flat"), ("_country_flat",), ("_inst_flat",)
 
 def gender_gate(label: str, probability: float) -> str:
     """Accept the inferred label only at or above GENDER_THRESHOLD."""
-    if not 0.0 <= probability <= 1.0:
-        raise ValueError("probability must be within [0, 1]")
     return label if label != "unknown" and probability >= GENDER_THRESHOLD else "unknown"
 
 

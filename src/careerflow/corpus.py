@@ -24,7 +24,8 @@ from . import CorpusError, StageError
 
 DOC_TYPES = ("article", "conference_paper", "other")
 QUALIFYING_DOC_TYPES = frozenset(("article", "conference_paper"))
-GENDER_LABELS = ("female", "male", "unknown")
+# each label's index is its code in the cache
+GENDER_LABELS = ("unknown", "female", "male")
 
 MIN_YEAR = 1900
 REFERENCE_YEAR = 2022  # the snapshot year of ingest and synth when none is given

@@ -27,7 +27,6 @@ from .classes import (
     sorted_unique,
 )
 from .columnar import (
-    GENDER_NAMES,
     CorpusColumns,
     byte_ranges,
     ingest_range,
@@ -37,6 +36,7 @@ from .columnar import (
 )
 from .corpus import (
     GATE_ORDER,
+    GENDER_LABELS,
     FilterReport,
     Reject,
     SampleFilterConfig,
@@ -54,15 +54,14 @@ from .mobility import (
     transition_matrix_codes,
 )
 from .portfolio import PortfolioTable, derive_portfolios
-from .regression import Z_95, ModelOutcome, default_predictors, default_spec, grid_rows, run_models, sig_label
+from .regression import (
+    MODEL_FAMILIES, Z_95, ModelOutcome, default_predictors, default_spec, grid_rows, run_models, sig_label
+)
 
 CACHE_NAME = "corpus.cache"
 # analyze owns these directories: a file in them that the manifest does not
 # list is a stale output of an earlier run and is removed
 OUTPUT_DIRS = ("matrices", "sankey", "regression")
-
-# (outcome class, target stage) of each model family
-MODEL_FAMILIES = (("top", "mid"), ("top", "late"), ("bottom", "mid"), ("bottom", "late"))
 
 # analyze writes each jsonl output this many lines at a time, and reads
 # outputs back this many bytes at a time
@@ -269,7 +268,7 @@ def portfolio_lines(table: PortfolioTable) -> Iterator[str]:
             "author_id": cols.author_ids[idx],
             "first_pub_year": int(cols.first_pub_year[idx]),
             "academic_age": int(table.academic_age[row]),
-            "gender": GENDER_NAMES[int(cols.gender_code[idx])],
+            "gender": GENDER_LABELS[int(cols.gender_code[idx])],
             "dominant_discipline": cols.discipline_of(idx),
             "dominant_country": cols.dominant_country(idx),
             "dominant_institution": cols.dominant_institution(idx),
@@ -497,11 +496,7 @@ def analyze_outputs(
     with stage_errors("mobility"):
         for ptype in ptypes:
             for scope in scope_list:
-                if scope == "all":
-                    mask = np.ones(table.n_sample, dtype=bool)
-                else:
-                    mask = table.discipline_idx == columns.disc_vocab.index(scope)
-                matrices = scope_matrices(codes, mask, ptype)
+                matrices = scope_matrices(codes, table.scope_mask(scope), ptype)
                 rows = (
                     [MATRIX_TABLE_HEADER]
                     + matrix_table_rows(matrices[:2])

@@ -30,8 +30,12 @@ from .corpus import Corpus, JournalRecord, PublicationRecord, modal_value
 # authors holding at most this many incidences, or one author's if more
 _CHUNK = 1 << 13
 # an author's top200 flag: their dominant institution ranks this high or
-# higher by recent publication output
+# higher by publication output over the last TOP_INSTITUTION_YEARS calendar
+# years
 TOP_INSTITUTIONS = 200
+TOP_INSTITUTION_YEARS = 4
+# a publication's team size counts at most this many authors
+TEAM_SIZE_CAP = 10
 
 FieldBaseline = dict[tuple[str, int], float]
 
@@ -82,8 +86,8 @@ def intl_collab_rate(author_pubs: Iterable[PublicationRecord]) -> float | None:
 
 
 def median_team_size(author_pubs: Iterable[PublicationRecord]) -> float:
-    """Median per-publication author count, each capped at 10."""
-    sizes = sorted(min(len(p.author_ids), 10) for p in author_pubs)
+    """Median per-publication author count, each capped at TEAM_SIZE_CAP."""
+    sizes = sorted(min(len(p.author_ids), TEAM_SIZE_CAP) for p in author_pubs)
     if not sizes:
         raise ValueError("author has no publications")
     mid = len(sizes) // 2
@@ -179,9 +183,9 @@ def top_institution_cutoff(counts: np.ndarray, top_n: int) -> float:
 
 def top_institutions(corpus: Corpus) -> set[str]:
     """Institutions ranked in the top TOP_INSTITUTIONS by publication output
-    over the last four calendar years; ties at the boundary rank are all
-    included."""
-    window_lo = corpus.reference_year - 3
+    over the last TOP_INSTITUTION_YEARS calendar years; ties at the boundary
+    rank are all included."""
+    window_lo = corpus.reference_year - TOP_INSTITUTION_YEARS + 1
     counts: Counter = Counter()
     names: set[str] = set()
     for pub in corpus.publications:
@@ -239,6 +243,14 @@ class PortfolioTable:
     @property
     def n_sample(self) -> int:
         return self.sample_idx.shape[0]
+
+    def scope_mask(self, scope: str) -> np.ndarray | None:
+        """The sample authors in *scope*: all of them for "all", else those of
+        the discipline with that code; None for a code the corpus lacks."""
+        if scope == "all":
+            return np.ones(self.n_sample, dtype=bool)
+        vocab = self.columns.disc_vocab
+        return self.discipline_idx == vocab.index(scope) if scope in vocab else None
 
 
 def _group_mean(groups: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
@@ -342,7 +354,7 @@ def derive_portfolios(
         collab = n_pub_authors >= 2
         intl_rate[a0:a1] = _group_mean(local[collab], 100.0 * columns.pub_intl[pubs[collab]], n)
 
-        team = np.minimum(n_pub_authors, 10).astype(np.float64)
+        team = np.minimum(n_pub_authors, TEAM_SIZE_CAP).astype(np.float64)
         team_median[a0:a1] = _segment_median(local, team, n)
 
         pub_fwci = fwci[pubs]
@@ -359,8 +371,8 @@ def derive_portfolios(
 
         productivity[a0:a1] = incidence_productivity(local, pct, n_pub_authors, masks, n)
 
-    # institution ranking over the last four calendar years
-    window_lo = columns.reference_year - 3
+    # institution ranking over the last TOP_INSTITUTION_YEARS calendar years
+    window_lo = columns.reference_year - TOP_INSTITUTION_YEARS + 1
     in_window = (columns.pub_year >= window_lo) & (columns.pub_year <= columns.reference_year)
     inst_counts = np.bincount(
         columns.inst_flat[np.repeat(in_window, np.diff(columns.inst_starts))],

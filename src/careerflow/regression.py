@@ -4,6 +4,7 @@ Nagelkerke pseudo-R2, and inverse-correlation collinearity diagnostics.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -22,6 +23,8 @@ PREDICTORS = (
     "top200",
     "prior_class",
 )
+# (outcome class, target stage) of each model family
+MODEL_FAMILIES = tuple(itertools.product(("top", "bottom"), STAGES[1:]))
 
 Z_95 = 1.96
 SIG_THRESHOLD = 0.05
@@ -70,25 +73,22 @@ class ModelSpec:
     discipline: str = "all"
 
     def __post_init__(self) -> None:
-        if self.outcome_class not in ("top", "bottom"):
-            raise DesignError(f"outcome_class must be top or bottom, got {self.outcome_class!r}")
-        if self.target_stage not in ("mid", "late"):
-            raise DesignError(f"target_stage must be mid or late, got {self.target_stage!r}")
+        if (self.outcome_class, self.target_stage) not in MODEL_FAMILIES:
+            raise DesignError(f"unknown model family {self.outcome_class!r}/{self.target_stage!r}")
         if self.ptype not in PRODUCTIVITY_TYPES:
             raise DesignError(f"unknown ptype {self.ptype!r}")
         if not self.predictors:
             raise DesignError("predictors must be non-empty")
+        available = default_predictors(self.target_stage)
         for name in self.predictors:
-            if name not in PREDICTORS:
-                raise DesignError(f"unknown predictor {name!r}")
+            if name not in available:
+                raise DesignError(f"predictor {name!r} is not available for {self.target_stage}-stage models")
         if len(set(self.predictors)) != len(self.predictors):
             raise DesignError("duplicate predictor")
-        if "top200" in self.predictors and self.target_stage != "late":
-            raise DesignError("top200 is only available for late-stage models")
 
     @property
     def prior_stage(self) -> str:
-        return "early" if self.target_stage == "mid" else "mid"
+        return STAGES[STAGES.index(self.target_stage) - 1]
 
     @property
     def family(self) -> str:
@@ -149,11 +149,8 @@ def _design_stack(
         errors: list[DesignError | None] = [DesignError(message) for message in messages]
         return np.empty((n_models, 0, k + 1)), np.empty((n_models, 0)), errors
 
-    if spec.discipline == "all":
-        usable = np.ones(table.n_sample, dtype=bool)
-    elif spec.discipline in cols.disc_vocab:
-        usable = table.discipline_idx == cols.disc_vocab.index(spec.discipline)
-    else:
+    usable = table.scope_mask(spec.discipline)
+    if usable is None:
         return failed([f"unknown discipline {spec.discipline!r}"] * n_models)
 
     # a row is usable where every column it uses is finite; male is NaN for
@@ -368,11 +365,19 @@ def _rank_errors(Xd: np.ndarray, names: list[str]) -> list[RankDeficiencyError |
     ]
 
 
+def _finite(X: np.ndarray) -> np.ndarray:
+    """X as float64; raises DesignError unless every entry is finite."""
+    X = np.asarray(X, dtype=np.float64)
+    if not np.isfinite(X).all():
+        raise DesignError("X must be finite")
+    return X
+
+
 def _intercept_design(
-    X: np.ndarray, y: np.ndarray, names: list[str] | None
+    X: np.ndarray, y: np.ndarray, names: list[str]
 ) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """Check one design and prepend its intercept column; raises DesignError."""
-    X = np.asarray(X, dtype=np.float64)
+    X = _finite(X)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
         raise DesignError("X must be (n, k) aligned with y")
@@ -381,10 +386,9 @@ def _intercept_design(
     if y.min() == y.max():
         raise DesignError("constant outcome")
     n, k = X.shape
-    names = list(names) if names is not None else [f"x{i}" for i in range(k)]
     if len(names) != k:
         raise DesignError("one name per predictor column required")
-    full_names = ["intercept"] + names
+    full_names = ["intercept", *names]
     Xd = np.column_stack([np.ones(n), X])
     [error] = _rank_errors(Xd[None], full_names)
     if error is not None:
@@ -395,7 +399,7 @@ def _intercept_design(
 def fit_logistic(
     X: np.ndarray,
     y: np.ndarray,
-    names: list[str] | None = None,
+    names: list[str],
     max_iter: int = 100,
 ) -> FitResult:
     """Damped-Newton maximum likelihood for a binary outcome.
@@ -406,7 +410,7 @@ def fit_logistic(
     An intercept column is prepended automatically.
     """
     Xd, y, full_names = _intercept_design(X, y, names)
-    fit = _fit_stack(Xd[None], y[None], [full_names], max_iter)[0]
+    fit = _fit_stack(Xd[None], y[None], full_names, max_iter)[0]
     if isinstance(fit, SeparationError):
         raise fit
     return fit
@@ -415,11 +419,12 @@ def fit_logistic(
 def _fit_stack(
     Xd: np.ndarray,
     y: np.ndarray,
-    names: list[list[str]],
+    names: list[str],
     max_iter: int = 100,
 ) -> list[FitResult | SeparationError]:
     """fit_logistic's Newton loop over a stack of designs of one shape: Xd
-    (B, n, k) with the intercept column first, y (B, n), one name list each.
+    (B, n, k) with the intercept column first, y (B, n), whose columns share
+    *names*.
 
     Each member keeps its own beta, log-likelihood, step halving and
     iteration count, and leaves at its own exit: score convergence, the
@@ -436,9 +441,9 @@ def _fit_stack(
     iterations = np.zeros(n_models, dtype=np.int64)
     errors: dict[int, SeparationError] = {}
 
-    def separation(i: int, b: np.ndarray) -> SeparationError:
+    def separation(b: np.ndarray) -> SeparationError:
         worst = int(np.argmax(np.abs(b)))
-        return SeparationError(names[i][worst], float(np.abs(b[worst])))
+        return SeparationError(names[worst], float(np.abs(b[worst])))
 
     active = np.arange(n_models)  # the members still iterating
     Xa, ya = Xd, y
@@ -464,7 +469,7 @@ def _fit_stack(
                 try:
                     step[j] = np.linalg.solve(info[j], score[j])[:, 0]
                 except np.linalg.LinAlgError:
-                    errors[int(active[j])] = separation(active[j], b[j])
+                    errors[int(active[j])] = separation(b[j])
                     moving[j] = False
         candidate = b + step
         new_ll = _loglik(Xa, ya, candidate)
@@ -479,7 +484,7 @@ def _fit_stack(
             short = short[~(new_ll[short] >= ll_a[short] - 1e-12)]
         separated = moving & (np.max(np.abs(candidate), axis=1) > SEPARATION_BOUND)
         for j in np.flatnonzero(separated):
-            errors[int(active[j])] = separation(active[j], candidate[j])
+            errors[int(active[j])] = separation(candidate[j])
         done = moving & ~separated & (np.abs(new_ll - ll_a) < LL_TOL * (np.abs(ll_a) + 1.0))
         converged[active[done]] = True
         beta[active[moving]] = candidate[moving]
@@ -503,7 +508,7 @@ def _fit_stack(
         p_bar = yf[j].mean()
         null_ll = n * (p_bar * math.log(p_bar) + (1.0 - p_bar) * math.log(1.0 - p_bar))
         results[i] = FitResult(
-            names=names[i],
+            names=names,
             coef=bf[j],
             se=se[j],
             # scipy.stats.norm.sf(x) is ndtr(-x); the port gives the same bits
@@ -528,13 +533,22 @@ def nagelkerke_r2(loglik: float, null_loglik: float, n: int) -> float:
 
 
 def collinearity_diagonal(X: np.ndarray, names: list[str]) -> dict[str, float]:
-    """Main diagonal of the inverted predictor correlation matrix (VIFs)."""
-    X = np.asarray(X, dtype=np.float64)
+    """Main diagonal of the inverted predictor correlation matrix (VIFs).
+
+    Past the constant-column and correlated-pair checks, a design whose
+    columns with an intercept are rank deficient is refused too: its
+    correlation matrix can invert to meaningless values.
+    """
+    X = _finite(X)
     if X.ndim != 2 or X.shape[1] < 2:
         raise DesignError("need at least two predictor columns")
-    [vif] = _vif_stack(X[None], list(names))
+    names = list(names)
+    [vif] = _vif_stack(X[None], names)
     if isinstance(vif, DesignError):
         raise vif
+    [error] = _rank_errors(np.column_stack([np.ones(X.shape[0]), X])[None], ["intercept", *names])
+    if error is not None:
+        raise error
     return vif
 
 
@@ -641,7 +655,7 @@ def _fit_group(
         for b, error in zip(members, _rank_errors(Xd[members], names)):
             errors[b] = error
         members = passing()
-        fits = dict(zip(members, _fit_stack(Xd[members], y[members], [names] * len(members))))
+        fits = dict(zip(members, _fit_stack(Xd[members], y[members], names)))
         for b, fit in fits.items():
             if isinstance(fit, SeparationError):
                 errors[b] = fit

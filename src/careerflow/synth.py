@@ -16,7 +16,7 @@ import io
 import math
 import shutil
 import tempfile
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Iterator, TextIO, get_type_hints
 
 import numpy as np
@@ -489,19 +489,6 @@ class CalibrationResult:
     rho: float
     top_to_top: float
     bottom_to_bottom: float
-    iterations: int
-    evaluations: list[tuple[float, float]] = field(default_factory=list)
-
-
-def _transition_rates(values: np.ndarray) -> tuple[float, float]:
-    """Raw early->mid top-to-top and bottom-to-bottom percentages."""
-    from_codes, _ = assign_class_codes(values[:, 0])
-    to_codes, _ = assign_class_codes(values[:, 1])
-    top_size = int(np.count_nonzero(from_codes == TOP))
-    bottom_size = int(np.count_nonzero(from_codes == BOTTOM))
-    tt = 100.0 * np.count_nonzero((from_codes == TOP) & (to_codes == TOP)) / top_size
-    bb = 100.0 * np.count_nonzero((from_codes == BOTTOM) & (to_codes == BOTTOM)) / bottom_size
-    return tt, bb
 
 
 def calibrate_persistence(
@@ -514,43 +501,39 @@ def calibrate_persistence(
     """Bisect rho until the simulated early->mid top-to-top rate lands within
     tol_pp of the target. Common random numbers (fixed seed) keep the
     simulated rate effectively monotone in rho."""
+    # imported here: the synth stage loads no analysis module
+    from .mobility import transition_matrix_codes
+
     if not 0.0 < target_top_to_top <= 100.0:
         raise CorpusError("target rate must be a percentage in (0, 100]")
 
-    evaluations: list[tuple[float, float]] = []
-
-    def simulate(rho: float) -> tuple[float, float]:
-        sample = gen_cohort(
+    def simulate(rho: float) -> CalibrationResult:
+        """rho with its raw early->mid top-to-top and bottom-to-bottom percentages."""
+        values = gen_cohort(
             CohortConfig(n_authors=n_authors, n_disciplines=1, persistence=rho, seed=seed)
-        )
-        tt, bb = _transition_rates(sample.values)
-        evaluations.append((rho, tt))
-        return tt, bb
+        ).values
+        from_codes, to_codes = (assign_class_codes(values[:, s])[0] for s in (0, 1))
+        counts = transition_matrix_codes(from_codes, to_codes, STAGES[0], STAGES[1]).counts
+        tt, bb = (100.0 * int(counts[c, c]) / int(counts[c].sum()) for c in (TOP, BOTTOM))
+        return CalibrationResult(rho, tt, bb)
 
-    lo, hi = 0.0, 1.0
-    f_lo, bb_lo = simulate(lo)
-    f_hi, bb_hi = simulate(hi)
-    if not f_lo - tol_pp <= target_top_to_top <= f_hi + tol_pp:
+    lo, hi = simulate(0.0), simulate(1.0)
+    if not lo.top_to_top - tol_pp <= target_top_to_top <= hi.top_to_top + tol_pp:
         raise CorpusError(
             f"target {target_top_to_top:.1f}% outside achievable range: "
-            f"rho=0 gives {f_lo:.1f}%, rho=1 gives {f_hi:.1f}%"
+            f"rho=0 gives {lo.top_to_top:.1f}%, rho=1 gives {hi.top_to_top:.1f}%"
         )
-    if abs(f_lo - target_top_to_top) <= tol_pp:
-        return CalibrationResult(lo, f_lo, bb_lo, 1, evaluations)
-    if abs(f_hi - target_top_to_top) <= tol_pp:
-        return CalibrationResult(hi, f_hi, bb_hi, 2, evaluations)
-    for iteration in range(1, max_iter + 1):
-        mid = (lo + hi) / 2.0
-        tt, bb = simulate(mid)
-        if abs(tt - target_top_to_top) <= tol_pp:
-            return CalibrationResult(mid, tt, bb, iteration + 2, evaluations)
-        if tt < target_top_to_top:
-            lo = mid
-        else:
-            hi = mid
+    for end in (lo, hi):
+        if abs(end.top_to_top - target_top_to_top) <= tol_pp:
+            return end
+    for _ in range(max_iter):
+        mid = simulate((lo.rho + hi.rho) / 2.0)
+        if abs(mid.top_to_top - target_top_to_top) <= tol_pp:
+            return mid
+        lo, hi = (mid, hi) if mid.top_to_top < target_top_to_top else (lo, mid)
     raise CorpusError(
         f"calibration did not converge after {max_iter} bisections; "
-        f"bracket [{lo:.6f}, {hi:.6f}]"
+        f"bracket [{lo.rho:.6f}, {hi.rho:.6f}]"
     )
 
 

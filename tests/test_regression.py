@@ -240,6 +240,30 @@ def test_constant_column_rejected():
         collinearity_diagonal(np.column_stack([np.ones(50), np.arange(50.0)]), ["c", "x"])
 
 
+def test_three_dependent_columns_are_rank_deficient():
+    # no pair passes the 0.999 correlation check, so only a rank check sees it
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal(200)
+    b = rng.standard_normal(200)
+    with pytest.raises(RankDeficiencyError) as err:
+        collinearity_diagonal(np.column_stack([a, b, a + b]), ["a", "b", "a_plus_b"])
+    assert err.value.dependent == ["a_plus_b"]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("check", ["fit_logistic", "collinearity_diagonal"])
+def test_non_finite_design_rejected(check, value):
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((100, 2))
+    X[7, 1] = value
+    y = (rng.random(100) < 0.5).astype(float)
+    with pytest.raises(DesignError, match="X must be finite"):
+        if check == "fit_logistic":
+            fit_logistic(X, y, ["a", "b"])
+        else:
+            collinearity_diagonal(X, ["a", "b"])
+
+
 # ---------------------------------------------------------------------------
 # model specs and design building
 
@@ -248,6 +272,24 @@ def test_top200_only_in_late_stage_models():
     with pytest.raises(DesignError, match="top200"):
         ModelSpec("top", "mid", ("male", "top200", "prior_class"))
     ModelSpec("top", "late", ("male", "top200", "prior_class"))  # accepted
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        ("middle", "mid", ("male",), "P1"),
+        ("top", "early", ("male",), "P1"),
+        ("top", "mid", ("male",), "P5"),
+        ("top", "mid", (), "P1"),
+        ("top", "mid", ("male", "male"), "P1"),
+        ("top", "mid", ("male", "height"), "P1"),
+        ("top", "mid", ("male", "top200"), "P1"),
+    ],
+    ids=["side", "target", "ptype", "empty", "duplicate", "unknown", "top200_mid"],
+)
+def test_model_spec_refuses_bad_fields(fields):
+    with pytest.raises(DesignError):
+        ModelSpec(*fields)
 
 
 def test_default_spec_families():
@@ -609,7 +651,7 @@ def test_stacked_fit_equals_lone_fits(order):
     stacked = _fit_stack(
         np.stack([Xd for Xd, _, _ in designs]),
         np.stack([y for _, y, _ in designs]),
-        [names for _, _, names in designs],
+        ["intercept", "a", "b"],
         max_iter=_MAX_ITER,
     )
     for (name, (X, y)), result in zip(members, stacked):

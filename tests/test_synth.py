@@ -290,6 +290,31 @@ def test_calibrate_unreachable_target_reports_bracket():
         calibrate_persistence(10.0, n_authors=5_000, seed=3)
 
 
+@pytest.mark.parametrize(
+    "target, expected",
+    [
+        (20.0, (0.0, 20.225, 19.75)),
+        (45.0, (0.53125, 45.85, 45.375)),
+        (60.0, (0.75, 60.375, 60.7)),
+        (100.0, (1.0, 100.0, 100.0)),
+    ],
+)
+def test_calibration_pinned_bit_for_bit(target, expected):
+    result = calibrate_persistence(target, n_authors=20_000, seed=3)
+    assert (result.rho, result.top_to_top, result.bottom_to_bottom) == expected
+
+
+def test_calibration_error_texts_pinned():
+    with pytest.raises(CorpusError) as err:
+        calibrate_persistence(10.0, n_authors=2_000)
+    assert str(err.value) == "target 10.0% outside achievable range: rho=0 gives 17.5%, rho=1 gives 100.0%"
+    with pytest.raises(CorpusError) as err:
+        calibrate_persistence(47.3, n_authors=2_000, tol_pp=0.01, max_iter=3)
+    assert str(err.value) == (
+        "calibration did not converge after 3 bisections; bracket [0.500000, 0.625000]"
+    )
+
+
 def test_config_from_mapping_rejects_unknown_keys():
     with pytest.raises(CorpusError, match="unknown config keys"):
         config_from_mapping({"n_authors": 10, "bogus": 1})
