@@ -24,6 +24,8 @@ EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 # 128 + SIGPIPE: what a shell reports for a tool cut off by `head`
 EXIT_BROKEN_PIPE = 141
+# 128 + SIGINT: what a shell reports for a tool stopped by Ctrl-C
+EXIT_INTERRUPTED = 130
 
 # Each stage imports only the modules it runs: `--help` and report load no
 # numpy and no corpus, synth no analysis module, ingest and analyze no
@@ -267,7 +269,9 @@ def run() -> None:
 
     A write to a stdout whose reader is gone, as under `careerflow report |
     head -1`, ends the process as SIGPIPE would: exit 141, nothing on
-    stderr. Each output is in place by then.
+    stderr. Each output is in place by then. An interrupt (SIGINT, Ctrl-C)
+    exits 130 with one line on stderr; every file the stage was writing
+    aside is removed by then, and every forked worker reaped.
     """
     atexit.register(gc.freeze)
     try:
@@ -280,6 +284,9 @@ def run() -> None:
         # file it can write
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = EXIT_BROKEN_PIPE
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        code = EXIT_INTERRUPTED
     sys.exit(code)
 
 

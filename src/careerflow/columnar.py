@@ -617,12 +617,12 @@ def write_cache(fh: BinaryIO, header: dict, columns: CorpusColumns) -> None:
         fh.write(part)
 
 
-def read_cache(fh: BinaryIO) -> tuple[dict, CorpusColumns]:
-    """The header and columns that write_cache wrote to *fh*, a regular file.
-    The body after line 1 is read once, and each array is a writable view
-    of it. Another cache version, a body that does not match its sha256, or
-    a line 2 that is not a json object with a list of arrays, is a
-    CorpusError."""
+def read_cache(fh: BinaryIO) -> tuple[dict, CorpusColumns, str]:
+    """The header and columns that write_cache wrote to *fh*, a regular file,
+    and the sha256 of the body after line 1, which line 1 records. The body
+    is read once, and each array is a writable view of it. Another cache
+    version, a body that does not match its sha256, or a line 2 that is not
+    a json object with a list of arrays, is a CorpusError."""
     try:
         top = json.loads(fh.readline())
     except ValueError:
@@ -647,4 +647,4 @@ def read_cache(fh: BinaryIO) -> tuple[dict, CorpusColumns]:
         layout[name] = arr.astype(arr.dtype.newbyteorder("="), copy=False)
         offset += arr.nbytes + -arr.nbytes % _ALIGN
     header = layout.pop("header")
-    return header, CorpusColumns(**layout)
+    return header, CorpusColumns(**layout), top["sha256"]

@@ -7,11 +7,13 @@ and the filter report. Analyze re-reads only the cache.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import itertools
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -53,7 +55,7 @@ from .mobility import (
     sankey_export,
     transition_matrix_codes,
 )
-from .portfolio import PortfolioTable, derive_portfolios
+from .portfolio import PortfolioTable, SampleProductivity, derive_portfolios, stage_productivity
 from .regression import (
     MODEL_FAMILIES, Z_95, ModelOutcome, default_predictors, default_spec, grid_rows, run_models, sig_label
 )
@@ -62,6 +64,12 @@ CACHE_NAME = "corpus.cache"
 # analyze owns these directories: a file in them that the manifest does not
 # list is a stale output of an earlier run and is removed
 OUTPUT_DIRS = ("matrices", "sankey", "regression")
+# the outputs that depend on the cache and the program alone, not on the
+# analysis parameters
+PARAMETER_FREE = ("gates.tsv", "portfolios.jsonl", "classes.jsonl", "coverage.json")
+# analyze's reuse state, outside the manifest: the cache and program digests
+# that the PARAMETER_FREE outputs in the run dir came from, and their digests
+REUSE_NAME = ".analyze-reuse.json"
 
 # analyze writes each jsonl output this many lines at a time, and reads
 # outputs back this many bytes at a time
@@ -208,18 +216,20 @@ def run_ingest(
 
 @dataclass
 class LoadedCache:
-    header: dict
     columns: CorpusColumns
-    retained: set[str]
+    sample_idx: np.ndarray  # the retained authors' indices, ascending
     report: FilterReport
+    sha256: str  # of the cache body, as its line 1 records it
 
 
 def load_cache(cache_path: Path) -> LoadedCache:
     if not cache_path.exists():
         raise CorpusError(f"cache not found: {cache_path} (run ingest first)")
     with open(cache_path, "rb") as fh:
-        header, columns = read_cache(fh)
-    return LoadedCache(header, columns, set(header["retained"]), FilterReport(**header["report"]))
+        header, columns, sha256 = read_cache(fh)
+    index = columns.author_index()
+    sample_idx = np.array(sorted(index[a] for a in header["retained"]), dtype=np.int64)
+    return LoadedCache(columns, sample_idx, FilterReport(**header["report"]), sha256)
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +409,37 @@ class AnalyzeResult:
     n_sample: int
 
 
+def program_digest() -> str:
+    """The sha256 of this package's *.py sources in name order, numpy's
+    version and Python's: besides the cache, what analyze's outputs depend
+    on."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(f"{path.name}\0{_file_sha256(path)}\0".encode())
+    digest.update(f"numpy {np.__version__}\0python {sys.version}".encode())
+    return digest.hexdigest()
+
+
+def reusable_outputs(out_dir: Path, key: dict[str, str]) -> dict[str, str]:
+    """The digest of each PARAMETER_FREE output in *out_dir*, when the reuse
+    state there holds *key* and each of them is a regular file, not a
+    symbolic link, that hashes to its recorded digest; else {}."""
+    try:
+        state = json.loads((out_dir / REUSE_NAME).read_bytes())
+    except (OSError, ValueError, RecursionError):  # missing or unreadable, not JSON, deep nesting
+        return {}
+    if not isinstance(state, dict) or any(state.get(name) != value for name, value in key.items()):
+        return {}
+    outputs = state.get("outputs")
+    if not isinstance(outputs, dict) or set(outputs) != set(PARAMETER_FREE):
+        return {}
+    for rel_path, digest in outputs.items():
+        path = out_dir / rel_path
+        if path.is_symlink() or not path.is_file() or _file_sha256(path) != digest:
+            return {}
+    return outputs
+
+
 def run_analyze(
     out_dir: Path,
     ptypes: list[str] | None = None,
@@ -420,15 +461,14 @@ def run_analyze(
         raise StageError("load-cache", str(exc)) from exc
 
     columns = loaded.columns
-    if not loaded.retained:
+    if not loaded.sample_idx.size:
         raise StageError("filter", "no authors retained by the sample filter")
 
-    with stage_errors("portfolio"):
-        table = derive_portfolios(columns, loaded.retained)
-    with stage_errors("classes"):
-        codes, too_small = assign_cohort_classes(table.discipline_idx, table.productivity)
-
-    sample_discs = [columns.disc_vocab[d] for d in sorted_unique(table.discipline_idx) if d >= 0]
+    sample_discs = [
+        columns.disc_vocab[d]
+        for d in sorted_unique(columns.dominant_discipline[loaded.sample_idx])
+        if d >= 0
+    ]
     if scopes:
         unknown = [s for s in scopes if s != "all" and s not in sample_discs]
         if unknown:
@@ -437,12 +477,28 @@ def run_analyze(
     else:
         scope_list = ["all"] + sample_discs
 
+    key = {"cache_sha256": loaded.sha256, "program_sha256": program_digest()}
+    reused = reusable_outputs(out_dir, key)
+    # with the parameter-free outputs reused and no discipline modelled, the
+    # classes are all that is left to derive, and they need the stage
+    # productivity alone
+    narrow = bool(reused) and scope_list == ["all"]
+    with stage_errors("portfolio"):
+        if narrow:
+            sample = stage_productivity(columns, loaded.sample_idx)
+        else:
+            sample = derive_portfolios(columns, loaded.sample_idx)
+    with stage_errors("classes"):
+        codes, too_small = assign_cohort_classes(sample.discipline_idx, sample.productivity)
+
     # every output is written aside and hashed as it is written; all are
     # renamed into place only once every one is written and read back, the
-    # manifest last, so a failure leaves the previous run as it was
-    manifest: dict[str, str] = {}
+    # manifest last, so a failure leaves the previous run as it was. A
+    # reused output is not written again: the manifest lists the digest it
+    # was verified to have.
+    written: dict[str, str] = {}
     with write_aside() as open_aside:
-        outputs = analyze_outputs(loaded.report, table, codes, too_small, ptypes, scope_list)
+        outputs = analyze_outputs(loaded.report, sample, codes, too_small, ptypes, scope_list, bool(reused))
         for rel_path, pieces in outputs:
             path = out_dir / rel_path
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -452,51 +508,66 @@ def run_analyze(
                     data = piece.encode("utf-8")
                     digest.update(data)
                     fh.write(data)
-            manifest[rel_path] = digest.hexdigest()
-        for rel_path, digest in manifest.items():
+            written[rel_path] = digest.hexdigest()
+        for rel_path, digest in written.items():
             if _file_sha256(aside_path(out_dir / rel_path)) != digest:
                 raise StageError("manifest", f"hash mismatch for {rel_path}")
+        manifest = {**reused, **written}
         with open_aside(out_dir / MANIFEST_NAME) as fh:
             for rel_path in sorted(manifest):
                 entry = {"path": rel_path, "sha256": manifest[rel_path]}
                 fh.write(json.dumps(entry, separators=(",", ":")) + "\n")
 
+    # the reuse state, renamed after the manifest, only saves work: where it
+    # cannot be written (a directory holds its name, the disk is full) every
+    # output is still in place, and a state left from an earlier run names
+    # digests that these outputs either lack or have by right
+    if not reused:
+        state = {**key, "outputs": {rel_path: manifest[rel_path] for rel_path in PARAMETER_FREE}}
+        with contextlib.suppress(OSError), write_aside() as open_aside:
+            with open_aside(out_dir / REUSE_NAME) as fh:
+                fh.write(json.dumps(state, indent=1, sort_keys=True) + "\n")
+
     for sub in OUTPUT_DIRS:
         for path in (out_dir / sub).rglob("*"):
             if path.is_file() and path.relative_to(out_dir).as_posix() not in manifest:
                 path.unlink()
-    return AnalyzeResult(out_dir, manifest, table.n_sample)
+    return AnalyzeResult(out_dir, manifest, sample.n_sample)
 
 
 def analyze_outputs(
     report: FilterReport,
-    table: PortfolioTable,
+    sample: SampleProductivity,
     codes: np.ndarray,
     too_small: list[tuple[int, str, str]],
     ptypes: list[str],
     scope_list: list[str],
+    reused: bool,
 ) -> Iterator[tuple[str, Iterable[str]]]:
     """Each output of analyze but the manifest, in the order written: its
-    path in the run dir and its text, in pieces. A failure in the mobility
-    or regression stage is a StageError of that stage."""
-    columns = table.columns
-    yield "gates.tsv", [gates_table(report)]
-    yield "portfolios.jsonl", _line_batches(portfolio_lines(table))
-    yield "classes.jsonl", _line_batches(class_dump_lines(table, codes))
-    coverage = {
-        "fwci_skipped_publications": table.fwci_skipped_pubs,
-        "prestige_weight_uncovered_publications": table.prestige_uncovered_pubs,
-        "too_small_cohorts": [
-            {"discipline": columns.disc_vocab[d], "stage": s, "ptype": t}
-            for d, s, t in too_small
-        ],
-    }
-    yield "coverage.json", [json.dumps(coverage, indent=2, sort_keys=True) + "\n"]
+    path in the run dir and its text, in pieces; the PARAMETER_FREE ones only
+    when not *reused*. *sample* is a PortfolioTable, unless they are reused
+    and no discipline is in *scope_list*. A failure in the mobility or
+    regression stage is a StageError of that stage."""
+    if not reused:
+        columns = sample.columns
+        yield "gates.tsv", [gates_table(report)]
+        yield "portfolios.jsonl", _line_batches(portfolio_lines(sample))
+        yield "classes.jsonl", _line_batches(class_dump_lines(sample, codes))
+        coverage = {
+            "fwci_skipped_publications": sample.fwci_skipped_pubs,
+            "prestige_weight_uncovered_publications": sample.prestige_uncovered_pubs,
+            "too_small_cohorts": [
+                {"discipline": columns.disc_vocab[d], "stage": s, "ptype": t}
+                for d, s, t in too_small
+            ],
+        }
+        yield "coverage.json", [json.dumps(coverage, indent=2, sort_keys=True) + "\n"]
 
     with stage_errors("mobility"):
         for ptype in ptypes:
             for scope in scope_list:
-                matrices = scope_matrices(codes, table.scope_mask(scope), ptype)
+                matrices = scope_matrices(codes, sample.scope_mask(scope), ptype)
                 rows = (
                     [MATRIX_TABLE_HEADER]
                     + matrix_table_rows(matrices[:2])
@@ -512,7 +583,7 @@ def analyze_outputs(
             return
         groups = [(side, stage, ptype) for side, stage in MODEL_FAMILIES for ptype in ptypes]
         specs = [default_spec(*group, disc) for group in groups for disc in model_disciplines]
-        results = run_models(table, codes, specs)
+        results = run_models(sample, codes, specs)
         n = len(model_disciplines)
         for k, (side, stage, ptype) in enumerate(groups):
             outcomes = results[k * n : (k + 1) * n]

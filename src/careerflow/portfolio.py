@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -26,8 +26,8 @@ from .classes import (
 from .columnar import CorpusColumns, author_chunks
 from .corpus import Corpus, JournalRecord, PublicationRecord, modal_value
 
-# derive_portfolios computes the per-author attributes over chunks of whole
-# authors holding at most this many incidences, or one author's if more
+# the per-author attributes are computed over chunks of whole authors
+# holding at most this many incidences, or one author's if more
 _CHUNK = 1 << 13
 # an author's top200 flag: their dominant institution ranks this high or
 # higher by publication output over the last TOP_INSTITUTION_YEARS calendar
@@ -220,25 +220,15 @@ class BaselineArrays:
 
 
 @dataclass
-class PortfolioTable:
-    """Vectorized portfolio attributes for the sampled authors.
-
-    Arrays are aligned to sample_idx (ascending author index = ascending
-    author_id). NaN marks undefined real-valued attributes.
-    """
+class SampleProductivity:
+    """The sampled authors' dominant discipline and annual productivity per
+    stage and counting scheme, aligned to sample_idx (ascending author
+    index = ascending author_id)."""
 
     columns: CorpusColumns
     sample_idx: np.ndarray
-    academic_age: np.ndarray
-    top200: np.ndarray
-    intl_rate: np.ndarray
-    team_median: np.ndarray
-    fwci_mean: np.ndarray
-    ajpr_stage: np.ndarray  # (S, 3)
-    productivity: np.ndarray  # (S, 3, 4)
     discipline_idx: np.ndarray
-    fwci_skipped_pubs: int
-    prestige_uncovered_pubs: int
+    productivity: np.ndarray  # (S, 3, 4)
 
     @property
     def n_sample(self) -> int:
@@ -251,6 +241,21 @@ class PortfolioTable:
             return np.ones(self.n_sample, dtype=bool)
         vocab = self.columns.disc_vocab
         return self.discipline_idx == vocab.index(scope) if scope in vocab else None
+
+
+@dataclass
+class PortfolioTable(SampleProductivity):
+    """Every portfolio attribute of the sampled authors, aligned as the
+    productivity is. NaN marks undefined real-valued attributes."""
+
+    academic_age: np.ndarray
+    top200: np.ndarray
+    intl_rate: np.ndarray
+    team_median: np.ndarray
+    fwci_mean: np.ndarray
+    ajpr_stage: np.ndarray  # (S, 3)
+    fwci_skipped_pubs: int
+    prestige_uncovered_pubs: int
 
 
 def _group_mean(groups: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
@@ -309,25 +314,74 @@ def _segment_median(group: np.ndarray, values: np.ndarray, n_groups: int) -> np.
     return out
 
 
-def derive_portfolios(
-    columns: CorpusColumns,
-    sample_ids: set[str] | None = None,
-) -> PortfolioTable:
-    """Compute every portfolio attribute for the sampled authors.
+class _Chunk(NamedTuple):
+    """One chunk of whole authors, a0 to a1, and its incidences of
+    qualifying publications: the publication, its author's index less a0,
+    the float journal percentile (negative without one) and full author
+    count of the publication, and the incidences' stage_masks."""
 
-    Baselines and the institution ranking use the full corpus; per-author
-    attributes are reported for sample_ids (default: every author). They are
-    computed over chunks of whole authors (_CHUNK), so memory grows with the
-    publication and author counts and _CHUNK, not with the incidences; each
-    author's incidences are summed in the same order as over the whole
-    corpus, so every value is the same for any _CHUNK.
+    a0: int
+    a1: int
+    pubs: np.ndarray
+    local: np.ndarray
+    pct: np.ndarray
+    n_pub_authors: np.ndarray
+    masks: list[np.ndarray]
+
+    def productivity(self) -> np.ndarray:
+        return incidence_productivity(
+            self.local, self.pct, self.n_pub_authors, self.masks, self.a1 - self.a0
+        )
+
+
+def _qualifying_chunks(columns: CorpusColumns) -> Iterator[_Chunk]:
+    """The corpus's authors in chunks of at most _CHUNK incidences, or one
+    author's if more; every per-author attribute pools qualifying
+    publications only. Each author's incidences keep their order, so a value
+    summed over them is the same for any _CHUNK."""
+    author_starts = columns.author_starts
+    for a0, a1 in author_chunks(author_starts, _CHUNK):
+        lo, hi = author_starts[a0], author_starts[a1]
+        pubs = columns.inc_pub[lo:hi]
+        qual = columns.pub_qualifying[pubs]
+        pubs = pubs[qual]
+        authors = columns.inc_author[lo:hi][qual]
+        yield _Chunk(
+            a0,
+            a1,
+            pubs,
+            authors - a0,
+            columns.pub_percentile[pubs].astype(np.float64),
+            columns.pub_n_authors[pubs],
+            stage_masks(columns, authors, pubs),
+        )
+
+
+def stage_productivity(columns: CorpusColumns, sample_idx: np.ndarray) -> SampleProductivity:
+    """The stage productivity alone of the authors at *sample_idx*
+    (ascending), as derive_portfolios computes it."""
+    productivity = np.empty((columns.n_authors, len(STAGES), len(PRODUCTIVITY_TYPES)))
+    for chunk in _qualifying_chunks(columns):
+        productivity[chunk.a0 : chunk.a1] = chunk.productivity()
+    return SampleProductivity(
+        columns, sample_idx, columns.dominant_discipline[sample_idx], productivity[sample_idx]
+    )
+
+
+def derive_portfolios(
+    columns: CorpusColumns, sample_idx: np.ndarray | None = None
+) -> PortfolioTable:
+    """Compute every portfolio attribute for the authors at *sample_idx*
+    (ascending; default every author).
+
+    Baselines and the institution ranking use the full corpus. The
+    per-author attributes are computed over _qualifying_chunks, so memory
+    grows with the publication and author counts and _CHUNK, not with the
+    incidences.
     """
     n_authors = columns.n_authors
-    if sample_ids is None:
+    if sample_idx is None:
         sample_idx = np.arange(n_authors, dtype=np.int64)
-    else:
-        index = columns.author_index()
-        sample_idx = np.array(sorted(index[a] for a in sample_ids), dtype=np.int64)
 
     # the baseline and its pairs are let go before the chunk loop
     fwci, fwci_skipped = publication_fwci(columns, build_baseline_arrays(columns))
@@ -337,39 +391,27 @@ def derive_portfolios(
     fwci_mean = np.empty(n_authors)
     ajpr_stage = np.empty((n_authors, len(STAGES)))
     productivity = np.empty((n_authors, len(STAGES), len(PRODUCTIVITY_TYPES)))
-    author_starts = columns.author_starts
-    for a0, a1 in author_chunks(author_starts, _CHUNK):
+    for chunk in _qualifying_chunks(columns):
+        a0, a1, pubs, local = chunk.a0, chunk.a1, chunk.pubs, chunk.local
         n = a1 - a0
-        # the chunk's incidences of qualifying publications: every attribute
-        # here pools those only
-        lo, hi = author_starts[a0], author_starts[a1]
-        pubs = columns.inc_pub[lo:hi]
-        qual = columns.pub_qualifying[pubs]
-        pubs = pubs[qual]
-        authors = columns.inc_author[lo:hi][qual]
-        local = authors - a0
-
-        n_pub_authors = columns.pub_n_authors[pubs]
         # a sum of 100.0s is exact, so the mean is 100.0 * intl / collab
-        collab = n_pub_authors >= 2
+        collab = chunk.n_pub_authors >= 2
         intl_rate[a0:a1] = _group_mean(local[collab], 100.0 * columns.pub_intl[pubs[collab]], n)
 
-        team = np.minimum(n_pub_authors, TEAM_SIZE_CAP).astype(np.float64)
+        team = np.minimum(chunk.n_pub_authors, TEAM_SIZE_CAP).astype(np.float64)
         team_median[a0:a1] = _segment_median(local, team, n)
 
         pub_fwci = fwci[pubs]
         fwci_ok = np.isfinite(pub_fwci)
         fwci_mean[a0:a1] = _group_mean(local[fwci_ok], pub_fwci[fwci_ok], n)
 
-        masks = stage_masks(columns, authors, pubs)
         # AJPR per stage over publications in journals with a percentile
-        pct = columns.pub_percentile[pubs].astype(np.float64)
-        has_pct = pct >= 0
-        for s, mask in enumerate(masks):
+        has_pct = chunk.pct >= 0
+        for s, mask in enumerate(chunk.masks):
             mask = mask & has_pct
-            ajpr_stage[a0:a1, s] = _group_mean(local[mask], pct[mask], n)
+            ajpr_stage[a0:a1, s] = _group_mean(local[mask], chunk.pct[mask], n)
 
-        productivity[a0:a1] = incidence_productivity(local, pct, n_pub_authors, masks, n)
+        productivity[a0:a1] = chunk.productivity()
 
     # institution ranking over the last TOP_INSTITUTION_YEARS calendar years
     window_lo = columns.reference_year - TOP_INSTITUTION_YEARS + 1
@@ -389,14 +431,14 @@ def derive_portfolios(
     return PortfolioTable(
         columns=columns,
         sample_idx=sample_idx,
+        discipline_idx=columns.dominant_discipline[sample_idx],
+        productivity=productivity[sample_idx],
         academic_age=age[sample_idx],
         top200=top200[sample_idx],
         intl_rate=intl_rate[sample_idx],
         team_median=team_median[sample_idx],
         fwci_mean=fwci_mean[sample_idx],
         ajpr_stage=ajpr_stage[sample_idx],
-        productivity=productivity[sample_idx],
-        discipline_idx=columns.dominant_discipline[sample_idx],
         fwci_skipped_pubs=fwci_skipped,
         prestige_uncovered_pubs=uncovered,
     )

@@ -5,6 +5,7 @@ import inspect
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import time
@@ -15,11 +16,11 @@ import numpy as np
 import pytest
 
 import careerflow
-from careerflow import corpus, pipeline
+from careerflow import corpus, pipeline, portfolio
 from careerflow.cli import main
 from careerflow.columnar import ColumnsBuilder, CorpusColumns, merge_ranges, read_cache, write_cache
 from careerflow.corpus import parse_authors, parse_journals
-from careerflow.pipeline import MANIFEST_NAME
+from careerflow.pipeline import MANIFEST_NAME, PARAMETER_FREE, REUSE_NAME
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -580,9 +581,11 @@ def test_cache_round_trips_the_builder_columns(tmp_path, capsys, inputs):
     with open(tmp_path / "corpus.cache", "wb") as fh:
         write_cache(fh, header, expected)
     with open(tmp_path / "corpus.cache", "rb") as fh:
-        loaded_header, loaded = read_cache(fh)
+        loaded_header, loaded, body_sha256 = read_cache(fh)
 
     assert loaded_header == header
+    data = (tmp_path / "corpus.cache").read_bytes()
+    assert body_sha256 == hashlib.sha256(data[data.index(b"\n") + 1 :]).hexdigest()
     for field in dataclasses.fields(CorpusColumns):
         want, got = getattr(expected, field.name), getattr(loaded, field.name)
         if isinstance(want, np.ndarray):
@@ -706,18 +709,23 @@ def test_failed_ingest_write_keeps_every_previous_output(run_dir, monkeypatch, c
     assert list(run_dir.glob("*.tmp")) == []
 
 
-def previous_run(run_dir: Path) -> dict[str, bytes]:
-    """A full analyze, then a re-ingest that retains fewer authors, so every
-    output of the next analyze differs. Returns the manifest and each file
-    it lists."""
-    assert main(["analyze", "--out", str(run_dir)]) == 0
-    assert main(ingest_args(run_dir) + ["--min-pubs", "60"]) == 0
+def run_files(run_dir: Path) -> dict[str, bytes]:
+    """The manifest and each file it lists, checked against its digest."""
     files = {MANIFEST_NAME: (run_dir / MANIFEST_NAME).read_bytes()}
     for line in files[MANIFEST_NAME].decode().splitlines():
         entry = json.loads(line)
         files[entry["path"]] = (run_dir / entry["path"]).read_bytes()
         assert hashlib.sha256(files[entry["path"]]).hexdigest() == entry["sha256"]
     return files
+
+
+def previous_run(run_dir: Path) -> dict[str, bytes]:
+    """A full analyze, then a re-ingest that retains fewer authors, so every
+    output of the next analyze differs. Returns the manifest, each file it
+    lists and the reuse state."""
+    assert main(["analyze", "--out", str(run_dir)]) == 0
+    assert main(ingest_args(run_dir) + ["--min-pubs", "60"]) == 0
+    return {**run_files(run_dir), REUSE_NAME: (run_dir / REUSE_NAME).read_bytes()}
 
 
 def assert_run_unchanged(run_dir: Path, files: dict[str, bytes], capsys) -> None:
@@ -823,6 +831,200 @@ def test_analyze_refuses_a_symlinked_output_dir_and_leaves_its_target(run_dir, t
     sankey.unlink()
     (tmp_path / "sankey").rename(sankey)
     assert_run_unchanged(run_dir, before, capsys)
+
+
+# ---------------------------------------------------------------------------
+# reuse of the parameter-free outputs
+
+NARROW = ["--ptype", "P3", "--scope", "all"]
+
+
+def analyze_rewrites(run_dir: Path, *flags: str) -> bool:
+    """Run analyze; whether it wrote the parameter-free outputs anew (all
+    four get a new inode, as a file renamed into place does) rather than
+    reusing them (none does)."""
+
+    def inodes():
+        return [
+            (run_dir / name).lstat().st_ino if os.path.lexists(run_dir / name) else None
+            for name in PARAMETER_FREE
+        ]
+
+    before = inodes()
+    assert main(["analyze", "--out", str(run_dir), *flags]) == 0
+    rewritten = {old != new for old, new in zip(before, inodes())}
+    assert len(rewritten) == 1, "some parameter-free outputs were reused and some rewritten"
+    return rewritten.pop()
+
+
+def fresh_run_files(run_dir: Path, fresh: Path, *flags: str) -> dict[str, bytes]:
+    """The files of an analyze with *flags* in a new run dir *fresh* that
+    holds a copy of run_dir's cache."""
+    fresh.mkdir()
+    shutil.copyfile(run_dir / pipeline.CACHE_NAME, fresh / pipeline.CACHE_NAME)
+    assert main(["analyze", "--out", str(fresh), *flags]) == 0
+    return run_files(fresh)
+
+
+def test_full_narrow_full_in_one_run_dir_match_fresh_run_dirs(run_dir, tmp_path, monkeypatch):
+    """The narrow and the second full analyze reuse the first one's
+    parameter-free outputs, the narrow one without the full derivation, and
+    each run's manifest and outputs are those of a fresh run dir."""
+    derived = []
+
+    def counted(*args):
+        derived.append(args)
+        return portfolio.derive_portfolios(*args)
+
+    monkeypatch.setattr(pipeline, "derive_portfolios", counted)
+    for k, (flags, rewrites, derives) in enumerate([([], True, 1), (NARROW, False, 0), ([], False, 1)]):
+        derived.clear()
+        assert analyze_rewrites(run_dir, *flags) == rewrites
+        assert len(derived) == derives
+        assert run_files(run_dir) == fresh_run_files(run_dir, tmp_path / f"fresh{k}", *flags)
+
+
+def edit_output(run_dir: Path, how: str) -> None:
+    """Damage the reuse state or a parameter-free output in one way."""
+    state_path = run_dir / REUSE_NAME
+    state = json.loads(state_path.read_bytes())
+    if how == "classes-edited":
+        data = bytearray((run_dir / "classes.jsonl").read_bytes())
+        data[len(data) // 2] ^= 1
+        (run_dir / "classes.jsonl").write_bytes(bytes(data))
+    elif how == "portfolios-truncated":
+        data = (run_dir / "portfolios.jsonl").read_bytes()
+        (run_dir / "portfolios.jsonl").write_bytes(data[:-1])
+    elif how == "coverage-deleted":
+        (run_dir / "coverage.json").unlink()
+    elif how == "state-missing":
+        state_path.unlink()
+    elif how == "state-not-json":
+        state_path.write_bytes(b'{"cache_sha256": \xff')
+    elif how == "state-too-deep":
+        state_path.write_text("[" * 100_000)
+    elif how == "state-a-directory":
+        state_path.unlink()
+        state_path.mkdir()
+    elif how == "state-a-list":
+        state_path.write_text(json.dumps([state]))
+    elif how == "outputs-a-list":
+        state_path.write_text(json.dumps(dict(state, outputs=sorted(state["outputs"]))))
+    elif how == "digest-a-number":
+        state_path.write_text(json.dumps(dict(state, outputs=dict(state["outputs"], **{"gates.tsv": 0}))))
+    else:
+        assert how == "cache-digest-null"
+        state_path.write_text(json.dumps(dict(state, cache_sha256=None)))
+
+
+@pytest.mark.parametrize(
+    "how",
+    [
+        "classes-edited",
+        "portfolios-truncated",
+        "coverage-deleted",
+        "state-missing",
+        "state-not-json",
+        "state-too-deep",
+        "state-a-directory",
+        "state-a-list",
+        "outputs-a-list",
+        "digest-a-number",
+        "cache-digest-null",
+    ],
+)
+def test_damaged_reuse_state_or_output_is_not_reused(run_dir, tmp_path, how):
+    assert main(["analyze", "--out", str(run_dir)]) == 0
+    edit_output(run_dir, how)
+    for k in range(2):  # and the next run, after this one's state
+        assert analyze_rewrites(run_dir, *NARROW) == (k == 0 or how == "state-a-directory")
+        assert run_files(run_dir) == fresh_run_files(run_dir, tmp_path / f"fresh{k}", *NARROW)
+
+
+def test_reingest_of_another_corpus_is_not_reused(run_dir, tmp_path):
+    assert main(["analyze", "--out", str(run_dir)]) == 0
+    assert main(synth_args(run_dir, seed=8)) == 0
+    assert main(ingest_args(run_dir)) == 0
+    assert analyze_rewrites(run_dir, *NARROW)
+    assert run_files(run_dir) == fresh_run_files(run_dir, tmp_path / "fresh", *NARROW)
+
+
+def test_reingest_of_the_same_corpus_is_reused(run_dir):
+    assert main(["analyze", "--out", str(run_dir)]) == 0
+    cache = (run_dir / pipeline.CACHE_NAME).read_bytes()
+    assert main(ingest_args(run_dir)) == 0
+    assert (run_dir / pipeline.CACHE_NAME).read_bytes() == cache
+    assert not analyze_rewrites(run_dir, *NARROW)
+
+
+def test_another_program_digest_is_not_reused(run_dir, tmp_path, monkeypatch):
+    assert main(["analyze", "--out", str(run_dir)]) == 0
+    digest = pipeline.program_digest()
+    assert digest == pipeline.program_digest()
+    monkeypatch.setattr(pipeline, "program_digest", lambda: hashlib.sha256(digest.encode()).hexdigest())
+    assert analyze_rewrites(run_dir, *NARROW)
+    assert run_files(run_dir) == fresh_run_files(run_dir, tmp_path / "fresh", *NARROW)
+
+
+def test_program_digest_covers_every_source_of_the_package(tmp_path, monkeypatch):
+    package = Path(pipeline.__file__).parent
+    copy = tmp_path / "careerflow"
+    shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    monkeypatch.setattr(pipeline, "__file__", str(copy / "pipeline.py"))
+    digest = pipeline.program_digest()
+    assert digest == pipeline.program_digest()
+    with open(copy / "mobility.py", "a") as fh:
+        fh.write("\n")
+    assert pipeline.program_digest() != digest
+
+
+def test_reuse_replaces_a_symlinked_output_and_leaves_its_target(run_dir, tmp_path):
+    assert main(["analyze", "--out", str(run_dir)]) == 0
+    link = run_dir / "portfolios.jsonl"
+    data = link.read_bytes()
+    target = tmp_path / "portfolios.jsonl"
+    target.write_bytes(data)
+    link.unlink()
+    link.symlink_to(target)
+    assert analyze_rewrites(run_dir, *NARROW)
+    assert not link.is_symlink() and link.read_bytes() == data
+    assert target.read_bytes() == data
+
+
+@pytest.mark.parametrize(
+    "stage, function",
+    [
+        ("portfolio", "stage_productivity"),
+        ("classes", "assign_cohort_classes"),
+        ("mobility", "scope_matrices"),
+    ],
+)
+def test_failed_narrow_analyze_keeps_the_reuse_state_and_outputs(
+    run_dir, monkeypatch, capsys, stage, function
+):
+    assert main(["analyze", "--out", str(run_dir)]) == 0
+    before = {**run_files(run_dir), REUSE_NAME: (run_dir / REUSE_NAME).read_bytes()}
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("injected failure")
+
+    monkeypatch.setattr(pipeline, function, failing)
+    capsys.readouterr()
+    assert main(["analyze", "--out", str(run_dir), *NARROW]) == 1
+    assert capsys.readouterr().err == f"error: stage {stage}: injected failure\n"
+    monkeypatch.undo()
+    assert_run_unchanged(run_dir, before, capsys)
+    assert not analyze_rewrites(run_dir, *NARROW)
+
+
+def test_unknown_scope_fails_before_any_derivation(run_dir, monkeypatch, capsys):
+    def failing(*args, **kwargs):
+        raise RuntimeError("derived")
+
+    for function in ("derive_portfolios", "stage_productivity"):
+        monkeypatch.setattr(pipeline, function, failing)
+    assert main(["analyze", "--out", str(run_dir), "--scope", "D00", "--scope", "XX", "--scope", "YY"]) == 1
+    assert capsys.readouterr().err == "error: stage scopes: not in the sample: XX, YY\n"
 
 
 def test_pipeline_annotations_resolve():
@@ -991,6 +1193,26 @@ def test_closed_stdout_exits_as_sigpipe_would(how, run_dir):
         os.close(write_fd)
     assert main(["report", "--out", str(run_dir)]) == 0  # the manifest verifies
 
+
+# the stage is interrupted while its three files are open aside
+INTERRUPT_PROBE = """
+import careerflow.cli as cli
+
+def interrupted(config, *files):
+    for fh in files:
+        fh.write("partial\\n")
+    raise KeyboardInterrupt
+
+cli.write_synthetic_corpus = interrupted
+cli.run()
+"""
+
+
+def test_interrupt_exits_130_with_one_line_and_no_file(tmp_path):
+    out = tmp_path / "x"
+    proc = cli_process(["-c", INTERRUPT_PROBE, "synth", "--out", str(out), "--authors-n", "20"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (130, b"", b"error: interrupted\n")
+    assert list(out.iterdir()) == []
 
 def test_main_leaves_the_collector_alone(run_dir):
     before = gc.isenabled(), gc.get_freeze_count()

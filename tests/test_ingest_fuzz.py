@@ -151,7 +151,7 @@ def assert_equals_reference(run: Path) -> None:
         r.to_json().encode() + b"\n" for r in rejects
     )
     with open(run / CACHE_NAME, "rb") as fh:
-        header, _ = read_cache(fh)
+        header, _, _ = read_cache(fh)
     expected = io.BytesIO()
     write_cache(expected, header, columns_from_corpus(corpus))
     assert (run / CACHE_NAME).read_bytes() == expected.getvalue()

@@ -22,7 +22,6 @@ ABSENT = [
     "careerflow.pipeline.portfolio_to_json",
     "careerflow.pipeline.run_model",
     "careerflow.portfolio.PortfolioTable.to_records",
-    "careerflow.portfolio.stage_productivity",
     "careerflow.synth.publication_to_json",
 ]
 

@@ -33,6 +33,7 @@ from careerflow.portfolio import (
     mean_fwci4y,
     median_team_size,
     publication_fwci,
+    stage_productivity,
     top200_flag,
     top_institution_cutoff,
     top_institutions,
@@ -376,7 +377,8 @@ def test_bulk_matches_reference_on_synthetic_corpus():
     )
     retained, _ = filter_sample(corpus, SampleFilterConfig())
     columns = columns_from_corpus(corpus)
-    table = derive_portfolios(columns, retained)
+    index = columns.author_index()
+    table = derive_portfolios(columns, np.array(sorted(index[a] for a in retained)))
     baseline = build_field_baseline(corpus)
     top_set = top_institutions(corpus)
 
@@ -599,6 +601,24 @@ def chunked_attributes(columns, chunk: int) -> dict[str, np.ndarray]:
         name: getattr(table, name)
         for name in ("intl_rate", "team_median", "fwci_mean", "ajpr_stage", "productivity")
     }
+
+
+@pytest.mark.parametrize("chunk", [1, 7, portfolio._CHUNK])
+def test_stage_productivity_is_the_derived_productivity(chunk):
+    """The productivity-only path gives the full derivation's productivity
+    and disciplines bit for bit, for a sample and any chunk size."""
+    corpus = gen_corpus(CorpusConfig(cohort=CohortConfig(n_authors=60, n_disciplines=3, seed=21)))
+    columns = columns_from_corpus(corpus)
+    sample_idx = np.arange(1, columns.n_authors, 3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(portfolio, "_CHUNK", chunk)
+        table = derive_portfolios(columns, sample_idx)
+        sample = stage_productivity(columns, sample_idx)
+    assert type(sample) is portfolio.SampleProductivity
+    assert sample.sample_idx is sample_idx
+    assert sample.productivity.tobytes() == table.productivity.tobytes()
+    assert sample.discipline_idx.tobytes() == table.discipline_idx.tobytes()
+    assert sample.productivity.any()
 
 
 def assert_matches_record_reference(corpus, columns, attributes: dict[str, np.ndarray]) -> None:
