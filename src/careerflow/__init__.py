@@ -9,10 +9,10 @@ from collections.abc import Iterator
 
 __version__ = "0.1.0"
 
-# Every CLI process needs these three names: main() reports the two errors,
-# and report reads the manifest. They are defined here, which every import
-# of a submodule runs first, so that importing them loads nothing more;
-# corpus takes the errors from here.
+# Every CLI process needs these four names: main() reports the two errors,
+# run() the termination, and report reads the manifest. They are defined
+# here, which every import of a submodule runs first, so that importing them
+# loads nothing more; corpus takes the errors from here.
 MANIFEST_NAME = "manifest.txt"
 
 
@@ -26,6 +26,11 @@ class StageError(RuntimeError):
     def __init__(self, stage: str, message: str):
         self.stage = stage
         super().__init__(f"stage {stage}: {message}")
+
+
+class Terminated(BaseException):
+    """SIGTERM, raised by corpus.sigterm_raises. Like KeyboardInterrupt it is
+    no Exception, so no stage reports it as its error."""
 
 
 @contextlib.contextmanager

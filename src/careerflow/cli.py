@@ -17,7 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import MANIFEST_NAME, CorpusError, StageError
+from . import MANIFEST_NAME, CorpusError, StageError, Terminated
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -26,6 +26,8 @@ EXIT_USAGE = 2
 EXIT_BROKEN_PIPE = 141
 # 128 + SIGINT: what a shell reports for a tool stopped by Ctrl-C
 EXIT_INTERRUPTED = 130
+# 128 + SIGTERM: what a shell reports for a tool stopped by kill
+EXIT_TERMINATED = 143
 
 # Each stage imports only the modules it runs: `--help` and report load no
 # numpy and no corpus, synth no analysis module, ingest and analyze no
@@ -115,6 +117,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _sigterm_raises(handler):
+    """*handler*, run with SIGTERM raising Terminated, for the stages that
+    write: report does not load signal."""
+
+    def run_handler(args: argparse.Namespace) -> int:
+        from .corpus import sigterm_raises
+
+        with sigterm_raises():
+            return handler(args)
+
+    return run_handler
+
+
+@_sigterm_raises
 def cmd_synth(args: argparse.Namespace) -> int:
     import json
 
@@ -158,6 +174,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@_sigterm_raises
 def cmd_ingest(args: argparse.Namespace) -> int:
     from .corpus import MAX_REFERENCE_YEAR, MIN_YEAR, REFERENCE_YEAR, SampleFilterConfig
 
@@ -175,6 +192,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@_sigterm_raises
 def cmd_analyze(args: argparse.Namespace) -> int:
     out_dir = _out_dir(args)
     result = _CLI.run_analyze(out_dir, args.ptype, args.scope)
@@ -270,8 +288,9 @@ def run() -> None:
     A write to a stdout whose reader is gone, as under `careerflow report |
     head -1`, ends the process as SIGPIPE would: exit 141, nothing on
     stderr. Each output is in place by then. An interrupt (SIGINT, Ctrl-C)
-    exits 130 with one line on stderr; every file the stage was writing
-    aside is removed by then, and every forked worker reaped.
+    exits 130 and a SIGTERM to synth, ingest or analyze 143, each with one
+    line on stderr; every file the stage was writing aside is removed by
+    then, and every forked worker reaped.
     """
     atexit.register(gc.freeze)
     try:
@@ -287,6 +306,9 @@ def run() -> None:
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
         code = EXIT_INTERRUPTED
+    except Terminated:
+        print("error: terminated", file=sys.stderr)
+        code = EXIT_TERMINATED
     sys.exit(code)
 
 

@@ -164,9 +164,7 @@ class CorpusColumns:
     # authors (sorted by author_id)
     author_ids: list[str]
     gender_code: np.ndarray
-    country_override: list[str | None]
     first_pub_year: np.ndarray
-    qualifying_count: np.ndarray
     dominant_discipline: np.ndarray
     dominant_country_idx: np.ndarray
     dominant_institution_idx: np.ndarray
@@ -200,13 +198,7 @@ class CorpusColumns:
     def n_publications(self) -> int:
         return self.pub_year.shape[0]
 
-    def author_index(self) -> dict[str, int]:
-        return {a: i for i, a in enumerate(self.author_ids)}
-
     def dominant_country(self, idx: int) -> str | None:
-        override = self.country_override[idx]
-        if override is not None:
-            return override
         code = self.dominant_country_idx[idx]
         return self.country_vocab[code] if code >= 0 else None
 
@@ -443,7 +435,8 @@ def merge_ranges(
     a sequential read rejects it for that reason too. Each vocabulary is
     rebuilt, sorted, from the codes the kept publications reference; those
     are the codes a sequential read interns, as only accepted lines intern
-    codes.
+    codes. The country vocabulary also holds every author's country
+    override, which is the country of each author with a publication.
     """
     seen: set[str] = set()
     rejects: list[Reject] = []
@@ -469,6 +462,9 @@ def merge_ranges(
     # they do not add to its peak
     del seen
 
+    # the names each vocabulary holds whether or not a publication references
+    # them: the country overrides
+    extra = ((), {rec.country_override for rec in authors.values()} - {None}, ())
     vocabs = []
     for kind, flat_names in enumerate(_VOCAB_BUFFERS):
         used: list[np.ndarray] = []
@@ -477,7 +473,8 @@ def merge_ranges(
             for name in flat_names:
                 mask[buffers[name]] = True
             used.append(np.flatnonzero(mask))
-        vocab = sorted({res.vocabs[kind][i] for res, idx in zip(results, used) for i in idx})
+        names = {res.vocabs[kind][i] for res, idx in zip(results, used) for i in idx}
+        vocab = sorted(names.union(extra[kind]))
         index = {name: i for i, name in enumerate(vocab)}
         for res, buffers, idx in zip(results, parts, used):
             perm = np.full(len(res.vocabs[kind]), -1, dtype=np.int32)
@@ -515,10 +512,6 @@ def merge_ranges(
     has_pubs = author_starts[1:] > author_starts[:-1]
     first_pub_year[has_pubs] = pub_year[inc_pub[author_starts[:-1][has_pubs]]]
 
-    qual_count = np.bincount(
-        inc_author[pub_qual[inc_pub]], minlength=n_authors
-    ).astype(np.int64)
-
     def ragged(flat: str, lens: str) -> tuple[np.ndarray, np.ndarray]:
         starts = np.zeros(n_pubs + 1, dtype=np.int64)
         np.cumsum(column(lens, np.int32), out=starts[1:])
@@ -542,20 +535,20 @@ def merge_ranges(
         inc_author, inc_pub, inst_starts, inst_flat, len(inst_vocab), n_authors
     )
 
+    # an author without publications keeps no country, override or not
+    country_code = {name: i for i, name in enumerate(country_vocab)}
     gender_code = np.zeros(n_authors, dtype=np.int8)
-    override: list[str | None] = [None] * n_authors
     for idx, aid in enumerate(author_ids):
         rec = authors[aid]
         gender_code[idx] = GENDER_CODES[gender_gate(rec.gender_label, rec.gender_probability)]
-        override[idx] = rec.country_override
+        if rec.country_override is not None and has_pubs[idx]:
+            dominant_country[idx] = country_code[rec.country_override]
 
     return CorpusColumns(
         reference_year=reference_year,
         author_ids=author_ids,
         gender_code=gender_code,
-        country_override=override,
         first_pub_year=first_pub_year,
-        qualifying_count=qual_count,
         dominant_discipline=dominant_disc,
         dominant_country_idx=dominant_country,
         dominant_institution_idx=dominant_inst,
@@ -581,7 +574,7 @@ def merge_ranges(
 # ---------------------------------------------------------------------------
 # the ingest cache
 
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 # the json line and each array block are zero-padded to a multiple of this,
 # so every block is aligned for its dtype
 _ALIGN = 8

@@ -4,8 +4,9 @@ Input is three line-delimited JSON files (publications, journals, authors).
 Malformed lines become reject records, never silent drops. Filtering applies
 five gates in a fixed order so the removal counts are comparable across runs.
 run_shares runs the shares of work that synth and ingest cut, one process
-per CPU (share_count), and write_aside gives synth, ingest and analyze their
-all-or-nothing file writes.
+per CPU (share_count), write_aside gives synth, ingest and analyze their
+all-or-nothing file writes, and sigterm_raises lets those writes clean up
+on SIGTERM.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, BinaryIO, Callable, Iterable, Iterator
 
-from . import CorpusError, StageError
+from . import CorpusError, StageError, Terminated
 
 DOC_TYPES = ("article", "conference_paper", "other")
 QUALIFYING_DOC_TYPES = frozenset(("article", "conference_paper"))
@@ -143,24 +144,47 @@ def write_aside() -> Iterator[Callable[..., IO]]:
     removed. So a failure part way leaves no truncated file and keeps every
     previous one, and a path that is a symbolic link is replaced by a
     regular file, never written through."""
-    opened: list[tuple[Path, Path, IO]] = []
+    opened: list[tuple[Path, Path]] = []
+    files: list[IO] = []
 
     def open_aside(path: Path, binary: bool = False) -> IO:
         tmp = aside_path(path)
+        # listed before it exists: a signal that raises as open() returns
+        # must not leave it behind
+        opened.append((path, tmp))
         fh = open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8")
-        opened.append((path, tmp, fh))
+        files.append(fh)
         return fh
 
     try:
         yield open_aside
-        for _, _, fh in opened:
+        for fh in files:
             fh.close()
-        for path, tmp, _ in opened:
+        for path, tmp in opened:
             os.replace(tmp, path)
     finally:
-        for _, tmp, fh in opened:
+        for fh in files:
             fh.close()
+        for _, tmp in opened:
             tmp.unlink(missing_ok=True)
+
+
+@contextlib.contextmanager
+def sigterm_raises() -> Iterator[None]:
+    """Within the block, SIGTERM raises Terminated, so that write_aside
+    removes its files and run_shares reaps its workers as on any exception;
+    a SIGTERM after the first is ignored, so that this cleanup runs whole.
+    The previous handler is restored after the block."""
+
+    def terminate(signum, frame):
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        raise Terminated
+
+    previous = signal.signal(signal.SIGTERM, terminate)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 class _LineError(ValueError):

@@ -2,8 +2,8 @@
 
 Ingest parses and validates publications once and writes the corpus in
 columnar form to the cache (columnar.write_cache), with a header of its
-own: the publication count, the filter config, the retained author ids
-and the filter report. Analyze re-reads only the cache.
+own: the filter config, the retained authors' indices and the filter
+report. Analyze re-reads only the cache.
 """
 from __future__ import annotations
 
@@ -90,23 +90,25 @@ def _allowed(codes: np.ndarray, vocab: list[str], allowed: frozenset[str] | None
 
 def gates_from_columns(
     columns: CorpusColumns, config: SampleFilterConfig
-) -> tuple[set[str], FilterReport]:
-    """Vectorized gate chain; agrees with corpus.filter_sample exactly."""
+) -> tuple[np.ndarray, FilterReport]:
+    """Vectorized gate chain; agrees with corpus.filter_sample exactly. The
+    retained authors are returned as their indices, ascending."""
     n = columns.n_authors
     has_pubs = columns.first_pub_year >= 0
 
     country_pass = _allowed(
         columns.dominant_country_idx, columns.country_vocab, config.allowed_countries
     )
-    for i, code in enumerate(columns.country_override):
-        if code is not None and has_pubs[i]:
-            country_pass[i] = config.allowed_countries is None or code in config.allowed_countries
 
     disc_pass = _allowed(
         columns.dominant_discipline, columns.disc_vocab, config.allowed_disciplines
     )
 
-    count_pass = columns.qualifying_count >= config.min_publications
+    def counts(pub_mask: np.ndarray) -> np.ndarray:
+        """Each author's count of the publications in *pub_mask*."""
+        return np.bincount(columns.inc_author[pub_mask[columns.inc_pub]], minlength=n)
+
+    count_pass = counts(columns.pub_qualifying) >= config.min_publications
 
     age = columns.reference_year - columns.first_pub_year
     age_pass = has_pubs & (age >= config.min_academic_age) & (age <= config.max_academic_age)
@@ -117,18 +119,15 @@ def gates_from_columns(
         & (columns.pub_year >= window_lo)
         & (columns.pub_year <= columns.reference_year)
     )
-    active_counts = np.bincount(
-        columns.inc_author[active_pub[columns.inc_pub]], minlength=n
-    )
-    active_pass = active_counts > 0
+    active_pass = counts(active_pub) > 0
 
     remaining = np.ones(n, dtype=bool)
     removed: dict[str, int] = {}
     for gate, mask in zip(GATE_ORDER, (country_pass, disc_pass, count_pass, age_pass, active_pass)):
         removed[gate] = int(np.count_nonzero(remaining & ~mask))
         remaining &= mask
-    retained = {columns.author_ids[i] for i in np.flatnonzero(remaining)}
-    return retained, FilterReport(removed, len(retained), n)
+    retained = np.flatnonzero(remaining)
+    return retained, FilterReport(removed, retained.size, n)
 
 
 # ---------------------------------------------------------------------------
@@ -186,14 +185,12 @@ def run_ingest(
     )
     columns, pub_rejects = merge_ranges(results, authors, reference_year)
     rejects += pub_rejects
-    n_pubs = columns.n_publications
     retained, report = gates_from_columns(columns, config)
     report_obj = asdict(report)
 
     header = {
-        "n_publications": n_pubs,
         "filter": _filter_config_dict(config),
-        "retained": sorted(retained),
+        "retained": retained.tolist(),
         "report": report_obj,
     }
     # the cache is renamed last: analyze reads it
@@ -207,7 +204,7 @@ def run_ingest(
             fh.write("\n")
         with open_aside(cache_path, binary=True) as fh:
             write_cache(fh, header, columns)
-    return IngestResult(cache_path, n_pubs, len(rejects), report)
+    return IngestResult(cache_path, columns.n_publications, len(rejects), report)
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +224,16 @@ def load_cache(cache_path: Path) -> LoadedCache:
         raise CorpusError(f"cache not found: {cache_path} (run ingest first)")
     with open(cache_path, "rb") as fh:
         header, columns, sha256 = read_cache(fh)
-    index = columns.author_index()
-    sample_idx = np.array(sorted(index[a] for a in header["retained"]), dtype=np.int64)
+    retained = header["retained"]
+    # ints, strictly ascending, within [0, n_authors); checked before numpy
+    # sees them, as it takes a bool or a float for an int
+    if not (
+        isinstance(retained, list)
+        and all(type(i) is int for i in retained)
+        and all(a < b for a, b in itertools.pairwise([-1, *retained, columns.n_authors]))
+    ):
+        raise CorpusError("cache header: the retained authors are not ascending author indices (re-run ingest)")
+    sample_idx = np.array(retained, dtype=np.int64)
     return LoadedCache(columns, sample_idx, FilterReport(**header["report"]), sha256)
 
 

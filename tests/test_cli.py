@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import gc
 import hashlib
@@ -6,6 +7,7 @@ import json
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import time
@@ -16,10 +18,11 @@ import numpy as np
 import pytest
 
 import careerflow
-from careerflow import corpus, pipeline, portfolio
+from careerflow import columnar, corpus, pipeline, portfolio
 from careerflow.cli import main
 from careerflow.columnar import ColumnsBuilder, CorpusColumns, merge_ranges, read_cache, write_cache
-from careerflow.corpus import parse_authors, parse_journals
+from careerflow.corpus import AuthorRecord, parse_authors, parse_journals
+from conftest import make_corpus, make_pub
 from careerflow.pipeline import MANIFEST_NAME, PARAMETER_FREE, REUSE_NAME
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -497,7 +500,7 @@ def test_analyze_removes_outputs_its_manifest_does_not_list(run_dir):
 
 
 def cache_layout(data: bytes) -> tuple[int, dict[str, tuple[int, int]], list[int]]:
-    """The end of line 2 of a version-2 cache, the (start, end) offset of
+    """The end of line 2 of a cache, the (start, end) offset of
     each array block by name, and the offsets of its padding bytes. Line 2
     and each block are padded to a multiple of 8 bytes counted from the
     start of line 2."""
@@ -527,11 +530,23 @@ def test_corrupt_cache_payload_is_a_load_cache_error(run_dir, capsys):
         return data[:at] + bytes([data[at] ^ 1]) + data[at + 1 :]
 
     def with_sha256(rest: bytes) -> bytes:
-        """A version-2 cache whose line 1 gives the right sha256 of *rest*."""
-        top = {"cache_version": 2, "sha256": hashlib.sha256(rest).hexdigest()}
+        """A cache of this version whose line 1 gives the right sha256 of *rest*."""
+        top = {"cache_version": columnar.CACHE_VERSION, "sha256": hashlib.sha256(rest).hexdigest()}
         return json.dumps(top, separators=(",", ":")).encode() + b"\n" + rest
 
-    arrays_not_a_list = dict(json.loads(data[body:line_end]), arrays=7)
+    layout = json.loads(data[body:line_end])
+    first_block = min(start for start, _ in blocks.values())
+
+    def with_retained(retained: list) -> bytes:
+        """The cache with this retained list in its header, re-hashed."""
+        header = dict(layout["header"], retained=retained)
+        line = json.dumps(dict(layout, header=header)).encode() + b"\n"
+        return with_sha256(line + bytes(-len(line) % 8) + data[first_block:])
+
+    retained = layout["header"]["retained"]
+    n_authors = len(layout["author_ids"])
+    assert len(retained) >= 2
+    arrays_not_a_list = dict(layout, arrays=7)
     start, end = blocks["pub_cits4y"]
     v1_header = {"kind": "header", "cache_version": 1, "reference_year": 2022, "n_publications": 1}
     faults = {
@@ -545,7 +560,16 @@ def test_corrupt_cache_payload_is_a_load_cache_error(run_dir, capsys):
         "version 1": (
             json.dumps(v1_header, separators=(",", ":")) + "\n" + '{"kind":"meta","reference_year":2022}\n'
         ).encode(),
+        "retained unsorted": with_retained(retained[::-1]),
+        "retained index repeated": with_retained([retained[0], *retained]),
+        "retained index -1": with_retained([-1, *retained]),
+        "retained index n_authors": with_retained([*retained, n_authors]),
+        "retained index a string": with_retained([*retained[:-1], str(retained[-1])]),
+        "retained not a list": with_retained({"0": 0}),
     }
+    # the rewritten header alone is no fault
+    cache.write_bytes(with_retained(retained))
+    assert main(["analyze", "--out", str(run_dir)]) == 0
     for fault, damaged in faults.items():
         cache.write_bytes(damaged)
         capsys.readouterr()
@@ -553,7 +577,37 @@ def test_corrupt_cache_payload_is_a_load_cache_error(run_dir, capsys):
         captured = capsys.readouterr()
         assert captured.err.startswith("error: stage load-cache: "), (fault, captured.err)
         assert "re-run ingest" in captured.err, (fault, captured.err)
+        # each fault but the old version passes the version check
+        assert ("cache version" in captured.err) == (fault == "version 1"), (fault, captured.err)
         assert captured.out == "", fault
+
+
+def test_country_override_through_ingest_and_analyze(tmp_path):
+    """An author with publications has their override as their country, at
+    the gate and in portfolios.jsonl, even one no publication names; one
+    without publications is removed at the country gate, as the reference
+    filter removes them."""
+    pubs = [
+        make_pub(pub_id=f"p{k}", year=year, authors=("a1", "a2"), countries=("C01",), refs=("D00",))
+        for k, year in enumerate((1990, 2000, 2020))
+    ]
+    sample = make_corpus(pubs)
+    sample.authors["a1"].country_override = "C99"
+    sample.authors["a3"] = AuthorRecord("a3", "unknown", 0.0, "C01")
+    src = tmp_path / "inputs"
+    src.mkdir()
+    for name, lines in zip(("publications", "journals", "authors"), corpus.serialize_corpus(sample)):
+        (src / f"{name}.jsonl").write_text("".join(line + "\n" for line in lines))
+    out = tmp_path / "run"
+    argv = ["--pubs", str(src / "publications.jsonl"), "--journals", str(src / "journals.jsonl")]
+    assert main(["ingest", *argv, "--authors", str(src / "authors.jsonl"), "--out", str(out)]) == 0
+    assert main(["analyze", "--out", str(out)]) == 0
+
+    _, report = corpus.filter_sample(sample, corpus.SampleFilterConfig())
+    assert json.loads((out / "filter_report.json").read_text()) == dataclasses.asdict(report)
+    assert report.removed["country"] == 1 and report.retained == 2
+    portfolios = [json.loads(line) for line in (out / "portfolios.jsonl").read_text().splitlines()]
+    assert {p["author_id"]: p["dominant_country"] for p in portfolios} == {"a1": "C99", "a2": "C01"}
 
 
 @pytest.mark.parametrize("inputs", ["golden", "empty"])
@@ -1213,6 +1267,83 @@ def test_interrupt_exits_130_with_one_line_and_no_file(tmp_path):
     proc = cli_process(["-c", INTERRUPT_PROBE, "synth", "--out", str(out), "--authors-n", "20"])
     assert (proc.returncode, proc.stdout, proc.stderr) == (130, b"", b"error: interrupted\n")
     assert list(out.iterdir()) == []
+
+
+# analyze on a small corpus renames its outputs within tens of milliseconds
+# of opening them, so this holds it, past its last line of classes.jsonl and
+# with portfolios.jsonl written aside, until a signal comes
+HOLD_PROBE = """
+import runpy, time
+from careerflow import pipeline
+
+real = pipeline.class_dump_lines
+
+def held(*args):
+    yield from real(*args)
+    # short sleeps: a signal that comes just before one starts is handled
+    # when it ends
+    for _ in range(6000):
+        time.sleep(0.01)
+
+pipeline.class_dump_lines = held
+runpy.run_module("careerflow.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def terminated_while_writing(argv: list[str], aside: Path) -> tuple[int, bytes]:
+    """Start the CLI with *argv* in a new session, wait until the file it
+    writes aside for *aside* is not empty, and send it SIGTERM. Returns its
+    exit code and stderr, once no process of the session is left."""
+    src = str(Path(careerflow.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, *argv],
+        env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        start_new_session=True,
+    )
+    try:
+        tmp = aside.with_name(f".{aside.name}.{proc.pid}.tmp")
+        while not (tmp.exists() and os.stat(tmp).st_size):
+            assert proc.poll() is None, proc.stderr.read()
+            time.sleep(0.005)
+        os.kill(proc.pid, signal.SIGTERM)
+        _, err = proc.communicate(timeout=60)
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+    return proc.returncode, err
+
+
+def test_sigterm_to_synth_exits_143_and_leaves_no_file_or_worker(tmp_path):
+    """The corpus is large enough that synth forks a worker on a machine
+    with two or more CPUs, and is still writing when the signal comes."""
+    out = tmp_path / "x"
+    argv = ["-m", "careerflow.cli", "synth", "--out", str(out), "--authors-n", "20000"]
+    code, err = terminated_while_writing(argv, out / "publications.jsonl")
+    assert (code, err) == (143, b"error: terminated\n")
+    assert list(out.iterdir()) == []
+
+
+def test_sigterm_to_analyze_exits_143_and_leaves_no_file(run_dir):
+    before = {path: path.read_bytes() for path in run_dir.iterdir()}
+    code, err = terminated_while_writing(
+        ["-c", HOLD_PROBE, "analyze", "--out", str(run_dir)], run_dir / "portfolios.jsonl"
+    )
+    assert (code, err) == (143, b"error: terminated\n")
+    assert not list(run_dir.rglob("*.tmp"))
+    assert {path: path.read_bytes() for path in run_dir.iterdir() if path.is_file()} == before
+
+
+def test_writing_stages_restore_the_sigterm_handler(tmp_path):
+    before = signal.getsignal(signal.SIGTERM)
+    out = tmp_path / "run"
+    for argv in (synth_args(out), ingest_args(out), ["analyze", "--out", str(out)]):
+        assert main(argv) == 0
+        assert signal.getsignal(signal.SIGTERM) is before, argv[0]
 
 def test_main_leaves_the_collector_alone(run_dir):
     before = gc.isenabled(), gc.get_freeze_count()

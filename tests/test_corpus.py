@@ -330,8 +330,9 @@ def test_vectorized_gates_match_reference_filter():
         CorpusConfig(cohort=CohortConfig(n_authors=80, n_disciplines=3, seed=33))
     )
     corpus.authors["a0000003"].country_override = "C00"
-    # no publication names a country or cites a discipline, so both
-    # vocabularies are empty and every dominant code is -1
+    # no publication names a country or cites a discipline, so the
+    # discipline vocabulary is empty, the country vocabulary holds the
+    # override alone, and every other dominant code is -1
     bare = make_corpus(
         [
             make_pub(pub_id=f"p{k}", year=y, authors=authors, countries=(), refs=())
@@ -352,15 +353,16 @@ def test_vectorized_gates_match_reference_filter():
         columns = columns_from_corpus(sample)
         for config in configs:
             ref_set, ref_report = filter_sample(sample, config)
-            col_set, col_report = gates_from_columns(columns, config)
-            assert col_set == ref_set, config
+            col_idx, col_report = gates_from_columns(columns, config)
+            assert {columns.author_ids[i] for i in col_idx} == ref_set, config
             assert col_report.removed == ref_report.removed, config
             assert (col_report.retained, col_report.total) == (
                 ref_report.retained,
                 ref_report.total,
             )
     # the columns of bare, the last sample
-    assert columns.country_vocab == columns.disc_vocab == []
+    assert (columns.country_vocab, columns.disc_vocab) == (["C00"], [])
+    assert columns.dominant_country_idx.tolist() == [0, -1, -1]
     assert columns.n_authors == 3 and columns.first_pub_year[2] == -1
 
 

@@ -377,7 +377,7 @@ def test_bulk_matches_reference_on_synthetic_corpus():
     )
     retained, _ = filter_sample(corpus, SampleFilterConfig())
     columns = columns_from_corpus(corpus)
-    index = columns.author_index()
+    index = {a: i for i, a in enumerate(columns.author_ids)}
     table = derive_portfolios(columns, np.array(sorted(index[a] for a in retained)))
     baseline = build_field_baseline(corpus)
     top_set = top_institutions(corpus)
