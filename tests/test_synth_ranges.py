@@ -7,6 +7,7 @@ StringIO writer and gen_corpus, and check that a failed range is a stage
 error that leaves no worker behind.
 """
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -29,6 +30,7 @@ from careerflow.synth import (
     gen_corpus,
     write_synthetic_corpus,
 )
+from test_synth import EDGE_CONFIGS
 
 FILES = ("publications", "journals", "authors")
 SYNTH_ARGS = ["--authors-n", "40", "--disciplines-n", "4", "--rho", "0.6", "--seed", "7"]
@@ -59,6 +61,79 @@ def string_synth(config: CorpusConfig) -> tuple[list[str], dict[str, int]]:
 def config(n_authors: int = 40, **corpus_kw) -> CorpusConfig:
     cohort = CohortConfig(n_authors=n_authors, n_disciplines=4, persistence=0.6, seed=7)
     return CorpusConfig(cohort=cohort, **corpus_kw)
+
+
+# sha256 of the publications, journals and authors text for the round-trip
+# config of test_synth (12 authors, 2 disciplines, seed 44), each of its
+# EDGE_CONFIGS, and the two benchmark corpora; a change to the generator that
+# moves any draw or any byte of a line changes them
+PINNED_DIGESTS = {
+    "12x2": (
+        "2a44910f62e85cbcb5192935bb370ce781135c98a8c80f10b4cf898889d7891a",
+        "59f559efdc86b6e2a79a2719201e72667aaf8092943937971ef94d31172c8c6f",
+        "6f2fbd800da7955d5740f8da0fd5e20d6fbbc22a153522cd7ced0832d06a1048",
+    ),
+    "partner-redraw": (
+        "3b9c80e9363cdfbad60a7a6884d95cd00fc48f7a3d282f0ae7bb4d6503ed5d56",
+        "49062621951662e163c0d3322057f67befe04e14dda1785d5de72e8bec45cd07",
+        "3957192706c007f88a1fd25a3b0f890580236ca6bd6fb653776e9345770655fd",
+    ),
+    "one-country-one-institution": (
+        "96d0bfcf85e0c226573d8deda4ec77f51f0086791c5b4ce624e940ed80bf6d60",
+        "59f559efdc86b6e2a79a2719201e72667aaf8092943937971ef94d31172c8c6f",
+        "ba59cb3f904cb56c5b2d05a2cde09b95a8c158691ed153078eb1b54cf00406fe",
+    ),
+    "one-discipline": (
+        "0a661ea9e6aa4e4983b309dd2985573263a5973c0d11ae79d0e42ee2a195224e",
+        "49062621951662e163c0d3322057f67befe04e14dda1785d5de72e8bec45cd07",
+        "6f2fbd800da7955d5740f8da0fd5e20d6fbbc22a153522cd7ced0832d06a1048",
+    ),
+    "no-gap-window": (
+        "ddfc01cccc652fa2539d5980ec45a32450f6ea9331731fafaadb5b45cae283fb",
+        "59f559efdc86b6e2a79a2719201e72667aaf8092943937971ef94d31172c8c6f",
+        "6f2fbd800da7955d5740f8da0fd5e20d6fbbc22a153522cd7ced0832d06a1048",
+    ),
+    "three-digit-countries": (
+        "032f2c5dadeb6c194ce892f4712618a79a38c548da94fa0324aaa5c31fd692dc",
+        "59f559efdc86b6e2a79a2719201e72667aaf8092943937971ef94d31172c8c6f",
+        "6f2fbd800da7955d5740f8da0fd5e20d6fbbc22a153522cd7ced0832d06a1048",
+    ),
+    "no-extra-refs-small-teams": (
+        "ebfcbf06d9fbaf9094a778047fa9dfc4013270082915a9bd1b7646a6e6e7b0fe",
+        "59f559efdc86b6e2a79a2719201e72667aaf8092943937971ef94d31172c8c6f",
+        "6f2fbd800da7955d5740f8da0fd5e20d6fbbc22a153522cd7ced0832d06a1048",
+    ),
+    "800x8": (
+        "392785940673b28cb0aafb45556b09e91198ae5fa346a08a06674bc604f04a21",
+        "7f90728231095c650177d25ff2ec2ba6a37a9036eceafa6d5c8611e2bd6a2ada",
+        "608847b476d30f490a04cdb4a8ed14a360ecf763c39e07c1e3bed33365eb94f5",
+    ),
+    "1200x16": (
+        "affcf8b2a11769aaed054350a3d4ff843024016fe1ee5277f7805f9475810f52",
+        "cc2a2316a11bd6931672f7f94521bd8b3570dde3308d0873d520080a905e2e23",
+        "0862f7f0bbb6e4b355ab5407bab9a7b4f5fd09a4981934e589c50b926b872139",
+    ),
+}
+
+
+def pinned_config(name: str) -> CorpusConfig:
+    if name in ("800x8", "1200x16"):
+        n_authors, n_disciplines = map(int, name.split("x"))
+        cohort = CohortConfig(n_authors=n_authors, n_disciplines=n_disciplines, persistence=0.6, seed=1)
+        return CorpusConfig(cohort=cohort)
+    cohort_kw, corpus_kw = EDGE_CONFIGS.get(name, ({}, {}))
+    cohort = CohortConfig(**{"n_authors": 12, "n_disciplines": 2, "seed": 44, **cohort_kw})
+    return CorpusConfig(cohort=cohort, **corpus_kw)
+
+
+@pytest.mark.parametrize("shares", [1, 3])
+@pytest.mark.parametrize("name", PINNED_DIGESTS)
+def test_synth_output_bytes_are_pinned(name, shares):
+    """The random stream and the line format together: every output of
+    these configs hashes to its pinned digest, from one share or three."""
+    with cpus(shares):
+        texts, _ = string_synth(pinned_config(name))
+    assert tuple(hashlib.sha256(text.encode()).hexdigest() for text in texts) == PINNED_DIGESTS[name]
 
 
 @pytest.fixture(scope="module")
