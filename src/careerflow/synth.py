@@ -50,9 +50,10 @@ MAX_INSTITUTIONS = 1_000_000
 # synth writes contiguous author ranges in parallel (author_ranges); a range
 # of fewer authors than this is not worth a process
 MIN_RANGE_AUTHORS = 100
-# the fixed cost of generating an author, in publications: about 0.56 ms,
-# against about 6.7 us per publication line
-AUTHOR_COST_PUBS = 80
+# the fixed cost of generating and writing an author, in publications: about
+# 0.14 ms, against about 4.4 us per publication line (fitted on 2,000 authors
+# at pubs_per_year 0 and 2)
+AUTHOR_COST_PUBS = 32
 # a worker's lines are appended in chunks of this many characters; chunks of
 # 1 MiB raised synth's peak RSS by a tenth
 COPY_CHUNK = 1 << 16
@@ -207,42 +208,46 @@ def _journal_id(disc: str, pct: int) -> str:
     return f"{disc}-j{pct:02d}"
 
 
-def _partner_draws(rng: np.random.Generator, universe: int, self_index: int, counts: np.ndarray) -> np.ndarray:
+def _partner_draws(rng: np.random.Generator, universe: int, self_index: int, counts: list[int]) -> list[int]:
     """counts[k] distinct co-author indexes for publication k, never self_index.
 
     Draws skip self by shifting the draw past it; a pick that repeats an
     earlier pick of the same publication is redrawn until none repeats.
     """
-    owner = np.repeat(np.arange(len(counts)), counts)
-    picks = rng.integers(universe - 1, size=len(owner))
+    picks = rng.integers(universe - 1, size=sum(counts))
     picks += picks >= self_index
+    # the usual case: no publication repeats a pick
+    listed = picks.tolist()
+    start = 0
+    for count in counts:
+        if count > 1 and len(set(listed[start : start + count])) < count:
+            break
+        start += count
+    else:
+        return listed
+    owner = np.repeat(np.arange(len(counts)), counts)
     while True:
         key = owner * universe + picks
         order = np.argsort(key, kind="stable")
         repeats = order[1:][key[order[1:]] == key[order[:-1]]]
         if not len(repeats):
-            return picks
+            return picks.tolist()
         redraw = rng.integers(universe - 1, size=len(repeats))
         picks[repeats] = redraw + (redraw >= self_index)
 
 
-def _moved_to(rng: np.random.Generator, moved: np.ndarray, home: int, pool_size: int) -> np.ndarray:
-    """Destination for each moved publication: uniform over the pool minus home."""
-    return (home + rng.integers(1, pool_size, size=np.count_nonzero(moved))) % pool_size
+def _moved_to(rng: np.random.Generator, count: int, home: int, pool_size: int) -> list[int]:
+    """Destinations of *count* moves: each uniform over the pool minus home."""
+    return [(home + d) % pool_size for d in rng.integers(1, pool_size, size=count).tolist()]
 
 
-def _code_sets(names: list[str], home: int, moved: np.ndarray, dest: np.ndarray) -> list[str]:
-    """JSON list body per publication: the home code, plus the destination where moved, sorted."""
-    frags = [f'"{names[home]}"'] * len(moved)
-    for k, d in zip(np.flatnonzero(moved).tolist(), dest.tolist()):
+def _code_sets(names: list[str], home: int, n: int, moved: list[int], dest: list[int]) -> list[str]:
+    """JSON list body of each of *n* publications: the home code, plus the
+    destination where moved, sorted."""
+    frags = [f'"{names[home]}"'] * n
+    for k, d in zip(moved, dest):
         frags[k] = '"{}","{}"'.format(*sorted((names[home], names[d])))
     return frags
-
-
-def _join_groups(items: list[str], counts: np.ndarray, sep: str) -> list[str]:
-    """items joined per publication, where publication k owns the next counts[k] items."""
-    ends = np.cumsum(counts).tolist()
-    return [sep.join(items[a:b]) for a, b in zip([0] + ends[:-1], ends)]
 
 
 class _AuthorGenerator:
@@ -253,8 +258,11 @@ class _AuthorGenerator:
     gender), the five publication group counts, years and doc types, team
     sizes, hyperauthor flags and partners, international and institution
     moves, journal placement, the citation matrix, and cited-reference
-    disciplines. Lines come out preformatted, byte-equal to
-    corpus.publication_to_json of the record they parse to.
+    disciplines. numpy makes only these draws: the arrays are a few dozen
+    elements long, so everything else is done on Python ints and lists,
+    with each float expression in numpy's order of operations. Lines come
+    out preformatted, byte-equal to corpus.publication_to_json of the record
+    they parse to.
     """
 
     def __init__(self, config: CorpusConfig, cohort: CohortSample):
@@ -270,7 +278,13 @@ class _AuthorGenerator:
         # indexed by percentile; -1 (no journal) picks the trailing null
         self.journal_json = [[f'"{_journal_id(d, p)}"' for p in range(100)] + ["null"] for d in codes]
         self.cite_weights = np.array(CITATION_OFFSET_WEIGHTS)
-        self.cite_offsets = np.arange(len(CITATION_OFFSET_WEIGHTS))
+        # the citations_by_year keys of a line dated k years before the
+        # reference year: one per offset, up to the reference year
+        ref = config.reference_year
+        self.cite_keys = [
+            [f'"{ref - k + j}":' for j in range(min(k + 1, len(CITATION_OFFSET_WEIGHTS)))]
+            for k in range(config.max_academic_age + 1)
+        ]
 
     def generate(self, i: int) -> tuple[AuthorRecord, list[str]]:
         cfg = self.config
@@ -289,7 +303,7 @@ class _AuthorGenerator:
             prob = 0.85 + 0.15 * score if clears < 0.8 else 0.65 + 0.2 * score
             author = AuthorRecord(_author_id(i), label, round(prob, 4))
         first_year = ref - age
-        v = self.cohort.values[i]
+        v0, v1, v2 = self.cohort.values[i].tolist()
         z = self.cohort.ability_z[i]
         disc = int(self.cohort.disciplines[i])
 
@@ -297,84 +311,94 @@ class _AuthorGenerator:
         # late window, and other doc types over the whole career; windows are
         # cut to [first_year, ref], so a short career never publishes past ref
         early, mid, late = (stage_window(first_year, stage, ref) for stage in STAGES)
-        lo = np.maximum([early[0], mid[0], late[0], mid[1] + 1, first_year], first_year)
-        hi = np.minimum([early[1], mid[1], late[1], late[0] - 1, ref], ref)
+        windows = [
+            (max(lo, first_year), min(hi, ref))
+            for lo, hi in (early, mid, late, (mid[1] + 1, late[0] - 1), (first_year, ref))
+        ]
         ppy = cfg.pubs_per_year
-        per_year = np.array([ppy * v[0], ppy * v[1], ppy * v[2], ppy * (0.3 * v[2]), cfg.other_doc_rate])
-        counts = rng.poisson(per_year * np.maximum(hi - lo + 1, 0))
+        per_year = (ppy * v0, ppy * v1, ppy * v2, ppy * (0.3 * v2), cfg.other_doc_rate)
+        counts = rng.poisson(
+            np.array([rate * max(hi - lo + 1, 0) for rate, (lo, hi) in zip(per_year, windows)])
+        ).tolist()
         counts[2] = max(counts[2], 1)
         # one first article at first_year, then the groups, then articles in
         # the late window until three qualify
-        top_up = max(0, 2 - int(counts[:4].sum()))
-        sizes = np.concatenate(([1], counts, [top_up]))
-        group = np.repeat(np.arange(7), sizes)
-        n = len(group)
-        years = rng.integers(
-            np.concatenate(([first_year], lo, lo[2:3]))[group],
-            np.concatenate(([first_year], hi, hi[2:3]))[group] + 1,
-        )
-        doc = np.where(group == 5, _OTHER, _ARTICLE)
-        doc[(group >= 1) & (group <= 3) & (rng.random(n) >= 0.9)] = _CONFERENCE
+        top_up = max(0, 2 - sum(counts[:4]))
+        lows: list[int] = []
+        highs: list[int] = []
+        for size, (lo, hi) in zip((1, *counts, top_up), ((first_year, first_year), *windows, windows[2])):
+            lows += [lo] * size
+            highs += [hi + 1] * size
+        n = len(lows)
+        years = rng.integers(np.array(lows, dtype=np.int64), np.array(highs, dtype=np.int64)).tolist()
+        # the early, mid and late groups hold lines 1 to stage_end - 1; the
+        # other doc types follow the gap group
+        stage_end = 1 + counts[0] + counts[1] + counts[2]
+        other_start = stage_end + counts[3]
+        doc = [_ARTICLE] * n
+        doc[other_start : other_start + counts[4]] = [_OTHER] * counts[4]
+        for k, draw in enumerate(rng.random(n).tolist()[1:stage_end], 1):
+            if draw >= 0.9:
+                doc[k] = _CONFERENCE
 
         universe = cfg.cohort.n_authors
-        extra = rng.poisson(max(cfg.team_size_mean - 1.0, 0.0), n)
-        hyper = rng.random(n) < cfg.hyperauthor_prob
-        extra[hyper] = rng.integers(10, 26, size=np.count_nonzero(hyper))
-        np.minimum(extra, universe - 1, out=extra)
+        extra = rng.poisson(max(cfg.team_size_mean - 1.0, 0.0), n).tolist()
+        hyper = [k for k, draw in enumerate(rng.random(n).tolist()) if draw < cfg.hyperauthor_prob]
+        for k, size in zip(hyper, rng.integers(10, 26, size=len(hyper)).tolist()):
+            extra[k] = size
+        if max(extra) >= universe:
+            extra = [min(e, universe - 1) for e in extra]
         partners = _partner_draws(rng, universe, i, extra)
 
-        intl_draw, inst_draw = rng.random((2, n))
-        intl = (extra > 0) & (intl_draw < cfg.intl_collab_prob)
-        country_moved = intl & (len(self.countries) > 1)
-        inst_moved = intl & (inst_draw < 0.5) & (len(self.institutions) > 1)
-        country_dest = _moved_to(rng, country_moved, home_country, len(self.countries))
-        inst_dest = _moved_to(rng, inst_moved, home_inst, len(self.institutions))
+        intl_draw, inst_draw = rng.random((2, n)).tolist()
+        intl = [k for k, (e, draw) in enumerate(zip(extra, intl_draw)) if e and draw < cfg.intl_collab_prob]
+        country_moved = intl if len(self.countries) > 1 else []
+        inst_moved = [k for k in intl if inst_draw[k] < 0.5] if len(self.institutions) > 1 else []
+        country_dest = _moved_to(rng, len(country_moved), home_country, len(self.countries))
+        inst_dest = _moved_to(rng, len(inst_moved), home_inst, len(self.institutions))
 
-        no_journal = rng.random(n) < NO_JOURNAL_PROB
-        pct = np.clip(np.rint(rng.normal(50.0 + cfg.percentile_bias * z, 25.0, n)), 0, 99).astype(np.int64)
-        pct[no_journal] = -1
+        no_journal = rng.random(n).tolist()
+        placement = rng.normal(50.0 + cfg.percentile_bias * z, 25.0, n).tolist()
+        # clipped to [0, 99], then rounded half to even as np.rint does
+        pct = [
+            -1 if nj < NO_JOURNAL_PROB else 0 if x < 0.0 else 99 if x > 99.0 else round(x)
+            for nj, x in zip(no_journal, placement)
+        ]
 
-        base = cfg.citation_rate * np.where(pct >= 0, 0.4 + 0.012 * pct, 0.4)
-        cites = rng.poisson(base[:, None] * self.cite_weights)
-        cite_years = years[:, None] + self.cite_offsets
-        cites[cite_years > ref] = 0
-        rows, cols = np.nonzero(cites)
+        rate = cfg.citation_rate
+        base = np.array([rate * (0.4 + 0.012 * p) if p >= 0 else rate * 0.4 for p in pct])
+        cites = rng.poisson(base[:, None] * self.cite_weights).tolist()
 
-        n_refs = 1 + rng.poisson(max(cfg.ref_count_mean - 1.0, 0.0), n)
-        refs = np.full(int(n_refs.sum()), disc)
+        n_refs = [1 + m for m in rng.poisson(max(cfg.ref_count_mean - 1.0, 0.0), n).tolist()]
+        refs = [self.disc_json[disc]] * sum(n_refs)
         n_disc = len(self.disc_json)
         if n_disc > 1:
-            away = rng.random(len(refs)) >= cfg.own_discipline_ref_share
-            refs[away] = _moved_to(rng, away, disc, n_disc)
+            away = np.flatnonzero(rng.random(len(refs)) >= cfg.own_discipline_ref_share).tolist()
+            for k, d in zip(away, _moved_to(rng, len(away), disc, n_disc)):
+                refs[k] = self.disc_json[d]
 
         head = f'{{"pub_id":"p{i:07d}n'
         journal_json = self.journal_json[disc]
         focal = self.coauthor_json[i][1:]
-        author_ids = _join_groups([self.coauthor_json[j] for j in partners.tolist()], extra, "")
-        citations = _join_groups(
-            [f'"{y}":{c}' for y, c in zip(cite_years[rows, cols].tolist(), cites[rows, cols].tolist())],
-            np.bincount(rows, minlength=n),
-            ",",
-        )
-        ref_discs = _join_groups([self.disc_json[d] for d in refs.tolist()], n_refs, ",")
-        lines = [
-            f'{head}{serial:04d}","year":{year},"doc_type":"{DOC_TYPES[d]}",'
-            f'"author_ids":[{focal}{others}],"affiliation_countries":[{countries}],'
-            f'"affiliation_institutions":[{institutions}],"journal_id":{journal_json[p]},'
-            f'"citations_by_year":{{{cits}}},"cited_ref_disciplines":[{rd}]}}\n'
-            for serial, (year, d, others, countries, institutions, p, cits, rd) in enumerate(
-                zip(
-                    years.tolist(),
-                    doc.tolist(),
-                    author_ids,
-                    _code_sets(self.countries, home_country, country_moved, country_dest),
-                    _code_sets(self.institutions, home_inst, inst_moved, inst_dest),
-                    pct.tolist(),
-                    citations,
-                    ref_discs,
-                )
+        countries = _code_sets(self.countries, home_country, n, country_moved, country_dest)
+        institutions = _code_sets(self.institutions, home_inst, n, inst_moved, inst_dest)
+        coauthors = [self.coauthor_json[j] for j in partners]
+        cite_keys = self.cite_keys
+        lines = []
+        a = r = 0
+        for serial, (year, d, e, country, inst, p, row, m) in enumerate(
+            zip(years, doc, extra, countries, institutions, pct, cites, n_refs)
+        ):
+            # cite_keys stops at the reference year, and a count of 0 is not written
+            cits = ",".join([f"{key}{c}" for key, c in zip(cite_keys[ref - year], row) if c])
+            lines.append(
+                f'{head}{serial:04d}","year":{year},"doc_type":"{DOC_TYPES[d]}",'
+                f'"author_ids":[{focal}{"".join(coauthors[a : a + e])}],"affiliation_countries":[{country}],'
+                f'"affiliation_institutions":[{inst}],"journal_id":{journal_json[p]},'
+                f'"citations_by_year":{{{cits}}},"cited_ref_disciplines":[{",".join(refs[r : r + m])}]}}\n'
             )
-        ]
+            a += e
+            r += m
         return author, lines
 
 
