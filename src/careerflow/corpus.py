@@ -6,7 +6,9 @@ five gates in a fixed order so the removal counts are comparable across runs.
 run_shares runs the shares of work that synth and ingest cut, one process
 per CPU (share_count), write_aside gives synth, ingest and analyze their
 all-or-nothing file writes, and sigterm_raises lets those writes clean up
-on SIGTERM.
+on SIGTERM. run_dir_lock keeps a second ingest or analyze out of a run dir,
+so that its holder may remove what killed writers left there
+(remove_aside_files).
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ import signal
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, BinaryIO, Callable, Iterable, Iterator
+from typing import IO, BinaryIO, Callable, Collection, Iterable, Iterator
 
 from . import CorpusError, StageError, Terminated
 
@@ -133,6 +135,53 @@ def aside_path(path: Path) -> Path:
     """The temporary file that write_aside writes for *path*: hidden, beside
     it, and named for this process."""
     return path.with_name(f".{path.name}.{os.getpid()}.tmp")
+
+
+# what write_aside leaves for <name> when its process is killed:
+# .<name>.<pid>.tmp
+ASIDE_NAME = re.compile(r"\.(.+)\.[0-9]+\.tmp")
+LOCK_NAME = ".careerflow.lock"
+
+
+@contextlib.contextmanager
+def run_dir_lock(run_dir: Path) -> Iterator[None]:
+    """Hold an exclusive flock on *run_dir*'s LOCK_NAME file for the block.
+    A run dir that another process holds is a CorpusError, and so is any
+    other failure to lock it. The lock goes with the open file, so it is
+    released when the block ends or the process dies."""
+    import fcntl
+
+    path = run_dir / LOCK_NAME
+    try:
+        fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_NOFOLLOW, 0o644)
+    except OSError as exc:
+        raise CorpusError(f"cannot open lock file {path}: {exc.strerror}") from None
+    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise CorpusError(f"another careerflow process is writing {run_dir}") from None
+        except OSError as exc:
+            raise CorpusError(f"cannot lock {path}: {exc.strerror}") from None
+        yield
+    finally:
+        os.close(fd)
+
+
+def remove_aside_files(directory: Path, names: Collection[str] | None = None) -> None:
+    """Remove every file that write_aside left in *directory* for one of
+    *names*, or for any name when *names* is None, by any process. Only the
+    holder of the run dir's lock may call it: it removes a live writer's
+    files too. A missing directory has none."""
+    try:
+        with os.scandir(directory) as entries:
+            files = [entry for entry in entries if entry.is_file(follow_symlinks=False)]
+    except (FileNotFoundError, NotADirectoryError):
+        return
+    for entry in files:
+        match = ASIDE_NAME.fullmatch(entry.name)
+        if match and (names is None or match[1] in names):
+            os.unlink(entry.path)
 
 
 @contextlib.contextmanager

@@ -45,6 +45,8 @@ from .corpus import (
     aside_path,
     parse_authors,
     parse_journals,
+    remove_aside_files,
+    run_dir_lock,
     run_shares,
     write_aside,
 )
@@ -61,6 +63,8 @@ from .regression import (
 )
 
 CACHE_NAME = "corpus.cache"
+# what ingest writes in the run dir
+INGEST_OUTPUTS = ("rejects.jsonl", "filter_report.json", CACHE_NAME)
 # analyze owns these directories: a file in them that the manifest does not
 # list is a stale output of an earlier run and is removed
 OUTPUT_DIRS = ("matrices", "sankey", "regression")
@@ -162,49 +166,52 @@ def run_ingest(
         if not path.exists():
             raise CorpusError(f"input file not found: {path}")
     out_dir.mkdir(parents=True, exist_ok=True)
-    rejects: list[Reject] = []
-    with open(journals_path, "rb") as fh:
-        journals = parse_journals(fh, rejects)
-    with open(authors_path, "rb") as fh:
-        authors = parse_authors(fh, rejects)
+    # one writer at a time, which may remove what a killed one left
+    with run_dir_lock(out_dir):
+        remove_aside_files(out_dir, INGEST_OUTPUTS)
+        rejects: list[Reject] = []
+        with open(journals_path, "rb") as fh:
+            journals = parse_journals(fh, rejects)
+        with open(authors_path, "rb") as fh:
+            authors = parse_authors(fh, rejects)
 
-    # the publications file is cut into byte ranges, one share each, and the
-    # ranges are merged in file order, so the columns and rejects are the
-    # same for any range count
-    results = run_shares(
-        "ingest",
-        [
-            (
-                f"bytes {start}-{end or 'end'} of {pubs_path}",
-                functools.partial(
-                    ingest_range, pubs_path, start, end, journals, authors, reference_year
-                ),
-            )
-            for start, end in byte_ranges(pubs_path)
-        ],
-    )
-    columns, pub_rejects = merge_ranges(results, authors, reference_year)
-    rejects += pub_rejects
-    retained, report = gates_from_columns(columns, config)
-    report_obj = asdict(report)
+        # the publications file is cut into byte ranges, one share each, and the
+        # ranges are merged in file order, so the columns and rejects are the
+        # same for any range count
+        results = run_shares(
+            "ingest",
+            [
+                (
+                    f"bytes {start}-{end or 'end'} of {pubs_path}",
+                    functools.partial(
+                        ingest_range, pubs_path, start, end, journals, authors, reference_year
+                    ),
+                )
+                for start, end in byte_ranges(pubs_path)
+            ],
+        )
+        columns, pub_rejects = merge_ranges(results, authors, reference_year)
+        rejects += pub_rejects
+        retained, report = gates_from_columns(columns, config)
+        report_obj = asdict(report)
 
-    header = {
-        "filter": _filter_config_dict(config),
-        "retained": retained.tolist(),
-        "report": report_obj,
-    }
-    # the cache is renamed last: analyze reads it
-    cache_path = out_dir / CACHE_NAME
-    with write_aside() as open_aside:
-        with open_aside(out_dir / "rejects.jsonl") as fh:
-            for reject in rejects:
-                fh.write(reject.to_json() + "\n")
-        with open_aside(out_dir / "filter_report.json") as fh:
-            json.dump(report_obj, fh, indent=2)
-            fh.write("\n")
-        with open_aside(cache_path, binary=True) as fh:
-            write_cache(fh, header, columns)
-    return IngestResult(cache_path, columns.n_publications, len(rejects), report)
+        header = {
+            "filter": _filter_config_dict(config),
+            "retained": retained.tolist(),
+            "report": report_obj,
+        }
+        # the cache is renamed last: analyze reads it
+        cache_path = out_dir / CACHE_NAME
+        with write_aside() as open_aside:
+            with open_aside(out_dir / "rejects.jsonl") as fh:
+                for reject in rejects:
+                    fh.write(reject.to_json() + "\n")
+            with open_aside(out_dir / "filter_report.json") as fh:
+                json.dump(report_obj, fh, indent=2)
+                fh.write("\n")
+            with open_aside(cache_path, binary=True) as fh:
+                write_cache(fh, header, columns)
+        return IngestResult(cache_path, columns.n_publications, len(rejects), report)
 
 
 # ---------------------------------------------------------------------------
@@ -460,84 +467,92 @@ def run_analyze(
         if (out_dir / sub).is_symlink():
             raise StageError("outputs", f"{sub} is a symbolic link")
 
-    try:
-        loaded = load_cache(out_dir / CACHE_NAME)
-    except (ValueError, KeyError, TypeError) as exc:  # CorpusError, or a header without its fields
-        raise StageError("load-cache", str(exc)) from exc
+    # analyze makes no run dir, so a missing one has no lock file either
+    if not out_dir.is_dir():
+        raise StageError("load-cache", f"cache not found: {out_dir / CACHE_NAME} (run ingest first)")
+    # one writer at a time, which may remove what a killed one left
+    with run_dir_lock(out_dir):
+        remove_aside_files(out_dir, (MANIFEST_NAME, *PARAMETER_FREE, REUSE_NAME))
+        for sub in OUTPUT_DIRS:
+            remove_aside_files(out_dir / sub)
+        try:
+            loaded = load_cache(out_dir / CACHE_NAME)
+        except (ValueError, KeyError, TypeError) as exc:  # CorpusError, or a header without its fields
+            raise StageError("load-cache", str(exc)) from exc
 
-    columns = loaded.columns
-    if not loaded.sample_idx.size:
-        raise StageError("filter", "no authors retained by the sample filter")
+        columns = loaded.columns
+        if not loaded.sample_idx.size:
+            raise StageError("filter", "no authors retained by the sample filter")
 
-    sample_discs = [
-        columns.disc_vocab[d]
-        for d in sorted_unique(columns.dominant_discipline[loaded.sample_idx])
-        if d >= 0
-    ]
-    if scopes:
-        unknown = [s for s in scopes if s != "all" and s not in sample_discs]
-        if unknown:
-            raise StageError("scopes", f"not in the sample: {', '.join(unknown)}")
-        scope_list = list(dict.fromkeys(scopes))
-    else:
-        scope_list = ["all"] + sample_discs
-
-    key = {"cache_sha256": loaded.sha256, "program_sha256": program_digest()}
-    reused = reusable_outputs(out_dir, key)
-    # with the parameter-free outputs reused and no discipline modelled, the
-    # classes are all that is left to derive, and they need the stage
-    # productivity alone
-    narrow = bool(reused) and scope_list == ["all"]
-    with stage_errors("portfolio"):
-        if narrow:
-            sample = stage_productivity(columns, loaded.sample_idx)
+        sample_discs = [
+            columns.disc_vocab[d]
+            for d in sorted_unique(columns.dominant_discipline[loaded.sample_idx])
+            if d >= 0
+        ]
+        if scopes:
+            unknown = [s for s in scopes if s != "all" and s not in sample_discs]
+            if unknown:
+                raise StageError("scopes", f"not in the sample: {', '.join(unknown)}")
+            scope_list = list(dict.fromkeys(scopes))
         else:
-            sample = derive_portfolios(columns, loaded.sample_idx)
-    with stage_errors("classes"):
-        codes, too_small = assign_cohort_classes(sample.discipline_idx, sample.productivity)
+            scope_list = ["all"] + sample_discs
 
-    # every output is written aside and hashed as it is written; all are
-    # renamed into place only once every one is written and read back, the
-    # manifest last, so a failure leaves the previous run as it was. A
-    # reused output is not written again: the manifest lists the digest it
-    # was verified to have.
-    written: dict[str, str] = {}
-    with write_aside() as open_aside:
-        outputs = analyze_outputs(loaded.report, sample, codes, too_small, ptypes, scope_list, bool(reused))
-        for rel_path, pieces in outputs:
-            path = out_dir / rel_path
-            path.parent.mkdir(parents=True, exist_ok=True)
-            digest = hashlib.sha256()
-            with open_aside(path, binary=True) as fh:
-                for piece in pieces:
-                    data = piece.encode("utf-8")
-                    digest.update(data)
-                    fh.write(data)
-            written[rel_path] = digest.hexdigest()
-        for rel_path, digest in written.items():
-            if _file_sha256(aside_path(out_dir / rel_path)) != digest:
-                raise StageError("manifest", f"hash mismatch for {rel_path}")
-        manifest = {**reused, **written}
-        with open_aside(out_dir / MANIFEST_NAME) as fh:
-            for rel_path in sorted(manifest):
-                entry = {"path": rel_path, "sha256": manifest[rel_path]}
-                fh.write(json.dumps(entry, separators=(",", ":")) + "\n")
+        key = {"cache_sha256": loaded.sha256, "program_sha256": program_digest()}
+        reused = reusable_outputs(out_dir, key)
+        # with the parameter-free outputs reused and no discipline modelled, the
+        # classes are all that is left to derive, and they need the stage
+        # productivity alone
+        narrow = bool(reused) and scope_list == ["all"]
+        with stage_errors("portfolio"):
+            if narrow:
+                sample = stage_productivity(columns, loaded.sample_idx)
+            else:
+                sample = derive_portfolios(columns, loaded.sample_idx)
+        with stage_errors("classes"):
+            codes, too_small = assign_cohort_classes(sample.discipline_idx, sample.productivity)
 
-    # the reuse state, renamed after the manifest, only saves work: where it
-    # cannot be written (a directory holds its name, the disk is full) every
-    # output is still in place, and a state left from an earlier run names
-    # digests that these outputs either lack or have by right
-    if not reused:
-        state = {**key, "outputs": {rel_path: manifest[rel_path] for rel_path in PARAMETER_FREE}}
-        with contextlib.suppress(OSError), write_aside() as open_aside:
-            with open_aside(out_dir / REUSE_NAME) as fh:
-                fh.write(json.dumps(state, indent=1, sort_keys=True) + "\n")
+        # every output is written aside and hashed as it is written; all are
+        # renamed into place only once every one is written and read back, the
+        # manifest last, so a failure leaves the previous run as it was. A
+        # reused output is not written again: the manifest lists the digest it
+        # was verified to have.
+        written: dict[str, str] = {}
+        with write_aside() as open_aside:
+            outputs = analyze_outputs(loaded.report, sample, codes, too_small, ptypes, scope_list, bool(reused))
+            for rel_path, pieces in outputs:
+                path = out_dir / rel_path
+                path.parent.mkdir(parents=True, exist_ok=True)
+                digest = hashlib.sha256()
+                with open_aside(path, binary=True) as fh:
+                    for piece in pieces:
+                        data = piece.encode("utf-8")
+                        digest.update(data)
+                        fh.write(data)
+                written[rel_path] = digest.hexdigest()
+            for rel_path, digest in written.items():
+                if _file_sha256(aside_path(out_dir / rel_path)) != digest:
+                    raise StageError("manifest", f"hash mismatch for {rel_path}")
+            manifest = {**reused, **written}
+            with open_aside(out_dir / MANIFEST_NAME) as fh:
+                for rel_path in sorted(manifest):
+                    entry = {"path": rel_path, "sha256": manifest[rel_path]}
+                    fh.write(json.dumps(entry, separators=(",", ":")) + "\n")
 
-    for sub in OUTPUT_DIRS:
-        for path in (out_dir / sub).rglob("*"):
-            if path.is_file() and path.relative_to(out_dir).as_posix() not in manifest:
-                path.unlink()
-    return AnalyzeResult(out_dir, manifest, sample.n_sample)
+        # the reuse state, renamed after the manifest, only saves work: where it
+        # cannot be written (a directory holds its name, the disk is full) every
+        # output is still in place, and a state left from an earlier run names
+        # digests that these outputs either lack or have by right
+        if not reused:
+            state = {**key, "outputs": {rel_path: manifest[rel_path] for rel_path in PARAMETER_FREE}}
+            with contextlib.suppress(OSError), write_aside() as open_aside:
+                with open_aside(out_dir / REUSE_NAME) as fh:
+                    fh.write(json.dumps(state, indent=1, sort_keys=True) + "\n")
+
+        for sub in OUTPUT_DIRS:
+            for path in (out_dir / sub).rglob("*"):
+                if path.is_file() and path.relative_to(out_dir).as_posix() not in manifest:
+                    path.unlink()
+        return AnalyzeResult(out_dir, manifest, sample.n_sample)
 
 
 def analyze_outputs(

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import fcntl
 import gc
 import hashlib
 import inspect
@@ -1344,6 +1345,61 @@ def test_writing_stages_restore_the_sigterm_handler(tmp_path):
     for argv in (synth_args(out), ingest_args(out), ["analyze", "--out", str(out)]):
         assert main(argv) == 0
         assert signal.getsignal(signal.SIGTERM) is before, argv[0]
+
+
+def run_dir_files(run_dir: Path) -> dict[Path, bytes]:
+    return {path: path.read_bytes() for path in run_dir.rglob("*") if path.is_file()}
+
+
+def test_ingest_and_analyze_refuse_a_run_dir_another_process_holds(run_dir, capsys):
+    """Each exits 2 with one line, before it reads or writes: every file
+    keeps its bytes, a file another writer is writing aside included.
+    Once the lock is released, both run."""
+    assert main(["analyze", "--out", str(run_dir)]) == 0
+    (run_dir / f".corpus.cache.{os.getpid() + 1}.tmp").write_text("another writer's\n")
+    before = run_dir_files(run_dir)
+    capsys.readouterr()
+    with open(run_dir / ".careerflow.lock", "a") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        for argv in (ingest_args(run_dir), ["analyze", "--out", str(run_dir)]):
+            assert main(argv) == 2, argv[0]
+            assert capsys.readouterr() == ("", f"error: another careerflow process is writing {run_dir}\n")
+    assert run_dir_files(run_dir) == before
+    assert main(ingest_args(run_dir)) == 0
+    assert main(["analyze", "--out", str(run_dir)]) == 0
+
+
+def test_a_lock_file_that_cannot_be_opened_is_a_usage_error_that_names_it(run_dir, capsys):
+    lock = run_dir / ".careerflow.lock"
+    lock.unlink(missing_ok=True)
+    lock.mkdir()
+    for argv in (ingest_args(run_dir), ["analyze", "--out", str(run_dir)]):
+        assert main(argv) == 2, argv[0]
+        assert capsys.readouterr().err == f"error: cannot open lock file {lock}: Is a directory\n"
+
+
+def test_ingest_and_analyze_remove_what_killed_writers_left(run_dir):
+    """A killed ingest or analyze leaves its aside files; the next run of
+    the stage removes each one it could have written, whatever the pid,
+    and leaves synth's and every other file alone."""
+    pid = os.getpid() + 1
+    ingest_debris = [f".{name}.{pid}.tmp" for name in ("rejects.jsonl", "filter_report.json", "corpus.cache")]
+    analyze_debris = [
+        f".{name}.{pid}.tmp" for name in (MANIFEST_NAME, *PARAMETER_FREE, REUSE_NAME)
+    ] + [f"{sub}/.{name}.{pid}.tmp" for sub, name in (
+        ("matrices", "P1_all.tsv"), ("sankey", "P1_all.txt"), ("regression", "models_top_mid_P1.tsv")
+    )]
+    kept = [f".publications.jsonl.{pid}.tmp", f".corpus.cache.{pid}.tmp.bak", "notes.txt"]
+    for rel_path in ingest_debris + analyze_debris + kept:
+        (run_dir / rel_path).parent.mkdir(exist_ok=True)
+        (run_dir / rel_path).write_text("left\n")
+    assert main(ingest_args(run_dir)) == 0
+    assert not any((run_dir / rel_path).exists() for rel_path in ingest_debris)
+    assert all((run_dir / rel_path).exists() for rel_path in analyze_debris)
+    assert main(["analyze", "--out", str(run_dir)]) == 0
+    assert not any((run_dir / rel_path).exists() for rel_path in analyze_debris)
+    assert all((run_dir / rel_path).read_text() == "left\n" for rel_path in kept)
+
 
 def test_main_leaves_the_collector_alone(run_dir):
     before = gc.isenabled(), gc.get_freeze_count()
