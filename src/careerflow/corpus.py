@@ -149,6 +149,7 @@ def run_dir_lock(run_dir: Path) -> Iterator[None]:
     A run dir that another process holds is a CorpusError, and so is any
     other failure to lock it. The lock goes with the open file, so it is
     released when the block ends or the process dies."""
+    # imported here: synth, which takes no lock, runs where fcntl is missing
     import fcntl
 
     path = run_dir / LOCK_NAME

@@ -258,11 +258,13 @@ class _AuthorGenerator:
     gender), the five publication group counts, years and doc types, team
     sizes, hyperauthor flags and partners, international and institution
     moves, journal placement, the citation matrix, and cited-reference
-    disciplines. numpy makes only these draws: the arrays are a few dozen
-    elements long, so everything else is done on Python ints and lists,
-    with each float expression in numpy's order of operations. Lines come
-    out preformatted, byte-equal to corpus.publication_to_json of the record
-    they parse to.
+    disciplines. The per-publication arrays are a few dozen elements long,
+    where a numpy call costs more than a Python loop, so numpy makes the
+    draws and everything else runs on Python ints and lists, each float
+    expression in numpy's order of operations. The partner and reference
+    draws, several times longer, keep one numpy step each: the shift past
+    self and the away test. Lines come out preformatted, byte-equal to
+    corpus.publication_to_json of the record they parse to.
     """
 
     def __init__(self, config: CorpusConfig, cohort: CohortSample):
@@ -346,8 +348,7 @@ class _AuthorGenerator:
         hyper = [k for k, draw in enumerate(rng.random(n).tolist()) if draw < cfg.hyperauthor_prob]
         for k, size in zip(hyper, rng.integers(10, 26, size=len(hyper)).tolist()):
             extra[k] = size
-        if max(extra) >= universe:
-            extra = [min(e, universe - 1) for e in extra]
+        extra = [min(e, universe - 1) for e in extra]
         partners = _partner_draws(rng, universe, i, extra)
 
         intl_draw, inst_draw = rng.random((2, n)).tolist()
@@ -359,7 +360,8 @@ class _AuthorGenerator:
 
         no_journal = rng.random(n).tolist()
         placement = rng.normal(50.0 + cfg.percentile_bias * z, 25.0, n).tolist()
-        # clipped to [0, 99], then rounded half to even as np.rint does
+        # np.clip(np.rint(x), 0, 99) for any x, an infinite one included:
+        # round() rounds half to even too
         pct = [
             -1 if nj < NO_JOURNAL_PROB else 0 if x < 0.0 else 99 if x > 99.0 else round(x)
             for nj, x in zip(no_journal, placement)
