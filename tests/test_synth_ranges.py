@@ -136,6 +136,62 @@ def test_synth_output_bytes_are_pinned(name, shares):
     assert tuple(hashlib.sha256(text.encode()).hexdigest() for text in texts) == PINNED_DIGESTS[name]
 
 
+# sha256 of the name and arguments of every call each author's generator
+# receives, for the same configs: every array's dtype, shape and bytes, so a
+# Poisson mean that moves in its last bit changes them even where the draw
+# it feeds does not
+PINNED_DRAW_DIGESTS = {
+    "12x2": "1241c0dcbbb335a3cc496710af33fa152ae5e4495c5620b2e2fa193b47abb07d",
+    "partner-redraw": "553c8fa41879dc9160805ed175356937480381752d167342979f22de071eebe7",
+    "one-country-one-institution": "d0e1c380a0ba1b9fe631ac1162189c8673f726eb15c08eedc86652c0638f9f0c",
+    "one-discipline": "1e9da821f8fc3784bf16e308e2182fa4153624444dd6ad3d141ecc4fa73d4b39",
+    "no-gap-window": "36c14ecad9b7f4440076b84c69c1afaa57b3fe2b10e53e5f609535899de8379b",
+    "three-digit-countries": "1e0c109b695e9421659d56630dfcf7f38f7244bba2ec3a94b9bbe91f3b4cb08e",
+    "no-extra-refs-small-teams": "9ec306090dd405e35393a0b787d7c2664cfa3ecc5f56242ee7aa68d3caaa14b1",
+    "800x8": "51c38c6e4d01a952826e372fc6dc37b65656e3f714be1804f47a58b18f27c0d7",
+    "1200x16": "dce8df8cf44dd4a3d2f2c505d4d99f2effc87795d011dbdae5f28846b26c8f36",
+}
+
+
+class _HashingGenerator:
+    """A numpy Generator that hashes each call's name and arguments into
+    *digest* before it makes the call."""
+
+    def __init__(self, rng: np.random.Generator, digest):
+        self._rng, self._digest = rng, digest
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def call(*args, **kwargs):
+            for value in (name, *args, *(part for item in sorted(kwargs.items()) for part in item)):
+                if isinstance(value, np.ndarray):
+                    self._digest.update(f"{value.dtype.str}{value.shape}".encode() + value.tobytes())
+                else:
+                    # numpy takes a numpy int and the int it equals alike as a size
+                    value = int(value) if isinstance(value, np.integer) else value
+                    self._digest.update(f"{type(value).__name__}:{value!r}".encode())
+            return method(*args, **kwargs)
+
+        return call
+
+
+@pytest.mark.parametrize("name", PINNED_DRAW_DIGESTS)
+def test_synth_draw_arguments_are_pinned(name):
+    """Every draw keeps its order, kind, dtype, shape and size, and every
+    float argument its bits: the Poisson means, the percentile loc and the
+    citation means are computed in numpy's order of operations."""
+    cfg = pinned_config(name)
+    generator = synth._AuthorGenerator(cfg, gen_cohort(cfg.cohort))
+    digest = hashlib.sha256()
+    real = synth._author_rng
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(synth, "_author_rng", lambda seed, i: _HashingGenerator(real(seed, i), digest))
+        for i in range(cfg.cohort.n_authors):
+            generator.generate(i)
+    assert digest.hexdigest() == PINNED_DRAW_DIGESTS[name]
+
+
 @pytest.fixture(scope="module")
 def one_process(tmp_path_factory):
     with cpus(1):
