@@ -4,7 +4,6 @@ publication metadata, with a seeded synthetic oracle."""
 from __future__ import annotations
 
 import contextlib
-import importlib
 from collections.abc import Iterator
 
 __version__ = "0.1.0"
@@ -44,33 +43,3 @@ def stage_errors(stage: str) -> Iterator[None]:
     except Exception as exc:
         raise StageError(stage, str(exc)) from exc
 
-
-__all__ = [
-    "Corpus",
-    "CorpusError",
-    "FilterReport",
-    "SampleFilterConfig",
-    "StageError",
-    "filter_sample",
-    "parse_corpus",
-    "CohortConfig",
-    "CorpusConfig",
-    "calibrate_persistence",
-    "gen_cohort",
-    "gen_corpus",
-    "__version__",
-]
-
-# The other names are bound on first use, each from its module: synth loads
-# numpy, and corpus the dataclass machinery and the fork helpers, none of
-# which `--help` and report run.
-_LAZY = {
-    **dict.fromkeys(("Corpus", "FilterReport", "SampleFilterConfig", "filter_sample", "parse_corpus"), "corpus"),
-    **dict.fromkeys(("CohortConfig", "CorpusConfig", "calibrate_persistence", "gen_cohort", "gen_corpus"), "synth"),
-}
-
-
-def __getattr__(name: str):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import atexit
 import gc
-import importlib
 import os
 import sys
 from pathlib import Path
@@ -29,28 +28,8 @@ EXIT_INTERRUPTED = 130
 # 128 + SIGTERM: what a shell reports for a tool stopped by kill
 EXIT_TERMINATED = 143
 
-# Each stage imports only the modules it runs: `--help` and report load no
-# numpy and no corpus, synth no analysis module, ingest and analyze no
-# synth, so a handler imports what it uses of corpus, json and hashlib.
-# The names below are bound on first use by __getattr__, and the handlers
-# call them through _CLI, the module itself, so a caller that replaces one
-# of them on this module (a tracer, a test) replaces what the stage runs.
-_LAZY = {
-    "config_from_mapping": "synth",
-    "write_synthetic_corpus": "synth",
-    "run_ingest": "pipeline",
-    "gates_table": "pipeline",
-    "run_analyze": "pipeline",
-}
-_CLI = sys.modules[__name__]
-
-
-def __getattr__(name: str):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_LAZY[name]}", __package__), name)
-    globals()[name] = value
-    return value
+# Each handler imports the stage module it runs inside its own body, so
+# that `--help` and report load no numpy and no corpus module.
 
 
 def _default_out() -> str | None:
@@ -135,6 +114,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     import json
 
     from .corpus import AUTHORS_FILE, JOURNALS_FILE, PUBLICATIONS_FILE, write_aside
+    from .synth import config_from_mapping, write_synthetic_corpus
 
     merged = {}
     if args.config:
@@ -153,7 +133,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         "reference_year": args.reference_year,
     }
     merged.update({k: v for k, v in flags.items() if v is not None})
-    config = _CLI.config_from_mapping(merged)
+    config = config_from_mapping(merged)
 
     out = args.out or _default_out()
     base = Path(out) if out else Path(".")
@@ -166,7 +146,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     # a failed synth leaves any previous corpus as it was
     with write_aside() as open_aside:
         files = [open_aside(path) for path in paths.values()]
-        counts = _CLI.write_synthetic_corpus(config, *files)
+        counts = write_synthetic_corpus(config, *files)
     print(f"seed: {config.cohort.seed}")
     print(f"rho: {config.cohort.persistence}")
     for name, path in paths.items():
@@ -177,6 +157,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 @_sigterm_raises
 def cmd_ingest(args: argparse.Namespace) -> int:
     from .corpus import MAX_REFERENCE_YEAR, MIN_YEAR, REFERENCE_YEAR, SampleFilterConfig
+    from .pipeline import gates_table, run_ingest
 
     # a year out of range is refused before anything is read or written
     year = REFERENCE_YEAR if args.reference_year is None else args.reference_year
@@ -185,17 +166,19 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     out_dir = _out_dir(args)
     flags = {"min_publications": args.min_pubs, "min_academic_age": args.min_age, "max_academic_age": args.max_age}
     config = SampleFilterConfig(**{k: v for k, v in flags.items() if v is not None})
-    result = _CLI.run_ingest(Path(args.pubs), Path(args.journals), Path(args.authors), out_dir, year, config)
+    result = run_ingest(Path(args.pubs), Path(args.journals), Path(args.authors), out_dir, year, config)
     print(f"cache: {result.cache_path}")
     print(f"publications: {result.n_publications}  rejects: {result.n_rejects}")
-    print(_CLI.gates_table(result.report), end="")
+    print(gates_table(result.report), end="")
     return EXIT_OK
 
 
 @_sigterm_raises
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from .pipeline import run_analyze
+
     out_dir = _out_dir(args)
-    result = _CLI.run_analyze(out_dir, args.ptype, args.scope)
+    result = run_analyze(out_dir, args.ptype, args.scope)
     print(f"sample: {result.n_sample} authors")
     print(f"outputs: {len(result.manifest)} files under {result.out_dir}")
     print(f"manifest: {result.out_dir / MANIFEST_NAME}")

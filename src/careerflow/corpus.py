@@ -69,6 +69,26 @@ def share_count(total: int, minimum: int) -> int:
     return max(1, min(cpus, total // minimum))
 
 
+# the prctl option (<linux/prctl.h>) that sets the signal a process gets
+# when the thread that forked it ends
+PR_SET_PDEATHSIG = 1
+
+
+def _die_with_parent(parent: int) -> None:
+    """In a forked worker: have the kernel SIGKILL this process when its
+    parent dies, and leave at once if *parent* died before that took hold.
+    Where prctl is missing (not Linux, no ctypes) a worker outlives a killed
+    parent and runs its share to the end."""
+    try:
+        import ctypes
+
+        ctypes.CDLL(None, use_errno=True).prctl(PR_SET_PDEATHSIG, signal.SIGKILL)
+    except (ImportError, OSError, AttributeError):
+        return
+    if os.getppid() != parent:
+        os._exit(1)
+
+
 def run_shares(stage: str, shares: list[tuple[str, Callable[[], object]]]) -> list[object]:
     """Call each share's work, a (what, work) pair, and return the results
     in share order; *what* names the share in errors.
@@ -79,7 +99,8 @@ def run_shares(stage: str, shares: list[tuple[str, Callable[[], object]]]) -> li
     it inherited. The replies are read once shares[0] is done; a failed or
     dead worker is a StageError of *stage*. Every worker is reaped before
     this returns or raises: on an exception, each one still running is
-    killed.
+    killed. On Linux a worker also dies with this process, so a SIGKILL
+    to it leaves no worker drawing or parsing on (_die_with_parent).
 
     A fork copies only the thread that calls it, so a worker must not call
     into a library that may hold a pool of threads: ingest's workers never
@@ -88,12 +109,14 @@ def run_shares(stage: str, shares: list[tuple[str, Callable[[], object]]]) -> li
     """
     running: list[tuple[int, BinaryIO, str]] = []
     try:
+        parent = os.getpid()
         for what, work in shares[1:]:
             read_fd, write_fd = os.pipe()
             pid = os.fork()
             if pid == 0:
                 status = 1
                 try:
+                    _die_with_parent(parent)
                     os.close(read_fd)
                     with open(write_fd, "wb") as pipe:
                         try:
@@ -202,7 +225,11 @@ def write_aside() -> Iterator[Callable[..., IO]]:
         # listed before it exists: a signal that raises as open() returns
         # must not leave it behind
         opened.append((path, tmp))
-        fh = open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8")
+        try:
+            fh = open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8")
+        except OSError as exc:
+            # the error names the output, not the hidden file beside it
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
         files.append(fh)
         return fh
 

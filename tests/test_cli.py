@@ -186,6 +186,15 @@ def test_synth_outputs_that_name_one_file_exit_2_without_writing(tmp_path, monke
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["X", "sub"]
 
 
+def test_synth_unwritable_output_error_names_the_output_not_its_aside_file(tmp_path, capsys):
+    out = tmp_path / "run"
+    pubs = tmp_path / "missing" / "p.jsonl"
+    assert main(["synth", "--out", str(out), "--pubs", str(pubs), "--authors-n", "20"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno 2] No such file or directory: '{pubs}'\n"
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("key", ["n_countries", "n_institutions"])
 def test_synth_pool_size_past_cap_exit_2_fast_without_writing(tmp_path, capsys, key):
     path = tmp_path / "synth.json"
@@ -1097,8 +1106,6 @@ try:
 except SystemExit as exc:  # --help
     code = exc.code
 modules = sorted(sys.modules)
-import careerflow
-careerflow.gen_corpus  # the package still exports the synth names
 print(json.dumps({"exit": code, "modules": modules}))
 """
 
@@ -1251,14 +1258,14 @@ def test_closed_stdout_exits_as_sigpipe_would(how, run_dir):
 
 # the stage is interrupted while its three files are open aside
 INTERRUPT_PROBE = """
-import careerflow.cli as cli
+from careerflow import cli, synth
 
 def interrupted(config, *files):
     for fh in files:
         fh.write("partial\\n")
     raise KeyboardInterrupt
 
-cli.write_synthetic_corpus = interrupted
+synth.write_synthetic_corpus = interrupted
 cli.run()
 """
 

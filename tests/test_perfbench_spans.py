@@ -14,6 +14,9 @@ ABSENT = [
     "careerflow._kernels.ragged_group_counts",
     "careerflow._kernels.stage_ptype_sums",
     "careerflow._kernels.window_citation_sums",
+    "careerflow.cli.run_analyze",
+    "careerflow.cli.run_ingest",
+    "careerflow.cli.write_synthetic_corpus",
     "careerflow.columnar.ColumnsBuilder.finalize",
     "careerflow.pipeline._write_text",
     "careerflow.pipeline.dump_columns",

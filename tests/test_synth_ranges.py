@@ -4,16 +4,19 @@ Every author draws from their own stream, so the lines of a range do not
 depend on which process writes them. These tests make synth see 1, 2 or 3
 CPUs and compare every output with the one-process run, through the CLI, a
 StringIO writer and gen_corpus, and check that a failed range is a stage
-error that leaves no worker behind.
+error that leaves no worker behind, and that a killed synth leaves none
+either.
 """
 import contextlib
 import hashlib
 import io
 import json
 import os
+import select
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -282,6 +285,65 @@ def test_a_live_blas_thread_pool_at_the_fork_changes_nothing(one_process, tmp_pa
         assert proc.returncode == 0, proc.stderr
         outputs.append({f: (out / f"{f}.jsonl").read_bytes() for f in FILES})
     assert outputs[0] == outputs[1] == one_process
+
+
+KILLED_PARENT_PROBE = """
+import os, sys, time
+from careerflow import synth
+from careerflow.cli import main
+os.sched_getaffinity = lambda pid: set(range(2))
+synth.MIN_RANGE_AUTHORS = 1
+parent = os.getpid()
+real = synth._write_authors
+
+def held(generator, start, stop, *files):
+    if os.getpid() != parent:
+        os.write(int(sys.argv[2]), b"%d\\n" % os.getpid())
+        time.sleep(60)
+    return real(generator, start, stop, *files)
+
+synth._write_authors = held
+sys.exit(main(["synth", "--out", sys.argv[1], *sys.argv[3:]]))
+"""
+
+
+def ends_within(fd: int, seconds: float) -> bool:
+    """Whether the pipe read end *fd* comes to EOF within *seconds*."""
+    deadline = time.monotonic() + seconds
+    while select.select([fd], [], [], max(0.0, deadline - time.monotonic()))[0]:
+        if not os.read(fd, 4096):
+            return True
+    return False
+
+
+def test_a_killed_synth_leaves_no_worker(tmp_path):
+    """A SIGKILL to synth, which runs no cleanup, ends its forked worker
+    too. Both hold the write end of one pipe, so its read end comes to EOF
+    once neither is alive: a zombie holds no file, though signal 0 would
+    still find it."""
+    read_fd, write_fd = os.pipe()
+    proc = subprocess.Popen(
+        [sys.executable, "-c", KILLED_PARENT_PROBE, str(tmp_path), str(write_fd), *SYNTH_ARGS],
+        env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},
+        pass_fds=[write_fd],
+        stderr=subprocess.PIPE,
+    )
+    os.close(write_fd)
+    try:
+        # the worker writes its pid in one write, as its share starts
+        line = os.read(read_fd, 64) if select.select([read_fd], [], [], 60)[0] else b""
+        assert line.endswith(b"\n"), proc.stderr.read() if proc.poll() is not None else line
+        proc.kill()
+        proc.wait()
+        if not ends_within(read_fd, 2):
+            # the worker still holds the pipe, so its pid is still its own
+            os.kill(int(line), signal.SIGKILL)
+            pytest.fail(f"worker {int(line)} outlived synth by 2 s")
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+        os.close(read_fd)
 
 
 @pytest.mark.parametrize("failure", ["worker-raises", "worker-dies", "parent-raises"])
