@@ -13,7 +13,6 @@ from typing import Iterable
 
 import numpy as np
 
-from .columnar import CorpusColumns
 from .corpus import JournalRecord, PublicationRecord
 
 STAGES = ("early", "mid", "late")
@@ -119,18 +118,17 @@ def assign_class_codes(values: np.ndarray) -> tuple[np.ndarray, bool]:
 # bulk productivity and cohort assignment
 
 
-def stage_masks(columns: CorpusColumns, authors: np.ndarray, pubs: np.ndarray) -> list[np.ndarray]:
-    """One mask over the incidences (authors, pubs) per stage in STAGES: the
-    publication falls inside that author's stage window.
+def stage_masks(years: np.ndarray, first_year: np.ndarray, reference_year: int) -> list[np.ndarray]:
+    """One mask over the incidences per stage in STAGES, given each
+    incidence's publication year and its author's first publication year:
+    the publication falls inside that author's stage window.
 
     The late window may overlap early or mid for short careers, in which
     case a publication counts in both stages.
     """
-    years = columns.pub_year[pubs]
-    first_year = columns.first_pub_year[authors]
     masks = []
     for stage in STAGES:
-        lo, hi = stage_window(first_year, stage, columns.reference_year)
+        lo, hi = stage_window(first_year, stage, reference_year)
         masks.append((years >= lo) & (years <= hi))
     return masks
 

@@ -111,6 +111,7 @@ def _sigterm_raises(handler):
 
 @_sigterm_raises
 def cmd_synth(args: argparse.Namespace) -> int:
+    import contextlib
     import json
 
     from .corpus import AUTHORS_FILE, JOURNALS_FILE, PUBLICATIONS_FILE, write_aside
@@ -142,11 +143,20 @@ def cmd_synth(args: argparse.Namespace) -> int:
     # two outputs of one file would be written aside to one temporary file
     if len({path.resolve() for path in paths.values()}) < len(paths):
         raise CorpusError("--pubs, --journals and --authors must name three different files")
+    # the directories synth makes, deepest first: a failed synth removes
+    # them again, and rmdir removes none that holds a file
+    made = [path for path in (base, *base.parents) if not path.exists()]
     base.mkdir(parents=True, exist_ok=True)
     # a failed synth leaves any previous corpus as it was
-    with write_aside() as open_aside:
-        files = [open_aside(path) for path in paths.values()]
-        counts = write_synthetic_corpus(config, *files)
+    try:
+        with write_aside() as open_aside:
+            files = [open_aside(path) for path in paths.values()]
+            counts = write_synthetic_corpus(config, *files)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            for path in made:
+                path.rmdir()
+        raise
     print(f"seed: {config.cohort.seed}")
     print(f"rho: {config.cohort.persistence}")
     for name, path in paths.items():
@@ -157,7 +167,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 @_sigterm_raises
 def cmd_ingest(args: argparse.Namespace) -> int:
     from .corpus import MAX_REFERENCE_YEAR, MIN_YEAR, REFERENCE_YEAR, SampleFilterConfig
-    from .pipeline import gates_table, run_ingest
+    from .columnar import gates_table, run_ingest
 
     # a year out of range is refused before anything is read or written
     year = REFERENCE_YEAR if args.reference_year is None else args.reference_year

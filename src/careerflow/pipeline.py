@@ -1,55 +1,27 @@
-"""Ingest, the analysis pipeline, and output writers.
+"""The analyze driver and its writers.
 
-Ingest parses and validates publications once and writes the corpus in
-columnar form to the cache (columnar.write_cache), with a header of its
-own: the filter config, the retained authors' indices and the filter
-report. Analyze re-reads only the cache.
+Analyze reads the cache that ingest wrote (columnar.load_cache) and derives
+the portfolios, classes, transition matrices, Sankey files and model tables,
+each written aside and listed with its sha256 in the manifest.
 """
 from __future__ import annotations
 
 import contextlib
-import functools
 import hashlib
 import itertools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from . import MANIFEST_NAME, CorpusError, StageError, stage_errors
-from .classes import (
-    CLASS_ORDER,
-    PRODUCTIVITY_TYPES,
-    STAGES,
-    assign_cohort_classes,
-    sorted_unique,
-)
-from .columnar import (
-    CorpusColumns,
-    byte_ranges,
-    ingest_range,
-    merge_ranges,
-    read_cache,
-    write_cache,
-)
-from .corpus import (
-    GATE_ORDER,
-    GENDER_LABELS,
-    FilterReport,
-    Reject,
-    SampleFilterConfig,
-    aside_path,
-    parse_authors,
-    parse_journals,
-    remove_aside_files,
-    run_dir_lock,
-    run_shares,
-    write_aside,
-)
+from .classes import CLASS_ORDER, PRODUCTIVITY_TYPES, STAGES, assign_cohort_classes, sorted_unique
+from .columnar import CACHE_NAME, _tsv, gates_table, load_cache
+from .corpus import GENDER_LABELS, FilterReport, aside_path, remove_aside_files, run_dir_lock, write_aside
 from .mobility import (
     MATRIX_TABLE_HEADER,
     TransitionMatrix,
@@ -62,9 +34,6 @@ from .regression import (
     MODEL_FAMILIES, Z_95, ModelOutcome, default_predictors, default_spec, grid_rows, run_models, sig_label
 )
 
-CACHE_NAME = "corpus.cache"
-# what ingest writes in the run dir
-INGEST_OUTPUTS = ("rejects.jsonl", "filter_report.json", CACHE_NAME)
 # analyze owns these directories: a file in them that the manifest does not
 # list is a stale output of an earlier run and is removed
 OUTPUT_DIRS = ("matrices", "sankey", "regression")
@@ -79,169 +48,6 @@ REUSE_NAME = ".analyze-reuse.json"
 # outputs back this many bytes at a time
 LINE_BATCH = 4096
 HASH_BLOCK = 1 << 16
-
-
-# ---------------------------------------------------------------------------
-# filter gates over columns
-
-
-def _allowed(codes: np.ndarray, vocab: list[str], allowed: frozenset[str] | None) -> np.ndarray:
-    """Whether each vocabulary code of *codes* names a value in *allowed*
-    (any value, if None); the code -1, no value, never passes."""
-    ok = np.array([allowed is None or name in allowed for name in vocab] + [False], dtype=bool)
-    return ok[codes]
-
-
-def gates_from_columns(
-    columns: CorpusColumns, config: SampleFilterConfig
-) -> tuple[np.ndarray, FilterReport]:
-    """Vectorized gate chain; agrees with corpus.filter_sample exactly. The
-    retained authors are returned as their indices, ascending."""
-    n = columns.n_authors
-    has_pubs = columns.first_pub_year >= 0
-
-    country_pass = _allowed(
-        columns.dominant_country_idx, columns.country_vocab, config.allowed_countries
-    )
-
-    disc_pass = _allowed(
-        columns.dominant_discipline, columns.disc_vocab, config.allowed_disciplines
-    )
-
-    def counts(pub_mask: np.ndarray) -> np.ndarray:
-        """Each author's count of the publications in *pub_mask*."""
-        return np.bincount(columns.inc_author[pub_mask[columns.inc_pub]], minlength=n)
-
-    count_pass = counts(columns.pub_qualifying) >= config.min_publications
-
-    age = columns.reference_year - columns.first_pub_year
-    age_pass = has_pubs & (age >= config.min_academic_age) & (age <= config.max_academic_age)
-
-    window_lo = columns.reference_year - config.active_window_years + 1
-    active_pub = (
-        columns.pub_qualifying
-        & (columns.pub_year >= window_lo)
-        & (columns.pub_year <= columns.reference_year)
-    )
-    active_pass = counts(active_pub) > 0
-
-    remaining = np.ones(n, dtype=bool)
-    removed: dict[str, int] = {}
-    for gate, mask in zip(GATE_ORDER, (country_pass, disc_pass, count_pass, age_pass, active_pass)):
-        removed[gate] = int(np.count_nonzero(remaining & ~mask))
-        remaining &= mask
-    retained = np.flatnonzero(remaining)
-    return retained, FilterReport(removed, retained.size, n)
-
-
-# ---------------------------------------------------------------------------
-# ingest
-
-
-@dataclass
-class IngestResult:
-    cache_path: Path
-    n_publications: int
-    n_rejects: int
-    report: FilterReport
-
-
-def _filter_config_dict(config: SampleFilterConfig) -> dict:
-    """The config's fields in order, each allowlist sorted."""
-    return {
-        name: sorted(value) if isinstance(value, frozenset) else value
-        for name, value in asdict(config).items()
-    }
-
-
-def run_ingest(
-    pubs_path: Path,
-    journals_path: Path,
-    authors_path: Path,
-    out_dir: Path,
-    reference_year: int,
-    config: SampleFilterConfig,
-) -> IngestResult:
-    for path in (pubs_path, journals_path, authors_path):
-        if not path.exists():
-            raise CorpusError(f"input file not found: {path}")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    # one writer at a time, which may remove what a killed one left
-    with run_dir_lock(out_dir):
-        remove_aside_files(out_dir, INGEST_OUTPUTS)
-        rejects: list[Reject] = []
-        with open(journals_path, "rb") as fh:
-            journals = parse_journals(fh, rejects)
-        with open(authors_path, "rb") as fh:
-            authors = parse_authors(fh, rejects)
-
-        # the publications file is cut into byte ranges, one share each, and the
-        # ranges are merged in file order, so the columns and rejects are the
-        # same for any range count
-        results = run_shares(
-            "ingest",
-            [
-                (
-                    f"bytes {start}-{end or 'end'} of {pubs_path}",
-                    functools.partial(
-                        ingest_range, pubs_path, start, end, journals, authors, reference_year
-                    ),
-                )
-                for start, end in byte_ranges(pubs_path)
-            ],
-        )
-        columns, pub_rejects = merge_ranges(results, authors, reference_year)
-        rejects += pub_rejects
-        retained, report = gates_from_columns(columns, config)
-        report_obj = asdict(report)
-
-        header = {
-            "filter": _filter_config_dict(config),
-            "retained": retained.tolist(),
-            "report": report_obj,
-        }
-        # the cache is renamed last: analyze reads it
-        cache_path = out_dir / CACHE_NAME
-        with write_aside() as open_aside:
-            with open_aside(out_dir / "rejects.jsonl") as fh:
-                for reject in rejects:
-                    fh.write(reject.to_json() + "\n")
-            with open_aside(out_dir / "filter_report.json") as fh:
-                json.dump(report_obj, fh, indent=2)
-                fh.write("\n")
-            with open_aside(cache_path, binary=True) as fh:
-                write_cache(fh, header, columns)
-        return IngestResult(cache_path, columns.n_publications, len(rejects), report)
-
-
-# ---------------------------------------------------------------------------
-# cache loading
-
-
-@dataclass
-class LoadedCache:
-    columns: CorpusColumns
-    sample_idx: np.ndarray  # the retained authors' indices, ascending
-    report: FilterReport
-    sha256: str  # of the cache body, as its line 1 records it
-
-
-def load_cache(cache_path: Path) -> LoadedCache:
-    if not cache_path.exists():
-        raise CorpusError(f"cache not found: {cache_path} (run ingest first)")
-    with open(cache_path, "rb") as fh:
-        header, columns, sha256 = read_cache(fh)
-    retained = header["retained"]
-    # ints, strictly ascending, within [0, n_authors); checked before numpy
-    # sees them, as it takes a bool or a float for an int
-    if not (
-        isinstance(retained, list)
-        and all(type(i) is int for i in retained)
-        and all(a < b for a, b in itertools.pairwise([-1, *retained, columns.n_authors]))
-    ):
-        raise CorpusError("cache header: the retained authors are not ascending author indices (re-run ingest)")
-    sample_idx = np.array(retained, dtype=np.int64)
-    return LoadedCache(columns, sample_idx, FilterReport(**header["report"]), sha256)
 
 
 # ---------------------------------------------------------------------------
@@ -263,18 +69,6 @@ def _file_sha256(path: Path) -> str:
         while block := fh.read(HASH_BLOCK):
             digest.update(block)
     return digest.hexdigest()
-
-
-def _tsv(rows: Iterable[Iterable]) -> str:
-    return "\n".join("\t".join(str(cell) for cell in row) for row in rows) + "\n"
-
-
-def gates_table(report: FilterReport) -> str:
-    rows: list[tuple] = [("gate", "removed")]
-    rows.extend(report.removed.items())
-    rows.append(("retained", report.retained))
-    rows.append(("total", report.total))
-    return _tsv(rows)
 
 
 def portfolio_lines(table: PortfolioTable) -> Iterator[str]:

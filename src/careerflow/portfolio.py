@@ -353,7 +353,7 @@ def _qualifying_chunks(columns: CorpusColumns) -> Iterator[_Chunk]:
             authors - a0,
             columns.pub_percentile[pubs].astype(np.float64),
             columns.pub_n_authors[pubs],
-            stage_masks(columns, authors, pubs),
+            stage_masks(columns.pub_year[pubs], columns.first_pub_year[authors], columns.reference_year),
         )
 
 

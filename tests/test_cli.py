@@ -192,7 +192,18 @@ def test_synth_unwritable_output_error_names_the_output_not_its_aside_file(tmp_p
     assert main(["synth", "--out", str(out), "--pubs", str(pubs), "--authors-n", "20"]) == 2
     err = capsys.readouterr().err
     assert err == f"error: [Errno 2] No such file or directory: '{pubs}'\n"
-    assert list(out.iterdir()) == []
+    assert not out.exists()
+
+
+def test_synth_unwritable_output_keeps_an_existing_out_dir_and_its_files(tmp_path, capsys):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept\n")
+    pubs = tmp_path / "missing" / "p.jsonl"
+    assert main(["synth", "--out", str(out), "--pubs", str(pubs), "--authors-n", "20"]) == 2
+    assert "No such file or directory" in capsys.readouterr().err
+    assert [path.name for path in out.iterdir()] == ["notes.txt"]
+    assert (out / "notes.txt").read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("key", ["n_countries", "n_institutions"])
@@ -742,7 +753,7 @@ def test_failed_ingest_keeps_the_previous_cache(run_dir, monkeypatch):
         fh.write(b'{"cache_version":2')
         raise RuntimeError("interrupted")
 
-    monkeypatch.setattr(pipeline, "write_cache", broken_write)
+    monkeypatch.setattr(columnar, "write_cache", broken_write)
     with pytest.raises(RuntimeError, match="interrupted"):
         main(ingest_args(run_dir))
     assert cache.read_bytes() == before
@@ -764,9 +775,9 @@ def test_failed_ingest_write_keeps_every_previous_output(run_dir, monkeypatch, c
         raise OSError(28, "No space left on device")
 
     if failing == "rejects":
-        monkeypatch.setattr(pipeline.Reject, "to_json", disk_full)
+        monkeypatch.setattr(columnar.Reject, "to_json", disk_full)
     else:
-        monkeypatch.setattr(pipeline.json, "dump", disk_full)
+        monkeypatch.setattr(columnar.json, "dump", disk_full)
     assert main(ingest_args(run_dir)) == 2
     assert "No space left on device" in capsys.readouterr().err
     assert {name: (run_dir / name).read_bytes() for name in outputs} == before
@@ -1092,9 +1103,10 @@ def test_unknown_scope_fails_before_any_derivation(run_dir, monkeypatch, capsys)
 
 
 def test_pipeline_annotations_resolve():
-    for obj in vars(pipeline).values():
-        if inspect.isfunction(obj) and obj.__module__ == pipeline.__name__:
-            typing.get_type_hints(obj)  # NameError on an annotation never imported
+    for module in (columnar, pipeline):
+        for obj in vars(module).values():
+            if inspect.isfunction(obj) and obj.__module__ == module.__name__:
+                typing.get_type_hints(obj)  # NameError on an annotation never imported
 
 
 STAGE_PROBE = """
@@ -1169,7 +1181,14 @@ def test_each_stage_imports_only_its_modules(tmp_path):
     # so the package, not corpus, defines the errors main() reports
     assert careerflow.CorpusError is corpus.CorpusError
     assert careerflow.StageError is corpus.StageError
-    assert not loaded["synth"] & {"careerflow.pipeline", "careerflow.regression", "careerflow.mobility"}
+    assert not loaded["synth"] & {
+        "careerflow.columnar", "careerflow.pipeline", "careerflow.regression", "careerflow.mobility"
+    }
+    # ingest loads none of the analysis layer
+    assert not loaded["ingest"] & {
+        "careerflow.pipeline", "careerflow.classes", "careerflow.portfolio", "careerflow.mobility",
+        "careerflow.regression",
+    }
     for stage in ("ingest", "analyze", "analyze-narrow"):
         assert "careerflow.synth" not in loaded[stage], stage
     for stage in ("analyze", "analyze-narrow"):
@@ -1274,7 +1293,7 @@ def test_interrupt_exits_130_with_one_line_and_no_file(tmp_path):
     out = tmp_path / "x"
     proc = cli_process(["-c", INTERRUPT_PROBE, "synth", "--out", str(out), "--authors-n", "20"])
     assert (proc.returncode, proc.stdout, proc.stderr) == (130, b"", b"error: interrupted\n")
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 # analyze on a small corpus renames its outputs within tens of milliseconds
@@ -1333,7 +1352,7 @@ def test_sigterm_to_synth_exits_143_and_leaves_no_file_or_worker(tmp_path):
     argv = ["-m", "careerflow.cli", "synth", "--out", str(out), "--authors-n", "20000"]
     code, err = terminated_while_writing(argv, out / "publications.jsonl")
     assert (code, err) == (143, b"error: terminated\n")
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_sigterm_to_analyze_exits_143_and_leaves_no_file(run_dir):

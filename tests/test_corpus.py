@@ -324,7 +324,7 @@ def test_filter_idempotent():
 
 def test_vectorized_gates_match_reference_filter():
     from careerflow.columnar import columns_from_corpus
-    from careerflow.pipeline import gates_from_columns
+    from careerflow.columnar import gates_from_columns
 
     corpus = gen_corpus(
         CorpusConfig(cohort=CohortConfig(n_authors=80, n_disciplines=3, seed=33))

@@ -24,17 +24,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from careerflow import columnar, pipeline
+from careerflow import columnar
 from careerflow.cli import main
 from careerflow.columnar import (
+    CACHE_NAME,
     byte_ranges,
     columns_from_corpus,
     ingest_range,
+    load_cache,
     read_cache,
     write_cache,
 )
 from careerflow.corpus import INT32_MAX, REFERENCE_YEAR, parse_authors, parse_corpus, parse_journals
-from careerflow.pipeline import CACHE_NAME, load_cache
 
 FILES = ("publications", "journals", "authors")
 PUB_FIELDS = (
@@ -82,7 +83,7 @@ def cut_at_lines(lines: list[int]):
         return list(zip(bounds, [*bounds[1:], None]))
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pipeline, "byte_ranges", ranges)
+        mp.setattr(columnar, "byte_ranges", ranges)
         yield
 
 
@@ -609,7 +610,7 @@ def test_failed_range_keeps_the_previous_cache_and_reaps_every_worker(base, tmp_
     before = {name: (tmp_path / name).read_bytes() for name in (CACHE_NAME, "rejects.jsonl")}
     write_inputs(tmp_path, base, [b"not json"])
     parent = os.getpid()
-    real = pipeline.ingest_range
+    real = columnar.ingest_range
 
     def failing(path, start, end, *args):
         in_worker = os.getpid() != parent
@@ -623,7 +624,7 @@ def test_failed_range_keeps_the_previous_cache_and_reaps_every_worker(base, tmp_
     for name in FILES:
         argv += [f"--{'pubs' if name == 'publications' else name}", str(tmp_path / f"{name}.jsonl")]
     with cpus(3), pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pipeline, "ingest_range", failing)
+        mp.setattr(columnar, "ingest_range", failing)
         if failure == "parent-raises":
             with pytest.raises(RuntimeError, match="range failed"):
                 main(argv)

@@ -20,8 +20,11 @@ ABSENT = [
     "careerflow.columnar.ColumnsBuilder.finalize",
     "careerflow.pipeline._write_text",
     "careerflow.pipeline.dump_columns",
+    "careerflow.pipeline.gates_from_columns",
     "careerflow.pipeline.iter_publications",
     "careerflow.pipeline.load_columns",
+    "careerflow.pipeline.parse_authors",
+    "careerflow.pipeline.parse_journals",
     "careerflow.pipeline.portfolio_to_json",
     "careerflow.pipeline.run_model",
     "careerflow.portfolio.PortfolioTable.to_records",

@@ -392,7 +392,7 @@ def test_generation_that_overflows_numpy_is_a_stage_error(tmp_path, capsys, n, o
     with cpus(n, synth.MIN_RANGE_AUTHORS):
         assert main(["synth", "--out", str(out), "--config", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error: stage synth: ")
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_files_in_three_directories_are_each_written_aside_in_their_own(one_process, tmp_path, capsys):
@@ -466,4 +466,4 @@ def test_stage_values_that_overflow_are_one_error_without_a_warning(tmp_path):
         timeout=120,
     )
     assert (proc.returncode, proc.stderr) == (1, b"error: stage synth: overflow encountered in exp\n")
-    assert list(out.iterdir()) == []
+    assert not out.exists()
