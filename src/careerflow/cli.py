@@ -1,9 +1,12 @@
 """Command-line surface: synth / ingest / analyze / report.
 
 ingest parses and filters the three input files into a cache under the
-output directory; analyze re-reads that cache and writes every derived
-output plus a sha-256 manifest, so analysis parameters can be iterated
-without re-parsing. CAREERFLOW_OUT provides the default output directory.
+output directory; a re-ingest of unchanged inputs takes the parsed columns
+from that cache and runs only the sample filter's gates, so the gates can
+be iterated without re-parsing. analyze re-reads that cache and writes
+every derived output plus a sha-256 manifest, so analysis parameters can
+be iterated without re-parsing either. CAREERFLOW_OUT provides the default
+output directory.
 run() is the process entry point of the `careerflow` script and of
 `python -m careerflow.cli`; callers in a process use main().
 """

@@ -10,25 +10,36 @@ cache. Only this module knows the cache (write_cache, read_cache,
 load_cache): a version line with a sha256 of the rest, one json line with
 ingest's header (the filter config, the retained authors' indices and the
 filter report), then the arrays as raw little-endian blocks.
+
+Ingest and analyze each keep a reuse state in the run dir: which inputs and
+program their costly outputs came from, and those outputs' digests
+(reused_outputs reads it, write_reuse_state writes it). A re-ingest of
+unchanged inputs takes its columns from the verified cache and runs only
+the gates.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import heapq
 import itertools
 import json
 import os
+import stat
+import sys
 from array import array
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import BinaryIO, Collection, Iterable, Iterator
+from typing import BinaryIO, Callable, Collection, Iterable, Iterator
 
 import numpy as np
 
 from .corpus import (
+    AUTHORS_FILE,
     GATE_ORDER,
     GENDER_LABELS,
+    JOURNALS_FILE,
     PUBLICATIONS_FILE,
     QUALIFYING_DOC_TYPES,
     AuthorRecord,
@@ -597,12 +608,12 @@ def _compact(obj) -> bytes:
     return json.dumps(obj, separators=(",", ":")).encode("ascii") + b"\n"
 
 
-def write_cache(fh: BinaryIO, header: dict, columns: CorpusColumns) -> None:
-    """Write *header* (a json object) and *columns* as a cache. Line 1 gives
-    the cache version and the sha256 of every byte after it. Line 2 is a
-    json object: *header*, each field of *columns* that is not an array, and
-    a [name, dtype, length] descriptor per array. The arrays follow as raw
-    little-endian blocks in that order."""
+def write_cache(fh: BinaryIO, header: dict, columns: CorpusColumns) -> str:
+    """Write *header* (a json object) and *columns* as a cache, and return
+    the sha256 of its body. Line 1 gives the cache version and the sha256 of
+    every byte after it. Line 2 is a json object: *header*, each field of
+    *columns* that is not an array, and a [name, dtype, length] descriptor
+    per array. The arrays follow as raw little-endian blocks in that order."""
     layout: dict = {"header": header, "arrays": []}
     blocks = []
     for field in fields(CorpusColumns):
@@ -621,6 +632,7 @@ def write_cache(fh: BinaryIO, header: dict, columns: CorpusColumns) -> None:
     fh.write(_compact({"cache_version": CACHE_VERSION, "sha256": digest.hexdigest()}))
     for part in body:
         fh.write(part)
+    return digest.hexdigest()
 
 
 def read_cache(fh: BinaryIO) -> tuple[dict, CorpusColumns, str]:
@@ -664,9 +676,14 @@ class LoadedCache:
     sha256: str  # of the cache body, as its line 1 records it
 
 
+def cache_not_found(cache_path: Path) -> str:
+    """The error for a missing cache, with the hint that mends it."""
+    return f"cache not found: {cache_path} (run ingest first)"
+
+
 def load_cache(cache_path: Path) -> LoadedCache:
     if not cache_path.exists():
-        raise CorpusError(f"cache not found: {cache_path} (run ingest first)")
+        raise CorpusError(cache_not_found(cache_path))
     with open(cache_path, "rb") as fh:
         header, columns, sha256 = read_cache(fh)
     retained = header["retained"]
@@ -680,6 +697,84 @@ def load_cache(cache_path: Path) -> LoadedCache:
         raise CorpusError("cache header: the retained authors are not ascending author indices (re-run ingest)")
     sample_idx = np.array(retained, dtype=np.int64)
     return LoadedCache(columns, sample_idx, FilterReport(**header["report"]), sha256)
+
+
+# ---------------------------------------------------------------------------
+# reuse of a stage's outputs
+
+# files are hashed this many bytes at a time
+HASH_BLOCK = 1 << 16
+
+
+def _sha256(fh: BinaryIO) -> str:
+    """The sha256 of the rest of *fh*, read HASH_BLOCK bytes at a time."""
+    digest = hashlib.sha256()
+    while block := fh.read(HASH_BLOCK):
+        digest.update(block)
+    return digest.hexdigest()
+
+
+def _file_sha256(path: Path) -> str:
+    with open(path, "rb") as fh:
+        return _sha256(fh)
+
+
+def program_digest() -> str:
+    """The sha256 of this package's *.py sources in name order, numpy's
+    version and Python's: besides its inputs, what a stage's outputs depend
+    on."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(f"{path.name}\0{_file_sha256(path)}\0".encode())
+    digest.update(f"numpy {np.__version__}\0python {sys.version}".encode())
+    return digest.hexdigest()
+
+
+def _open_regular(path: Path) -> BinaryIO:
+    """*path* opened for reading, if it is a regular file and not a symbolic
+    link; else an OSError. A pipe is refused without waiting for a writer."""
+    fh = open(os.open(path, os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK), "rb")
+    if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        fh.close()
+        raise OSError(f"not a regular file: {path}")
+    return fh
+
+
+def reused_outputs(
+    out_dir: Path, state_name: str, key: dict, checks: dict[str, Callable[[BinaryIO], str]]
+) -> dict[str, str]:
+    """The digest of each output that *checks* names, when the reuse state
+    *state_name* in *out_dir* holds *key*, lists exactly those outputs, and
+    each of them is a regular file, not a symbolic link, whose check gives
+    the digest the state records for it; else {}. A check reads its open
+    file and returns the file's digest, or raises ValueError."""
+    try:
+        with _open_regular(out_dir / state_name) as fh:
+            state = json.loads(fh.read())
+        if not isinstance(state, dict) or any(state.get(name) != value for name, value in key.items()):
+            return {}
+        outputs = state.get("outputs")
+        if not isinstance(outputs, dict) or set(outputs) != set(checks):
+            return {}
+        for rel_path, check in checks.items():
+            with _open_regular(out_dir / rel_path) as fh:
+                if check(fh) != outputs[rel_path]:
+                    return {}
+    except (OSError, ValueError, RecursionError):  # missing or not a regular file, not JSON, deep nesting
+        return {}
+    return outputs
+
+
+def write_reuse_state(path: Path, key: dict, outputs: dict[str, str]) -> None:
+    """Record at *path* that *outputs*, each path with its digest, came from
+    *key*. The state only saves work: where it cannot be written (a
+    directory holds its name, the disk is full) the stage still succeeds,
+    and a state left from an earlier run names digests that the outputs
+    either lack or have by right."""
+    state = {**key, "outputs": outputs}
+    with contextlib.suppress(OSError), write_aside() as open_aside:
+        with open_aside(path) as fh:
+            fh.write(json.dumps(state, indent=1, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -734,8 +829,13 @@ def gates_from_columns(
 # ingest
 
 CACHE_NAME = "corpus.cache"
+REJECTS_NAME = "rejects.jsonl"
 # what ingest writes in the run dir
-INGEST_OUTPUTS = ("rejects.jsonl", "filter_report.json", CACHE_NAME)
+INGEST_OUTPUTS = (REJECTS_NAME, "filter_report.json", CACHE_NAME)
+# ingest's reuse state, which no manifest lists: the inputs, reference year
+# and program that the columns in the cache and rejects.jsonl came from, and
+# the digests of those two files
+INGEST_REUSE_NAME = ".ingest-reuse.json"
 
 
 @dataclass
@@ -754,6 +854,72 @@ def _filter_config_dict(config: SampleFilterConfig) -> dict:
     }
 
 
+def _stamp(path: Path) -> tuple[int, int, int, int]:
+    """The file type and what changes when the file at *path* is written or
+    replaced."""
+    st = os.stat(path)
+    return st.st_mode, st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _input_digest(path: Path) -> dict:
+    with open(path, "rb") as fh:
+        return {"size": os.fstat(fh.fileno()).st_size, "sha256": _sha256(fh)}
+
+
+def _parse_inputs(
+    pubs_path: Path, journals_path: Path, authors_path: Path, reference_year: int
+) -> tuple[CorpusColumns, list[Reject]]:
+    """The columns of the three inputs, and their rejects in file order."""
+    rejects: list[Reject] = []
+    with open(journals_path, "rb") as fh:
+        journals = parse_journals(fh, rejects)
+    with open(authors_path, "rb") as fh:
+        authors = parse_authors(fh, rejects)
+
+    # the publications file is cut into byte ranges, one share each, and the
+    # ranges are merged in file order, so the columns and rejects are the
+    # same for any range count
+    results = run_shares(
+        "ingest",
+        [
+            (
+                f"bytes {start}-{end or 'end'} of {pubs_path}",
+                functools.partial(
+                    ingest_range, pubs_path, start, end, journals, authors, reference_year
+                ),
+            )
+            for start, end in byte_ranges(pubs_path)
+        ],
+    )
+    columns, pub_rejects = merge_ranges(results, authors, reference_year)
+    return columns, rejects + pub_rejects
+
+
+def _reused_parse(out_dir: Path, key: dict) -> tuple[CorpusColumns, int, str] | None:
+    """The columns, the reject count and the rejects.jsonl digest of the
+    last ingest in *out_dir*, when its reuse state holds *key* and both
+    files still have the digests it records; else None. The cache is
+    checked by read_cache, and rejects.jsonl is hashed as its lines are
+    counted."""
+    found = {}
+
+    def rejects_digest(fh: BinaryIO) -> str:
+        digest, n_lines = hashlib.sha256(), 0
+        while block := fh.read(HASH_BLOCK):
+            digest.update(block)
+            n_lines += block.count(b"\n")
+        found["n_rejects"] = n_lines
+        return digest.hexdigest()
+
+    def cache_digest(fh: BinaryIO) -> str:
+        _, found["columns"], sha256 = read_cache(fh)
+        return sha256
+
+    checks = {REJECTS_NAME: rejects_digest, CACHE_NAME: cache_digest}
+    outputs = reused_outputs(out_dir, INGEST_REUSE_NAME, key, checks)
+    return (found["columns"], found["n_rejects"], outputs[REJECTS_NAME]) if outputs else None
+
+
 def run_ingest(
     pubs_path: Path,
     journals_path: Path,
@@ -762,36 +928,32 @@ def run_ingest(
     reference_year: int,
     config: SampleFilterConfig,
 ) -> IngestResult:
-    for path in (pubs_path, journals_path, authors_path):
+    paths = {PUBLICATIONS_FILE: pubs_path, JOURNALS_FILE: journals_path, AUTHORS_FILE: authors_path}
+    for path in paths.values():
         if not path.exists():
             raise CorpusError(f"input file not found: {path}")
     out_dir.mkdir(parents=True, exist_ok=True)
     # one writer at a time, which may remove what a killed one left
     with run_dir_lock(out_dir):
-        remove_aside_files(out_dir, INGEST_OUTPUTS)
-        rejects: list[Reject] = []
-        with open(journals_path, "rb") as fh:
-            journals = parse_journals(fh, rejects)
-        with open(authors_path, "rb") as fh:
-            authors = parse_authors(fh, rejects)
-
-        # the publications file is cut into byte ranges, one share each, and the
-        # ranges are merged in file order, so the columns and rejects are the
-        # same for any range count
-        results = run_shares(
-            "ingest",
-            [
-                (
-                    f"bytes {start}-{end or 'end'} of {pubs_path}",
-                    functools.partial(
-                        ingest_range, pubs_path, start, end, journals, authors, reference_year
-                    ),
-                )
-                for start, end in byte_ranges(pubs_path)
-            ],
-        )
-        columns, pub_rejects = merge_ranges(results, authors, reference_year)
-        rejects += pub_rejects
+        remove_aside_files(out_dir, (*INGEST_OUTPUTS, INGEST_REUSE_NAME))
+        # the columns depend on the inputs, the reference year and the
+        # program alone, not on the gates. A pipe is read once, by the
+        # parse: an input that is not a regular file is never hashed, and
+        # its columns are never reused.
+        stamps = [_stamp(path) for path in paths.values()]
+        key = reused = None
+        if all(stat.S_ISREG(mode) for mode, *_ in stamps):
+            key = {
+                "inputs": {name: _input_digest(path) for name, path in paths.items()},
+                "reference_year": reference_year,
+                "program_sha256": program_digest(),
+            }
+            reused = _reused_parse(out_dir, key)
+        if reused:
+            columns, n_rejects, rejects_sha256 = reused
+        else:
+            columns, rejects = _parse_inputs(pubs_path, journals_path, authors_path, reference_year)
+            n_rejects = len(rejects)
         retained, report = gates_from_columns(columns, config)
         report_obj = asdict(report)
 
@@ -800,18 +962,30 @@ def run_ingest(
             "retained": retained.tolist(),
             "report": report_obj,
         }
-        # the cache is renamed last: analyze reads it
+        # the cache is renamed last: analyze reads it. Reused rejects stay
+        # in place.
         cache_path = out_dir / CACHE_NAME
         with write_aside() as open_aside:
-            with open_aside(out_dir / "rejects.jsonl") as fh:
-                for reject in rejects:
-                    fh.write(reject.to_json() + "\n")
+            if not reused:
+                digest = hashlib.sha256()
+                with open_aside(out_dir / REJECTS_NAME, binary=True) as fh:
+                    for reject in rejects:
+                        line = f"{reject.to_json()}\n".encode()
+                        digest.update(line)
+                        fh.write(line)
+                rejects_sha256 = digest.hexdigest()
             with open_aside(out_dir / "filter_report.json") as fh:
                 json.dump(report_obj, fh, indent=2)
                 fh.write("\n")
             with open_aside(cache_path, binary=True) as fh:
-                write_cache(fh, header, columns)
-        return IngestResult(cache_path, columns.n_publications, len(rejects), report)
+                cache_sha256 = write_cache(fh, header, columns)
+
+        # the state is renamed after the outputs, and written only when no
+        # input was changed or replaced while ingest read it
+        if key is not None and [_stamp(path) for path in paths.values()] == stamps:
+            outputs = {REJECTS_NAME: rejects_sha256, CACHE_NAME: cache_sha256}
+            write_reuse_state(out_dir / INGEST_REUSE_NAME, key, outputs)
+        return IngestResult(cache_path, columns.n_publications, n_rejects, report)
 
 
 def _tsv(rows: Iterable[Iterable]) -> str:

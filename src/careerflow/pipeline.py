@@ -6,12 +6,10 @@ each written aside and listed with its sha256 in the manifest.
 """
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import itertools
 import json
 import math
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -20,7 +18,18 @@ import numpy as np
 
 from . import MANIFEST_NAME, CorpusError, StageError, stage_errors
 from .classes import CLASS_ORDER, PRODUCTIVITY_TYPES, STAGES, assign_cohort_classes, sorted_unique
-from .columnar import CACHE_NAME, _tsv, gates_table, load_cache
+from .columnar import (
+    CACHE_NAME,
+    _file_sha256,
+    _sha256,
+    _tsv,
+    cache_not_found,
+    gates_table,
+    load_cache,
+    program_digest,
+    reused_outputs,
+    write_reuse_state,
+)
 from .corpus import GENDER_LABELS, FilterReport, aside_path, remove_aside_files, run_dir_lock, write_aside
 from .mobility import (
     MATRIX_TABLE_HEADER,
@@ -44,10 +53,8 @@ PARAMETER_FREE = ("gates.tsv", "portfolios.jsonl", "classes.jsonl", "coverage.js
 # that the PARAMETER_FREE outputs in the run dir came from, and their digests
 REUSE_NAME = ".analyze-reuse.json"
 
-# analyze writes each jsonl output this many lines at a time, and reads
-# outputs back this many bytes at a time
+# analyze writes each jsonl output this many lines at a time
 LINE_BATCH = 4096
-HASH_BLOCK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -60,15 +67,6 @@ def _line_batches(lines: Iterable[str]) -> Iterator[str]:
     lines = iter(lines)
     while batch := list(itertools.islice(lines, LINE_BATCH)):
         yield "\n".join(batch) + "\n"
-
-
-def _file_sha256(path: Path) -> str:
-    """The sha256 of the file at *path*, read HASH_BLOCK bytes at a time."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        while block := fh.read(HASH_BLOCK):
-            digest.update(block)
-    return digest.hexdigest()
 
 
 def portfolio_lines(table: PortfolioTable) -> Iterator[str]:
@@ -215,37 +213,6 @@ class AnalyzeResult:
     n_sample: int
 
 
-def program_digest() -> str:
-    """The sha256 of this package's *.py sources in name order, numpy's
-    version and Python's: besides the cache, what analyze's outputs depend
-    on."""
-    digest = hashlib.sha256()
-    for path in sorted(Path(__file__).parent.glob("*.py")):
-        digest.update(f"{path.name}\0{_file_sha256(path)}\0".encode())
-    digest.update(f"numpy {np.__version__}\0python {sys.version}".encode())
-    return digest.hexdigest()
-
-
-def reusable_outputs(out_dir: Path, key: dict[str, str]) -> dict[str, str]:
-    """The digest of each PARAMETER_FREE output in *out_dir*, when the reuse
-    state there holds *key* and each of them is a regular file, not a
-    symbolic link, that hashes to its recorded digest; else {}."""
-    try:
-        state = json.loads((out_dir / REUSE_NAME).read_bytes())
-    except (OSError, ValueError, RecursionError):  # missing or unreadable, not JSON, deep nesting
-        return {}
-    if not isinstance(state, dict) or any(state.get(name) != value for name, value in key.items()):
-        return {}
-    outputs = state.get("outputs")
-    if not isinstance(outputs, dict) or set(outputs) != set(PARAMETER_FREE):
-        return {}
-    for rel_path, digest in outputs.items():
-        path = out_dir / rel_path
-        if path.is_symlink() or not path.is_file() or _file_sha256(path) != digest:
-            return {}
-    return outputs
-
-
 def run_analyze(
     out_dir: Path,
     ptypes: list[str] | None = None,
@@ -263,7 +230,7 @@ def run_analyze(
 
     # analyze makes no run dir, so a missing one has no lock file either
     if not out_dir.is_dir():
-        raise StageError("load-cache", f"cache not found: {out_dir / CACHE_NAME} (run ingest first)")
+        raise StageError("load-cache", cache_not_found(out_dir / CACHE_NAME))
     # one writer at a time, which may remove what a killed one left
     with run_dir_lock(out_dir):
         remove_aside_files(out_dir, (MANIFEST_NAME, *PARAMETER_FREE, REUSE_NAME))
@@ -292,7 +259,7 @@ def run_analyze(
             scope_list = ["all"] + sample_discs
 
         key = {"cache_sha256": loaded.sha256, "program_sha256": program_digest()}
-        reused = reusable_outputs(out_dir, key)
+        reused = reused_outputs(out_dir, REUSE_NAME, key, dict.fromkeys(PARAMETER_FREE, _sha256))
         # with the parameter-free outputs reused and no discipline modelled, the
         # classes are all that is left to derive, and they need the stage
         # productivity alone
@@ -332,15 +299,10 @@ def run_analyze(
                     entry = {"path": rel_path, "sha256": manifest[rel_path]}
                     fh.write(json.dumps(entry, separators=(",", ":")) + "\n")
 
-        # the reuse state, renamed after the manifest, only saves work: where it
-        # cannot be written (a directory holds its name, the disk is full) every
-        # output is still in place, and a state left from an earlier run names
-        # digests that these outputs either lack or have by right
+        # the reuse state is renamed after the manifest
         if not reused:
-            state = {**key, "outputs": {rel_path: manifest[rel_path] for rel_path in PARAMETER_FREE}}
-            with contextlib.suppress(OSError), write_aside() as open_aside:
-                with open_aside(out_dir / REUSE_NAME) as fh:
-                    fh.write(json.dumps(state, indent=1, sort_keys=True) + "\n")
+            outputs = {rel_path: manifest[rel_path] for rel_path in PARAMETER_FREE}
+            write_reuse_state(out_dir / REUSE_NAME, key, outputs)
 
         for sub in OUTPUT_DIRS:
             for path in (out_dir / sub).rglob("*"):

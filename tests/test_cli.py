@@ -1034,23 +1034,24 @@ def test_reingest_of_the_same_corpus_is_reused(run_dir):
 
 def test_another_program_digest_is_not_reused(run_dir, tmp_path, monkeypatch):
     assert main(["analyze", "--out", str(run_dir)]) == 0
-    digest = pipeline.program_digest()
-    assert digest == pipeline.program_digest()
+    digest = columnar.program_digest()
+    assert digest == columnar.program_digest()
+    # analyze calls the name it imported from columnar
     monkeypatch.setattr(pipeline, "program_digest", lambda: hashlib.sha256(digest.encode()).hexdigest())
     assert analyze_rewrites(run_dir, *NARROW)
     assert run_files(run_dir) == fresh_run_files(run_dir, tmp_path / "fresh", *NARROW)
 
 
 def test_program_digest_covers_every_source_of_the_package(tmp_path, monkeypatch):
-    package = Path(pipeline.__file__).parent
+    package = Path(columnar.__file__).parent
     copy = tmp_path / "careerflow"
     shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
-    monkeypatch.setattr(pipeline, "__file__", str(copy / "pipeline.py"))
-    digest = pipeline.program_digest()
-    assert digest == pipeline.program_digest()
+    monkeypatch.setattr(columnar, "__file__", str(copy / "columnar.py"))
+    digest = columnar.program_digest()
+    assert digest == columnar.program_digest()
     with open(copy / "mobility.py", "a") as fh:
         fh.write("\n")
-    assert pipeline.program_digest() != digest
+    assert columnar.program_digest() != digest
 
 
 def test_reuse_replaces_a_symlinked_output_and_leaves_its_target(run_dir, tmp_path):
@@ -1409,7 +1410,10 @@ def test_ingest_and_analyze_remove_what_killed_writers_left(run_dir):
     the stage removes each one it could have written, whatever the pid,
     and leaves synth's and every other file alone."""
     pid = os.getpid() + 1
-    ingest_debris = [f".{name}.{pid}.tmp" for name in ("rejects.jsonl", "filter_report.json", "corpus.cache")]
+    ingest_debris = [
+        f".{name}.{pid}.tmp"
+        for name in ("rejects.jsonl", "filter_report.json", "corpus.cache", ".ingest-reuse.json")
+    ]
     analyze_debris = [
         f".{name}.{pid}.tmp" for name in (MANIFEST_NAME, *PARAMETER_FREE, REUSE_NAME)
     ] + [f"{sub}/.{name}.{pid}.tmp" for sub, name in (
