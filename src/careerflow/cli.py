@@ -1,12 +1,16 @@
 """Command-line surface: synth / ingest / analyze / report.
 
 ingest parses and filters the three input files into a cache under the
-output directory; a re-ingest of unchanged inputs takes the parsed columns
-from that cache and runs only the sample filter's gates, so the gates can
-be iterated without re-parsing. analyze re-reads that cache and writes
-every derived output plus a sha-256 manifest, so analysis parameters can
-be iterated without re-parsing either. CAREERFLOW_OUT provides the default
-output directory.
+output directory. A re-ingest of unchanged inputs ends in one of three
+ways: with the same gates and outputs that check out, it has nothing to do
+and returns before it loads numpy; with other gates, or a gate output that
+does not check out, it takes the parsed columns from the verified cache
+and runs only the sample filter's gates, so the gates can be iterated
+without re-parsing; anything else is a full parse. analyze re-reads that
+cache and writes every derived output plus a sha-256 manifest, so analysis
+parameters can be iterated without re-parsing either. ingest and analyze
+hold the run dir's lock while they work there, and report takes it shared
+while it reads. CAREERFLOW_OUT provides the default output directory.
 run() is the process entry point of the `careerflow` script and of
 `python -m careerflow.cli`; callers in a process use main().
 """
@@ -19,7 +23,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import MANIFEST_NAME, CorpusError, StageError, Terminated
+from . import MANIFEST_NAME, CorpusError, StageError, Terminated, run_dir_lock
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -169,8 +173,20 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 @_sigterm_raises
 def cmd_ingest(args: argparse.Namespace) -> int:
-    from .corpus import MAX_REFERENCE_YEAR, MIN_YEAR, REFERENCE_YEAR, SampleFilterConfig
-    from .columnar import gates_table, run_ingest
+    from .corpus import (
+        AUTHORS_FILE,
+        INGEST_OUTPUTS,
+        INGEST_REUSE_NAME,
+        JOURNALS_FILE,
+        MAX_REFERENCE_YEAR,
+        MIN_YEAR,
+        PUBLICATIONS_FILE,
+        REFERENCE_YEAR,
+        SampleFilterConfig,
+        gates_table,
+        ingest_reuse,
+        remove_aside_files,
+    )
 
     # a year out of range is refused before anything is read or written
     year = REFERENCE_YEAR if args.reference_year is None else args.reference_year
@@ -179,7 +195,26 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     out_dir = _out_dir(args)
     flags = {"min_publications": args.min_pubs, "min_academic_age": args.min_age, "max_academic_age": args.max_age}
     config = SampleFilterConfig(**{k: v for k, v in flags.items() if v is not None})
-    result = run_ingest(Path(args.pubs), Path(args.journals), Path(args.authors), out_dir, year, config)
+    paths = {
+        PUBLICATIONS_FILE: Path(args.pubs),
+        JOURNALS_FILE: Path(args.journals),
+        AUTHORS_FILE: Path(args.authors),
+    }
+    for path in paths.values():
+        if not path.exists():
+            raise CorpusError(f"input file not found: {path}")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    # one writer at a time, which may remove what a killed one left
+    with run_dir_lock(out_dir):
+        remove_aside_files(out_dir, (*INGEST_OUTPUTS, INGEST_REUSE_NAME))
+        reuse = ingest_reuse(paths, out_dir, year, config)
+        result = reuse.result
+        if result is None:
+            # numpy from here: the gates, after a parse unless the columns
+            # are reused
+            from .columnar import run_ingest
+
+            result = run_ingest(paths, out_dir, year, config, reuse)
     print(f"cache: {result.cache_path}")
     print(f"publications: {result.n_publications}  rejects: {result.n_rejects}")
     print(gates_table(result.report), end="")
@@ -240,14 +275,17 @@ def _manifest_digests(manifest_path: Path) -> dict[str, str]:
 def cmd_report(args: argparse.Namespace) -> int:
     out_dir = _out_dir(args)
     manifest_path = out_dir / MANIFEST_NAME
-    if not manifest_path.exists():
-        raise CorpusError(f"no manifest at {manifest_path} (run analyze first)")
-    digests = _manifest_digests(manifest_path)
-    # preview a Sankey file of this manifest, not whatever an earlier run left
-    sankey = next((path for path in digests if path.startswith("sankey/")), None)
-    # verify everything before printing anything
-    gates = _read_listed(out_dir, "gates.tsv", digests) if "gates.tsv" in digests else None
-    preview = _read_listed(out_dir, sankey, digests) if sankey is not None else None
+    # a shared lock: no ingest or analyze renames outputs while report reads
+    # them, and no report is refused for another report
+    with run_dir_lock(out_dir, shared=True):
+        if not manifest_path.exists():
+            raise CorpusError(f"no manifest at {manifest_path} (run analyze first)")
+        digests = _manifest_digests(manifest_path)
+        # preview a Sankey file of this manifest, not whatever an earlier run left
+        sankey = next((path for path in digests if path.startswith("sankey/")), None)
+        # verify everything before printing anything
+        gates = _read_listed(out_dir, "gates.tsv", digests) if "gates.tsv" in digests else None
+        preview = _read_listed(out_dir, sankey, digests) if sankey is not None else None
     if gates is not None:
         print(gates.rstrip())
     print(f"\n{len(digests)} outputs:")

@@ -6,60 +6,71 @@ flat arrays, so corpora with millions of publications never exist as object
 lists. Ingest (run_ingest) reads a publications file in byte ranges, one
 builder per range (ingest_range), merges them in file order into the columns
 (merge_ranges), runs the sample filter's gates over them and writes the
-cache. Only this module knows the cache (write_cache, read_cache,
+cache. This module writes and loads the cache (write_cache, read_cache,
 load_cache): a version line with a sha256 of the rest, one json line with
 ingest's header (the filter config, the retained authors' indices and the
 filter report), then the arrays as raw little-endian blocks.
+corpus.read_cache_head reads the two json lines.
 
-Ingest and analyze each keep a reuse state in the run dir: which inputs and
-program their costly outputs came from, and those outputs' digests
-(reused_outputs reads it, write_reuse_state writes it). A re-ingest of
-unchanged inputs takes its columns from the verified cache and runs only
-the gates.
+run_ingest is the part of ingest that needs numpy. Before it, the CLI
+checks with corpus.ingest_reuse what the last ingest in the run dir left:
+a re-ingest of unchanged inputs with the same gates has nothing left to
+do, and one with other gates takes its columns from the verified cache and
+runs only the gates.
 """
 from __future__ import annotations
 
-import contextlib
 import functools
 import hashlib
 import heapq
 import itertools
 import json
 import os
-import stat
-import sys
 from array import array
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import BinaryIO, Callable, Collection, Iterable, Iterator
+from typing import BinaryIO, Collection, Iterable, Iterator
 
 import numpy as np
 
 from .corpus import (
     AUTHORS_FILE,
+    CACHE_ALIGN,
+    CACHE_DAMAGED,
+    CACHE_NAME,
+    CACHE_VERSION,
+    FILTER_REPORT_NAME,
     GATE_ORDER,
     GENDER_LABELS,
+    INGEST_REUSE_NAME,
     JOURNALS_FILE,
     PUBLICATIONS_FILE,
     QUALIFYING_DOC_TYPES,
+    REJECTS_NAME,
     AuthorRecord,
     Corpus,
     CorpusError,
     FilterReport,
+    IngestResult,
+    IngestReuse,
     JournalRecord,
     PublicationRecord,
     PublicationValidator,
     Reject,
     SampleFilterConfig,
+    _filter_config_dict,
+    _stamp,
     duplicate_reject,
     iter_json_lines,
+    open_regular,
     parse_authors,
     parse_journals,
-    remove_aside_files,
-    run_dir_lock,
+    read_cache_head,
     run_shares,
     share_count,
     write_aside,
+    write_filter_report,
+    write_reuse_state,
 )
 
 GENDER_CODES = {label: code for code, label in enumerate(GENDER_LABELS)}
@@ -598,12 +609,6 @@ def merge_ranges(
 # ---------------------------------------------------------------------------
 # the ingest cache
 
-CACHE_VERSION = 3
-# the json line and each array block are zero-padded to a multiple of this,
-# so every block is aligned for its dtype
-_ALIGN = 8
-
-
 def _compact(obj) -> bytes:
     return json.dumps(obj, separators=(",", ":")).encode("ascii") + b"\n"
 
@@ -621,11 +626,11 @@ def write_cache(fh: BinaryIO, header: dict, columns: CorpusColumns) -> str:
         if isinstance(value, np.ndarray):
             block = np.ascontiguousarray(value, value.dtype.newbyteorder("<"))
             layout["arrays"].append([field.name, block.dtype.str, block.shape[0]])
-            blocks += [block.data, bytes(-block.nbytes % _ALIGN)]
+            blocks += [block.data, bytes(-block.nbytes % CACHE_ALIGN)]
         else:
             layout[field.name] = value
     line = _compact(layout)
-    body = [line, bytes(-len(line) % _ALIGN), *blocks]
+    body = [line, bytes(-len(line) % CACHE_ALIGN), *blocks]
     digest = hashlib.sha256()
     for part in body:
         digest.update(part)
@@ -638,34 +643,23 @@ def write_cache(fh: BinaryIO, header: dict, columns: CorpusColumns) -> str:
 def read_cache(fh: BinaryIO) -> tuple[dict, CorpusColumns, str]:
     """The header and columns that write_cache wrote to *fh*, a regular file,
     and the sha256 of the body after line 1, which line 1 records. The body
-    is read once, and each array is a writable view of it. Another cache
-    version, a body that does not match its sha256, or a line 2 that is not
-    a json object with a list of arrays, is a CorpusError."""
-    try:
-        top = json.loads(fh.readline())
-    except ValueError:
-        top = None
-    version = top.get("cache_version") if isinstance(top, dict) else None
-    if version != CACHE_VERSION:
-        raise CorpusError(f"cache version {version!r}, expected {CACHE_VERSION} (re-run ingest)")
-    body = bytearray(os.fstat(fh.fileno()).st_size - fh.tell())
+    is read once, and each array is a writable view of it. What
+    corpus.read_cache_head refuses, or a body that does not match its
+    sha256, is a CorpusError."""
+    layout, sha256, start = read_cache_head(fh)
+    end = fh.tell() - start
+    fh.seek(start)
+    body = bytearray(os.fstat(fh.fileno()).st_size - start)
     fh.readinto(body)
-    if hashlib.sha256(body).hexdigest() != top.get("sha256"):
-        raise CorpusError("cache is damaged: its sha256 does not match (re-run ingest)")
-    end = body.find(b"\n") + 1
-    try:
-        layout = json.loads(body[:end])
-    except ValueError:
-        layout = None
-    if not isinstance(layout, dict) or not isinstance(layout.get("arrays"), list):
-        raise CorpusError("cache line 2 is not a cache layout (re-run ingest)")
-    offset = end + -end % _ALIGN
+    if hashlib.sha256(body).hexdigest() != sha256:
+        raise CorpusError(CACHE_DAMAGED)
+    offset = end + -end % CACHE_ALIGN
     for name, dtype, n in layout.pop("arrays"):
         arr = np.frombuffer(body, np.dtype(dtype), n, offset)
         layout[name] = arr.astype(arr.dtype.newbyteorder("="), copy=False)
-        offset += arr.nbytes + -arr.nbytes % _ALIGN
+        offset += arr.nbytes + -arr.nbytes % CACHE_ALIGN
     header = layout.pop("header")
-    return header, CorpusColumns(**layout), top["sha256"]
+    return header, CorpusColumns(**layout), sha256
 
 
 @dataclass
@@ -697,84 +691,6 @@ def load_cache(cache_path: Path) -> LoadedCache:
         raise CorpusError("cache header: the retained authors are not ascending author indices (re-run ingest)")
     sample_idx = np.array(retained, dtype=np.int64)
     return LoadedCache(columns, sample_idx, FilterReport(**header["report"]), sha256)
-
-
-# ---------------------------------------------------------------------------
-# reuse of a stage's outputs
-
-# files are hashed this many bytes at a time
-HASH_BLOCK = 1 << 16
-
-
-def _sha256(fh: BinaryIO) -> str:
-    """The sha256 of the rest of *fh*, read HASH_BLOCK bytes at a time."""
-    digest = hashlib.sha256()
-    while block := fh.read(HASH_BLOCK):
-        digest.update(block)
-    return digest.hexdigest()
-
-
-def _file_sha256(path: Path) -> str:
-    with open(path, "rb") as fh:
-        return _sha256(fh)
-
-
-def program_digest() -> str:
-    """The sha256 of this package's *.py sources in name order, numpy's
-    version and Python's: besides its inputs, what a stage's outputs depend
-    on."""
-    digest = hashlib.sha256()
-    for path in sorted(Path(__file__).parent.glob("*.py")):
-        digest.update(f"{path.name}\0{_file_sha256(path)}\0".encode())
-    digest.update(f"numpy {np.__version__}\0python {sys.version}".encode())
-    return digest.hexdigest()
-
-
-def _open_regular(path: Path) -> BinaryIO:
-    """*path* opened for reading, if it is a regular file and not a symbolic
-    link; else an OSError. A pipe is refused without waiting for a writer."""
-    fh = open(os.open(path, os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK), "rb")
-    if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-        fh.close()
-        raise OSError(f"not a regular file: {path}")
-    return fh
-
-
-def reused_outputs(
-    out_dir: Path, state_name: str, key: dict, checks: dict[str, Callable[[BinaryIO], str]]
-) -> dict[str, str]:
-    """The digest of each output that *checks* names, when the reuse state
-    *state_name* in *out_dir* holds *key*, lists exactly those outputs, and
-    each of them is a regular file, not a symbolic link, whose check gives
-    the digest the state records for it; else {}. A check reads its open
-    file and returns the file's digest, or raises ValueError."""
-    try:
-        with _open_regular(out_dir / state_name) as fh:
-            state = json.loads(fh.read())
-        if not isinstance(state, dict) or any(state.get(name) != value for name, value in key.items()):
-            return {}
-        outputs = state.get("outputs")
-        if not isinstance(outputs, dict) or set(outputs) != set(checks):
-            return {}
-        for rel_path, check in checks.items():
-            with _open_regular(out_dir / rel_path) as fh:
-                if check(fh) != outputs[rel_path]:
-                    return {}
-    except (OSError, ValueError, RecursionError):  # missing or not a regular file, not JSON, deep nesting
-        return {}
-    return outputs
-
-
-def write_reuse_state(path: Path, key: dict, outputs: dict[str, str]) -> None:
-    """Record at *path* that *outputs*, each path with its digest, came from
-    *key*. The state only saves work: where it cannot be written (a
-    directory holds its name, the disk is full) the stage still succeeds,
-    and a state left from an earlier run names digests that the outputs
-    either lack or have by right."""
-    state = {**key, "outputs": outputs}
-    with contextlib.suppress(OSError), write_aside() as open_aside:
-        with open_aside(path) as fh:
-            fh.write(json.dumps(state, indent=1, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -828,44 +744,6 @@ def gates_from_columns(
 # ---------------------------------------------------------------------------
 # ingest
 
-CACHE_NAME = "corpus.cache"
-REJECTS_NAME = "rejects.jsonl"
-# what ingest writes in the run dir
-INGEST_OUTPUTS = (REJECTS_NAME, "filter_report.json", CACHE_NAME)
-# ingest's reuse state, which no manifest lists: the inputs, reference year
-# and program that the columns in the cache and rejects.jsonl came from, and
-# the digests of those two files
-INGEST_REUSE_NAME = ".ingest-reuse.json"
-
-
-@dataclass
-class IngestResult:
-    cache_path: Path
-    n_publications: int
-    n_rejects: int
-    report: FilterReport
-
-
-def _filter_config_dict(config: SampleFilterConfig) -> dict:
-    """The config's fields in order, each allowlist sorted."""
-    return {
-        name: sorted(value) if isinstance(value, frozenset) else value
-        for name, value in asdict(config).items()
-    }
-
-
-def _stamp(path: Path) -> tuple[int, int, int, int]:
-    """The file type and what changes when the file at *path* is written or
-    replaced."""
-    st = os.stat(path)
-    return st.st_mode, st.st_ino, st.st_size, st.st_mtime_ns
-
-
-def _input_digest(path: Path) -> dict:
-    with open(path, "rb") as fh:
-        return {"size": os.fstat(fh.fileno()).st_size, "sha256": _sha256(fh)}
-
-
 def _parse_inputs(
     pubs_path: Path, journals_path: Path, authors_path: Path, reference_year: int
 ) -> tuple[CorpusColumns, list[Reject]]:
@@ -895,104 +773,65 @@ def _parse_inputs(
     return columns, rejects + pub_rejects
 
 
-def _reused_parse(out_dir: Path, key: dict) -> tuple[CorpusColumns, int, str] | None:
-    """The columns, the reject count and the rejects.jsonl digest of the
-    last ingest in *out_dir*, when its reuse state holds *key* and both
-    files still have the digests it records; else None. The cache is
-    checked by read_cache, and rejects.jsonl is hashed as its lines are
-    counted."""
-    found = {}
-
-    def rejects_digest(fh: BinaryIO) -> str:
-        digest, n_lines = hashlib.sha256(), 0
-        while block := fh.read(HASH_BLOCK):
-            digest.update(block)
-            n_lines += block.count(b"\n")
-        found["n_rejects"] = n_lines
-        return digest.hexdigest()
-
-    def cache_digest(fh: BinaryIO) -> str:
-        _, found["columns"], sha256 = read_cache(fh)
-        return sha256
-
-    checks = {REJECTS_NAME: rejects_digest, CACHE_NAME: cache_digest}
-    outputs = reused_outputs(out_dir, INGEST_REUSE_NAME, key, checks)
-    return (found["columns"], found["n_rejects"], outputs[REJECTS_NAME]) if outputs else None
+def _reused_columns(cache_path: Path, sha256: str) -> CorpusColumns | None:
+    """The columns of the cache at *cache_path*, a regular file and not a
+    symbolic link, when its body has *sha256*; else None."""
+    try:
+        with open_regular(cache_path) as fh:
+            _, columns, found = read_cache(fh)
+    except (OSError, ValueError):  # missing or not a regular file, damaged
+        return None
+    return columns if found == sha256 else None
 
 
 def run_ingest(
-    pubs_path: Path,
-    journals_path: Path,
-    authors_path: Path,
-    out_dir: Path,
-    reference_year: int,
-    config: SampleFilterConfig,
+    paths: dict[str, Path], out_dir: Path, reference_year: int, config: SampleFilterConfig, reuse: IngestReuse
 ) -> IngestResult:
-    paths = {PUBLICATIONS_FILE: pubs_path, JOURNALS_FILE: journals_path, AUTHORS_FILE: authors_path}
-    for path in paths.values():
-        if not path.exists():
-            raise CorpusError(f"input file not found: {path}")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    # one writer at a time, which may remove what a killed one left
-    with run_dir_lock(out_dir):
-        remove_aside_files(out_dir, (*INGEST_OUTPUTS, INGEST_REUSE_NAME))
-        # the columns depend on the inputs, the reference year and the
-        # program alone, not on the gates. A pipe is read once, by the
-        # parse: an input that is not a regular file is never hashed, and
-        # its columns are never reused.
-        stamps = [_stamp(path) for path in paths.values()]
-        key = reused = None
-        if all(stat.S_ISREG(mode) for mode, *_ in stamps):
-            key = {
-                "inputs": {name: _input_digest(path) for name, path in paths.items()},
-                "reference_year": reference_year,
-                "program_sha256": program_digest(),
-            }
-            reused = _reused_parse(out_dir, key)
-        if reused:
-            columns, n_rejects, rejects_sha256 = reused
-        else:
-            columns, rejects = _parse_inputs(pubs_path, journals_path, authors_path, reference_year)
-            n_rejects = len(rejects)
-        retained, report = gates_from_columns(columns, config)
-        report_obj = asdict(report)
+    """Ingest the inputs *paths*, each named by its input file kind, into
+    *out_dir*, whose lock the caller holds and whose last ingest
+    corpus.ingest_reuse checked (*reuse*). The gates run over the cache's
+    columns when reuse allows it and the cache still has the digest the
+    state records, and over a full parse otherwise; then the outputs are
+    written, and the reuse state when the inputs were hashed."""
+    columns = None
+    if reuse.outputs:
+        columns = _reused_columns(out_dir / CACHE_NAME, reuse.outputs[CACHE_NAME])
+    rejects = None
+    if columns is not None:
+        n_rejects, rejects_sha256 = reuse.n_rejects, reuse.outputs[REJECTS_NAME]
+    else:
+        columns, rejects = _parse_inputs(
+            paths[PUBLICATIONS_FILE], paths[JOURNALS_FILE], paths[AUTHORS_FILE], reference_year
+        )
+        n_rejects = len(rejects)
+    retained, report = gates_from_columns(columns, config)
+    report_obj = asdict(report)
 
-        header = {
-            "filter": _filter_config_dict(config),
-            "retained": retained.tolist(),
-            "report": report_obj,
-        }
-        # the cache is renamed last: analyze reads it. Reused rejects stay
-        # in place.
-        cache_path = out_dir / CACHE_NAME
-        with write_aside() as open_aside:
-            if not reused:
-                digest = hashlib.sha256()
-                with open_aside(out_dir / REJECTS_NAME, binary=True) as fh:
-                    for reject in rejects:
-                        line = f"{reject.to_json()}\n".encode()
-                        digest.update(line)
-                        fh.write(line)
-                rejects_sha256 = digest.hexdigest()
-            with open_aside(out_dir / "filter_report.json") as fh:
-                json.dump(report_obj, fh, indent=2)
-                fh.write("\n")
-            with open_aside(cache_path, binary=True) as fh:
-                cache_sha256 = write_cache(fh, header, columns)
+    header = {
+        "filter": _filter_config_dict(config),
+        "retained": retained.tolist(),
+        "report": report_obj,
+    }
+    # the cache is renamed last: analyze reads it. Reused rejects stay in
+    # place.
+    cache_path = out_dir / CACHE_NAME
+    with write_aside() as open_aside:
+        if rejects is not None:
+            digest = hashlib.sha256()
+            with open_aside(out_dir / REJECTS_NAME, binary=True) as fh:
+                for reject in rejects:
+                    line = f"{reject.to_json()}\n".encode()
+                    digest.update(line)
+                    fh.write(line)
+            rejects_sha256 = digest.hexdigest()
+        with open_aside(out_dir / FILTER_REPORT_NAME) as fh:
+            write_filter_report(fh, report_obj)
+        with open_aside(cache_path, binary=True) as fh:
+            cache_sha256 = write_cache(fh, header, columns)
 
-        # the state is renamed after the outputs, and written only when no
-        # input was changed or replaced while ingest read it
-        if key is not None and [_stamp(path) for path in paths.values()] == stamps:
-            outputs = {REJECTS_NAME: rejects_sha256, CACHE_NAME: cache_sha256}
-            write_reuse_state(out_dir / INGEST_REUSE_NAME, key, outputs)
-        return IngestResult(cache_path, columns.n_publications, n_rejects, report)
-
-
-def _tsv(rows: Iterable[Iterable]) -> str:
-    return "\n".join("\t".join(str(cell) for cell in row) for row in rows) + "\n"
-
-
-def gates_table(report: FilterReport) -> str:
-    """What each gate removed, then the retained and total author counts."""
-    rows = [("gate", "removed"), *report.removed.items()]
-    return _tsv(rows + [("retained", report.retained), ("total", report.total)])
+    # the state is renamed after the outputs, and written only when no
+    # input was changed or replaced while ingest read it
+    if reuse.key is not None and [_stamp(path) for path in paths.values()] == reuse.stamps:
+        outputs = {REJECTS_NAME: rejects_sha256, CACHE_NAME: cache_sha256}
+        write_reuse_state(out_dir / INGEST_REUSE_NAME, reuse.key, outputs)
+    return IngestResult(cache_path, columns.n_publications, n_rejects, report)

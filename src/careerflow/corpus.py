@@ -6,20 +6,30 @@ five gates in a fixed order so the removal counts are comparable across runs.
 run_shares runs the shares of work that synth and ingest cut, one process
 per CPU (share_count), write_aside gives synth, ingest and analyze their
 all-or-nothing file writes, and sigterm_raises lets those writes clean up
-on SIGTERM. run_dir_lock keeps a second ingest or analyze out of a run dir,
-so that its holder may remove what killed writers left there
-(remove_aside_files).
+on SIGTERM. The holder of a run dir's lock (careerflow.run_dir_lock) may
+remove what killed writers left there (remove_aside_files).
+
+The last part is what ingest and analyze keep in a run dir besides their
+outputs, and what needs no numpy of it: the names of ingest's outputs, the
+cache's two json lines (read_cache_head), the program digest, the reuse
+states, and the check that finds a re-ingest with nothing left to do
+(ingest_reuse). So such a re-ingest never loads numpy.
 """
 from __future__ import annotations
 
 import contextlib
+import hashlib
+import importlib.util
+import io
 import json
 import os
 import pickle
 import re
 import signal
+import stat
+import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import IO, BinaryIO, Callable, Collection, Iterable, Iterator
 
@@ -163,33 +173,6 @@ def aside_path(path: Path) -> Path:
 # what write_aside leaves for <name> when its process is killed:
 # .<name>.<pid>.tmp
 ASIDE_NAME = re.compile(r"\.(.+)\.[0-9]+\.tmp")
-LOCK_NAME = ".careerflow.lock"
-
-
-@contextlib.contextmanager
-def run_dir_lock(run_dir: Path) -> Iterator[None]:
-    """Hold an exclusive flock on *run_dir*'s LOCK_NAME file for the block.
-    A run dir that another process holds is a CorpusError, and so is any
-    other failure to lock it. The lock goes with the open file, so it is
-    released when the block ends or the process dies."""
-    # imported here: synth, which takes no lock, runs where fcntl is missing
-    import fcntl
-
-    path = run_dir / LOCK_NAME
-    try:
-        fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_NOFOLLOW, 0o644)
-    except OSError as exc:
-        raise CorpusError(f"cannot open lock file {path}: {exc.strerror}") from None
-    try:
-        try:
-            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except BlockingIOError:
-            raise CorpusError(f"another careerflow process is writing {run_dir}") from None
-        except OSError as exc:
-            raise CorpusError(f"cannot lock {path}: {exc.strerror}") from None
-        yield
-    finally:
-        os.close(fd)
 
 
 def remove_aside_files(directory: Path, names: Collection[str] | None = None) -> None:
@@ -897,3 +880,266 @@ def filter_sample(corpus: Corpus, config: SampleFilterConfig) -> tuple[set[str],
         corpus.publications, corpus.reference_year, config.active_window_years
     )
     return apply_gates(corpus.authors.keys(), summaries, corpus.authors, config, corpus.reference_year)
+
+
+# ---------------------------------------------------------------------------
+# the run dir: ingest's outputs, the reuse states, and a re-ingest with
+# nothing left to do
+
+CACHE_NAME = "corpus.cache"
+REJECTS_NAME = "rejects.jsonl"
+FILTER_REPORT_NAME = "filter_report.json"
+# what ingest writes in the run dir
+INGEST_OUTPUTS = (REJECTS_NAME, FILTER_REPORT_NAME, CACHE_NAME)
+# ingest's reuse state, which no manifest lists: the inputs, reference year
+# and program that the columns in the cache and rejects.jsonl came from, and
+# the digests of those two files
+INGEST_REUSE_NAME = ".ingest-reuse.json"
+
+CACHE_VERSION = 3
+# the json line and each array block are zero-padded to a multiple of this,
+# so every block is aligned for its dtype
+CACHE_ALIGN = 8
+CACHE_DAMAGED = "cache is damaged: its sha256 does not match (re-run ingest)"
+
+# files are hashed this many bytes at a time
+HASH_BLOCK = 1 << 16
+
+
+@dataclass
+class IngestResult:
+    cache_path: Path
+    n_publications: int
+    n_rejects: int
+    report: FilterReport
+
+
+def _sha256(fh: BinaryIO) -> str:
+    """The sha256 of the rest of *fh*, read HASH_BLOCK bytes at a time."""
+    digest = hashlib.sha256()
+    while block := fh.read(HASH_BLOCK):
+        digest.update(block)
+    return digest.hexdigest()
+
+
+def _file_sha256(path: Path) -> str:
+    with open(path, "rb") as fh:
+        return _sha256(fh)
+
+
+def program_digest() -> str:
+    """The sha256 of this package's *.py sources in name order, of the
+    files in numpy's package directory named *version.py, which hold its
+    version string, and of Python's version: besides its inputs, what a
+    stage's outputs depend on. numpy is found, not imported."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(f"{path.name}\0{_file_sha256(path)}\0".encode())
+    numpy_dir = Path(importlib.util.find_spec("numpy").origin).parent
+    for path in sorted(numpy_dir.glob("*version.py")):
+        digest.update(f"numpy/{path.name}\0{_file_sha256(path)}\0".encode())
+    digest.update(f"python {sys.version}".encode())
+    return digest.hexdigest()
+
+
+def open_regular(path: Path) -> BinaryIO:
+    """*path* opened for reading, if it is a regular file and not a symbolic
+    link; else an OSError. A pipe is refused without waiting for a writer."""
+    fh = open(os.open(path, os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK), "rb")
+    if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        fh.close()
+        raise OSError(f"not a regular file: {path}")
+    return fh
+
+
+def reused_outputs(
+    out_dir: Path, state_name: str, key: dict, checks: dict[str, Callable[[BinaryIO], str]]
+) -> dict[str, str]:
+    """The digest of each output that *checks* names, when the reuse state
+    *state_name* in *out_dir* holds *key*, lists exactly those outputs, and
+    each of them is a regular file, not a symbolic link, whose check gives
+    the digest the state records for it; else {}. A check reads its open
+    file and returns the file's digest, or raises ValueError. The checks
+    run in their order, and none after the first that fails."""
+    try:
+        with open_regular(out_dir / state_name) as fh:
+            state = json.loads(fh.read())
+        if not isinstance(state, dict) or any(state.get(name) != value for name, value in key.items()):
+            return {}
+        outputs = state.get("outputs")
+        if not isinstance(outputs, dict) or set(outputs) != set(checks):
+            return {}
+        for rel_path, check in checks.items():
+            with open_regular(out_dir / rel_path) as fh:
+                if check(fh) != outputs[rel_path]:
+                    return {}
+    except (OSError, ValueError, RecursionError):  # missing or not a regular file, not JSON, deep nesting
+        return {}
+    return outputs
+
+
+def write_reuse_state(path: Path, key: dict, outputs: dict[str, str]) -> None:
+    """Record at *path* that *outputs*, each path with its digest, came from
+    *key*. The state only saves work: where it cannot be written (a
+    directory holds its name, the disk is full) the stage still succeeds,
+    and a state left from an earlier run names digests that the outputs
+    either lack or have by right."""
+    state = {**key, "outputs": outputs}
+    with contextlib.suppress(OSError), write_aside() as open_aside:
+        with open_aside(path) as fh:
+            fh.write(json.dumps(state, indent=1, sort_keys=True) + "\n")
+
+
+def read_cache_head(fh: BinaryIO) -> tuple[dict, str, int]:
+    """The two json lines of the cache that columnar.write_cache wrote to
+    *fh*: line 2, the layout, then the sha256 of the body that line 1
+    records, and the body's offset in the file; the body is every byte
+    after line 1, and the caller checks it. *fh* is left after line 2.
+    Another cache version, or a line 2 that is not a json object with a
+    list of arrays, is a CorpusError."""
+    try:
+        top = json.loads(fh.readline())
+    except ValueError:
+        top = None
+    version = top.get("cache_version") if isinstance(top, dict) else None
+    if version != CACHE_VERSION:
+        raise CorpusError(f"cache version {version!r}, expected {CACHE_VERSION} (re-run ingest)")
+    start = fh.tell()
+    try:
+        layout = json.loads(fh.readline())
+    except ValueError:
+        layout = None
+    if not isinstance(layout, dict) or not isinstance(layout.get("arrays"), list):
+        raise CorpusError("cache line 2 is not a cache layout (re-run ingest)")
+    return layout, top.get("sha256"), start
+
+
+def _filter_config_dict(config: SampleFilterConfig) -> dict:
+    """The config's fields in order, each allowlist sorted."""
+    return {
+        name: sorted(value) if isinstance(value, frozenset) else value
+        for name, value in asdict(config).items()
+    }
+
+
+def write_filter_report(fh: IO[str], report: dict) -> None:
+    """Write filter_report.json's text for *report*, a FilterReport as
+    asdict gives it, to *fh*."""
+    json.dump(report, fh, indent=2)
+    fh.write("\n")
+
+
+def _filter_report_bytes(report: dict) -> bytes:
+    text = io.StringIO()
+    write_filter_report(text, report)
+    return text.getvalue().encode()
+
+
+def _holds(path: Path, data: bytes) -> bool:
+    """Whether *path* is a regular file, not a symbolic link, whose bytes
+    are *data*."""
+    try:
+        with open_regular(path) as fh:
+            return fh.read(len(data) + 1) == data
+    except OSError:
+        return False
+
+
+def _stamp(path: Path) -> tuple[int, int, int, int]:
+    """The file type and what changes when the file at *path* is written or
+    replaced."""
+    st = os.stat(path)
+    return st.st_mode, st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _input_digest(path: Path) -> dict:
+    with open(path, "rb") as fh:
+        return {"size": os.fstat(fh.fileno()).st_size, "sha256": _sha256(fh)}
+
+
+@dataclass
+class IngestReuse:
+    """What an ingest may take from the last ingest in its run dir.
+
+    key is this ingest's reuse key, or None when an input is not a regular
+    file: a pipe is read once, by the parse, never hashed, and its columns
+    are never reused. stamps are the inputs' _stamp from before they were
+    hashed. outputs holds the digests of rejects.jsonl and the cache that
+    the reuse state records, when the state holds key and rejects.jsonl has
+    its digest, and is {} otherwise; n_rejects is then the line count of
+    rejects.jsonl. result is set when nothing is left to do."""
+
+    key: dict | None
+    stamps: list[tuple[int, int, int, int]]
+    outputs: dict[str, str] = field(default_factory=dict)
+    n_rejects: int = 0
+    result: IngestResult | None = None
+
+
+def ingest_reuse(
+    paths: dict[str, Path], out_dir: Path, reference_year: int, config: SampleFilterConfig
+) -> IngestReuse:
+    """Hash each input of *paths* once and check what the last ingest left
+    in *out_dir*, whose lock the caller holds. The columns depend on the
+    inputs, the reference year and the program alone, not on the gates.
+
+    When the reuse state holds this ingest's key and rejects.jsonl its
+    digest, the columns in the cache may be reused. When, besides, the
+    cache header's filter is *config*, filter_report.json is a regular file
+    that holds the header's report as ingest writes it, and the cache body,
+    hashed as it streams, has its digest, every output is what this ingest
+    would write: result is then its result, with the publication count from
+    the cache layout and the report from its header. Under another filter,
+    columnar.read_cache checks the body as it loads the columns."""
+    stamps = [_stamp(path) for path in paths.values()]
+    if not all(stat.S_ISREG(mode) for mode, *_ in stamps):
+        return IngestReuse(None, stamps)
+    key = {
+        "inputs": {name: _input_digest(path) for name, path in paths.items()},
+        "reference_year": reference_year,
+        "program_sha256": program_digest(),
+    }
+    reuse = IngestReuse(key, stamps)
+
+    def rejects_digest(fh: BinaryIO) -> str:
+        digest, n_lines = hashlib.sha256(), 0
+        while block := fh.read(HASH_BLOCK):
+            digest.update(block)
+            n_lines += block.count(b"\n")
+        reuse.n_rejects = n_lines
+        return digest.hexdigest()
+
+    def cache_digest(fh: BinaryIO) -> str:
+        layout, sha256, start = read_cache_head(fh)
+        header = layout.get("header")
+        report = header.get("report") if isinstance(header, dict) else None
+        if (
+            isinstance(report, dict)
+            and header.get("filter") == _filter_config_dict(config)
+            and _holds(out_dir / FILTER_REPORT_NAME, _filter_report_bytes(report))
+        ):
+            fh.seek(start)
+            if _sha256(fh) != sha256:
+                raise CorpusError(CACHE_DAMAGED)
+            # columnar.CorpusColumns counts its publications by pub_year
+            n_publications = next(n for name, _, n in layout["arrays"] if name == "pub_year")
+            reuse.result = IngestResult(
+                out_dir / CACHE_NAME, n_publications, reuse.n_rejects, FilterReport(**report)
+            )
+        return sha256
+
+    checks = {REJECTS_NAME: rejects_digest, CACHE_NAME: cache_digest}
+    reuse.outputs = reused_outputs(out_dir, INGEST_REUSE_NAME, key, checks)
+    if not reuse.outputs:  # the state records another cache digest
+        reuse.result = None
+    return reuse
+
+
+def _tsv(rows: Iterable[Iterable]) -> str:
+    return "\n".join("\t".join(str(cell) for cell in row) for row in rows) + "\n"
+
+
+def gates_table(report: FilterReport) -> str:
+    """What each gate removed, then the retained and total author counts."""
+    rows = [("gate", "removed"), *report.removed.items()]
+    return _tsv(rows + [("retained", report.retained), ("total", report.total)])

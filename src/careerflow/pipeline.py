@@ -16,21 +16,24 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from . import MANIFEST_NAME, CorpusError, StageError, stage_errors
+from . import MANIFEST_NAME, CorpusError, StageError, run_dir_lock, stage_errors
 from .classes import CLASS_ORDER, PRODUCTIVITY_TYPES, STAGES, assign_cohort_classes, sorted_unique
-from .columnar import (
+from .columnar import cache_not_found, load_cache
+from .corpus import (
     CACHE_NAME,
+    GENDER_LABELS,
+    FilterReport,
     _file_sha256,
     _sha256,
     _tsv,
-    cache_not_found,
+    aside_path,
     gates_table,
-    load_cache,
     program_digest,
+    remove_aside_files,
     reused_outputs,
+    write_aside,
     write_reuse_state,
 )
-from .corpus import GENDER_LABELS, FilterReport, aside_path, remove_aside_files, run_dir_lock, write_aside
 from .mobility import (
     MATRIX_TABLE_HEADER,
     TransitionMatrix,

@@ -1,8 +1,10 @@
 import contextlib
 import dataclasses
+import errno
 import fcntl
 import gc
 import hashlib
+import importlib.util
 import inspect
 import json
 import os
@@ -754,6 +756,9 @@ def test_failed_ingest_keeps_the_previous_cache(run_dir, monkeypatch):
         raise RuntimeError("interrupted")
 
     monkeypatch.setattr(columnar, "write_cache", broken_write)
+    # without its reuse state, a re-ingest of the same inputs parses and
+    # writes again, instead of finding nothing to do
+    (run_dir / corpus.INGEST_REUSE_NAME).unlink()
     with pytest.raises(RuntimeError, match="interrupted"):
         main(ingest_args(run_dir))
     assert cache.read_bytes() == before
@@ -1034,24 +1039,47 @@ def test_reingest_of_the_same_corpus_is_reused(run_dir):
 
 def test_another_program_digest_is_not_reused(run_dir, tmp_path, monkeypatch):
     assert main(["analyze", "--out", str(run_dir)]) == 0
-    digest = columnar.program_digest()
-    assert digest == columnar.program_digest()
-    # analyze calls the name it imported from columnar
+    digest = corpus.program_digest()
+    assert digest == corpus.program_digest()
+    # analyze calls the name it imported from corpus
     monkeypatch.setattr(pipeline, "program_digest", lambda: hashlib.sha256(digest.encode()).hexdigest())
     assert analyze_rewrites(run_dir, *NARROW)
     assert run_files(run_dir) == fresh_run_files(run_dir, tmp_path / "fresh", *NARROW)
 
 
 def test_program_digest_covers_every_source_of_the_package(tmp_path, monkeypatch):
-    package = Path(columnar.__file__).parent
+    package = Path(corpus.__file__).parent
     copy = tmp_path / "careerflow"
     shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
-    monkeypatch.setattr(columnar, "__file__", str(copy / "columnar.py"))
-    digest = columnar.program_digest()
-    assert digest == columnar.program_digest()
+    monkeypatch.setattr(corpus, "__file__", str(copy / "corpus.py"))
+    digest = corpus.program_digest()
+    assert digest == corpus.program_digest()
     with open(copy / "mobility.py", "a") as fh:
         fh.write("\n")
-    assert columnar.program_digest() != digest
+    assert corpus.program_digest() != digest
+
+
+def test_program_digest_covers_numpy_version_without_importing_it(tmp_path, monkeypatch):
+    """The digest reads numpy's version from the sources that hold it, in a
+    numpy found where the import system would find it."""
+    installed = Path(np.__file__).parent
+    digest = corpus.program_digest()
+    copy = tmp_path / "numpy"
+    copy.mkdir()
+    (copy / "__init__.py").write_text("raise ImportError('the digest imported numpy')\n")
+    sources = sorted(installed.glob("*version.py"))
+    assert any(np.__version__ in path.read_text() for path in sources)
+    for path in sources:
+        shutil.copyfile(path, copy / path.name)
+    spec = importlib.util.spec_from_file_location("numpy", copy / "__init__.py")
+    find_spec = importlib.util.find_spec
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name, *args: spec if name == "numpy" else find_spec(name, *args))
+    # the same version sources elsewhere give the same digest
+    assert corpus.program_digest() == digest
+    for path in sources:
+        text = path.read_text()
+        (copy / path.name).write_text(text.replace(np.__version__, f"{np.__version__}.post1"))
+    assert corpus.program_digest() != digest
 
 
 def test_reuse_replaces_a_symlinked_output_and_leaves_its_target(run_dir, tmp_path):
@@ -1159,6 +1187,8 @@ def test_each_stage_imports_only_its_modules(tmp_path):
         "help": ["--help"],
         "synth": synth_args(out),
         "ingest": ingest_args(out),
+        # unchanged inputs and flags: nothing is left to do
+        "ingest-again": ingest_args(out),
         # the probe corpus has both fitted and rank-deficient models
         "analyze": ["analyze", "--out", str(out)],
         "report": ["report", "--out", str(out)],
@@ -1185,6 +1215,10 @@ def test_each_stage_imports_only_its_modules(tmp_path):
     assert not loaded["synth"] & {
         "careerflow.columnar", "careerflow.pipeline", "careerflow.regression", "careerflow.mobility"
     }
+    # a re-ingest with nothing to do checks its outputs without numpy, which
+    # the first ingest, a full parse, loads
+    assert "careerflow.columnar" in loaded["ingest"]
+    assert not loaded["ingest-again"] & {"numpy", "careerflow.columnar"}
     # ingest loads none of the analysis layer
     assert not loaded["ingest"] & {
         "careerflow.pipeline", "careerflow.classes", "careerflow.portfolio", "careerflow.mobility",
@@ -1394,6 +1428,46 @@ def test_ingest_and_analyze_refuse_a_run_dir_another_process_holds(run_dir, caps
     assert run_dir_files(run_dir) == before
     assert main(ingest_args(run_dir)) == 0
     assert main(["analyze", "--out", str(run_dir)]) == 0
+
+
+def test_report_waits_for_no_writer_and_reads_under_a_shared_lock(run_dir, capsys):
+    """report exits 2 with the writers' message, before it prints anything,
+    while a writer holds the run dir; beside another reader it reports."""
+    assert main(["analyze", "--out", str(run_dir)]) == 0
+    capsys.readouterr()
+    assert main(["report", "--out", str(run_dir)]) == 0
+    printed = capsys.readouterr().out
+    with open(run_dir / ".careerflow.lock", "a") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        assert main(["report", "--out", str(run_dir)]) == 2
+        assert capsys.readouterr() == ("", f"error: another careerflow process is writing {run_dir}\n")
+        fcntl.flock(lock, fcntl.LOCK_SH | fcntl.LOCK_NB)
+        assert main(["report", "--out", str(run_dir)]) == 0
+        assert capsys.readouterr().out == printed
+        # and a writer is refused while report reads
+        assert main(["analyze", "--out", str(run_dir)]) == 2
+
+
+def test_report_reads_a_run_dir_without_a_lock_file_or_on_read_only_storage(run_dir, tmp_path, capsys, monkeypatch):
+    assert main(["analyze", "--out", str(run_dir)]) == 0
+    capsys.readouterr()
+    assert main(["report", "--out", str(run_dir)]) == 0
+    printed = capsys.readouterr().out
+    (run_dir / ".careerflow.lock").unlink()
+    assert main(["report", "--out", str(run_dir)]) == 0
+    assert capsys.readouterr().out == printed
+    assert not (run_dir / ".careerflow.lock").exists()
+    # storage mounted read-only refuses every open for writing, with EROFS
+    real_open = os.open
+
+    def read_only(path, flags, *args, **kwargs):
+        if flags & (os.O_WRONLY | os.O_RDWR | os.O_CREAT):
+            raise OSError(errno.EROFS, os.strerror(errno.EROFS), str(path))
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", read_only)
+    assert main(["report", "--out", str(run_dir)]) == 0
+    assert capsys.readouterr().out == printed
 
 
 def test_a_lock_file_that_cannot_be_opened_is_a_usage_error_that_names_it(run_dir, capsys):

@@ -1,6 +1,7 @@
 """Ingest reuses its parsed columns when its inputs, the reference year and
-the program are unchanged: a re-ingest or a re-filter runs only the gates,
-and every output byte and its stdout are those of a fresh run dir."""
+the program are unchanged: a re-ingest with the same gates whose outputs
+check out does nothing, any other re-ingest or re-filter runs only the
+gates, and every output byte and its stdout are those of a fresh run dir."""
 import contextlib
 import hashlib
 import io
@@ -12,9 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from careerflow import columnar
+from careerflow import columnar, corpus
 from careerflow.cli import main
-from careerflow.columnar import CACHE_NAME, INGEST_OUTPUTS, INGEST_REUSE_NAME, REJECTS_NAME
+from careerflow.corpus import CACHE_NAME, FILTER_REPORT_NAME, INGEST_OUTPUTS, INGEST_REUSE_NAME, REJECTS_NAME
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 INPUTS = {"publications": "--pubs", "journals": "--journals", "authors": "--authors"}
@@ -85,6 +86,26 @@ def no_parse():
         yield
 
 
+def run_files(run: Path) -> dict[str, tuple[int, int, int]]:
+    """Each file in *run* by name: its size, inode and st_mtime_ns."""
+    with os.scandir(run) as entries:
+        stats = {entry.name: entry.stat(follow_symlinks=False) for entry in entries}
+    return {name: (st.st_size, st.st_ino, st.st_mtime_ns) for name, st in stats.items()}
+
+
+@contextlib.contextmanager
+def nothing_to_do():
+    """Fail an ingest that reaches its numpy part: the gates, a parse or a
+    write."""
+
+    def reached(*args, **kwargs):
+        raise AssertionError("ingest ran its gates")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(columnar, "run_ingest", reached)
+        yield
+
+
 @pytest.mark.parametrize("flags", GATE_FLAGS, ids=["same-gates", "min-pubs", "ages"])
 @pytest.mark.parametrize("dirty", [False, True], ids=["golden", "with-rejects"])
 def test_reingest_runs_only_the_gates_and_equals_a_fresh_run_dir(tmp_path, dirty, flags):
@@ -92,11 +113,13 @@ def test_reingest_runs_only_the_gates_and_equals_a_fresh_run_dir(tmp_path, dirty
     run = tmp_path / "run"
     first = ingest(inputs, run)
     assert bool((run / REJECTS_NAME).read_bytes()) == dirty
-    rejects_inode = (run / REJECTS_NAME).stat().st_ino
-    with no_parse():
+    before = run_files(run)
+    # the same gates leave nothing to do: no file is written
+    with no_parse(), nothing_to_do() if flags == [] else contextlib.nullcontext():
         stdout = ingest(inputs, run, *flags)
     assert (stdout == first) == (flags == [])
-    assert (run / REJECTS_NAME).stat().st_ino == rejects_inode
+    assert (run_files(run) == before) == (flags == [])
+    assert run_files(run)[REJECTS_NAME] == before[REJECTS_NAME]
     assert_fresh(inputs, run, stdout, tmp_path / "fresh", *flags)
     # the state keys on each input's size and sha256
     state = json.loads((run / INGEST_REUSE_NAME).read_bytes())
@@ -124,8 +147,8 @@ def break_reuse(inputs: Path, run: Path, how: str, outside: Path, monkeypatch) -
     elif how == "reference-year":
         return ["--reference-year", "2021"]
     elif how == "program":
-        digest = columnar.program_digest()
-        monkeypatch.setattr(columnar, "program_digest", lambda: hashlib.sha256(digest.encode()).hexdigest())
+        digest = corpus.program_digest()
+        monkeypatch.setattr(corpus, "program_digest", lambda: hashlib.sha256(digest.encode()).hexdigest())
     elif kind in ("rejects", "cache"):
         path = run / (REJECTS_NAME if kind == "rejects" else CACHE_NAME)
         data = path.read_bytes()
@@ -183,6 +206,82 @@ def test_anything_else_falls_back_to_a_full_parse(tmp_path, monkeypatch, parses,
     parses.clear()
     assert ingest(inputs, run, *flags) == stdout
     assert len(parses) == (how == "state-a-directory")
+
+
+def forge_cache_filter(run: Path) -> None:
+    """Give the cache header another filter, with the report it has, and
+    record the new cache digest in the reuse state, as an ingest under that
+    filter that retained the same authors would have."""
+    data = (run / CACHE_NAME).read_bytes()
+    top_end = data.index(b"\n") + 1
+    layout_end = data.index(b"\n", top_end) + 1
+    layout = json.loads(data[top_end:layout_end])
+    layout["header"]["filter"]["active_window_years"] += 1
+    line = json.dumps(layout, separators=(",", ":")).encode() + b"\n"
+    blocks = top_end + (layout_end - top_end + 7) // 8 * 8
+    body = line + bytes(-len(line) % 8) + data[blocks:]
+    sha256 = hashlib.sha256(body).hexdigest()
+    top = json.dumps({"cache_version": corpus.CACHE_VERSION, "sha256": sha256}, separators=(",", ":"))
+    (run / CACHE_NAME).write_bytes(top.encode() + b"\n" + body)
+    state = json.loads((run / INGEST_REUSE_NAME).read_bytes())
+    state["outputs"][CACHE_NAME] = sha256
+    (run / INGEST_REUSE_NAME).write_text(json.dumps(state))
+
+
+def change_gates_input(run: Path, how: str, outside: Path) -> list[str]:
+    """Change what the gates' outputs are checked against, but not the
+    columns; the ingest flags to run next."""
+    path = run / FILTER_REPORT_NAME
+    data = path.read_bytes()
+    if how == "report-edited":
+        path.write_bytes(data[:-2] + bytes([data[-2] ^ 1]) + data[-1:])
+    elif how == "report-deleted":
+        path.unlink()
+    elif how == "report-symlinked":
+        # to a file with the very bytes ingest would write
+        (outside / path.name).write_bytes(data)
+        path.unlink()
+        path.symlink_to(outside / path.name)
+    elif how == "report-a-fifo":
+        path.unlink()
+        os.mkfifo(path)
+    elif how == "min-pubs":
+        return ["--min-pubs", "60"]
+    else:
+        assert how == "cache-filter"
+        forge_cache_filter(run)
+    return []
+
+
+@pytest.mark.parametrize(
+    "how", ["report-edited", "report-deleted", "report-symlinked", "report-a-fifo", "min-pubs", "cache-filter"]
+)
+def test_other_gate_outputs_run_only_the_gates(tmp_path, monkeypatch, how):
+    inputs = make_inputs(tmp_path / "in", dirty=True)
+    run = tmp_path / "run"
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    ingest(inputs, run)
+    flags = change_gates_input(run, how, outside)
+    before = run_files(run)
+    gates = []
+    real = columnar.gates_from_columns
+    monkeypatch.setattr(columnar, "gates_from_columns", lambda *args: gates.append(args) or real(*args))
+    with no_parse():
+        stdout = ingest(inputs, run, *flags)
+    assert len(gates) == 1
+    after = run_files(run)
+    # the gates' outputs are written anew, and rejects.jsonl stays in place
+    assert after[CACHE_NAME][1] != before[CACHE_NAME][1]
+    assert after[FILTER_REPORT_NAME][1] != before.get(FILTER_REPORT_NAME, (0, 0, 0))[1]
+    assert after[REJECTS_NAME] == before[REJECTS_NAME]
+    assert_fresh(inputs, run, stdout, tmp_path / "fresh", *flags)
+    assert not any(os.path.islink(run / name) for name in INGEST_OUTPUTS)
+    # and the state they wrote lets the next such ingest do nothing
+    before = run_files(run)
+    with nothing_to_do():
+        assert ingest(inputs, run, *flags) == stdout
+    assert run_files(run) == before
 
 
 def test_a_symlinked_output_keeps_its_target(tmp_path):
