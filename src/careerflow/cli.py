@@ -175,8 +175,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_ingest(args: argparse.Namespace) -> int:
     from .corpus import (
         AUTHORS_FILE,
-        INGEST_OUTPUTS,
-        INGEST_REUSE_NAME,
         JOURNALS_FILE,
         MAX_REFERENCE_YEAR,
         MIN_YEAR,
@@ -184,8 +182,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         REFERENCE_YEAR,
         SampleFilterConfig,
         gates_table,
-        ingest_reuse,
-        remove_aside_files,
+        run_ingest,
     )
 
     # a year out of range is refused before anything is read or written
@@ -200,21 +197,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         JOURNALS_FILE: Path(args.journals),
         AUTHORS_FILE: Path(args.authors),
     }
-    for path in paths.values():
-        if not path.exists():
-            raise CorpusError(f"input file not found: {path}")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    # one writer at a time, which may remove what a killed one left
-    with run_dir_lock(out_dir):
-        remove_aside_files(out_dir, (*INGEST_OUTPUTS, INGEST_REUSE_NAME))
-        reuse = ingest_reuse(paths, out_dir, year, config)
-        result = reuse.result
-        if result is None:
-            # numpy from here: the gates, after a parse unless the columns
-            # are reused
-            from .columnar import run_ingest
-
-            result = run_ingest(paths, out_dir, year, config, reuse)
+    result = run_ingest(paths, out_dir, year, config)
     print(f"cache: {result.cache_path}")
     print(f"publications: {result.n_publications}  rejects: {result.n_rejects}")
     print(gates_table(result.report), end="")

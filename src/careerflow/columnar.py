@@ -3,7 +3,7 @@
 The builder consumes publication lines (ingest) or validated
 PublicationRecord objects (an in-memory Corpus) one at a time and keeps only
 flat arrays, so corpora with millions of publications never exist as object
-lists. Ingest (run_ingest) reads a publications file in byte ranges, one
+lists. Ingest (ingest_columns) reads a publications file in byte ranges, one
 builder per range (ingest_range), merges them in file order into the columns
 (merge_ranges), runs the sample filter's gates over them and writes the
 cache. This module writes and loads the cache (write_cache, read_cache,
@@ -12,11 +12,11 @@ ingest's header (the filter config, the retained authors' indices and the
 filter report), then the arrays as raw little-endian blocks.
 corpus.read_cache_head reads the two json lines.
 
-run_ingest is the part of ingest that needs numpy. Before it, the CLI
-checks with corpus.ingest_reuse what the last ingest in the run dir left:
+ingest_columns is the part of ingest that needs numpy. Its driver,
+corpus.run_ingest, first checks what the last ingest in the run dir left:
 a re-ingest of unchanged inputs with the same gates has nothing left to
-do, and one with other gates takes its columns from the verified cache and
-runs only the gates.
+do, and one with other gates loads its columns from the verified cache
+(load_cache, analyze's loader too) and runs only the gates.
 """
 from __future__ import annotations
 
@@ -42,7 +42,6 @@ from .corpus import (
     FILTER_REPORT_NAME,
     GATE_ORDER,
     GENDER_LABELS,
-    INGEST_REUSE_NAME,
     JOURNALS_FILE,
     PUBLICATIONS_FILE,
     QUALIFYING_DOC_TYPES,
@@ -52,17 +51,14 @@ from .corpus import (
     CorpusError,
     FilterReport,
     IngestResult,
-    IngestReuse,
     JournalRecord,
     PublicationRecord,
     PublicationValidator,
     Reject,
     SampleFilterConfig,
     _filter_config_dict,
-    _stamp,
     duplicate_reject,
     iter_json_lines,
-    open_regular,
     parse_authors,
     parse_journals,
     read_cache_head,
@@ -70,7 +66,6 @@ from .corpus import (
     share_count,
     write_aside,
     write_filter_report,
-    write_reuse_state,
 )
 
 GENDER_CODES = {label: code for code, label in enumerate(GENDER_LABELS)}
@@ -744,15 +739,14 @@ def gates_from_columns(
 # ---------------------------------------------------------------------------
 # ingest
 
-def _parse_inputs(
-    pubs_path: Path, journals_path: Path, authors_path: Path, reference_year: int
-) -> tuple[CorpusColumns, list[Reject]]:
-    """The columns of the three inputs, and their rejects in file order."""
+def _parse_inputs(paths: dict[str, Path], reference_year: int) -> tuple[CorpusColumns, list[Reject]]:
+    """The columns of the three inputs *paths*, and their rejects in file order."""
     rejects: list[Reject] = []
-    with open(journals_path, "rb") as fh:
+    with open(paths[JOURNALS_FILE], "rb") as fh:
         journals = parse_journals(fh, rejects)
-    with open(authors_path, "rb") as fh:
+    with open(paths[AUTHORS_FILE], "rb") as fh:
         authors = parse_authors(fh, rejects)
+    pubs_path = paths[PUBLICATIONS_FILE]
 
     # the publications file is cut into byte ranges, one share each, and the
     # ranges are merged in file order, so the columns and rejects are the
@@ -773,36 +767,31 @@ def _parse_inputs(
     return columns, rejects + pub_rejects
 
 
-def _reused_columns(cache_path: Path, sha256: str) -> CorpusColumns | None:
-    """The columns of the cache at *cache_path*, a regular file and not a
-    symbolic link, when its body has *sha256*; else None."""
+def ingest_columns(
+    paths: dict[str, Path],
+    out_dir: Path,
+    reference_year: int,
+    config: SampleFilterConfig,
+    reused: dict[str, str],
+    n_rejects: int,
+) -> tuple[IngestResult, dict[str, str]]:
+    """Ingest's numpy half, which corpus.run_ingest runs under the run dir's
+    lock: the gates with *config*, then the writes into *out_dir*. The gates
+    run over the columns of the cache when the reuse state records *reused*,
+    the digests of rejects.jsonl, of *n_rejects* lines, and of the cache,
+    and the cache loads with that digest; over a full parse of the inputs
+    *paths* otherwise. Returns the result, and the digests of rejects.jsonl
+    and of the cache."""
     try:
-        with open_regular(cache_path) as fh:
-            _, columns, found = read_cache(fh)
-    except (OSError, ValueError):  # missing or not a regular file, damaged
-        return None
-    return columns if found == sha256 else None
-
-
-def run_ingest(
-    paths: dict[str, Path], out_dir: Path, reference_year: int, config: SampleFilterConfig, reuse: IngestReuse
-) -> IngestResult:
-    """Ingest the inputs *paths*, each named by its input file kind, into
-    *out_dir*, whose lock the caller holds and whose last ingest
-    corpus.ingest_reuse checked (*reuse*). The gates run over the cache's
-    columns when reuse allows it and the cache still has the digest the
-    state records, and over a full parse otherwise; then the outputs are
-    written, and the reuse state when the inputs were hashed."""
-    columns = None
-    if reuse.outputs:
-        columns = _reused_columns(out_dir / CACHE_NAME, reuse.outputs[CACHE_NAME])
+        loaded = load_cache(out_dir / CACHE_NAME) if reused else None
+    # gone, damaged, or a header or layout that ingest does not write
+    except (OSError, ValueError, KeyError, TypeError):
+        loaded = None
     rejects = None
-    if columns is not None:
-        n_rejects, rejects_sha256 = reuse.n_rejects, reuse.outputs[REJECTS_NAME]
+    if loaded is not None and loaded.sha256 == reused[CACHE_NAME]:
+        columns, rejects_sha256 = loaded.columns, reused[REJECTS_NAME]
     else:
-        columns, rejects = _parse_inputs(
-            paths[PUBLICATIONS_FILE], paths[JOURNALS_FILE], paths[AUTHORS_FILE], reference_year
-        )
+        columns, rejects = _parse_inputs(paths, reference_year)
         n_rejects = len(rejects)
     retained, report = gates_from_columns(columns, config)
     report_obj = asdict(report)
@@ -828,10 +817,5 @@ def run_ingest(
             write_filter_report(fh, report_obj)
         with open_aside(cache_path, binary=True) as fh:
             cache_sha256 = write_cache(fh, header, columns)
-
-    # the state is renamed after the outputs, and written only when no
-    # input was changed or replaced while ingest read it
-    if reuse.key is not None and [_stamp(path) for path in paths.values()] == reuse.stamps:
-        outputs = {REJECTS_NAME: rejects_sha256, CACHE_NAME: cache_sha256}
-        write_reuse_state(out_dir / INGEST_REUSE_NAME, reuse.key, outputs)
-    return IngestResult(cache_path, columns.n_publications, n_rejects, report)
+    outputs = {REJECTS_NAME: rejects_sha256, CACHE_NAME: cache_sha256}
+    return IngestResult(cache_path, columns.n_publications, n_rejects, report), outputs

@@ -12,8 +12,9 @@ remove what killed writers left there (remove_aside_files).
 The last part is what ingest and analyze keep in a run dir besides their
 outputs, and what needs no numpy of it: the names of ingest's outputs, the
 cache's two json lines (read_cache_head), the program digest, the reuse
-states, and the check that finds a re-ingest with nothing left to do
-(ingest_reuse). So such a re-ingest never loads numpy.
+states, and ingest's driver (run_ingest), which finds a re-ingest with
+nothing left to do before it loads numpy and hands anything else to
+columnar.ingest_columns.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import IO, BinaryIO, Callable, Collection, Iterable, Iterator
 
-from . import CorpusError, StageError, Terminated
+from . import CorpusError, StageError, Terminated, run_dir_lock
 
 DOC_TYPES = ("article", "conference_paper", "other")
 QUALIFYING_DOC_TYPES = frozenset(("article", "conference_paper"))
@@ -973,7 +974,9 @@ def reused_outputs(
             with open_regular(out_dir / rel_path) as fh:
                 if check(fh) != outputs[rel_path]:
                     return {}
-    except (OSError, ValueError, RecursionError):  # missing or not a regular file, not JSON, deep nesting
+    # missing or not a regular file, not JSON, deep nesting, or a cache
+    # header or layout that ingest does not write
+    except (OSError, ValueError, KeyError, TypeError, RecursionError):
         return {}
     return outputs
 
@@ -1057,82 +1060,83 @@ def _input_digest(path: Path) -> dict:
         return {"size": os.fstat(fh.fileno()).st_size, "sha256": _sha256(fh)}
 
 
-@dataclass
-class IngestReuse:
-    """What an ingest may take from the last ingest in its run dir.
-
-    key is this ingest's reuse key, or None when an input is not a regular
-    file: a pipe is read once, by the parse, never hashed, and its columns
-    are never reused. stamps are the inputs' _stamp from before they were
-    hashed. outputs holds the digests of rejects.jsonl and the cache that
-    the reuse state records, when the state holds key and rejects.jsonl has
-    its digest, and is {} otherwise; n_rejects is then the line count of
-    rejects.jsonl. result is set when nothing is left to do."""
-
-    key: dict | None
-    stamps: list[tuple[int, int, int, int]]
-    outputs: dict[str, str] = field(default_factory=dict)
-    n_rejects: int = 0
-    result: IngestResult | None = None
-
-
-def ingest_reuse(
+def run_ingest(
     paths: dict[str, Path], out_dir: Path, reference_year: int, config: SampleFilterConfig
-) -> IngestReuse:
-    """Hash each input of *paths* once and check what the last ingest left
-    in *out_dir*, whose lock the caller holds. The columns depend on the
-    inputs, the reference year and the program alone, not on the gates.
+) -> IngestResult:
+    """Ingest the inputs *paths*, each named by its input file kind, into
+    *out_dir*, under the run dir's lock. The columns depend on the inputs,
+    the reference year and the program alone, not on the gates, so each
+    input is hashed once and the last ingest's reuse state is checked; an
+    input that is not a regular file, such as a pipe, is read once, by the
+    parse, and nothing is reused or recorded.
 
-    When the reuse state holds this ingest's key and rejects.jsonl its
-    digest, the columns in the cache may be reused. When, besides, the
-    cache header's filter is *config*, filter_report.json is a regular file
-    that holds the header's report as ingest writes it, and the cache body,
-    hashed as it streams, has its digest, every output is what this ingest
-    would write: result is then its result, with the publication count from
-    the cache layout and the report from its header. Under another filter,
-    columnar.read_cache checks the body as it loads the columns."""
-    stamps = [_stamp(path) for path in paths.values()]
-    if not all(stat.S_ISREG(mode) for mode, *_ in stamps):
-        return IngestReuse(None, stamps)
-    key = {
-        "inputs": {name: _input_digest(path) for name, path in paths.items()},
-        "reference_year": reference_year,
-        "program_sha256": program_digest(),
-    }
-    reuse = IngestReuse(key, stamps)
+    When the state holds this ingest's key and rejects.jsonl its digest,
+    the cache's columns may be reused. When, besides, the cache header's
+    filter is *config*, filter_report.json is a regular file that holds the
+    header's report as ingest writes it, and the cache body, hashed as it
+    streams, has its digest, nothing is left to do: the result, with the
+    publication count from the cache layout and the report from its header,
+    is returned before numpy is loaded. Otherwise columnar.ingest_columns
+    runs the gates and the writes, and then the state is written."""
+    for path in paths.values():
+        if not path.exists():
+            raise CorpusError(f"input file not found: {path}")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    # one writer at a time, which may remove what a killed one left
+    with run_dir_lock(out_dir):
+        remove_aside_files(out_dir, (*INGEST_OUTPUTS, INGEST_REUSE_NAME))
+        stamps = [_stamp(path) for path in paths.values()]
+        key, reused, result, n_rejects = None, {}, None, 0
+        if all(stat.S_ISREG(mode) for mode, *_ in stamps):
+            key = {
+                "inputs": {name: _input_digest(path) for name, path in paths.items()},
+                "reference_year": reference_year,
+                "program_sha256": program_digest(),
+            }
 
-    def rejects_digest(fh: BinaryIO) -> str:
-        digest, n_lines = hashlib.sha256(), 0
-        while block := fh.read(HASH_BLOCK):
-            digest.update(block)
-            n_lines += block.count(b"\n")
-        reuse.n_rejects = n_lines
-        return digest.hexdigest()
+            def rejects_digest(fh: BinaryIO) -> str:
+                nonlocal n_rejects
+                digest, n_rejects = hashlib.sha256(), 0
+                while block := fh.read(HASH_BLOCK):
+                    digest.update(block)
+                    n_rejects += block.count(b"\n")
+                return digest.hexdigest()
 
-    def cache_digest(fh: BinaryIO) -> str:
-        layout, sha256, start = read_cache_head(fh)
-        header = layout.get("header")
-        report = header.get("report") if isinstance(header, dict) else None
-        if (
-            isinstance(report, dict)
-            and header.get("filter") == _filter_config_dict(config)
-            and _holds(out_dir / FILTER_REPORT_NAME, _filter_report_bytes(report))
-        ):
-            fh.seek(start)
-            if _sha256(fh) != sha256:
-                raise CorpusError(CACHE_DAMAGED)
-            # columnar.CorpusColumns counts its publications by pub_year
-            n_publications = next(n for name, _, n in layout["arrays"] if name == "pub_year")
-            reuse.result = IngestResult(
-                out_dir / CACHE_NAME, n_publications, reuse.n_rejects, FilterReport(**report)
-            )
-        return sha256
+            def cache_digest(fh: BinaryIO) -> str:
+                nonlocal result
+                layout, sha256, start = read_cache_head(fh)
+                header = layout.get("header")
+                report = header.get("report") if isinstance(header, dict) else None
+                if (
+                    isinstance(report, dict)
+                    and header.get("filter") == _filter_config_dict(config)
+                    and _holds(out_dir / FILTER_REPORT_NAME, _filter_report_bytes(report))
+                ):
+                    fh.seek(start)
+                    if _sha256(fh) != sha256:
+                        raise CorpusError(CACHE_DAMAGED)
+                    # columnar.CorpusColumns counts its publications by pub_year
+                    n_publications = {name: n for name, _, n in layout["arrays"]}["pub_year"]
+                    result = IngestResult(
+                        out_dir / CACHE_NAME, n_publications, n_rejects, FilterReport(**report)
+                    )
+                return sha256
 
-    checks = {REJECTS_NAME: rejects_digest, CACHE_NAME: cache_digest}
-    reuse.outputs = reused_outputs(out_dir, INGEST_REUSE_NAME, key, checks)
-    if not reuse.outputs:  # the state records another cache digest
-        reuse.result = None
-    return reuse
+            checks = {REJECTS_NAME: rejects_digest, CACHE_NAME: cache_digest}
+            reused = reused_outputs(out_dir, INGEST_REUSE_NAME, key, checks)
+            if reused and result is not None:
+                return result
+        # numpy from here: the gates, after a parse unless the columns are
+        # reused
+        from .columnar import ingest_columns
+
+        result, outputs = ingest_columns(paths, out_dir, reference_year, config, reused, n_rejects)
+        # the state is renamed after the outputs, and written only when no
+        # input was changed, replaced or removed while ingest read it
+        with contextlib.suppress(OSError):
+            if key is not None and [_stamp(path) for path in paths.values()] == stamps:
+                write_reuse_state(out_dir / INGEST_REUSE_NAME, key, outputs)
+    return result
 
 
 def _tsv(rows: Iterable[Iterable]) -> str:

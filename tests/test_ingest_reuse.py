@@ -102,7 +102,7 @@ def nothing_to_do():
         raise AssertionError("ingest ran its gates")
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(columnar, "run_ingest", reached)
+        mp.setattr(columnar, "ingest_columns", reached)
         yield
 
 
@@ -163,6 +163,11 @@ def break_reuse(inputs: Path, run: Path, how: str, outside: Path, monkeypatch) -
         else:
             assert change == "deleted"
             path.unlink()
+    elif kind == "forged":
+        # both hashes check out, but the layout or header is not one that
+        # ingest writes
+        forge_cache(run, change)
+        return ["--min-pubs", "60"] if change == "surplus-key" else []
     elif how == "state-not-json":
         (run / INGEST_REUSE_NAME).write_bytes(b'{"inputs": \xff')
     else:
@@ -187,6 +192,9 @@ def break_reuse(inputs: Path, run: Path, how: str, outside: Path, monkeypatch) -
         ),
         "state-not-json",
         "state-a-directory",
+        "forged-report",
+        "forged-no-pub-year",
+        "forged-surplus-key",
     ],
 )
 def test_anything_else_falls_back_to_a_full_parse(tmp_path, monkeypatch, parses, how):
@@ -208,15 +216,26 @@ def test_anything_else_falls_back_to_a_full_parse(tmp_path, monkeypatch, parses,
     assert len(parses) == (how == "state-a-directory")
 
 
-def forge_cache_filter(run: Path) -> None:
-    """Give the cache header another filter, with the report it has, and
-    record the new cache digest in the reuse state, as an ingest under that
-    filter that retained the same authors would have."""
+def forge_cache(run: Path, how: str) -> None:
+    """Change the cache's layout line as *how* says, and record the new
+    cache digest in the reuse state, so that both hashes check out."""
     data = (run / CACHE_NAME).read_bytes()
     top_end = data.index(b"\n") + 1
     layout_end = data.index(b"\n", top_end) + 1
     layout = json.loads(data[top_end:layout_end])
-    layout["header"]["filter"]["active_window_years"] += 1
+    if how == "filter":
+        # another filter, with the report it has, as an ingest under that
+        # filter that retained the same authors would have written
+        layout["header"]["filter"]["active_window_years"] += 1
+    elif how == "report":
+        # with a filter_report.json that holds it, as ingest writes one
+        layout["header"]["report"] = {"x": 1}
+        (run / FILTER_REPORT_NAME).write_text(json.dumps({"x": 1}, indent=2) + "\n")
+    elif how == "no-pub-year":
+        layout["arrays"] = [entry for entry in layout["arrays"] if entry[0] != "pub_year"]
+    else:
+        assert how == "surplus-key"
+        layout["surplus"] = 1
     line = json.dumps(layout, separators=(",", ":")).encode() + b"\n"
     blocks = top_end + (layout_end - top_end + 7) // 8 * 8
     body = line + bytes(-len(line) % 8) + data[blocks:]
@@ -249,7 +268,7 @@ def change_gates_input(run: Path, how: str, outside: Path) -> list[str]:
         return ["--min-pubs", "60"]
     else:
         assert how == "cache-filter"
-        forge_cache_filter(run)
+        forge_cache(run, "filter")
     return []
 
 
@@ -326,23 +345,32 @@ def test_a_pipe_input_is_never_hashed_or_reused(tmp_path, parses):
     assert (run / INGEST_REUSE_NAME).read_bytes() == state
 
 
-def test_an_input_replaced_during_ingest_writes_no_state(tmp_path, monkeypatch, parses):
+@pytest.mark.parametrize("change", ["replaced", "removed"])
+def test_an_input_replaced_during_ingest_writes_no_state(tmp_path, monkeypatch, parses, change):
     """The state names the inputs that ingest hashed; an input that another
-    process replaces while ingest reads it may not be what it parsed."""
+    process replaces or removes while ingest reads it may not be what it
+    parsed. Ingest still succeeds, with every output written."""
     inputs = make_inputs(tmp_path / "in", dirty=False)
+    journals = inputs / "journals.jsonl"
+    copy = tmp_path / "journals.jsonl"
     real = columnar.merge_ranges
 
-    def replacing(*args):
-        journals = inputs / "journals.jsonl"
-        shutil.copyfile(journals, tmp_path / "journals.jsonl")
-        os.replace(tmp_path / "journals.jsonl", journals)
+    def changing(*args):
+        shutil.copyfile(journals, copy)
+        if change == "replaced":
+            os.replace(copy, journals)
+        else:
+            journals.unlink()
         return real(*args)
 
-    monkeypatch.setattr(columnar, "merge_ranges", replacing)
+    monkeypatch.setattr(columnar, "merge_ranges", changing)
     run = tmp_path / "run"
-    ingest(inputs, run)
+    stdout = ingest(inputs, run)
     assert not (run / INGEST_REUSE_NAME).exists()
     monkeypatch.setattr(columnar, "merge_ranges", real)
+    if change == "removed":
+        os.replace(copy, journals)
+    assert_fresh(inputs, run, stdout, tmp_path / "fresh")
     parses.clear()
     ingest(inputs, run)
     assert len(parses) == 1
